@@ -67,14 +67,6 @@ def endpoint_json(v):
     return rational_str(v)
 
 
-def endpoint_parse(x):
-    if x == "inf":
-        return INF
-    if x == "-inf":
-        return NEG_INF
-    return parse_rational(x)
-
-
 def coord_json(c: Coord) -> dict:
     return {"k": c.k, "v": "inf" if c.v is INF else rational_str(c.v)}
 
@@ -90,6 +82,8 @@ def coord_parse(d: dict) -> Coord:
 def load_complex(path) -> Tuple[PLComplex, int]:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a complex file must hold a JSON object")
     field = int(data.get("field", 2))
     values = {}
     for entry in data.get("vertices", []):
@@ -99,11 +93,15 @@ def load_complex(path) -> Tuple[PLComplex, int]:
         val = entry["value"]
         if not isinstance(val, list):
             val = [val]
+        if not val:
+            raise ValueError(f"vertex {vid!r} has an empty value list")
         values[vid] = tuple(parse_rational(x) for x in val)
     arities = {len(v) for v in values.values()}
     if len(arities) > 1:
         raise ValueError("all vertices must carry the same number of values")
-    simplices = [list(s) for s in data.get("simplices", [])]
+    simplices = data.get("simplices", [])
+    if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+        raise ValueError("simplices must be a list of vertex id lists")
     k = PLComplex.from_maximal(values, simplices)
     return k, field
 
@@ -349,7 +347,10 @@ def _float_region(x: float, y: float) -> Optional[str]:
     # the down-set of the embedded diagonal
     if y > min(x, PI / 2) or min(x, PI / 2) <= -PI / 2:
         return None
-    for n in range(-6, 7):
+    # T adds 2*pi to y - x, so T^tile lands in -2*pi < y - x <= 0, the
+    # fundamental domain; the degree is that power or the next one
+    tile = math.floor((x - y) / (2 * PI))
+    for n in (tile, tile + 1):
         qx, qy = _t_float(x, y, n)
         if qx > -PI / 2 and qy >= -PI / 2:
             birth_rel = qx < PI / 2

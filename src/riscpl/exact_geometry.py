@@ -6,6 +6,11 @@ arctangent of an exact rational (or +infinity, encoding an offset of pi/2), so
 all comparisons, the glide reflection T, the shift action alpha, and the
 region bookkeeping are decided with rational arithmetic only.  Floating point
 enters exclusively through the `float_*` oracle helpers used by the tests.
+
+Tiles are read off the coordinates.  In the strip interior the fundamental
+domain is -2*pi < y - x <= 0 and T adds 2*pi to y - x, so the tile index of
+(x, y) is floor((x - y) / (2*pi)), which the integer parts of the two
+coordinates and one comparison of their offsets decide exactly.
 """
 
 from __future__ import annotations
@@ -99,11 +104,6 @@ ExtRational = Union[Fraction, _PosInf]
 Endpoint = Union[Fraction, _PosInf, _NegInf]
 
 
-def ext_neg(v):
-    """Negate an extended rational (or interval endpoint)."""
-    return -v
-
-
 @dataclass(frozen=True, order=False)
 class Coord:
     """The real number k*pi + arctan(v), with arctan(v) in (-pi/2, pi/2].
@@ -121,10 +121,6 @@ class Coord:
             object.__setattr__(self, "v", INF)
         elif not (self.v is INF or isinstance(self.v, Fraction)):
             object.__setattr__(self, "v", Fraction(self.v))
-
-    def _key(self):
-        # (k, v) lexicographic order agrees with real-number order.
-        return (self.k, self.v)
 
     def __lt__(self, other):
         if self.k != other.k:
@@ -255,10 +251,6 @@ def strip_location(p: StripPoint) -> str:
 
 def in_strip(p: StripPoint) -> bool:
     return strip_location(p) != "outside"
-
-
-def in_interior(p: StripPoint) -> bool:
-    return strip_location(p) == "interior"
 
 
 def _require_in_strip(p: StripPoint):
@@ -467,23 +459,20 @@ def in_fundamental_domain(p: StripPoint) -> bool:
     return in_diag_downset(p) and not in_shifted_diag_downset(p)
 
 
-TILE_WINDOW = 16
-
-
 def tile_index(p: StripPoint) -> int:
     """The unique n such that applying T n times lands in the fundamental
-    domain.  Only defined away from the strip boundary."""
+    domain.  Only defined away from the strip boundary.
+
+    Inside the strip the fundamental domain is -2*pi < y - x <= 0, and each
+    T adds 2*pi to y - x, so n = floor((x - y) / (2*pi)).  With m = x.k - y.k
+    that is m // 2, less one when m is even and arctan(y.v) > arctan(x.v)."""
     if strip_location(p) != "interior":
         raise ValueError(f"tile index undefined for non-interior point {p}")
-    found = None
-    for n in range(-TILE_WINDOW, TILE_WINDOW + 1):
-        if in_fundamental_domain(t_power(p, n)):
-            if found is not None:
-                raise AssertionError(f"tile index not unique for {p}")
-            found = n
-    if found is None:
-        raise ValueError(f"no tile index found for {p} within the window")
-    return found
+    m = p.x.k - p.y.k
+    n = m // 2
+    if m % 2 == 0 and p.y.v > p.x.v:
+        n -= 1
+    return n
 
 
 def block_contains(v: StripPoint, p: StripPoint) -> bool:
@@ -508,20 +497,16 @@ EXT = "Ext"
 def classify_region(u: StripPoint):
     """Classify a diagram point: returns (degree n, region, classical pair).
 
-    The degree is the unique n whose T-translate meets the classical
-    persistence line; births/deaths at exactly pi/2 count as absolute."""
+    The degree is the unique n whose T-translate q has q.x > -pi/2 and
+    q.y >= -pi/2: the tile index, or one more when the fundamental-domain
+    representative lies below y = -pi/2.  Births/deaths at exactly pi/2
+    count as absolute."""
     if strip_location(u) != "interior" or not in_diag_downset(u):
         raise ValueError(f"not a diagram point: {u}")
-    found = None
-    for n in range(-TILE_WINDOW, TILE_WINDOW + 1):
-        q = t_power(u, n)
-        if q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI:
-            if found is not None:
-                raise AssertionError(f"classification degree not unique for {u}")
-            found = (n, q)
-    if found is None:
-        raise ValueError(f"no classification degree found for {u}")
-    n, q = found
+    n = tile_index(u)
+    q = t_power(u, n)
+    if not (q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI):
+        n, q = n + 1, t_apply(q)
     birth_rel = q.x < HALF_PI
     death_abs = q.y < HALF_PI
     if birth_rel and death_abs:

@@ -204,16 +204,6 @@ def independent_split(base: Mat, cand: Mat) -> Tuple[List[int], List[int]]:
     return own, extra
 
 
-def independent_columns_beyond(base: Mat, cand: Mat) -> List[int]:
-    """Indices of candidate columns that enlarge the column space of base,
-    greedily left to right, from a single elimination."""
-    return independent_split(base, cand)[1]
-
-
-class NotInSpan(Exception):
-    pass
-
-
 def solve_in_span(b: Mat, target: Mat) -> Optional[Mat]:
     """Coefficients c with b @ c = target, or None if some target column is
     not in the column space of b.  target may have several columns."""

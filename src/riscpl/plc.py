@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exact_geometry import RealOpenSet
-from .field_linalg import Mat, independent_split, kernel_basis, rank, solve_in_span
+from .field_linalg import Mat, independent_split, kernel_basis, solve_in_span
 
 Vid = object  # vertex ids: ints from input files, strings for split vertices
 Simplex = FrozenSet
@@ -79,14 +79,8 @@ class PLComplex:
     def value(self, v: Vid, func: int = 0) -> Fraction:
         return self.values[v][func]
 
-    def vertex_ids(self) -> List[Vid]:
-        return sorted(self.values, key=vkey)
-
     def dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def simplex_count(self) -> int:
-        return len(self.simplices)
 
 
 def validate(k: PLComplex) -> None:

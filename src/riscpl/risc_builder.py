@@ -23,7 +23,6 @@ from .exact_geometry import (
     StripPoint,
     beta_levelset,
     classify_region,
-    in_diag_downset,
     rho,
     strip_location,
     t_power,
@@ -40,7 +39,7 @@ from .plc import (
     relative_cohomology,
     split_all,
 )
-from .strip_module import Diagram, DiagramPoint, GridModule, dgm, refine_lines
+from .strip_module import Diagram, GridModule, dgm, refine_lines
 
 DEFAULT_TRANSLATES = (-3, 3)
 DEFAULT_CAP = 20000
@@ -87,14 +86,13 @@ def split_levels(xs) -> List[Fraction]:
 
 def build_grid(k: PLComplex, func: int = 0,
                kmin: int = DEFAULT_TRANSLATES[0],
-               kmax: int = DEFAULT_TRANSLATES[1]) -> Tuple[Tuple[Coord, ...], Tuple[Coord, ...]]:
-    """The refined sample coordinates for a complex (empty complex gives an
-    empty grid)."""
+               kmax: int = DEFAULT_TRANSLATES[1]) -> Tuple[Coord, ...]:
+    """The refined sample coordinates for a complex, shared by both axes
+    (empty complex gives an empty grid)."""
     if not k.values:
-        return (), ()
+        return ()
     grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    xs = refine_lines(build_lines(grid, kmin, kmax))
-    return xs, xs
+    return refine_lines(build_lines(grid, kmin, kmax))
 
 
 class FunctorEvaluator:
@@ -220,19 +218,16 @@ def assemble_module(ev: FunctorEvaluator, xs: Tuple[Coord, ...],
     shell = GridModule(xs, xs, {}, {}, p)
     dims: Dict[Tuple[int, int], int] = {}
     tiles: Dict[Tuple[int, int], int] = {}
-    bases: Dict[Tuple[int, int], CohomBasis] = {}
     pts: Dict[Tuple[int, int], StripPoint] = {}
     for idx in shell.samples():
         pt = shell.point(idx)
         if transform is not None:
             pt = transform(pt)
         pts[idx] = pt
-        d, n, basis = point_data(ev, pt, max_degree)
+        d, n, _ = point_data(ev, pt, max_degree)
         dims[idx] = d
         if n is not None:
             tiles[idx] = n
-        if basis is not None:
-            bases[idx] = basis
 
     maps: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Mat] = {}
     for idx, d in dims.items():
@@ -240,20 +235,12 @@ def assemble_module(ev: FunctorEvaluator, xs: Tuple[Coord, ...],
         for up in ((i - 1, j), (i, j + 1)):
             if up not in dims:
                 continue
-            if d == 0 or dims[up] == 0:
-                maps[(idx, up)] = Mat.zeros(d, dims[up], p)
-                continue
-            n_lo, n_up = tiles[idx], tiles[up]
-            if n_lo == n_up:
-                maps[(idx, up)] = ev.inclusion(bases[up], bases[idx])
-            elif n_lo == n_up + 1:
-                u = t_power(pts[up], n_up)
-                w = t_power(pts[idx], n_lo)
-                maps[(idx, up)] = ev.connecting(u, w, n_up)
-            else:
+            if d and dims[up] and tiles[idx] - tiles[up] not in (0, 1):
                 raise AssertionError(
-                    f"adjacent samples {idx}, {up} differ by {n_lo - n_up} tiles"
+                    f"adjacent samples {idx}, {up} differ by "
+                    f"{tiles[idx] - tiles[up]} tiles"
                 )
+            maps[(idx, up)] = internal_map(ev, pts[idx], pts[up], max_degree)
     return GridModule(xs, xs, dims, maps, p, tiles)
 
 
@@ -267,7 +254,7 @@ def evaluate(k: PLComplex, func: int = 0, p: int = 2,
         empty = GridModule((), (), {}, {}, p)
         return RiscResult(empty, Diagram(), LevelGrid((), ()), 0, k, func)
     grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    xs, _ = build_grid(k, func, kmin, kmax)
+    xs = refine_lines(build_lines(grid, kmin, kmax))
     split = split_all(k, split_levels(xs), funcs=[func], cap=cap)
     ev = FunctorEvaluator(split, func, p)
     max_degree = split.dim() + 1

@@ -30,7 +30,7 @@ from .exact_geometry import (
 from .field_linalg import (
     Mat,
     column_space_sum_dim,
-    independent_columns_beyond,
+    independent_split,
     kernel_basis,
     rank,
 )
@@ -82,9 +82,6 @@ class Diagram:
     def multiset(self):
         return sorted(((d.point, d.multiplicity) for d in self.points),
                       key=lambda t: (t[0].x, t[0].y))
-
-    def total(self):
-        return sum(d.multiplicity for d in self.points)
 
 
 class GridModule:
@@ -186,25 +183,9 @@ class GridModule:
         q = t_apply(self.point(idx)) if power == 1 else t_inverse(self.point(idx))
         return self.index_of(q)
 
-    def dump(self) -> dict:
-        """Debug dump: samples with dimensions and dense map arrays."""
-        return {
-            "xs": [str(c) for c in self.xs],
-            "ys": [str(c) for c in self.ys],
-            "dims": {f"{i},{j}": d for (i, j), d in sorted(self.dims.items())},
-            "maps": {
-                f"{a[0]},{a[1]}<{b[0]},{b[1]}": m.data.tolist()
-                for (a, b), m in sorted(self.maps.items())
-            },
-        }
-
 
 # ---------------------------------------------------------------------------
 # block modules
-
-
-def block_support_samples(m_like: GridModule, v: StripPoint) -> List[Index]:
-    return [idx for idx in m_like.samples() if block_contains(v, m_like.point(idx))]
 
 
 def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
@@ -290,28 +271,6 @@ def rank_between(m: GridModule, p, q) -> int:
 
 # ---------------------------------------------------------------------------
 # checkers
-
-
-def composites_from(m: GridModule, p: Index) -> Dict[Index, Mat]:
-    """All composite matrices M(q) -> M(p) for samples q above p, by one
-    dynamic-programming sweep (paths broken by the boundary give zero, which
-    is the correct value there)."""
-    ip, jp = p
-    comp = {p: Mat.eye(m.dim_at(p), m.p)}
-    for i in range(ip, -1, -1):
-        for j in range(jp, len(m.ys)):
-            q = (i, j)
-            if q == p or not m.is_sample(q):
-                continue
-            via_x = (i + 1, j)
-            via_y = (i, j - 1)
-            if i < ip and via_x in comp:
-                comp[q] = comp[via_x] @ m.map_at(via_x, q)
-            elif j > jp and via_y in comp:
-                comp[q] = comp[via_y] @ m.map_at(via_y, q)
-            else:
-                comp[q] = Mat.zeros(m.dim_at(p), m.dim_at(q), m.p)
-    return comp
 
 
 def composites_down(m: GridModule, v: Index) -> Dict[Index, Mat]:
@@ -404,7 +363,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
             if vi in sec.comp and block_contains(sec.v, m.point(vi))
         ]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
-        free = independent_columns_beyond(base, ker)
+        free = independent_split(base, ker)[1]
         if len(free) < mult:
             return ("too few sections", v, len(free), mult)
         xi = Mat.hstack([ker.column(c) for c in free[:mult]])

@@ -99,6 +99,35 @@ def test_rejects_float_values(capsys, tmp_path):
     assert code == 2
 
 
+def assert_input_error(capsys, path):
+    code = main(["dgm", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_rejects_empty_value_list(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {
+        "vertices": [{"id": 1, "value": []}],
+        "simplices": [[1]],
+    })
+    assert_input_error(capsys, path)
+
+
+def test_rejects_non_list_simplex(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {
+        "vertices": [{"id": 1, "value": "0"}],
+        "simplices": [1],
+    })
+    assert_input_error(capsys, path)
+
+
+def test_rejects_top_level_list(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", [{"id": 1, "value": "0"}])
+    assert_input_error(capsys, path)
+
+
 def test_check_suites_pass(capsys, tmp_path):
     code, hood = run(capsys, "gen", "--preset", "hood")
     path = write_json(tmp_path / "hood.json", json.loads(hood))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from geometry_reference import region_degree_search, tile_index_search
 from riscpl.exact_geometry import (
     INF,
     NEG_INF,
@@ -146,6 +147,34 @@ def test_tile_index_shift_invariant():
         n = tile_index(p)
         for m in (-2, -1, 1, 2):
             assert tile_index(t_power(p, m)) == n - m
+
+
+def random_interior_point(rng):
+    """Interior points over many tiles: |k| <= 8, both parities of
+    x.k - y.k, infinite offsets and equal offsets."""
+    while True:
+        xk = rng.randint(-8, 8)
+        yk = -xk + rng.randint(-1, 1)
+        x = random_coord(rng)
+        y = x if rng.random() < 0.1 else random_coord(rng)
+        p = StripPoint(Coord(xk, x.v), Coord(yk, y.v))
+        if strip_location(p) == "interior":
+            return p
+
+
+def test_closed_forms_match_search():
+    rng = random.Random(12)
+    parities, with_inf, diagram_points = set(), 0, 0
+    for _ in range(2400):
+        p = random_interior_point(rng)
+        parities.add((p.x.k - p.y.k) % 2)
+        with_inf += p.x.v is INF or p.y.v is INF
+        assert tile_index(p) == tile_index_search(p), p
+        if in_diag_downset(p):
+            diagram_points += 1
+            assert classify_region(p)[0] == region_degree_search(p), p
+    assert parities == {0, 1}
+    assert with_inf > 200 and diagram_points > 500
 
 
 def test_block_contains_examples():

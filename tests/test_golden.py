@@ -1,0 +1,63 @@
+"""Byte-level pins of the command line outputs on the presets.
+
+A change to the exact pipeline that alters a module dump, a barcode or a
+plot, over GF(2) or GF(3), shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from riscpl.cli import main
+
+GOLDEN = {
+    ("hood", 2): (
+        "7113e04180f7a446fe8ef1b82caa283ec8e38bafabd736e1ec650af99a26e245",
+        "06758f3cb7fb3cbd7dd216579aa2bed126904bc978a207d2ef9077f07975a173",
+        "ab7dc7ae985a6d57f976c75352c3df2a1525f26ce8b79936c1762cca8f8edb37",
+    ),
+    ("hood", 3): (
+        "8b22ed1cddfd75935f5f6dae04e92d5fe7bdde5aec6f83bfe818f49019f424c3",
+        "f138ef4b5adebdefb7cb5f60a73d5f094361e06766d965eb2625c914e1292090",
+        "ab7dc7ae985a6d57f976c75352c3df2a1525f26ce8b79936c1762cca8f8edb37",
+    ),
+    ("circle", 2): (
+        "125b9a4d5ef413b7aa75d743f521d948a42440093bbf5a6c867dcc364ba45bb9",
+        "7f13c28aea775bb7a775dbe88ab6406d959fe6d40eeceabc9963bb402e973228",
+        "08b4a63a4dcb4f685d9cbf2a50e7052422af81675e8fac4a086f2caef7611d2e",
+    ),
+    ("circle", 3): (
+        "806b8b90543fb80b778ff9ba284b67b05dfdec51c444f28eccc72f364a4c7d27",
+        "57b883535b8846630fd5c6346f5cc99d6e15c31964796333bf782b66d46a1a58",
+        "08b4a63a4dcb4f685d9cbf2a50e7052422af81675e8fac4a086f2caef7611d2e",
+    ),
+    ("cone", 2): (
+        "8cd811c72c49534e41cd33ac19359a4c4bf2d774ee3e13e7f225a1af4258554b",
+        "a6060456365c5c159bac7581efda513f66c5e405808c8bd0e15200282bda1f86",
+        "e0605239adb5e2b423cc12187a815761f4344dbccd866b15886259d242a44a71",
+    ),
+    ("cone", 3): (
+        "e93f930eb32bafaee3d75d71e31a56ef31399c29d39273dc13167079e9c9fc16",
+        "2df0d0c5874a7d032a198108a77f43b37688bfefddc125001f6ba07dec480d6e",
+        "e0605239adb5e2b423cc12187a815761f4344dbccd866b15886259d242a44a71",
+    ),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("preset,field", sorted(GOLDEN))
+def test_preset_outputs_are_pinned(tmp_path, preset, field):
+    cx, module, dgm, bars, svg = (
+        tmp_path / name
+        for name in ("complex.json", "module.json", "dgm.json", "bars.json", "plot.svg")
+    )
+    f = str(field)
+    assert main(["gen", "--preset", preset, "--out", str(cx)]) == 0
+    assert main(["dgm", str(cx), "--field", f, "--dump-module", str(module),
+                 "--out", str(dgm)]) == 0
+    assert main(["barcode", str(cx), "--field", f, "--out", str(bars)]) == 0
+    assert main(["plot", str(dgm), "--out", str(svg)]) == 0
+    assert (sha256(module), sha256(bars), sha256(svg)) == GOLDEN[(preset, field)]
