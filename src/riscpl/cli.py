@@ -79,15 +79,25 @@ def coord_parse(d: dict) -> Coord:
 # file formats
 
 
+def _is_vertex_id(x) -> bool:
+    return isinstance(x, (int, str)) and not isinstance(x, bool)
+
+
 def load_complex(path) -> Tuple[PLComplex, int]:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a complex file must hold a JSON object")
     field = int(data.get("field", 2))
+    vertices = data.get("vertices", [])
+    if not isinstance(vertices, list) or not all(
+            isinstance(e, dict) and "id" in e and "value" in e for e in vertices):
+        raise ValueError("vertices must be a list of objects with an id and a value")
     values = {}
-    for entry in data.get("vertices", []):
+    for entry in vertices:
         vid = entry["id"]
+        if not _is_vertex_id(vid):
+            raise ValueError(f"vertex ids must be integers or strings, got {vid!r}")
         if vid in values:
             raise ValueError(f"duplicate vertex id {vid!r}")
         val = entry["value"]
@@ -100,7 +110,8 @@ def load_complex(path) -> Tuple[PLComplex, int]:
     if len(arities) > 1:
         raise ValueError("all vertices must carry the same number of values")
     simplices = data.get("simplices", [])
-    if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+    if not isinstance(simplices, list) or not all(
+            isinstance(s, list) and all(map(_is_vertex_id, s)) for s in simplices):
         raise ValueError("simplices must be a list of vertex id lists")
     k = PLComplex.from_maximal(values, simplices)
     return k, field
@@ -206,13 +217,18 @@ def module_json(m: GridModule, field: int) -> dict:
 def load_module(path) -> Tuple[GridModule, int]:
     with open(path) as fh:
         data = json.load(fh)
-    field = int(data.get("field", 2))
-    xs = tuple(coord_parse(c) for c in data["xs"])
-    ys = tuple(coord_parse(c) for c in data["ys"])
-    dims = {(int(i), int(j)): int(d) for i, j, d in data["dims"]}
-    maps = {}
-    for a, b, arr in data["maps"]:
-        maps[(tuple(a), tuple(b))] = Mat(arr, field)
+    if not isinstance(data, dict):
+        raise ValueError("a module file must hold a JSON object")
+    try:
+        field = int(data.get("field", 2))
+        xs = tuple(coord_parse(c) for c in data["xs"])
+        ys = tuple(coord_parse(c) for c in data["ys"])
+        dims = {(int(i), int(j)): int(d) for i, j, d in data["dims"]}
+        maps = {}
+        for a, b, arr in data["maps"]:
+            maps[(tuple(a), tuple(b))] = Mat(arr, field)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed module file: {type(e).__name__}: {e}") from e
     return GridModule(xs, ys, dims, maps, field), field
 
 

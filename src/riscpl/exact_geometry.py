@@ -4,8 +4,8 @@ Points of the strip live between the two slope -1 lines through (-pi, 0) and
 (pi, 0).  Every coordinate is stored as an integer multiple of pi plus the
 arctangent of an exact rational (or +infinity, encoding an offset of pi/2), so
 all comparisons, the glide reflection T, the shift action alpha, and the
-region bookkeeping are decided with rational arithmetic only.  Floating point
-enters exclusively through the `float_*` oracle helpers used by the tests.
+region bookkeeping are decided with rational arithmetic only; floats appear
+only in `to_float`, for display.
 
 Tiles are read off the coordinates.  In the strip interior the fundamental
 domain is -2*pi < y - x <= 0 and T adds 2*pi to y - x, so the tile index of
@@ -562,57 +562,3 @@ def diag_point(t) -> StripPoint:
     """The diagonal embedding of a level t (rational or +inf)."""
     v = t if t is INF else Fraction(t)
     return StripPoint(Coord(0, v), Coord(0, v))
-
-
-# ---------------------------------------------------------------------------
-# Floating-point oracle (tests only)
-#
-# These evaluate the transcendental definitions of the maps above: the circle
-# map phi(s) = (1, s)/sqrt(1+s^2), the piecewise map g_a on the circle, its
-# equivariant lift, and the conjugation sigma(t) = pi - t.
-
-
-def float_g_lift(a: ShiftVector, theta: float) -> float:
-    """The lift of the circle self-map associated with a shift, normalized to
-    fix pi/2 and commute with full turns."""
-    a1 = float(a.a1)
-    a2 = float(a.a2)
-    m = math.floor((theta + math.pi / 2) / (2 * math.pi))
-    th0 = theta - 2 * math.pi * m  # in [-pi/2, 3*pi/2)
-    eps = 1e-13
-    if abs(th0 + math.pi / 2) < eps:
-        r = -math.pi / 2
-    elif abs(th0 - math.pi / 2) < eps:
-        r = math.pi / 2
-    elif th0 < math.pi / 2:
-        r = math.atan(math.tan(th0) + a2)
-    else:
-        r = math.atan(math.tan(th0) - a1) + math.pi
-    return r + 2 * math.pi * m
-
-
-def float_alpha(a: ShiftVector, xy: Tuple[float, float]) -> Tuple[float, float]:
-    x, y = xy
-    return (math.pi - float_g_lift(a, math.pi - x), float_g_lift(a, y))
-
-
-def float_t(xy: Tuple[float, float]) -> Tuple[float, float]:
-    x, y = xy
-    return (-math.pi - y, math.pi - x)
-
-
-def float_t_inverse(xy: Tuple[float, float]) -> Tuple[float, float]:
-    x, y = xy
-    return (math.pi - y, -math.pi - x)
-
-
-def float_rho1_bounds(xy: Tuple[float, float]) -> Tuple[float, float]:
-    """Angle-space bounds of the first rho component, clamped to the range of
-    arctan."""
-    x, y = xy
-    return (max(-math.pi - y, -math.pi / 2), min(math.pi - x, math.pi / 2))
-
-
-def float_in_strip(xy: Tuple[float, float], tol: float = 0.0) -> bool:
-    x, y = xy
-    return -math.pi - tol <= x + y <= math.pi + tol

@@ -7,6 +7,7 @@ field is GF(2); any prime below 2^16 is accepted.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 MAX_PRIME = 1 << 16
 
 
+@lru_cache(maxsize=None)
 def _check_prime(p: int):
     if not (2 <= p < MAX_PRIME):
         raise ValueError(f"field characteristic {p} out of range")
@@ -183,12 +185,12 @@ def column_space_sum_dim(mats: Sequence[Mat]) -> int:
 def kernel_basis(m: Mat) -> Mat:
     """Columns spanning the kernel."""
     r, pivots = _rref(m.data, m.p)
-    free = [c for c in range(m.cols) if c not in pivots]
+    free = np.ones(m.cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, idx] = (-int(r[row, c])) % m.p
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -r[:len(pivots)][:, free].astype(np.int64)
     return Mat(basis, m.p)
 
 

@@ -44,7 +44,6 @@ from .risc_builder import (
     DEFAULT_CAP,
     DEFAULT_TRANSLATES,
     FunctorEvaluator,
-    RiscResult,
     assemble_module,
     build_lines,
     internal_map,
@@ -145,21 +144,6 @@ def context_module(ctx: JointContext, func: int,
                            transform=transform)
 
 
-def shifted_module(r: RiscResult, a: ShiftVector,
-                   samples: Optional[Tuple[Coord, ...]] = None,
-                   cap: int = DEFAULT_CAP) -> GridModule:
-    """Pullback of an evaluated module along the shift action.  The split
-    complex is refined further so the shifted evaluation points are
-    covered."""
-    a = ShiftVector(a.a1, a.a2) if isinstance(a, ShiftVector) else ShiftVector(*a)
-    xs = r.module.xs if samples is None else samples
-    split = split_all(r.split, joint_levels(xs, (a.a1, a.a2)),
-                      funcs=[r.func], cap=cap)
-    ev = FunctorEvaluator(split, r.func, r.module.p)
-    return assemble_module(ev, xs, split.dim() + 1,
-                           transform=lambda q: alpha_apply(a, q))
-
-
 # ---------------------------------------------------------------------------
 # the stability transformation, one sample at a time
 
@@ -255,6 +239,7 @@ class Transformation:
                 xi_w, xi_1, xi_2, xi_m, n - 1, self.p,
                 src=self.ev_g.basis(*xi_m, n - 1),
                 dst=self.ev_f.basis(*xi_w, n),
+                index=self.ev_f.split.index,
             )
             self._by_model[key] = out
         return out

@@ -2,21 +2,31 @@
 
 Splitting is done by stellar edge subdivision at prescribed levels, after
 which every preimage of an open set whose endpoints are split levels is
-modeled by the full subcomplex on the vertices strictly inside.  Cohomology
-of relative cochain complexes, inclusion-induced maps, and Mayer-Vietoris
-connecting maps all work over GF(p) via field_linalg.
+modeled by the full subcomplex on the vertices strictly inside.
+
+Each split complex carries one SimplexIndex, built on first use: integer
+simplex ids in (dimension, skey) order, per dimension the vertex positions
+and face ids of every simplex, and per function every vertex's rank among
+the distinct values.  An open model is then a vertex mask read off value
+ranks, and a relative cochain complex is a row/column selection of the
+face arrays.  Cohomology of relative cochain complexes, inclusion-induced
+maps, and Mayer-Vietoris connecting maps all work over GF(p) via
+field_linalg.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import bisect
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .exact_geometry import RealOpenSet
+import numpy as np
+
+from .exact_geometry import INF, NEG_INF, RealOpenSet
 from .field_linalg import Mat, independent_split, kernel_basis, solve_in_span
 
 Vid = object  # vertex ids: ints from input files, strings for split vertices
@@ -82,6 +92,11 @@ class PLComplex:
     def dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
+    @cached_property
+    def index(self) -> "SimplexIndex":
+        """The simplex index of this complex, built once on first use."""
+        return SimplexIndex(self.simplices, self.values)
+
 
 def validate(k: PLComplex) -> None:
     """Closure under faces, no dangling vertex ids, consistent value arity."""
@@ -140,43 +155,6 @@ class LevelGrid:
 def _fresh_vid(a: Vid, b: Vid, s: Fraction) -> str:
     lo, hi = sorted((a, b), key=vkey)
     return f"{lo}~{hi}@{s}"
-
-
-def split_at_level(k: PLComplex, s, func: int = 0) -> PLComplex:
-    """Stellar subdivision of every edge strictly crossing the level s of the
-    chosen function; crossing edges are processed in lexicographic order of
-    their endpoint ids, and each new vertex gets a deterministic id and
-    linearly interpolated values for all functions."""
-    s = Fraction(s)
-    values = dict(k.values)
-    simplices = set(k.simplices)
-    while True:
-        crossing = [
-            e for e in simplices
-            if len(e) == 2
-            and min(values[v][func] for v in e) < s < max(values[v][func] for v in e)
-        ]
-        if not crossing:
-            break
-        edge = min(crossing, key=skey)
-        a, b = sorted(edge, key=vkey)
-        fa, fb = values[a][func], values[b][func]
-        t = (s - fa) / (fb - fa)
-        x = _fresh_vid(a, b, s)
-        values[x] = tuple(
-            va + t * (vb - va) for va, vb in zip(values[a], values[b])
-        )
-        new_simplices = set()
-        for sim in simplices:
-            if edge <= sim:
-                rest = sim - edge
-                new_simplices.add(frozenset({a, x}) | rest)
-                new_simplices.add(frozenset({x, b}) | rest)
-                new_simplices.add(frozenset({x}) | rest)
-            else:
-                new_simplices.add(sim)
-        simplices = new_simplices
-    return PLComplex(values, simplices, k.nfuncs)
 
 
 def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = None,
@@ -262,13 +240,80 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
     return PLComplex(values, simplices, k.nfuncs)
 
 
-def is_split_at(k: PLComplex, levels: Iterable, func: int = 0) -> bool:
-    for s in levels:
-        s = Fraction(s)
-        for e in k.simplices:
-            if len(e) == 2 and min(k.value(v, func) for v in e) < s < max(k.value(v, func) for v in e):
-                return False
-    return True
+# ---------------------------------------------------------------------------
+# the simplex index
+
+
+class SimplexIndex:
+    """Integer ids for the simplices of one complex, in (dimension, skey)
+    order, so that the order restricted to any set of cells is the order in
+    which their cochains are listed.
+
+    verts[d] holds, for every d-simplex in id order, the positions of its
+    vertices in vkey order, ascending; faces[d] (d >= 1) holds the ids of
+    its faces, face i dropping vertex i with sign (-1)^i.  When vertex
+    values are given, levels[f] lists the distinct values of function f in
+    increasing order and ranks[f] holds every vertex's rank among them."""
+
+    def __init__(self, simplices: Iterable[Simplex],
+                 values: Optional[Dict[Vid, Tuple[Fraction, ...]]] = None):
+        order = sorted({v for s in simplices for v in s}, key=vkey)
+        pos = {v: i for i, v in enumerate(order)}
+        keyed = sorted(((len(s) - 1, tuple(sorted(pos[v] for v in s)), s) for s in simplices),
+                       key=lambda t: t[:2])
+        self.cells = np.fromiter((s for _, _, s in keyed), dtype=object, count=len(keyed))
+        self.id: Dict[Simplex, int] = {s: i for i, (_, _, s) in enumerate(keyed)}
+        top = keyed[-1][0] if keyed else -1
+        self.start = np.searchsorted([d for d, _, _ in keyed], np.arange(top + 2))
+        self.verts: List[np.ndarray] = []
+        self.faces: List[Optional[np.ndarray]] = []
+        for d in range(top + 1):
+            block = keyed[self.start[d]:self.start[d + 1]]
+            self.verts.append(np.array([t for _, t, _ in block], dtype=np.intp).reshape(-1, d + 1))
+            self.faces.append(None if d == 0 else np.array(
+                [[self.id[s - {order[q]}] for q in t] for _, t, s in block],
+                dtype=np.intp).reshape(-1, d + 1))
+        self.levels: List[List[Fraction]] = []
+        self.ranks: List[np.ndarray] = []
+        for f in range(len(values[order[0]]) if values and order else 0):
+            col = [values[v][f] for v in order]
+            levels = sorted(set(col))
+            rank = {x: i for i, x in enumerate(levels)}
+            self.levels.append(levels)
+            self.ranks.append(np.array([rank[x] for x in col], dtype=np.intp))
+
+    def ids(self, cells: Sequence[Simplex]) -> np.ndarray:
+        return np.fromiter(map(self.id.__getitem__, cells), dtype=np.intp, count=len(cells))
+
+    def relative(self, a: Iterable[Simplex], b: Iterable[Simplex]) -> np.ndarray:
+        """Sorted ids of the simplices of a not in b."""
+        return np.sort(self.ids(frozenset(a).difference(b)))
+
+    def of_dim(self, ids: np.ndarray, n: int) -> np.ndarray:
+        """The ids of dimension n among sorted ids."""
+        if not 0 <= n < len(self.verts):
+            return ids[:0]
+        lo, hi = np.searchsorted(ids, self.start[n:n + 2])
+        return ids[lo:hi]
+
+    def positions(self, ids: np.ndarray) -> np.ndarray:
+        """Position of every simplex id within ids, -1 where absent."""
+        out = np.full(len(self.cells), -1, dtype=np.intp)
+        out[ids] = np.arange(len(ids))
+        return out
+
+    def coboundary(self, rel: np.ndarray, n: int, p: int) -> Mat:
+        """delta: C^n -> C^{n+1} of the relative cochain complex on the
+        sorted ids rel: the rows are its (n+1)-cells, the columns its
+        n-cells, and a column that is face i of a row carries (-1)^i."""
+        rows, cols = self.of_dim(rel, n + 1), self.of_dim(rel, n)
+        out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        if len(rows) and len(cols):
+            at = self.positions(cols)[self.faces[n + 1][rows - self.start[n + 1]]]
+            hit = at >= 0
+            sign = np.where(np.arange(n + 2) % 2, p - 1, 1)
+            out[np.nonzero(hit)[0], at[hit]] = np.broadcast_to(sign, at.shape)[hit]
+        return Mat(out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -278,35 +323,26 @@ def is_split_at(k: PLComplex, levels: Iterable, func: int = 0) -> bool:
 def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> FrozenSet[Simplex]:
     """Full subcomplex spanned by the vertices with value strictly inside u.
 
-    Correct as a homotopy model of the preimage whenever the complex has been
-    split at all endpoint levels of u."""
-    inside = {v for v in k.values if u.contains(k.value(v, func))}
-    return frozenset(s for s in k.simplices if s <= inside)
+    Each interval of u is bisected on the distinct values of the function,
+    which turns it into a range of value ranks; a vertex is inside when its
+    rank falls in one of the ranges, and a simplex when all its vertices
+    are.  The result holds the index's own simplex objects.  Correct as a
+    homotopy model of the preimage whenever the complex has been split at
+    all endpoint levels of u."""
+    ix = k.index
+    if not ix.verts:
+        return frozenset()
+    levels = ix.levels[func]
+    keep = np.zeros(len(levels), dtype=bool)
+    for lo, hi in u.intervals:
+        keep[0 if lo is NEG_INF else bisect.bisect_right(levels, lo):
+             len(levels) if hi is INF else bisect.bisect_left(levels, hi)] = True
+    inside = keep[ix.ranks[func]]
+    return frozenset(ix.cells[np.concatenate([inside[v].all(axis=1) for v in ix.verts])])
 
 
 # ---------------------------------------------------------------------------
 # relative cochain cohomology
-
-
-def _simplices_of_dim(simplices: Iterable[Simplex], n: int) -> List[Simplex]:
-    return sorted((s for s in simplices if len(s) == n + 1), key=skey)
-
-
-def _coboundary_matrix(rel: Set[Simplex], n: int, p: int) -> Tuple[Mat, List[Simplex], List[Simplex]]:
-    """delta: C^n -> C^{n+1} of a relative cochain complex; the transpose of
-    the boundary with the vertex-order signs (-1)^i."""
-    rows = _simplices_of_dim(rel, n + 1)
-    cols = _simplices_of_dim(rel, n)
-    col_index = {s: j for j, s in enumerate(cols)}
-    m = Mat.zeros(len(rows), len(cols), p)
-    for i, s in enumerate(rows):
-        verts = sorted(s, key=vkey)
-        for pos, v in enumerate(verts):
-            face = frozenset(verts[:pos] + verts[pos + 1 :])
-            j = col_index.get(face)
-            if j is not None:
-                m.data[i, j] = (-1) ** pos % p
-    return m, rows, cols
 
 
 @dataclass
@@ -338,12 +374,20 @@ class CohomBasis:
         return Mat(c.data[: self.dim], self.p)
 
 
-def relative_cohomology(a: Set[Simplex], b: Set[Simplex], n: int, p: int = 2) -> CohomBasis:
+def relative_cohomology(a: Set[Simplex], b: Set[Simplex], n: int, p: int = 2,
+                        index: Optional[SimplexIndex] = None) -> CohomBasis:
     """Basis of degree-n cohomology of the pair (A, B), with B a subcomplex
-    of A; cochains live on the simplices of A not in B."""
-    rel = set(a) - set(b)
-    d_n, _, cells = _coboundary_matrix(rel, n, p)
-    d_nm1, _, _ = _coboundary_matrix(rel, n - 1, p)
+    of A; cochains live on the simplices of A not in B.
+
+    The cells of A minus B become their ids in the given index (by default
+    an index of A itself), and both coboundaries are the rows and columns
+    of those ids selected from the index's face arrays, so nothing is
+    sorted per call."""
+    ix = SimplexIndex(a) if index is None else index
+    rel = ix.relative(a, b)
+    d_n = ix.coboundary(rel, n, p)
+    d_nm1 = ix.coboundary(rel, n - 1, p)
+    cells = ix.cells[ix.of_dim(rel, n)].tolist()
     cocycles = kernel_basis(d_n)
     own, chosen = independent_split(d_nm1, cocycles)
     d_nm1 = Mat(d_nm1.data[:, own], p)
@@ -380,7 +424,8 @@ def _check_triad(aw, a1, a2, au):
 
 def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int = 2,
                   src: Optional[CohomBasis] = None,
-                  dst: Optional[CohomBasis] = None) -> Mat:
+                  dst: Optional[CohomBasis] = None,
+                  index: Optional[SimplexIndex] = None) -> Mat:
     """Connecting map H^n(A_u, B_u) -> H^{n+1}(A_w, B_w) of the relative
     Mayer-Vietoris sequence of an excisive triad (componentwise union at w,
     intersection at u).
@@ -388,7 +433,8 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int = 2,
     The construction is the cochain snake: lift a relative cocycle z on the
     intersection through the surjection (c1, c2) |-> c1|_u - c2|_u, apply
     delta, and glue the two coboundaries to the unique relative cochain on
-    the union."""
+    the union.  All columns go at once, as row/column selections through
+    the given index (by default an index of A_w)."""
     aw, bw = pair_w
     a1, b1 = pair_1
     a2, b2 = pair_2
@@ -396,45 +442,38 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int = 2,
     _check_triad(aw, a1, a2, au)
     _check_triad(bw, b1, b2, bu)
 
+    ix = SimplexIndex(aw) if index is None else index
     if src is None:
-        src = relative_cohomology(au, bu, n, p)
+        src = relative_cohomology(au, bu, n, p, ix)
     if dst is None:
-        dst = relative_cohomology(aw, bw, n + 1, p)
+        dst = relative_cohomology(aw, bw, n + 1, p, ix)
 
-    rel1 = set(a1) - set(b1)
-    rel2 = set(a2) - set(b2)
-    d1, rows1, cells1 = _coboundary_matrix(rel1, n, p)
-    d2, rows2, cells2 = _coboundary_matrix(rel2, n, p)
-    cells1_index = {s: i for i, s in enumerate(cells1)}
-    cells2_index = {s: i for i, s in enumerate(cells2)}
-    rows1_index = {s: i for i, s in enumerate(rows1)}
-    rows2_index = {s: i for i, s in enumerate(rows2)}
-    dst_index = {s: i for i, s in enumerate(dst.cells)}
+    rel1, rel2 = ix.relative(a1, b1), ix.relative(a2, b2)
+    d1, d2 = ix.coboundary(rel1, n, p), ix.coboundary(rel2, n, p)
+    z = src.reps.data.astype(np.int64)
+    src_ids = ix.ids(src.cells)
+    at1 = ix.positions(ix.of_dim(rel1, n))[src_ids]
+    at2 = ix.positions(ix.of_dim(rel2, n))[src_ids]
+    on1, on2 = at1 >= 0, (at1 < 0) & (at2 >= 0)
+    if z[~(on1 | on2)].any():
+        raise AssertionError("intersection cell missing from both sides")
+    c1 = np.zeros((d1.cols, src.dim), dtype=np.int64)
+    c2 = np.zeros((d2.cols, src.dim), dtype=np.int64)
+    c1[at1[on1]] = z[on1]
+    c2[at2[on2]] = -z[on2]
+    dc1 = (d1 @ Mat(c1, p)).data
+    dc2 = (d2 @ Mat(c2, p)).data
 
-    gamma = Mat.zeros(len(dst.cells), src.dim, p)
-    for col in range(src.dim):
-        c1 = Mat.zeros(len(cells1), 1, p)
-        c2 = Mat.zeros(len(cells2), 1, p)
-        for i, s in enumerate(src.cells):
-            zval = int(src.reps.data[i, col])
-            if zval == 0:
-                continue
-            if s in cells1_index:
-                c1.data[cells1_index[s], 0] = zval
-            elif s in cells2_index:
-                c2.data[cells2_index[s], 0] = (-zval) % p
-            else:
-                raise AssertionError("intersection cell missing from both sides")
-        dc1 = d1 @ c1
-        dc2 = d2 @ c2
-        for s, i in dst_index.items():
-            if s in rows1_index:
-                gamma.data[i, col] = dc1.data[rows1_index[s], 0]
-            elif s in rows2_index:
-                gamma.data[i, col] = dc2.data[rows2_index[s], 0]
-        # consistency on the overlap
-        for s in rows1_index:
-            if s in rows2_index:
-                assert dc1.data[rows1_index[s], 0] == dc2.data[rows2_index[s], 0], \
-                    "snake glueing inconsistency"
-    return dst.express(gamma)
+    dst_ids = ix.ids(dst.cells)
+    rows1 = ix.positions(ix.of_dim(rel1, n + 1))
+    rows2 = ix.of_dim(rel2, n + 1)
+    at1, at2 = rows1[dst_ids], ix.positions(rows2)[dst_ids]
+    gamma = np.zeros((len(dst.cells), src.dim), dtype=np.int64)
+    on1, on2 = at1 >= 0, (at1 < 0) & (at2 >= 0)
+    gamma[on1] = dc1[at1[on1]]
+    gamma[on2] = dc2[at2[on2]]
+    # consistency on the overlap
+    shared = rows1[rows2]
+    assert np.array_equal(dc1[shared[shared >= 0]], dc2[shared >= 0]), \
+        "snake glueing inconsistency"
+    return dst.express(Mat(gamma, p))

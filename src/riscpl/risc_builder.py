@@ -84,17 +84,6 @@ def split_levels(xs) -> List[Fraction]:
     return sorted(out)
 
 
-def build_grid(k: PLComplex, func: int = 0,
-               kmin: int = DEFAULT_TRANSLATES[0],
-               kmax: int = DEFAULT_TRANSLATES[1]) -> Tuple[Coord, ...]:
-    """The refined sample coordinates for a complex, shared by both axes
-    (empty complex gives an empty grid)."""
-    if not k.values:
-        return ()
-    grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    return refine_lines(build_lines(grid, kmin, kmax))
-
-
 class FunctorEvaluator:
     """Evaluates the pair-cohomology functor of one PL function on a split
     complex, with caching keyed by the open models so that the cell
@@ -129,7 +118,7 @@ class FunctorEvaluator:
         key = (n, a, b)
         out = self._bases.get(key)
         if out is None:
-            out = relative_cohomology(a, b, n, self.p)
+            out = relative_cohomology(a, b, n, self.p, self.split.index)
             self._bases[key] = out
         return out
 
@@ -161,6 +150,7 @@ class FunctorEvaluator:
             out = mv_connecting(
                 pw, p1, p2, pu, n, self.p,
                 src=self.basis(*pu, n), dst=self.basis(*pw, n + 1),
+                index=self.split.index,
             )
             self._connecting[key] = out
         return out
@@ -298,7 +288,7 @@ def fiber_dimension_check(r: RiscResult, t) -> Optional[tuple]:
             if d.interval[0] == n and d.interval[1] is not None
             and d.interval[1].contains(t)
         )
-        want = relative_cohomology(fiber, set(), n, r.module.p).dim
+        want = relative_cohomology(fiber, set(), n, r.module.p, r.split.index).dim
         if counted != want:
             return (t, n, counted, want)
     return None

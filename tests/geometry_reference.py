@@ -1,11 +1,17 @@
-"""Brute-force references for the closed-form tile index and region degree.
+"""Test-only references for the exact strip geometry.
 
-Each tries every power of T in a fixed window and insists that exactly one
-qualifies.  Tests compare the closed forms against them.
+Brute-force searches for the closed-form tile index and region degree (each
+tries every power of T in a fixed window and insists that exactly one
+qualifies), and a floating-point oracle of the transcendental definitions.
+Tests compare the exact code against them.
 """
+
+import math
+from typing import Tuple
 
 from riscpl.exact_geometry import (
     NEG_HALF_PI,
+    ShiftVector,
     in_fundamental_domain,
     strip_location,
     t_power,
@@ -30,3 +36,57 @@ def region_degree_search(u) -> int:
     """The n whose T-translate q has q.x > -pi/2 and q.y >= -pi/2, found by
     search."""
     return _unique_power(u, lambda q: q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI)
+
+
+# ---------------------------------------------------------------------------
+# Floating-point oracle
+#
+# These evaluate the transcendental definitions of the maps above: the circle
+# map phi(s) = (1, s)/sqrt(1+s^2), the piecewise map g_a on the circle, its
+# equivariant lift, and the conjugation sigma(t) = pi - t.
+
+
+def float_g_lift(a: ShiftVector, theta: float) -> float:
+    """The lift of the circle self-map associated with a shift, normalized to
+    fix pi/2 and commute with full turns."""
+    a1 = float(a.a1)
+    a2 = float(a.a2)
+    m = math.floor((theta + math.pi / 2) / (2 * math.pi))
+    th0 = theta - 2 * math.pi * m  # in [-pi/2, 3*pi/2)
+    eps = 1e-13
+    if abs(th0 + math.pi / 2) < eps:
+        r = -math.pi / 2
+    elif abs(th0 - math.pi / 2) < eps:
+        r = math.pi / 2
+    elif th0 < math.pi / 2:
+        r = math.atan(math.tan(th0) + a2)
+    else:
+        r = math.atan(math.tan(th0) - a1) + math.pi
+    return r + 2 * math.pi * m
+
+
+def float_alpha(a: ShiftVector, xy: Tuple[float, float]) -> Tuple[float, float]:
+    x, y = xy
+    return (math.pi - float_g_lift(a, math.pi - x), float_g_lift(a, y))
+
+
+def float_t(xy: Tuple[float, float]) -> Tuple[float, float]:
+    x, y = xy
+    return (-math.pi - y, math.pi - x)
+
+
+def float_t_inverse(xy: Tuple[float, float]) -> Tuple[float, float]:
+    x, y = xy
+    return (math.pi - y, -math.pi - x)
+
+
+def float_rho1_bounds(xy: Tuple[float, float]) -> Tuple[float, float]:
+    """Angle-space bounds of the first rho component, clamped to the range of
+    arctan."""
+    x, y = xy
+    return (max(-math.pi - y, -math.pi / 2), min(math.pi - x, math.pi / 2))
+
+
+def float_in_strip(xy: Tuple[float, float], tol: float = 0.0) -> bool:
+    x, y = xy
+    return -math.pi - tol <= x + y <= math.pi + tol

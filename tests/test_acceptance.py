@@ -16,11 +16,6 @@ from riscpl.exact_geometry import (
     ShiftVector,
     StripPoint,
     alpha_apply,
-    float_alpha,
-    float_in_strip,
-    float_rho1_bounds,
-    float_t,
-    float_t_inverse,
     in_strip,
     omega_apply,
     rho,
@@ -56,6 +51,13 @@ from riscpl.strip_module import (
     seq_continuity_check,
 )
 
+from geometry_reference import (
+    float_alpha,
+    float_in_strip,
+    float_rho1_bounds,
+    float_t,
+    float_t_inverse,
+)
 from oracle_betti import betti_numbers, euler_characteristic
 from oracle_ext_persistence import extended_persistence
 from test_exact_geometry import random_coord, random_shift, random_strip_point

@@ -128,6 +128,43 @@ def test_rejects_top_level_list(capsys, tmp_path):
     assert_input_error(capsys, path)
 
 
+def test_rejects_non_object_vertex(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {"vertices": [1], "simplices": [[1]]})
+    assert_input_error(capsys, path)
+
+
+def test_rejects_list_vertex_id(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {
+        "vertices": [{"id": [1], "value": "0"}],
+        "simplices": [[1]],
+    })
+    assert_input_error(capsys, path)
+
+
+def test_rejects_boolean_vertex_id(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {
+        "vertices": [{"id": True, "value": "0"}],
+        "simplices": [[1]],
+    })
+    assert_input_error(capsys, path)
+
+
+def assert_module_error(capsys, path):
+    code = main(["check", path, "--module"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_check_rejects_module_top_level_list(capsys, tmp_path):
+    assert_module_error(capsys, write_json(tmp_path / "bad.json", [1, 2]))
+
+
+def test_check_rejects_module_non_list_xs(capsys, tmp_path):
+    assert_module_error(capsys, write_json(tmp_path / "bad.json", {"xs": 1}))
+
+
 def test_check_suites_pass(capsys, tmp_path):
     code, hood = run(capsys, "gen", "--preset", "hood")
     path = write_json(tmp_path / "hood.json", json.loads(hood))

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from geometry_reference import region_degree_search, tile_index_search
+from geometry_reference import (
+    float_alpha,
+    float_in_strip,
+    float_rho1_bounds,
+    float_t,
+    float_t_inverse,
+    region_degree_search,
+    tile_index_search,
+)
 from riscpl.exact_geometry import (
     INF,
     NEG_INF,
@@ -17,11 +25,6 @@ from riscpl.exact_geometry import (
     block_contains,
     classify_region,
     diag_point,
-    float_alpha,
-    float_in_strip,
-    float_rho1_bounds,
-    float_t,
-    float_t_inverse,
     in_diag_downset,
     in_fundamental_domain,
     in_strip,

@@ -11,6 +11,8 @@ from riscpl.field_linalg import (
     solve_in_span,
 )
 
+import reference
+
 
 def test_rank_examples():
     assert rank(Mat.zeros(3, 4)) == 0
@@ -72,3 +74,20 @@ def test_bad_field():
         Mat([[1]], 4)
     with pytest.raises(ValueError):
         Mat([[1]], 1 << 17)
+
+
+def test_kernel_basis_matches_loop_reference():
+    # Exact matrix equality, not only the same span, including 0-row and
+    # 0-column shapes and the all-zero matrix.
+    rng = random.Random(3)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
+    for p in (2, 3, 5):
+        for rows, cols in shapes:
+            dense = rng.random() < 0.5
+            entries = [rng.randrange(p) if dense or rng.random() < 0.3 else 0
+                       for _ in range(rows * cols)]
+            m = Mat(np.array(entries, dtype=np.int64).reshape(rows, cols), p)
+            assert kernel_basis(m) == reference.kernel_basis(m)
+            z = Mat.zeros(rows, cols, p)
+            assert kernel_basis(z) == reference.kernel_basis(z) == Mat.eye(cols, p)

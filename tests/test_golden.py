@@ -1,14 +1,20 @@
 """Byte-level pins of the command line outputs on the presets.
 
 A change to the exact pipeline that alters a module dump, a barcode or a
-plot, over GF(2) or GF(3), shows up here.
+plot, over GF(2) or GF(3), shows up here.  The real projective plane adds a
+case with torsion, where the two fields give different diagrams and every
+orientation sign counts.
 """
 
 import hashlib
+import json
+from collections import Counter
 
 import pytest
 
 from riscpl.cli import main
+
+from oracle_ext_persistence import extended_persistence
 
 GOLDEN = {
     ("hood", 2): (
@@ -61,3 +67,32 @@ def test_preset_outputs_are_pinned(tmp_path, preset, field):
     assert main(["barcode", str(cx), "--field", f, "--out", str(bars)]) == 0
     assert main(["plot", str(dgm), "--out", str(svg)]) == 0
     assert (sha256(module), sha256(bars), sha256(svg)) == GOLDEN[(preset, field)]
+
+
+# The minimal triangulation of the real projective plane with a height of
+# four values -2 < -1 < 1 < 2 (vertex 1 highest, vertices 4 to 6 lowest).
+RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
+       [2, 3, 5], [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]]
+RP2_HEIGHT = {1: 2, 2: 1, 3: -1, 4: -2, 5: -2, 6: -2}
+RP2_MODULE = {
+    2: "2aa3fc6dd6bf326a183447e20d2989656a052fee18a906176a57eb7aa5c89cbc",
+    3: "129ce36d2a6a7ccec6f79998bcfe0105423a7473314e40bab94a347e0da11861",
+}
+
+
+@pytest.mark.parametrize("field", sorted(RP2_MODULE))
+def test_rp2_torsion_module_is_pinned_and_matches_oracle(tmp_path, field):
+    cx, module, dgm = (tmp_path / name for name in ("rp2.json", "module.json", "dgm.json"))
+    cx.write_text(json.dumps({
+        "field": field,
+        "vertices": [{"id": v, "value": str(x)} for v, x in RP2_HEIGHT.items()],
+        "simplices": RP2,
+    }))
+    assert main(["dgm", str(cx), "--dump-module", str(module), "--out", str(dgm)]) == 0
+    assert sha256(module) == RP2_MODULE[field]
+    got = Counter()
+    for pt in json.loads(dgm.read_text())["points"]:
+        got[(pt["degree"], pt["region"], tuple(pt["pair"]))] += pt["multiplicity"]
+    want = Counter((n, region, (str(lo), str(hi)))
+                   for n, region, (lo, hi) in extended_persistence(RP2, RP2_HEIGHT, field))
+    assert got == want

@@ -21,13 +21,13 @@ from riscpl.interleave import (
     joint_context,
     naturality_check,
     precomposition_check,
-    shifted_module,
     sup_norm,
 )
 from riscpl.plc import PLComplex
 from riscpl.risc_builder import evaluate
 from riscpl.strip_module import from_blocks
 
+from reference import shifted_module
 from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 
 F = Fraction

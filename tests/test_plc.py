@@ -11,16 +11,16 @@ from riscpl.plc import (
     LevelGrid,
     PLComplex,
     induced_map,
-    is_split_at,
     mv_connecting,
     open_model,
     relative_cohomology,
     split_all,
-    split_at_level,
     validate,
 )
 
 from oracle_betti import betti_numbers, euler_characteristic
+import reference
+from reference import is_split_at, split_at_level
 from test_oracles import HOOD_F, HOOD_SIMPLICES
 
 F = Fraction
@@ -298,3 +298,94 @@ def test_mv_random_sublevel_superlevel_triads():
         les_exact((union, set()), (a1, set()), (a2, set()), (inter, set()),
                   top=max(1, ks.dim()))
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the simplex index against the vertex-by-vertex and sorted references
+
+
+def random_split_complexes(rng):
+    """Split complexes of dimension 1 and 2 with one function, and of
+    dimension 2 with two functions split jointly; ids mix ints and strings."""
+    for dim, nfuncs in ((1, 1), (2, 1), (2, 2)):
+        for _ in range(4):
+            nverts = rng.randint(4, 7)
+            ids = [v if rng.random() < 0.5 else f"v{v}" for v in range(nverts)]
+            values = {v: tuple(F(rng.randint(-2, 2)) for _ in range(nfuncs)) for v in ids}
+            maximal = [rng.sample(ids, dim + 1) for _ in range(rng.randint(2, 5))]
+            k = PLComplex.from_maximal(values, maximal)
+            grid = LevelGrid.from_values(x[f] for x in values.values() for f in range(nfuncs))
+            yield split_all(k, grid), grid
+
+
+def random_open_sets(rng, grid):
+    """Open sets with split or infinite ends, touching intervals and the
+    empty set."""
+    ends = list(grid.levels)
+    out = [RealOpenSet.empty(), RealOpenSet.whole_line()]
+    for _ in range(8):
+        ints = []
+        for _ in range(rng.randint(1, 2)):
+            lo = rng.choice(ends + [NEG_INF])
+            hi = rng.choice(ends + [INF])
+            ints.append((lo, hi))
+        out.append(RealOpenSet.make(ints))
+    a, b, c = sorted(rng.sample(ends, 3))
+    out.append(RealOpenSet.make([(a, b), (b, c)]))
+    out.append(RealOpenSet.make([(NEG_INF, b), (b, INF)]))
+    return out
+
+
+def test_open_model_matches_vertex_by_vertex_reference():
+    rng = random.Random(23)
+    for k, grid in random_split_complexes(rng):
+        for func in range(k.nfuncs):
+            for u in random_open_sets(rng, grid):
+                model = open_model(k, u, func)
+                assert model == reference.open_model(k, u, func)
+                assert all(s is k.index.cells[k.index.id[s]] for s in model)
+
+
+def test_coboundaries_match_sorted_reference():
+    rng = random.Random(29)
+    for k, grid in random_split_complexes(rng):
+        ix = k.index
+        sets = random_open_sets(rng, grid)
+        for _ in range(6):
+            u1, u0 = rng.sample(sets, 2)
+            func = rng.randrange(k.nfuncs)
+            a = open_model(k, u1, func)
+            b = open_model(k, u1.intersect(u0), func)
+            rel = ix.relative(a, b)
+            for n in range(-1, k.dim() + 1):
+                for p in (2, 3, 5):
+                    m, rows, cols = reference.coboundary_matrix(a - b, n, p)
+                    assert ix.coboundary(rel, n, p) == m
+                    assert ix.cells[ix.of_dim(rel, n + 1)].tolist() == rows
+                    assert ix.cells[ix.of_dim(rel, n)].tolist() == cols
+                    h = relative_cohomology(a, b, n, p, ix)
+                    assert h.cells == cols and h.delta == m
+                    own = relative_cohomology(a, b, n, p)
+                    assert (own.cells, own.reps, own.coboundaries) == \
+                        (h.cells, h.reps, h.coboundaries)
+
+
+def test_mv_connecting_index_and_odd_primes():
+    rng = random.Random(31)
+    for k, grid in random_split_complexes(rng):
+        if len(grid.regular) < 2:
+            continue
+        # a sublevel and a superlevel pair, each relative to a smaller one
+        lo, hi = sorted(rng.sample(grid.regular, 2))
+        sub = rng.choice([x for x in grid.levels if x <= hi])
+        sup = rng.choice([x for x in grid.levels if x >= lo])
+        a1 = open_model(k, RealOpenSet.make([(NEG_INF, hi)]))
+        a2 = open_model(k, RealOpenSet.make([(lo, INF)]))
+        b1 = open_model(k, RealOpenSet.make([(NEG_INF, sub)]))
+        b2 = open_model(k, RealOpenSet.make([(sup, INF)]))
+        triad = ((a1 | a2, b1 | b2), (a1, b1), (a2, b2), (a1 & a2, b1 & b2))
+        for p in (3, 5):
+            for n in range(k.dim() + 1):
+                assert mv_connecting(*triad, n, p, index=k.index) == \
+                    mv_connecting(*triad, n, p)
+        les_exact(*triad, top=max(1, k.dim()), p=3)

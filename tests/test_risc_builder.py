@@ -7,7 +7,6 @@ from riscpl.exact_geometry import Coord, INF, StripPoint, in_diag_downset
 from riscpl.plc import PLComplex
 from riscpl.risc_builder import (
     barcode,
-    build_grid,
     evaluate,
     fiber_dimension_check,
     split_levels,
@@ -20,6 +19,7 @@ from riscpl.strip_module import (
 )
 
 from oracle_ext_persistence import extended_persistence
+from reference import build_grid
 from test_oracles import (
     CIRCLE_HEIGHTS,
     CIRCLE_SIMPLICES,
