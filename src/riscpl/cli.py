@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exact_geometry import Coord, INF, NEG_INF
-from .field_linalg import Mat
+from .field_linalg import Mat, check_prime
 from .interleave import interleaving_check
 from .plc import PLComplex
 from .risc_builder import DEFAULT_CAP, barcode, evaluate
@@ -83,12 +83,22 @@ def _is_vertex_id(x) -> bool:
     return isinstance(x, (int, str)) and not isinstance(x, bool)
 
 
+def parse_field(data: dict) -> int:
+    """The field characteristic of a file: a JSON integer (not a boolean or
+    a float) that is a prime below 2^16; GF(2) when absent."""
+    p = data.get("field", 2)
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"the field must be a prime integer, got {p!r}")
+    check_prime(p)
+    return p
+
+
 def load_complex(path) -> Tuple[PLComplex, int]:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a complex file must hold a JSON object")
-    field = int(data.get("field", 2))
+    field = parse_field(data)
     vertices = data.get("vertices", [])
     if not isinstance(vertices, list) or not all(
             isinstance(e, dict) and "id" in e and "value" in e for e in vertices):
@@ -219,8 +229,8 @@ def load_module(path) -> Tuple[GridModule, int]:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a module file must hold a JSON object")
+    field = parse_field(data)
     try:
-        field = int(data.get("field", 2))
         xs = tuple(coord_parse(c) for c in data["xs"])
         ys = tuple(coord_parse(c) for c in data["ys"])
         dims = {(int(i), int(j)): int(d) for i, j, d in data["dims"]}

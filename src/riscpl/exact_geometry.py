@@ -11,6 +11,14 @@ Tiles are read off the coordinates.  In the strip interior the fundamental
 domain is -2*pi < y - x <= 0 and T adds 2*pi to y - x, so the tile index of
 (x, y) is floor((x - y) / (2*pi)), which the integer parts of the two
 coordinates and one comparison of their offsets decide exactly.
+
+A sample grid meets only a small, fixed set of coordinates: T and the shift
+action act on each strip coordinate separately.  `CoordTable` interns the
+coordinates of one grid to integer ids (the grid lines first, so a grid index
+is its id) and fills its maps lazily, one exact call per entry: the strip
+location, tile index and fundamental-domain membership of a point (ix, iy),
+the id maps of T^n, and the per-coordinate id maps of every shift.  Repeated
+geometry on the grid is then a lookup on ints.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class _PosInf:
@@ -562,3 +570,89 @@ def diag_point(t) -> StripPoint:
     """The diagonal embedding of a level t (rational or +inf)."""
     v = t if t is INF else Fraction(t)
     return StripPoint(Coord(0, v), Coord(0, v))
+
+
+# ---------------------------------------------------------------------------
+# Integer coordinate tables
+
+# A point of a coordinate table: the ids of its two coordinates.
+Key = Tuple[int, int]
+
+
+class _Lazy(dict):
+    """A dict that fills a missing entry with one call of fill(key)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(key)
+        return out
+
+
+class CoordTable:
+    """Integer ids for the coordinates met on one sample grid.
+
+    The grid coordinates come first, so the grid index of a coordinate is
+    its id; a coordinate reached off the grid (by T or a shift) gets the next
+    free id when first met.  A point is the pair of its coordinate ids.  The
+    maps are filled on first use, each entry by one call of the exact
+    function it stores: `location` (strip_location), `tile` (tile_index),
+    `fundamental` (in_fundamental_domain), `power(n)` (t_power), `shift(a)`
+    (the coordinate action of alpha_apply) and the coordinate order behind
+    `precedes`."""
+
+    def __init__(self, grid: Sequence[Coord]):
+        self.grid = tuple(grid)
+        self.coords: List[Coord] = list(self.grid)
+        self.ids: Dict[Coord, int] = {c: i for i, c in enumerate(self.coords)}
+        if len(self.ids) != len(self.coords):
+            raise ValueError("grid coordinates must be distinct")
+        self.location = _Lazy(lambda key: strip_location(self.point(key)))
+        self.tile = _Lazy(lambda key: tile_index(self.point(key)))
+        self.fundamental = _Lazy(lambda key: in_fundamental_domain(self.point(key)))
+        self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
+        self._powers: Dict[int, _Lazy] = {}
+        self._shifts: Dict[Tuple[Fraction, Fraction], _Lazy] = {}
+
+    def intern(self, c: Coord) -> int:
+        i = self.ids.get(c)
+        if i is None:
+            i = self.ids[c] = len(self.coords)
+            self.coords.append(c)
+        return i
+
+    def key(self, p: StripPoint) -> Key:
+        return self.intern(p.x), self.intern(p.y)
+
+    def point(self, key: Key) -> StripPoint:
+        return StripPoint(self.coords[key[0]], self.coords[key[1]])
+
+    def precedes(self, lo: Key, hi: Key) -> bool:
+        """StripPoint.precedes on keys: lo.x >= hi.x and lo.y <= hi.y."""
+        return self._le[(hi[0], lo[0])] and self._le[(lo[1], hi[1])]
+
+    def power(self, n: int) -> Dict[Key, Key]:
+        """The key map of T^n."""
+        out = self._powers.get(n)
+        if out is None:
+            out = self._powers[n] = _Lazy(
+                lambda key: self.key(t_power(self.point(key), n)))
+        return out
+
+    def shift(self, a: ShiftVector) -> Callable[[Key], Key]:
+        """The key map of the shift action of a: alpha_apply acts on x by
+        the pair (a1, a2) and on y by (a2, a1), one coordinate at a time."""
+        xmap = self._coord_shift(a.a1, a.a2)
+        ymap = self._coord_shift(a.a2, a.a1)
+        return lambda key: (xmap[key[0]], ymap[key[1]])
+
+    def _coord_shift(self, even: Fraction, odd: Fraction) -> Dict[int, int]:
+        out = self._shifts.get((even, odd))
+        if out is None:
+            out = self._shifts[(even, odd)] = _Lazy(
+                lambda i: self.intern(_alpha_coord(self.coords[i], even, odd)))
+        return out

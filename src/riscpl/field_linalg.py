@@ -16,7 +16,7 @@ MAX_PRIME = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _check_prime(p: int):
+def check_prime(p: int):
     if not (2 <= p < MAX_PRIME):
         raise ValueError(f"field characteristic {p} out of range")
     if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
@@ -35,22 +35,33 @@ class Mat:
     __slots__ = ("data", "p")
 
     def __init__(self, data, p: int = 2):
-        _check_prime(p)
+        check_prime(p)
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
         self.data = np.mod(arr, p).astype(_dtype(p))
         self.p = p
 
+    @classmethod
+    def _reduced(cls, data: np.ndarray, p: int) -> "Mat":
+        """Wrap a two-dimensional array that already holds residues mod the
+        checked prime p in the dtype of p, skipping the validation."""
+        out = object.__new__(cls)
+        out.data = data
+        out.p = p
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int, p: int = 2) -> "Mat":
-        return Mat(np.zeros((rows, cols), dtype=np.int64), p)
+        check_prime(p)
+        return Mat._reduced(np.zeros((rows, cols), dtype=_dtype(p)), p)
 
     @staticmethod
     def eye(n: int, p: int = 2) -> "Mat":
-        return Mat(np.eye(n, dtype=np.int64), p)
+        check_prime(p)
+        return Mat._reduced(np.eye(n, dtype=_dtype(p)), p)
 
     @staticmethod
     def hstack(mats: Sequence["Mat"]) -> "Mat":
@@ -61,7 +72,7 @@ class Mat:
         for m in mats:
             if m.p != p or m.rows != rows:
                 raise ValueError("incompatible matrices in hstack")
-        return Mat(np.hstack([m.data for m in mats]), p)
+        return Mat._reduced(np.hstack([m.data for m in mats]), p)
 
     # -- basic structure ----------------------------------------------------
 
@@ -90,7 +101,7 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.p != other.p or self.cols != other.rows:
             raise ValueError("matrix product shape/field mismatch")
-        return Mat(np.mod(self.data @ other.data, self.p), self.p)
+        return Mat._reduced(np.mod(self.data @ other.data, self.p), self.p)
 
     def __add__(self, other: "Mat") -> "Mat":
         return Mat(self.data + other.data, self.p)
@@ -102,7 +113,7 @@ class Mat:
         return Mat(-self.data, self.p)
 
     def column(self, j: int) -> "Mat":
-        return Mat(self.data[:, j : j + 1], self.p)
+        return Mat._reduced(self.data[:, j : j + 1].copy(), self.p)
 
     def is_zero(self) -> bool:
         return not self.data.any()

@@ -10,6 +10,11 @@ differential of an interpolating pair of open sets on the rectangle between
 the point and its glide-reflection preimage.  On top of this sit the
 interleaving and composition checkers, and the contravariant morphisms
 induced by simplicial maps over the reals.
+
+All of this runs on the integer coordinate table of the joint sample grid
+(`exact_geometry.CoordTable`), shared by the evaluators of a context: a
+sample, its glide-reflection translates and its shifts by alpha and omega
+are pairs of coordinate ids, and every per-sample cache is keyed by them.
 """
 
 from __future__ import annotations
@@ -22,14 +27,10 @@ import numpy as np
 
 from .exact_geometry import (
     Coord,
+    CoordTable,
+    Key,
     ShiftVector,
-    StripPoint,
-    alpha_apply,
-    in_fundamental_domain,
-    omega_apply,
     rho,
-    t_inverse,
-    t_power,
 )
 from .field_linalg import Mat
 from .plc import (
@@ -110,6 +111,7 @@ class JointContext:
     xs: Tuple[Coord, ...]
     max_degree: int
     evaluators: Dict[int, FunctorEvaluator]
+    table: CoordTable
 
     def evaluator(self, func: int) -> FunctorEvaluator:
         return self.evaluators[func]
@@ -120,27 +122,34 @@ def joint_context(k: PLComplex, funcs: Sequence[int] = (0, 1), shifts=(),
                   kmin: int = DEFAULT_TRANSLATES[0],
                   kmax: int = DEFAULT_TRANSLATES[1],
                   cap: int = DEFAULT_CAP,
-                  critical=None, trace=None) -> JointContext:
+                  critical=None, trace=None,
+                  table: Optional[CoordTable] = None) -> JointContext:
     """Build the shared sample grid and the jointly split complex for the
-    given functions and shift amounts."""
+    given functions and shift amounts.  A context whose points must be
+    compared with another's takes the other's coordinate table, which must
+    belong to the same grid."""
     funcs = sorted(set(funcs))
     if critical is None:
         critical = {k.value(v, func) for v in k.values for func in funcs}
     critical = sorted({Fraction(c) for c in critical})
     xs = refine_lines(build_lines(critical, kmin, kmax))
+    if table is None:
+        table = CoordTable(xs)
+    elif table.grid != xs:
+        raise ValueError("the coordinate table belongs to another grid")
     split = split_all(k, joint_levels(xs, shifts), funcs=funcs, cap=cap,
                       trace=trace)
     max_degree = split.dim() + 1
-    evs = {func: FunctorEvaluator(split, func, p) for func in funcs}
-    return JointContext(k, split, p, xs, max_degree, evs)
+    evs = {func: FunctorEvaluator(split, table, func, p) for func in funcs}
+    return JointContext(k, split, p, xs, max_degree, evs, table)
 
 
 def context_module(ctx: JointContext, func: int,
                    a: Optional[ShiftVector] = None) -> GridModule:
     """The module of one function over the shared grid, optionally pulled
     back along a shift."""
-    transform = None if a is None else (lambda q: alpha_apply(a, q))
-    return assemble_module(ctx.evaluator(func), ctx.xs, ctx.max_degree,
+    transform = None if a is None else ctx.table.shift(a)
+    return assemble_module(ctx.evaluator(func), ctx.max_degree,
                            transform=transform)
 
 
@@ -163,43 +172,47 @@ class Transformation:
                  a: ShiftVector, max_degree: int):
         if ev_f.p != ev_g.p:
             raise ValueError("field mismatch")
+        if ev_f.table is not ev_g.table:
+            raise ValueError("evaluators over different coordinate tables")
         self.ev_f = ev_f
         self.ev_g = ev_g
         self.a = a
         self.max_degree = max_degree
         self.p = ev_f.p
-        self._by_point: Dict[StripPoint, Mat] = {}
+        self.table = ev_f.table
+        self.shift = self.table.shift(a)
+        self._by_point: Dict[Key, Mat] = {}
         self._by_model: Dict[tuple, Mat] = {}
 
-    def at(self, pt: StripPoint) -> Mat:
-        out = self._by_point.get(pt)
+    def at(self, key: Key) -> Mat:
+        out = self._by_point.get(key)
         if out is None:
-            out = self._compute(pt)
-            self._by_point[pt] = out
+            out = self._compute(key)
+            self._by_point[key] = out
         return out
 
-    def _interp_pair(self, c: StripPoint) -> Tuple[frozenset, frozenset]:
+    def _interp_pair(self, c: Key) -> Tuple[frozenset, frozenset]:
         """The interpolating pair at a rectangle corner: ambient from the
         shifted g preimage of the first attached set, subspace cut out by
         the f preimage of the second."""
-        rho1g, _ = rho(alpha_apply(self.a, c))
-        _, rho0f = rho(c)
+        rho1g, _ = rho(self.table.point(self.shift(c)))
+        _, rho0f = rho(self.table.point(c))
         amb = self.ev_g.model(rho1g)
         return amb, amb & self.ev_f.model(rho0f)
 
-    def _compute(self, pt: StripPoint) -> Mat:
-        d_dst, n, _ = point_data(self.ev_f, pt, self.max_degree)
-        apt = alpha_apply(self.a, pt)
-        d_src, _, _ = point_data(self.ev_g, apt, self.max_degree)
+    def _compute(self, key: Key) -> Mat:
+        table = self.table
+        d_dst, n, _ = point_data(self.ev_f, key, self.max_degree)
+        d_src, _, _ = point_data(self.ev_g, self.shift(key), self.max_degree)
         if d_dst == 0 or d_src == 0:
             return Mat.zeros(d_dst, d_src, self.p)
-        u = t_power(pt, n)
-        au = alpha_apply(self.a, u)
-        if in_fundamental_domain(au):
+        u = table.power(n)[key]
+        au = self.shift(u)
+        if table.fundamental[au]:
             pair_f = self.ev_f.pair_at(u)
             pair_g = self.ev_g.pair_at(au)
-            key = ("inc", n, pair_f, pair_g)
-            out = self._by_model.get(key)
+            model_key = ("inc", n, pair_f, pair_g)
+            out = self._by_model.get(model_key)
             if out is None:
                 if not (pair_f[0] <= pair_g[0] and pair_f[1] <= pair_g[1]):
                     raise ValueError(
@@ -208,16 +221,17 @@ class Transformation:
                     )
                 out = induced_map(self.ev_g.basis(*pair_g, n),
                                   self.ev_f.basis(*pair_f, n))
-                self._by_model[key] = out
+                self._by_model[model_key] = out
             return out
-        m = t_inverse(u)
-        if not in_fundamental_domain(t_inverse(au)):
+        t_inv = table.power(-1)
+        m = t_inv[u]
+        if not table.fundamental[t_inv[au]]:
             raise ValueError(
                 "shifted sample lies more than one band away; "
                 "the joint grid is insufficient for this shift"
             )
-        v1 = StripPoint(m.x, u.y)
-        v2 = StripPoint(u.x, m.y)
+        v1 = (m[0], u[1])
+        v2 = (u[0], m[1])
         xi_w = self._interp_pair(u)
         xi_1 = self._interp_pair(v1)
         xi_2 = self._interp_pair(v2)
@@ -227,13 +241,13 @@ class Transformation:
                 "interpolating pair differs from the f pair at the band "
                 "representative; construction regions do not glue here"
             )
-        if xi_m != self.ev_g.pair_at(alpha_apply(self.a, m)):
+        if xi_m != self.ev_g.pair_at(self.shift(m)):
             raise ValueError(
                 "interpolating pair differs from the shifted g pair at the "
                 "reflected corner; construction regions do not glue here"
             )
-        key = ("con", n, xi_w, xi_1, xi_2, xi_m)
-        out = self._by_model.get(key)
+        model_key = ("con", n, xi_w, xi_1, xi_2, xi_m)
+        out = self._by_model.get(model_key)
         if out is None:
             out = mv_connecting(
                 xi_w, xi_1, xi_2, xi_m, n - 1, self.p,
@@ -241,7 +255,7 @@ class Transformation:
                 dst=self.ev_f.basis(*xi_w, n),
                 index=self.ev_f.split.index,
             )
-            self._by_model[key] = out
+            self._by_model[model_key] = out
         return out
 
 
@@ -284,7 +298,7 @@ def build_transformation(ctx: JointContext, f: int = 0, g: int = 1,
     target = context_module(ctx, f)
     source = context_module(ctx, g, a)
     trans = Transformation(ev_f, ev_g, a, ctx.max_degree)
-    per_sample = {idx: trans.at(target.point(idx)) for idx in target.samples()}
+    per_sample = {idx: trans.at(idx) for idx in target.samples()}
     return MorphismData(source, target, per_sample, a)
 
 
@@ -292,15 +306,18 @@ def build_transformation(ctx: JointContext, f: int = 0, g: int = 1,
 # interleaving
 
 
-def period_samples(shell: GridModule):
-    """Samples in one x-translate period of the grid.  The evaluated
+def period_samples(table: CoordTable):
+    """Samples in one x-translate period of the table's grid.  The evaluated
     functors are strictly periodic under the square of the glide
     reflection, which shifts the x translate index by two, so the samples
     with x translate -1 or 0 meet every periodicity orbit and per-sample
     identities checked there hold at every sample."""
-    for idx in shell.samples():
-        if shell.point(idx).x.k in (-1, 0):
-            yield idx
+    n = len(table.grid)
+    for i, x in enumerate(table.grid):
+        if x.k in (-1, 0):
+            for j in range(n):
+                if table.location[(i, j)] != "outside":
+                    yield (i, j)
 
 
 def _report(delta, ok, counterexample=None, witness=None) -> dict:
@@ -331,29 +348,31 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     ev_f, ev_g = ctx.evaluator(f), ctx.evaluator(g)
     fwd = Transformation(ev_f, ev_g, a, ctx.max_degree)
     bwd = Transformation(ev_g, ev_f, a_rev, ctx.max_degree)
+    shift_a = ctx.table.shift(a)
+    shift_rev = ctx.table.shift(a_rev)
+    omega = ctx.table.shift(ShiftVector(-delta, delta))
+    omega2 = ctx.table.shift(ShiftVector(-2 * delta, 2 * delta))
 
-    def phi(pt):
-        return fwd.at(pt) @ internal_map(
-            ev_g, alpha_apply(a, pt), omega_apply(delta, pt), ctx.max_degree)
+    def phi(key):
+        return fwd.at(key) @ internal_map(
+            ev_g, shift_a(key), omega(key), ctx.max_degree)
 
-    def psi(pt):
-        return bwd.at(pt) @ internal_map(
-            ev_f, alpha_apply(a_rev, pt), omega_apply(delta, pt), ctx.max_degree)
+    def psi(key):
+        return bwd.at(key) @ internal_map(
+            ev_f, shift_rev(key), omega(key), ctx.max_degree)
 
-    shell = GridModule(ctx.xs, ctx.xs, {}, {}, p)
     witness = None
-    for idx in period_samples(shell):
-        pt = shell.point(idx)
-        mid = omega_apply(delta, pt)
-        far = omega_apply(2 * delta, pt)
-        phi_pt = phi(pt)
+    for idx in period_samples(ctx.table):
+        mid = omega(idx)
+        far = omega2(idx)
+        phi_pt = phi(idx)
         lhs = phi_pt @ psi(mid)
-        rhs = internal_map(ev_f, pt, far, ctx.max_degree)
+        rhs = internal_map(ev_f, idx, far, ctx.max_degree)
         if lhs != rhs:
             return _report(delta, False, {
                 "sample": idx, "function": f, "lhs": lhs, "rhs": rhs})
-        lhs = psi(pt) @ phi(mid)
-        rhs = internal_map(ev_g, pt, far, ctx.max_degree)
+        lhs = psi(idx) @ phi(mid)
+        rhs = internal_map(ev_g, idx, far, ctx.max_degree)
         if lhs != rhs:
             return _report(delta, False, {
                 "sample": idx, "function": g, "lhs": lhs, "rhs": rhs})
@@ -387,13 +406,11 @@ def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
     t12 = Transformation(ctx.evaluator(f1), ctx.evaluator(f2), a, ctx.max_degree)
     t23 = Transformation(ctx.evaluator(f2), ctx.evaluator(f3), b, ctx.max_degree)
     t13 = Transformation(ctx.evaluator(f1), ctx.evaluator(f3), c, ctx.max_degree)
-    shell = GridModule(ctx.xs, ctx.xs, {}, {}, p)
-    for idx in period_samples(shell):
-        pt = shell.point(idx)
-        lhs = t12.at(pt) @ t23.at(alpha_apply(a, pt))
-        rhs = t13.at(pt) @ internal_map(
-            ctx.evaluator(f3), alpha_apply(c, pt), alpha_apply(ab, pt),
-            ctx.max_degree)
+    shift_a, shift_c, shift_ab = (ctx.table.shift(s) for s in (a, c, ab))
+    for idx in period_samples(ctx.table):
+        lhs = t12.at(idx) @ t23.at(shift_a(idx))
+        rhs = t13.at(idx) @ internal_map(
+            ctx.evaluator(f3), shift_c(idx), shift_ab(idx), ctx.max_degree)
         if lhs != rhs:
             return (idx, lhs, rhs)
     return None
@@ -459,6 +476,8 @@ class CochainPullback:
 
     def __init__(self, ev_y: FunctorEvaluator, ev_x: FunctorEvaluator,
                  phi: Dict, max_degree: int):
+        if ev_y.table is not ev_x.table:
+            raise ValueError("evaluators over different coordinate tables")
         self.ev_y = ev_y
         self.ev_x = ev_x
         self.phi = phi
@@ -466,13 +485,13 @@ class CochainPullback:
         self.p = ev_x.p
         self._by_model: Dict[tuple, Mat] = {}
 
-    def at(self, pt: StripPoint) -> Mat:
-        d_dst, n, dst = point_data(self.ev_x, pt, self.max_degree)
-        d_src, _, src = point_data(self.ev_y, pt, self.max_degree)
+    def at(self, key: Key) -> Mat:
+        d_dst, n, dst = point_data(self.ev_x, key, self.max_degree)
+        d_src, _, src = point_data(self.ev_y, key, self.max_degree)
         if d_dst == 0 or d_src == 0:
             return Mat.zeros(d_dst, d_src, self.p)
-        key = (n, frozenset(src.cells), frozenset(dst.cells), id(src.reps))
-        out = self._by_model.get(key)
+        model_key = (n, frozenset(src.cells), frozenset(dst.cells), id(src.reps))
+        out = self._by_model.get(model_key)
         if out is None:
             src_index = {s: i for i, s in enumerate(src.cells)}
             pulled = Mat.zeros(len(dst.cells), src.dim, self.p)
@@ -486,7 +505,7 @@ class CochainPullback:
                     row = src.reps.data[j].astype(np.int64)
                     pulled.data[i] = (sign * row) % self.p
             out = dst.express(pulled)
-            self._by_model[key] = out
+            self._by_model[model_key] = out
         return out
 
 
@@ -505,15 +524,15 @@ def induced_morphism(ky: PLComplex, kx: PLComplex, phi: Dict, func: int = 0,
     ctx_y = joint_context(ky, [func], shifts, p, kmin, kmax, cap, critical)
     trace_x: list = []
     ctx_x = joint_context(kx, [func], shifts, p, kmin, kmax, cap, critical,
-                          trace=trace_x)
+                          trace=trace_x, table=ctx_y.table)
     phi_split = extend_to_split(phi, trace_x)
     _validate_simplicial(phi_split, ctx_x.split, ctx_y.split, [func])
     max_degree = max(ctx_x.max_degree, ctx_y.max_degree)
-    source = assemble_module(ctx_y.evaluator(func), ctx_y.xs, max_degree)
-    target = assemble_module(ctx_x.evaluator(func), ctx_x.xs, max_degree)
+    source = assemble_module(ctx_y.evaluator(func), max_degree)
+    target = assemble_module(ctx_x.evaluator(func), max_degree)
     pull = CochainPullback(ctx_y.evaluator(func), ctx_x.evaluator(func),
                            phi_split, max_degree)
-    per_sample = {idx: pull.at(target.point(idx)) for idx in target.samples()}
+    per_sample = {idx: pull.at(idx) for idx in target.samples()}
     return MorphismData(source, target, per_sample, ShiftVector(0, 0))
 
 
@@ -537,7 +556,7 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
     ctx_y = joint_context(ky, [f, g], shifts, p, kmin, kmax, cap, critical)
     trace_x: list = []
     ctx_x = joint_context(kx, [f, g], shifts, p, kmin, kmax, cap, critical,
-                          trace=trace_x)
+                          trace=trace_x, table=ctx_y.table)
     phi_split = extend_to_split(phi, trace_x)
     _validate_simplicial(phi_split, ctx_x.split, ctx_y.split, [f, g])
     max_degree = max(ctx_x.max_degree, ctx_y.max_degree)
@@ -547,13 +566,12 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
                              phi_split, max_degree)
     pull_g = CochainPullback(ctx_y.evaluator(g), ctx_x.evaluator(g),
                              phi_split, max_degree)
-    shell = GridModule(ctx_y.xs, ctx_y.xs, {}, {}, p)
-    for idx in period_samples(shell):
-        pt = shell.point(idx)
-        lhs = t_x.at(pt) @ internal_map(
-            ctx_x.evaluator(g), alpha_apply(b, pt), alpha_apply(a, pt),
-            max_degree) @ pull_g.at(alpha_apply(a, pt))
-        rhs = pull_f.at(pt) @ t_y.at(pt)
+    shift_a, shift_b = ctx_y.table.shift(a), ctx_y.table.shift(b)
+    for idx in period_samples(ctx_y.table):
+        lhs = t_x.at(idx) @ internal_map(
+            ctx_x.evaluator(g), shift_b(idx), shift_a(idx),
+            max_degree) @ pull_g.at(shift_a(idx))
+        rhs = pull_f.at(idx) @ t_y.at(idx)
         if lhs != rhs:
             return (idx, lhs, rhs)
     return None

@@ -7,26 +7,31 @@ within a tile are restriction-induced; maps across a tile boundary are the
 Mayer-Vietoris connecting maps of the rectangle triads.  On top of the
 resulting GridModule sit the diagram, its region classification, the
 levelset barcode and the fiberwise dimension check.
+
+An evaluator works over the integer coordinate table of its sample grid
+(`exact_geometry.CoordTable`): points are pairs of coordinate ids, the
+per-point cache is keyed by them, and the location, tile index and
+translates of a point are table lookups.  A point is turned back into a
+StripPoint only where its pair of open sets is built.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exact_geometry import (
     Coord,
+    CoordTable,
     INF,
+    Key,
     NEG_INF,
     RealOpenSet,
-    StripPoint,
     beta_levelset,
     classify_region,
     rho,
-    strip_location,
-    t_power,
-    tile_index,
 )
 from .field_linalg import Mat
 from .plc import (
@@ -87,14 +92,18 @@ def split_levels(xs) -> List[Fraction]:
 class FunctorEvaluator:
     """Evaluates the pair-cohomology functor of one PL function on a split
     complex, with caching keyed by the open models so that the cell
-    constancy of the functor is exploited."""
+    constancy of the functor is exploited.  Points are keys of the
+    coordinate table of the sample grid."""
 
-    def __init__(self, split: PLComplex, func: int = 0, p: int = 2):
+    def __init__(self, split: PLComplex, table: CoordTable, func: int = 0,
+                 p: int = 2):
         self.split = split
+        self.table = table
         self.func = func
         self.p = p
         self._models: Dict[RealOpenSet, frozenset] = {}
-        self._points: Dict[tuple, tuple] = {}
+        # point data by max degree, then by key
+        self._points: Dict[int, Dict[Key, tuple]] = defaultdict(dict)
         self._bases: Dict[tuple, CohomBasis] = {}
         self._induced: Dict[tuple, Mat] = {}
         self._connecting: Dict[tuple, Mat] = {}
@@ -106,10 +115,10 @@ class FunctorEvaluator:
             self._models[u] = out
         return out
 
-    def pair_at(self, w: StripPoint) -> Tuple[frozenset, frozenset]:
+    def pair_at(self, w: Key) -> Tuple[frozenset, frozenset]:
         """Open models of the pair attached to a point of the fundamental
         band."""
-        rho1, rho0 = rho(w)
+        rho1, rho0 = rho(self.table.point(w))
         a = self.model(rho1)
         b = self.model(rho0.intersect(rho1))
         return a, b
@@ -122,7 +131,7 @@ class FunctorEvaluator:
             self._bases[key] = out
         return out
 
-    def basis_at(self, w: StripPoint, n: int) -> CohomBasis:
+    def basis_at(self, w: Key, n: int) -> CohomBasis:
         a, b = self.pair_at(w)
         return self.basis(a, b, n)
 
@@ -134,12 +143,12 @@ class FunctorEvaluator:
             self._induced[key] = out
         return out
 
-    def connecting(self, u: StripPoint, w: StripPoint, n: int) -> Mat:
+    def connecting(self, u: Key, w: Key, n: int) -> Mat:
         """Mayer-Vietoris connecting map of the rectangle triad spanned by
         u (the intersection corner) and w (the union corner) inside the
         fundamental band."""
-        v1 = StripPoint(u.x, w.y)
-        v2 = StripPoint(w.x, u.y)
+        v1 = (u[0], w[1])
+        v2 = (w[0], u[1])
         pw = self.pair_at(w)
         p1 = self.pair_at(v1)
         p2 = self.pair_at(v2)
@@ -156,34 +165,37 @@ class FunctorEvaluator:
         return out
 
 
-def point_data(ev: FunctorEvaluator, pt: StripPoint,
+def point_data(ev: FunctorEvaluator, key: Key,
                max_degree: int) -> Tuple[int, Optional[int], Optional[CohomBasis]]:
-    """Dimension, tile index and basis of the evaluated functor at one strip
-    point (dimension 0 with no basis outside the supported range)."""
-    key = (pt, max_degree)
-    out = ev._points.get(key)
+    """Dimension, tile index and basis of the evaluated functor at one point
+    of the evaluator's coordinate table (dimension 0 with no basis outside
+    the supported range)."""
+    points = ev._points[max_degree]
+    out = points.get(key)
     if out is not None:
         return out
-    if strip_location(pt) != "interior":
+    table = ev.table
+    if table.location[key] != "interior":
         out = (0, None, None)
     else:
-        n = tile_index(pt)
+        n = table.tile[key]
         if n < 0 or n > max_degree:
             out = (0, n, None)
         else:
-            basis = ev.basis_at(t_power(pt, n), n)
+            basis = ev.basis_at(table.power(n)[key], n)
             out = (basis.dim, n, basis)
-    ev._points[key] = out
+    points[key] = out
     return out
 
 
-def internal_map(ev: FunctorEvaluator, lo: StripPoint, hi: StripPoint,
+def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key,
                  max_degree: int) -> Mat:
     """Matrix of the structure map from the value at hi to the value at lo
     for any comparable pair lo below hi.  Same tile: restriction-induced.
     One tile apart with hi below T(lo): connecting map.  Further apart: the
     map factors through a vanishing value, hence zero."""
-    if not lo.precedes(hi):
+    table = ev.table
+    if not table.precedes(lo, hi):
         raise ValueError("points are not comparable in the given order")
     d_lo, n_lo, b_lo = point_data(ev, lo, max_degree)
     d_hi, n_hi, b_hi = point_data(ev, hi, max_degree)
@@ -192,34 +204,32 @@ def internal_map(ev: FunctorEvaluator, lo: StripPoint, hi: StripPoint,
     if n_lo == n_hi:
         return ev.inclusion(b_hi, b_lo)
     if n_lo == n_hi + 1:
-        u = t_power(hi, n_hi)
-        w = t_power(lo, n_lo)
-        if u.precedes(w):
+        u = table.power(n_hi)[hi]
+        w = table.power(n_lo)[lo]
+        if table.precedes(u, w):
             return ev.connecting(u, w, n_hi)
     return Mat.zeros(d_lo, d_hi, ev.p)
 
 
-def assemble_module(ev: FunctorEvaluator, xs: Tuple[Coord, ...],
-                    max_degree: int, transform=None) -> GridModule:
-    """Evaluate the functor on every sample of a grid, optionally after a
-    pointwise order-preserving transform of the samples, and assemble the
-    grid module of values and covering-pair structure maps."""
-    p = ev.p
-    shell = GridModule(xs, xs, {}, {}, p)
-    dims: Dict[Tuple[int, int], int] = {}
-    tiles: Dict[Tuple[int, int], int] = {}
-    pts: Dict[Tuple[int, int], StripPoint] = {}
-    for idx in shell.samples():
-        pt = shell.point(idx)
-        if transform is not None:
-            pt = transform(pt)
-        pts[idx] = pt
-        d, n, _ = point_data(ev, pt, max_degree)
+def assemble_module(ev: FunctorEvaluator, max_degree: int,
+                    transform=None) -> GridModule:
+    """Evaluate the functor on every sample of the evaluator's grid,
+    optionally after a pointwise order-preserving transform of the sample
+    keys, and assemble the grid module of values and covering-pair
+    structure maps."""
+    xs = ev.table.grid
+    m = GridModule(xs, xs, {}, {}, ev.p)
+    dims = m.dims
+    tiles: Dict[Key, int] = {}
+    keys: Dict[Key, Key] = {}
+    for idx in m.samples():
+        key = idx if transform is None else transform(idx)
+        keys[idx] = key
+        d, n, _ = point_data(ev, key, max_degree)
         dims[idx] = d
         if n is not None:
             tiles[idx] = n
 
-    maps: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Mat] = {}
     for idx, d in dims.items():
         i, j = idx
         for up in ((i - 1, j), (i, j + 1)):
@@ -230,8 +240,8 @@ def assemble_module(ev: FunctorEvaluator, xs: Tuple[Coord, ...],
                     f"adjacent samples {idx}, {up} differ by "
                     f"{tiles[idx] - tiles[up]} tiles"
                 )
-            maps[(idx, up)] = internal_map(ev, pts[idx], pts[up], max_degree)
-    return GridModule(xs, xs, dims, maps, p, tiles)
+            m.maps[(idx, up)] = internal_map(ev, keys[idx], keys[up], max_degree)
+    return m
 
 
 def evaluate(k: PLComplex, func: int = 0, p: int = 2,
@@ -246,9 +256,9 @@ def evaluate(k: PLComplex, func: int = 0, p: int = 2,
     grid = LevelGrid.from_values(x[func] for x in k.values.values())
     xs = refine_lines(build_lines(grid, kmin, kmax))
     split = split_all(k, split_levels(xs), funcs=[func], cap=cap)
-    ev = FunctorEvaluator(split, func, p)
+    ev = FunctorEvaluator(split, CoordTable(xs), func, p)
     max_degree = split.dim() + 1
-    module = assemble_module(ev, xs, max_degree)
+    module = assemble_module(ev, max_degree)
     diagram = dgm(module)
     for d in diagram.points:
         n, region, pair = classify_region(d.point)

@@ -7,6 +7,11 @@ All functors of interest are constant on the open cells of the arrangement,
 so this finite data determines them.  On top of this sit the diagram
 formula, block decompositions and the checkers for the cohomological,
 continuity, decomposition and filtration properties.
+
+A GridModule keeps the strip location of every grid point and the grid
+indices of the T and T^-1 translates of every sample in arrays, each filled
+on first use by one exact call per grid point; the sample and interior
+tests, the sample iteration and the translate lookups read them.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +42,9 @@ from .field_linalg import (
 )
 
 Index = Tuple[int, int]
+
+# Codes of the strip locations in GridModule's location array.
+_LOCATION_CODE = {"outside": 0, "boundary": 1, "interior": 2}
 
 
 def midpoint_coord(a: Coord, b: Coord) -> Coord:
@@ -97,15 +106,37 @@ class GridModule:
 
     def __init__(self, xs: Sequence[Coord], ys: Sequence[Coord],
                  dims: Dict[Index, int], maps: Dict[Tuple[Index, Index], Mat],
-                 p: int = 2, tiles: Optional[Dict[Index, int]] = None):
+                 p: int = 2):
         self.xs = tuple(xs)
         self.ys = tuple(ys)
         self.dims = dict(dims)
         self.maps = dict(maps)
         self.p = p
-        self.tiles = dict(tiles) if tiles else {}
         self._x_index = {c: i for i, c in enumerate(self.xs)}
         self._y_index = {c: j for j, c in enumerate(self.ys)}
+
+    @cached_property
+    def _locations(self) -> np.ndarray:
+        """Strip location code of every grid point (see _LOCATION_CODE)."""
+        return np.array(
+            [[_LOCATION_CODE[strip_location(StripPoint(x, y))] for y in self.ys]
+             for x in self.xs],
+            dtype=np.int8,
+        ).reshape(len(self.xs), len(self.ys))
+
+    @cached_property
+    def _translates(self) -> Dict[int, np.ndarray]:
+        """Grid index of T(s) and T^-1(s) for every sample s, -1 off the
+        grid."""
+        out = {}
+        for power, fn in ((1, t_apply), (-1, t_inverse)):
+            arr = np.full((len(self.xs), len(self.ys), 2), -1, dtype=np.int32)
+            for idx in self.samples():
+                q = self.index_of(fn(self.point(idx)))
+                if q is not None:
+                    arr[idx] = q
+            out[power] = arr
+        return out
 
     # -- sample bookkeeping
 
@@ -123,13 +154,16 @@ class GridModule:
         return 0 <= idx[0] < len(self.xs) and 0 <= idx[1] < len(self.ys)
 
     def is_sample(self, idx: Index) -> bool:
-        return self.in_range(idx) and strip_location(self.point(idx)) != "outside"
+        return self.in_range(idx) and bool(self._locations[idx])
+
+    def is_interior(self, idx: Index) -> bool:
+        return (self.in_range(idx)
+                and int(self._locations[idx]) == _LOCATION_CODE["interior"])
 
     def samples(self) -> Iterable[Index]:
-        for i in range(len(self.xs)):
-            for j in range(len(self.ys)):
-                if self.is_sample((i, j)):
-                    yield (i, j)
+        """The grid points in the strip, row by row."""
+        rows, cols = np.nonzero(self._locations)
+        return zip(rows.tolist(), cols.tolist())
 
     def dim_at(self, idx: Index) -> int:
         return self.dims.get(idx, 0)
@@ -171,17 +205,17 @@ class GridModule:
         return s
 
     def vertex_indices(self) -> Iterable[Index]:
-        for i in range(0, len(self.xs), 2):
-            for j in range(0, len(self.ys), 2):
-                if self.is_sample((i, j)):
-                    yield (i, j)
+        """The samples at grid vertices (both indices even), row by row."""
+        rows, cols = np.nonzero(self._locations[::2, ::2])
+        return zip((2 * rows).tolist(), (2 * cols).tolist())
 
     def t_index(self, idx: Index, power: int = 1) -> Optional[Index]:
-        """Index of the translate T^power of a sample, if on the grid."""
+        """Index of the translate T^power (power 1 or -1) of a sample, if on
+        the grid."""
         if not self.is_sample(idx):
             return None
-        q = t_apply(self.point(idx)) if power == 1 else t_inverse(self.point(idx))
-        return self.index_of(q)
+        i, j = self._translates[1 if power == 1 else -1][idx].tolist()
+        return None if i < 0 else (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +239,11 @@ def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
     local: Dict[Index, List[int]] = {}
     dims: Dict[Index, int] = {}
     for idx in shell.samples():
-        pt = shell.point(idx)
-        if strip_location(pt) != "interior":
+        if not shell.is_interior(idx):
             dims[idx] = 0
             local[idx] = []
             continue
+        pt = shell.point(idx)
         present = [b for b, (v, _) in enumerate(ids) if block_contains(v, pt)]
         dims[idx] = len(present)
         local[idx] = present
@@ -430,7 +464,7 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     v1 = (il, jh)  # shares x with u
     v2 = (ih, jl)  # shares x with w
     for corner in (lo, hi, v1, v2):
-        if not m.in_range(corner) or strip_location(m.point(corner)) != "interior":
+        if not m.is_interior(corner):
             return None
     to_b = m.map_between(v1, hi)
     to_c = m.map_between(v2, hi)
@@ -486,9 +520,7 @@ def seq_continuity_check(m: GridModule):
     for idx in m.samples():
         i, j = idx
         w = (i + (1 if i % 2 == 0 else 0), j - (1 if j % 2 == 0 else 0))
-        if w == idx or not m.in_range(w):
-            continue
-        if not m.is_sample(w) or strip_location(m.point(w)) != "interior":
+        if w == idx or not m.is_interior(w):
             continue
         mat = m.map_between(w, idx)
         if m.dim_at(w) != m.dim_at(idx) or rank(mat) != m.dim_at(idx):
@@ -526,7 +558,7 @@ def colex_filtration(m: GridModule, u) -> List[List[int]]:
     quotient growth matches the local diagram formula at every inner grid
     point (the step-isomorphism identity)."""
     u = m._resolve(u)
-    if strip_location(m.point(u)) != "interior":
+    if not m.is_interior(u):
         raise ValueError("filtration base point must be interior")
     tu = m.t_index(u)
     if tu is None:

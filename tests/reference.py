@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from riscpl.exact_geometry import Coord, RealOpenSet, ShiftVector, alpha_apply
+from riscpl.exact_geometry import Coord, CoordTable, RealOpenSet, ShiftVector
 from riscpl.field_linalg import Mat, _rref
 from riscpl.interleave import joint_levels
 from riscpl.plc import LevelGrid, PLComplex, Simplex, _fresh_vid, skey, split_all, vkey
@@ -123,9 +123,8 @@ def shifted_module(r: RiscResult, a: ShiftVector,
     xs = r.module.xs if samples is None else samples
     split = split_all(r.split, joint_levels(xs, (a.a1, a.a2)),
                       funcs=[r.func], cap=cap)
-    ev = FunctorEvaluator(split, r.func, r.module.p)
-    return assemble_module(ev, xs, split.dim() + 1,
-                           transform=lambda q: alpha_apply(a, q))
+    ev = FunctorEvaluator(split, CoordTable(xs), r.func, r.module.p)
+    return assemble_module(ev, split.dim() + 1, transform=ev.table.shift(a))
 
 
 def kernel_basis(m: Mat) -> Mat:

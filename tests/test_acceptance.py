@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from riscpl.cli import main as cli_main
 from riscpl.exact_geometry import (
+    CoordTable,
     INF,
     RealOpenSet,
     ShiftVector,
@@ -188,7 +189,7 @@ def test_criterion_05_continuity_and_cell_constancy(capsys):
     r = examples[2]
     xs2 = refine_lines(r.module.xs)
     split2 = split_all(r.split, split_levels(xs2))
-    m2 = assemble_module(FunctorEvaluator(split2, 0, 2), xs2, r.max_degree)
+    m2 = assemble_module(FunctorEvaluator(split2, CoordTable(xs2), 0, 2), r.max_degree)
 
     def within_cell(a, b):
         # consecutive refined indices sampling the same original open cell:

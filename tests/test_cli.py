@@ -1,6 +1,10 @@
 import json
 
-from riscpl.cli import main
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from riscpl.cli import load_complex, main
 
 
 def run(capsys, *argv):
@@ -163,6 +167,75 @@ def test_check_rejects_module_top_level_list(capsys, tmp_path):
 
 def test_check_rejects_module_non_list_xs(capsys, tmp_path):
     assert_module_error(capsys, write_json(tmp_path / "bad.json", {"xs": 1}))
+
+
+# A field must be a JSON integer (not a boolean or a float) that is a prime
+# below 2^16.
+BAD_FIELDS = [[1], 2.5, 2.0, True, False, None, "3", 4, 1, 0, -3, 65537]
+
+
+@pytest.mark.parametrize("field", BAD_FIELDS, ids=repr)
+def test_dgm_rejects_bad_field(capsys, tmp_path, field):
+    path = write_json(tmp_path / "bad.json", {
+        "field": field,
+        "vertices": [{"id": 1, "value": "0"}, {"id": 2, "value": "1"}],
+        "simplices": [[1, 2]],
+    })
+    assert_input_error(capsys, path)
+
+
+@pytest.mark.parametrize("field", BAD_FIELDS, ids=repr)
+def test_check_module_rejects_bad_field(capsys, tmp_path, field):
+    path = write_json(tmp_path / "bad.json", {
+        "field": field, "xs": [], "ys": [], "dims": [], "maps": [],
+    })
+    assert_module_error(capsys, path)
+
+
+def test_field_three_is_accepted(capsys, tmp_path):
+    path = write_json(tmp_path / "ok.json", {
+        "field": 3,
+        "vertices": [{"id": 1, "value": "0"}, {"id": 2, "value": "1"}],
+        "simplices": [[1, 2]],
+    })
+    assert main(["dgm", path, "--out", str(tmp_path / "dgm.json")]) == 0
+    assert json.loads((tmp_path / "dgm.json").read_text())["field"] == 3
+
+
+# Arbitrary JSON, and documents shaped like complex files with arbitrary
+# parts, for the loader fuzz test.
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(max_size=6))
+_json = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+_ids = st.integers(-2, 3) | st.sampled_from(["a", "b", "1"]) | _json
+_values = (st.integers(-3, 3) | st.sampled_from(["1/2", "-1", "x", "1/0", "2.5"])
+           | st.lists(st.integers(-3, 3) | st.sampled_from(["0", "1/3"]), max_size=3)
+           | _json)
+_vertex = st.fixed_dictionaries({}, optional={"id": _ids, "value": _values}) | _json
+_documents = _json | st.fixed_dictionaries({}, optional={
+    "field": st.integers(-1, 8) | _json,
+    "vertices": st.lists(_vertex, max_size=5) | _json,
+    "simplices": st.lists(st.lists(_ids, max_size=3) | _json, max_size=4) | _json,
+})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents)
+def test_load_complex_raises_only_value_error(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        k, field = load_complex(str(path))
+    except ValueError:
+        return
+    assert isinstance(field, int) and not isinstance(field, bool)
 
 
 def test_check_suites_pass(capsys, tmp_path):

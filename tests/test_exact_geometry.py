@@ -17,6 +17,7 @@ from riscpl.exact_geometry import (
     INF,
     NEG_INF,
     Coord,
+    CoordTable,
     RealOpenSet,
     ShiftVector,
     StripPoint,
@@ -383,3 +384,77 @@ def test_float_oracle_membership():
         if abs(abs(s) - math.pi) < TOL:
             continue
         assert in_strip(p) == float_in_strip((x, y))
+
+
+# ---------------------------------------------------------------------------
+# the integer coordinate table against the exact functions
+
+
+def interleaving_grid(k):
+    """The coordinate table of the joint grid and the four shifts that
+    interleaving_check uses on the pair (f, g) = (0, 1)."""
+    from riscpl.interleave import distance_pair, joint_context, sup_norm
+
+    a = distance_pair(k)
+    delta = sup_norm(k)
+    shifts = [a.a1, a.a2, delta, 2 * delta,
+              a.a1 - delta, a.a2 + delta, a.a1 + delta, a.a2 - delta]
+    ctx = joint_context(k, [0, 1], shifts)
+    return ctx.table, [a, ShiftVector(-a.a2, -a.a1),
+                       ShiftVector(-delta, delta), ShiftVector(-2 * delta, 2 * delta)]
+
+
+@pytest.mark.parametrize("case", ["hood", 5, 21, 26])
+def test_coord_table_matches_exact_functions(case):
+    from test_interleave import hood_stability_pair, random_pair
+
+    k = hood_stability_pair() if case == "hood" else random_pair(random.Random(case))
+    table, shifts = interleaving_grid(k)
+    n = len(table.grid)
+    assert table.coords[:n] == list(table.grid)
+    assert all(table.ids[c] == i for i, c in enumerate(table.grid))
+    maps = [table.shift(a) for a in shifts]
+    rng = random.Random(0)
+    for ix in range(n):
+        for iy in range(n):
+            key = (ix, iy)
+            p = StripPoint(table.grid[ix], table.grid[iy])
+            assert table.point(key) == p
+            loc = strip_location(p)
+            assert table.location[key] == loc
+            if loc == "outside":
+                continue
+            assert table.point(table.power(1)[key]) == t_apply(p)
+            assert table.point(table.power(-1)[key]) == t_inverse(p)
+            for a, shift in zip(shifts, maps):
+                q = shift(key)
+                assert table.point(q) == alpha_apply(a, p)
+                assert table.location[q] == strip_location(alpha_apply(a, p))
+                assert table.fundamental[q] == in_fundamental_domain(alpha_apply(a, p))
+            # the check also shifts the off-grid point omega(p)
+            mid = maps[2](key)
+            for a, shift in zip(shifts, maps):
+                assert table.point(shift(mid)) == alpha_apply(a, table.point(mid))
+            if table.location[mid] == "interior":
+                tile = table.tile[mid]
+                assert tile == tile_index(table.point(mid))
+                assert table.point(table.power(tile)[mid]) == t_power(table.point(mid), tile)
+            if loc == "interior":
+                tile = table.tile[key]
+                assert tile == tile_index(p)
+                assert table.point(table.power(tile)[key]) == t_power(p, tile)
+                assert table.fundamental[key] == in_fundamental_domain(p)
+            other = (rng.randrange(n), rng.randrange(n))
+            assert table.precedes(key, other) == p.precedes(table.point(other))
+            assert table.precedes(other, key) == table.point(other).precedes(p)
+    # omega is the shift by (-delta, delta)
+    delta = shifts[2].a2
+    key = (n // 2, n // 2)
+    assert table.point(maps[2](key)) == omega_apply(delta, table.point(key))
+    # an off-grid coordinate gets the next free id, once
+    c = Coord(0, F(1, 7919))
+    assert c not in table.grid
+    i = table.intern(c)
+    assert i >= n and table.intern(c) == i and table.coords[i] == c
+    with pytest.raises(ValueError):
+        CoordTable([Coord(0, F(0)), Coord(0, F(0))])

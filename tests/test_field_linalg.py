@@ -91,3 +91,56 @@ def test_kernel_basis_matches_loop_reference():
             assert kernel_basis(m) == reference.kernel_basis(m)
             z = Mat.zeros(rows, cols, p)
             assert kernel_basis(z) == reference.kernel_basis(z) == Mat.eye(cols, p)
+
+
+def assert_same_as_validated(m: Mat):
+    """A Mat built without validation equals the validating constructor's
+    result on the same entries, with the same dtype."""
+    ref = Mat(m.data.astype(np.int64), m.p)
+    assert m == ref
+    assert m.data.dtype == ref.data.dtype == (np.uint8 if m.p == 2 else np.int64)
+    assert m.data.ndim == 2
+
+
+def test_unvalidated_results_match_validating_constructor():
+    rng = random.Random(7)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(20)]
+    for p in (2, 3, 5):
+        for rows, cols in shapes:
+            a = Mat([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+                    if rows else np.zeros((0, cols), dtype=np.int64), p)
+            inner = rng.randint(0, 6)
+            b = Mat(np.array([rng.randrange(p) for _ in range(cols * inner)],
+                             dtype=np.int64).reshape(cols, inner), p)
+            c = Mat(np.array([rng.randrange(p) for _ in range(rows * inner)],
+                             dtype=np.int64).reshape(rows, inner), p)
+            prod = a @ b
+            assert_same_as_validated(prod)
+            assert prod == Mat(a.data.astype(np.int64) @ b.data.astype(np.int64), p)
+            assert_same_as_validated(Mat.zeros(rows, cols, p))
+            assert Mat.zeros(rows, cols, p) == Mat(np.zeros((rows, cols), dtype=np.int64), p)
+            assert_same_as_validated(Mat.eye(rows, p))
+            assert Mat.eye(rows, p) == Mat(np.eye(rows, dtype=np.int64), p)
+            stacked = Mat.hstack([a, c])
+            assert_same_as_validated(stacked)
+            assert stacked == Mat(np.hstack([a.data.astype(np.int64),
+                                             c.data.astype(np.int64)]), p)
+            for j in range(cols):
+                col = a.column(j)
+                assert_same_as_validated(col)
+                assert col == Mat(a.data[:, j:j + 1].astype(np.int64), p)
+                # a column is a copy: writing into it leaves a alone
+                before = a.data.copy()
+                col.data[:] = 1
+                assert np.array_equal(a.data, before)
+
+
+def test_fresh_zero_matrices_are_not_shared():
+    z1, z2 = Mat.zeros(2, 2, 3), Mat.zeros(2, 2, 3)
+    z1.data[0, 0] = 1
+    assert z2.is_zero()
+    with pytest.raises(ValueError):
+        Mat.zeros(1, 1, 4)
+    with pytest.raises(ValueError):
+        Mat.eye(1, 1)

@@ -8,11 +8,13 @@ orientation sign counts.
 
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
 
-from riscpl.cli import main
+from riscpl.cli import complex_json, main
+from riscpl.interleave import build_transformation, distance_pair, joint_context
 
 from oracle_ext_persistence import extended_persistence
 
@@ -96,3 +98,70 @@ def test_rp2_torsion_module_is_pinned_and_matches_oracle(tmp_path, field):
     want = Counter((n, region, (str(lo), str(hi)))
                    for n, region, (lo, hi) in extended_persistence(RP2, RP2_HEIGHT, field))
     assert got == want
+
+
+# The interleaving morphism: the `interleave --delta auto` report and the
+# per-sample matrices of the stability transformation, on the hood pair and
+# the random pairs of seeds 5 and 21, over GF(2) and GF(3).
+INTERLEAVE_GOLDEN = {
+    ("hood", 2): (
+        "41096f9909dbc09342d680395a6badbe0e18c6933ef1b414d4a67a4b8e0675b6",
+        "ae8cbf2db380f5e3c0a32191fefaf7f8b041fb64f69d7d77d3703f239e6de75e",
+    ),
+    ("hood", 3): (
+        "41096f9909dbc09342d680395a6badbe0e18c6933ef1b414d4a67a4b8e0675b6",
+        "2d59121e1582d351ee175028c6a34fe0b6ecc21f9451b60a2bc4432d1e8b83df",
+    ),
+    (5, 2): (
+        "ca31e10c09781c00ad7c2da251f16ecd63667daca12777cf3d189b8b0d39cdb5",
+        "08ea5ffbd110990239f88341c21aa277572d89c1e3ab4590a1463bde21772bbd",
+    ),
+    (5, 3): (
+        "ca31e10c09781c00ad7c2da251f16ecd63667daca12777cf3d189b8b0d39cdb5",
+        "32a5eba9e75b255b5dc6d4cabbc21f25992bee878e426be5cf9dbc2a0661f0be",
+    ),
+    (21, 2): (
+        "6fa8109df3ef673cbb57caa9cdc4987d48bdd13d6949eb1c21a716c98bcaa408",
+        "f4c5f8b306795e6cb8f7e1d3b9287a1ce3ed221b202e1da4dbc4df241f06243b",
+    ),
+    (21, 3): (
+        "6fa8109df3ef673cbb57caa9cdc4987d48bdd13d6949eb1c21a716c98bcaa408",
+        "49c4da1ee81cd9166a8c867fc283c97d319b694f733ae2e248d516d37b03415c",
+    ),
+}
+
+
+def interleave_pair(case):
+    from test_interleave import hood_stability_pair, random_pair
+
+    if case == "hood":
+        return hood_stability_pair()
+    return random_pair(random.Random(case))
+
+
+def transformation_dump(k, field) -> bytes:
+    """Canonical bytes of build_transformation's per-sample matrices."""
+    a = distance_pair(k)
+    ctx = joint_context(k, [0, 1], shifts=[a.a1, a.a2], p=field)
+    md = build_transformation(ctx)
+    rows = [[list(idx), m.rows, m.cols, m.data.tolist()]
+            for idx, m in sorted(md.per_sample.items())]
+    return json.dumps(rows, separators=(",", ":")).encode()
+
+
+def interleave_digests(tmp_path, case, field):
+    k = interleave_pair(case)
+    cx, report = tmp_path / "pair.json", tmp_path / "report.json"
+    cx.write_text(json.dumps(complex_json(k.values, [sorted(s) for s in k.simplices], field)))
+    assert main(["interleave", str(cx), "--delta", "auto", "--out", str(report)]) == 0
+    return (sha256(report),
+            hashlib.sha256(transformation_dump(k, field)).hexdigest(),
+            json.loads(report.read_text()))
+
+
+@pytest.mark.parametrize("case,field", sorted(INTERLEAVE_GOLDEN, key=str))
+def test_interleaving_morphism_is_pinned(tmp_path, case, field):
+    got_report, got_morphism, report = interleave_digests(tmp_path, case, field)
+    assert (got_report, got_morphism) == INTERLEAVE_GOLDEN[(case, field)]
+    if case == "hood":
+        assert report["ok"] and report["delta"] == "1" and "witness" in report

@@ -5,6 +5,7 @@ sizes off their positional arguments.  A signature change that hides a
 call from it or breaks its size counter shows up here.
 """
 
+import json
 import os
 import sys
 
@@ -50,3 +51,25 @@ def test_plc_hooks_on_dgm_hood(tracer, tmp_path):
     assert m["risc_builder.model_hit_ratio"] == 1737 / 1882
     assert m["risc_builder.basis_hit_ratio"] == 772 / 929
     assert m["risc_builder.connecting_hit_ratio"] == 0
+
+
+def test_interleave_hooks_on_hood_pair(tracer, tmp_path):
+    from riscpl.cli import complex_json
+
+    from test_interleave import hood_stability_pair
+
+    k = hood_stability_pair()
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(complex_json(k.values, [sorted(s) for s in k.simplices])))
+    assert main(["interleave", str(pair), "--out", str(tmp_path / "report.json")]) == 0
+    m = tracer.metrics()
+    for name in ("interleave.Transformation.at", "interleave.interleaving_check",
+                 "risc_builder.point_data", "risc_builder.internal_map"):
+        assert m[f"{name}.calls"] > 0, name
+    # the cohomology work as measured before the coordinate table; no
+    # connecting map is needed on this pair (none was before either)
+    assert {attr: m[f"plc.{attr}.calls"] for attr in TRACED["plc"]} == {
+        "split_all": 1, "open_model": 320, "relative_cohomology": 54,
+        "induced_map": 27, "mv_connecting": 0}
+    assert m["risc_builder.FunctorEvaluator.model.calls"] == 1772
+    assert m["risc_builder.FunctorEvaluator.basis.calls"] == 694
