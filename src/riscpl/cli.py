@@ -93,6 +93,22 @@ def parse_field(data: dict) -> int:
     return p
 
 
+def field_of(args, field: int) -> int:
+    """The --field flag when given, checked to be a prime, else the
+    file's field."""
+    if args.field is None:
+        return field
+    check_prime(args.field)
+    return args.field
+
+
+def check_funcs(k: PLComplex, *funcs: int) -> None:
+    """Every function index must name one of the vertex value sets."""
+    for func in funcs:
+        if not 0 <= func < k.nfuncs:
+            raise ValueError(f"function index {func} is outside 0..{k.nfuncs - 1}")
+
+
 def load_complex(path) -> Tuple[PLComplex, int]:
     with open(path) as fh:
         data = json.load(fh)
@@ -266,10 +282,12 @@ def emit_json(doc: dict, out: Optional[str]):
 
 def cmd_dgm(args) -> int:
     k, field = load_complex(args.input)
-    r = evaluate(k, func=args.func, p=args.field or field, cap=args.cap)
+    check_funcs(k, args.func)
+    p = field_of(args, field)
+    r = evaluate(k, func=args.func, p=p, cap=args.cap)
     if args.dump_module:
-        emit_json(module_json(r.module, args.field or field), args.dump_module)
-    doc = diagram_json(r, args.field or field)
+        emit_json(module_json(r.module, p), args.dump_module)
+    doc = diagram_json(r, p)
     if args.format == "csv":
         emit(diagram_csv(doc), args.out)
     else:
@@ -279,8 +297,10 @@ def cmd_dgm(args) -> int:
 
 def cmd_barcode(args) -> int:
     k, field = load_complex(args.input)
-    r = evaluate(k, func=args.func, p=args.field or field, cap=args.cap)
-    doc = barcode_json(r, args.field or field)
+    check_funcs(k, args.func)
+    p = field_of(args, field)
+    r = evaluate(k, func=args.func, p=p, cap=args.cap)
+    doc = barcode_json(r, p)
     if args.format == "csv":
         emit(barcode_csv(doc), args.out)
     else:
@@ -315,10 +335,13 @@ def run_suite(module: GridModule, suite: str) -> dict:
 
 def cmd_check(args) -> int:
     if args.module:
-        module, _ = load_module(args.input)
+        module, field = load_module(args.input)
+        if field_of(args, field) != field:
+            raise ValueError(f"--field {args.field} differs from the module's field {field}")
     else:
         k, field = load_complex(args.input)
-        module = evaluate(k, func=args.func, p=args.field or field,
+        check_funcs(k, args.func)
+        module = evaluate(k, func=args.func, p=field_of(args, field),
                           cap=args.cap).module
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = {"suites": {}, "ok": True}
@@ -334,9 +357,10 @@ def cmd_interleave(args) -> int:
     k, field = load_complex(args.input)
     if k.nfuncs < 2:
         raise ValueError("interleave needs two value sets per vertex")
+    check_funcs(k, args.f, args.g)
     delta = None if args.delta == "auto" else parse_rational(args.delta)
     result = interleaving_check(k, args.f, args.g, delta,
-                                p=args.field or field, cap=args.cap)
+                                p=field_of(args, field), cap=args.cap)
     doc = {"delta": rational_str(result["delta"]), "ok": result["ok"]}
     if "witness" in result and result["witness"] is not None:
         doc["witness"] = list(result["witness"])

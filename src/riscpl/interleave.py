@@ -35,10 +35,12 @@ from .exact_geometry import (
 from .field_linalg import Mat
 from .plc import (
     PLComplex,
+    Subcomplex,
     _fresh_vid,
     induced_map,
     mv_connecting,
     split_all,
+    take_rows,
     vkey,
 )
 from .risc_builder import (
@@ -191,7 +193,7 @@ class Transformation:
             self._by_point[key] = out
         return out
 
-    def _interp_pair(self, c: Key) -> Tuple[frozenset, frozenset]:
+    def _interp_pair(self, c: Key) -> Tuple[Subcomplex, Subcomplex]:
         """The interpolating pair at a rectangle corner: ambient from the
         shifted g preimage of the first attached set, subspace cut out by
         the f preimage of the second."""
@@ -250,10 +252,9 @@ class Transformation:
         out = self._by_model.get(model_key)
         if out is None:
             out = mv_connecting(
-                xi_w, xi_1, xi_2, xi_m, n - 1, self.p,
+                xi_w, xi_1, xi_2, xi_m, n - 1, self.p, self.ev_f.split.index,
                 src=self.ev_g.basis(*xi_m, n - 1),
                 dst=self.ev_f.basis(*xi_w, n),
-                index=self.ev_f.split.index,
             )
             self._by_model[model_key] = out
         return out
@@ -450,29 +451,13 @@ def _validate_simplicial(phi: Dict, kx: PLComplex, ky: PLComplex,
             raise ValueError(f"vertex map is not simplicial at {sorted(map(str, s))}")
 
 
-def _pullback_sign(simplex, phi: Dict) -> int:
-    """Sign of the permutation sorting the images of the sorted vertices."""
-    images = [phi[v] for v in sorted(simplex, key=vkey)]
-    order = sorted(range(len(images)), key=lambda i: vkey(images[i]))
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class CochainPullback:
     """Per-sample matrices of the contravariant morphism induced by a
     simplicial value-preserving map: pull cocycle representatives back
-    along the map and express them in the domain's basis."""
+    along the map and express them in the domain's basis.  Two arrays over
+    the domain's ids, built once, carry the map: the codomain id of each
+    simplex's image (-1 if degenerate) and the sign of the permutation
+    sorting the image's vertices, (-1) to the number of inversions."""
 
     def __init__(self, ev_y: FunctorEvaluator, ev_x: FunctorEvaluator,
                  phi: Dict, max_degree: int):
@@ -480,31 +465,28 @@ class CochainPullback:
             raise ValueError("evaluators over different coordinate tables")
         self.ev_y = ev_y
         self.ev_x = ev_x
-        self.phi = phi
         self.max_degree = max_degree
-        self.p = ev_x.p
+        cells, target = ev_x.split.index.cells, ev_y.split.index.id
+        self.image = np.full(len(cells), -1, dtype=np.intp)
+        self.sign = np.ones(len(cells), dtype=np.int64)
+        for i, s in enumerate(cells):
+            keys = [vkey(phi[v]) for v in sorted(s, key=vkey)]
+            if len(set(keys)) == len(s):
+                self.image[i] = target[frozenset(phi[v] for v in s)]
+                self.sign[i] = (-1) ** sum(x > y for j, x in enumerate(keys) for y in keys[j + 1:])
         self._by_model: Dict[tuple, Mat] = {}
 
     def at(self, key: Key) -> Mat:
-        d_dst, n, dst = point_data(self.ev_x, key, self.max_degree)
+        d_dst, _, dst = point_data(self.ev_x, key, self.max_degree)
         d_src, _, src = point_data(self.ev_y, key, self.max_degree)
         if d_dst == 0 or d_src == 0:
-            return Mat.zeros(d_dst, d_src, self.p)
-        model_key = (n, frozenset(src.cells), frozenset(dst.cells), id(src.reps))
+            return Mat.zeros(d_dst, d_src, self.ev_x.p)
+        # the evaluators cache one basis per pair of subcomplexes
+        model_key = (id(src), id(dst))
         out = self._by_model.get(model_key)
         if out is None:
-            src_index = {s: i for i, s in enumerate(src.cells)}
-            pulled = Mat.zeros(len(dst.cells), src.dim, self.p)
-            for i, s in enumerate(dst.cells):
-                image = frozenset(self.phi[v] for v in s)
-                if len(image) < len(s):
-                    continue
-                j = src_index.get(image)
-                if j is not None:
-                    sign = _pullback_sign(s, self.phi)
-                    row = src.reps.data[j].astype(np.int64)
-                    pulled.data[i] = (sign * row) % self.p
-            out = dst.express(pulled)
+            pulled = take_rows(src.ids, src.reps.data, self.image[dst.ids])
+            out = dst.express(Mat(self.sign[dst.ids, None] * pulled, dst.p))
             self._by_model[model_key] = out
         return out
 

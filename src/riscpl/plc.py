@@ -7,11 +7,11 @@ modeled by the full subcomplex on the vertices strictly inside.
 Each split complex carries one SimplexIndex, built on first use: integer
 simplex ids in (dimension, skey) order, per dimension the vertex positions
 and face ids of every simplex, and per function every vertex's rank among
-the distinct values.  An open model is then a vertex mask read off value
-ranks, and a relative cochain complex is a row/column selection of the
-face arrays.  Cohomology of relative cochain complexes, inclusion-induced
-maps, and Mayer-Vietoris connecting maps all work over GF(p) via
-field_linalg.
+the distinct values.  Every subcomplex is a Subcomplex, the sorted ids of
+its simplices in that index: an open model is read off a vertex mask of
+value ranks, and a relative cochain complex selects rows and columns of
+the face arrays.  Cohomology of relative cochain complexes, induced maps,
+and Mayer-Vietoris connecting maps all work over GF(p) via field_linalg.
 """
 
 from __future__ import annotations
@@ -167,7 +167,9 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
     bucketed by level up front and cofaces found through a vertex-star
     index, so no full rescan per level is needed.  If a trace list is
     given, each created vertex is appended as (id, endpoint_a, endpoint_b,
-    level) in creation order."""
+    level) in creation order.  Raises ValueError when a created vertex's
+    id is already taken: by a user id of the form lo~hi@level, or by the
+    split of another edge whose end ids print alike, such as 1 and "1"."""
     funcs = list(range(k.nfuncs)) if funcs is None else list(funcs)
     if isinstance(levels, LevelGrid):
         levels = levels.levels
@@ -209,6 +211,8 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
                 fa, fb = values[a][func], values[b][func]
                 t = (s - fa) / (fb - fa)
                 x = _fresh_vid(a, b, s)
+                if x in values:
+                    raise ValueError(f"split vertex id {x!r} is already a vertex id")
                 if trace is not None:
                     trace.append((x, a, b, s))
                 values[x] = tuple(
@@ -244,6 +248,61 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
 # the simplex index
 
 
+def locate(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Position of every cell id within the sorted ids, -1 where absent."""
+    if not len(ids):
+        return np.full(np.shape(cells), -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(ids, cells), len(ids) - 1)
+    return np.where(ids[at] == cells, at, -1)
+
+
+def take_rows(cells: np.ndarray, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The rows of x, one per sorted cell id, at the given ids: a zero row
+    where an id is not among the cells."""
+    at = locate(cells, ids)
+    out = np.zeros((len(ids), x.shape[1]), dtype=np.int64)
+    out[at >= 0] = x[at[at >= 0]]
+    return out
+
+
+class Subcomplex:
+    """A subcomplex of one split complex: the sorted ids of its simplices in
+    that complex's SimplexIndex.  It hashes and compares by its id bytes and
+    offers len, <=, & and | as a set of its simplices would; subcomplexes of
+    different indexes are never compared."""
+
+    __slots__ = ("_bytes",)
+
+    def __init__(self, ids: np.ndarray):
+        self._bytes = np.asarray(ids, dtype=np.intp).tobytes()
+
+    @property
+    def ids(self) -> np.ndarray:
+        return np.frombuffer(self._bytes, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self._bytes) // np.dtype(np.intp).itemsize
+
+    def __hash__(self) -> int:
+        return hash(self._bytes)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subcomplex) and self._bytes == other._bytes
+
+    def __le__(self, other: "Subcomplex") -> bool:
+        return bool((locate(other.ids, self.ids) >= 0).all())
+
+    def __and__(self, other: "Subcomplex") -> "Subcomplex":
+        return Subcomplex(self.ids[locate(other.ids, self.ids) >= 0])
+
+    def __or__(self, other: "Subcomplex") -> "Subcomplex":
+        return Subcomplex(np.sort(np.concatenate([self.ids, other.minus(self)]), kind="stable"))
+
+    def minus(self, other: "Subcomplex") -> np.ndarray:
+        """The sorted ids of the cells of the relative pair (self, other)."""
+        return self.ids[locate(other.ids, self.ids) < 0]
+
+
 class SimplexIndex:
     """Integer ids for the simplices of one complex, in (dimension, skey)
     order, so that the order restricted to any set of cells is the order in
@@ -251,12 +310,13 @@ class SimplexIndex:
 
     verts[d] holds, for every d-simplex in id order, the positions of its
     vertices in vkey order, ascending; faces[d] (d >= 1) holds the ids of
-    its faces, face i dropping vertex i with sign (-1)^i.  When vertex
-    values are given, levels[f] lists the distinct values of function f in
-    increasing order and ranks[f] holds every vertex's rank among them."""
+    its faces, face i dropping vertex i with sign (-1)^i.  levels[f] lists
+    the distinct values of function f in increasing order and ranks[f]
+    holds every vertex's rank among them.  cells and id map ids to simplex
+    objects and back."""
 
     def __init__(self, simplices: Iterable[Simplex],
-                 values: Optional[Dict[Vid, Tuple[Fraction, ...]]] = None):
+                 values: Dict[Vid, Tuple[Fraction, ...]]):
         order = sorted({v for s in simplices for v in s}, key=vkey)
         pos = {v: i for i, v in enumerate(order)}
         keyed = sorted(((len(s) - 1, tuple(sorted(pos[v] for v in s)), s) for s in simplices),
@@ -275,19 +335,17 @@ class SimplexIndex:
                 dtype=np.intp).reshape(-1, d + 1))
         self.levels: List[List[Fraction]] = []
         self.ranks: List[np.ndarray] = []
-        for f in range(len(values[order[0]]) if values and order else 0):
+        for f in range(len(values[order[0]]) if order else 0):
             col = [values[v][f] for v in order]
             levels = sorted(set(col))
             rank = {x: i for i, x in enumerate(levels)}
             self.levels.append(levels)
             self.ranks.append(np.array([rank[x] for x in col], dtype=np.intp))
 
-    def ids(self, cells: Sequence[Simplex]) -> np.ndarray:
-        return np.fromiter(map(self.id.__getitem__, cells), dtype=np.intp, count=len(cells))
-
-    def relative(self, a: Iterable[Simplex], b: Iterable[Simplex]) -> np.ndarray:
-        """Sorted ids of the simplices of a not in b."""
-        return np.sort(self.ids(frozenset(a).difference(b)))
+    def subcomplex(self, simplices: Iterable[Simplex]) -> Subcomplex:
+        """The subcomplex of the given simplex objects of this complex."""
+        return Subcomplex(np.unique(np.fromiter(map(self.id.__getitem__, simplices),
+                                                dtype=np.intp)))
 
     def of_dim(self, ids: np.ndarray, n: int) -> np.ndarray:
         """The ids of dimension n among sorted ids."""
@@ -296,12 +354,6 @@ class SimplexIndex:
         lo, hi = np.searchsorted(ids, self.start[n:n + 2])
         return ids[lo:hi]
 
-    def positions(self, ids: np.ndarray) -> np.ndarray:
-        """Position of every simplex id within ids, -1 where absent."""
-        out = np.full(len(self.cells), -1, dtype=np.intp)
-        out[ids] = np.arange(len(ids))
-        return out
-
     def coboundary(self, rel: np.ndarray, n: int, p: int) -> Mat:
         """delta: C^n -> C^{n+1} of the relative cochain complex on the
         sorted ids rel: the rows are its (n+1)-cells, the columns its
@@ -309,7 +361,7 @@ class SimplexIndex:
         rows, cols = self.of_dim(rel, n + 1), self.of_dim(rel, n)
         out = np.zeros((len(rows), len(cols)), dtype=np.int64)
         if len(rows) and len(cols):
-            at = self.positions(cols)[self.faces[n + 1][rows - self.start[n + 1]]]
+            at = locate(cols, self.faces[n + 1][rows - self.start[n + 1]])
             hit = at >= 0
             sign = np.where(np.arange(n + 2) % 2, p - 1, 1)
             out[np.nonzero(hit)[0], at[hit]] = np.broadcast_to(sign, at.shape)[hit]
@@ -320,25 +372,25 @@ class SimplexIndex:
 # open models
 
 
-def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> FrozenSet[Simplex]:
+def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> Subcomplex:
     """Full subcomplex spanned by the vertices with value strictly inside u.
 
     Each interval of u is bisected on the distinct values of the function,
     which turns it into a range of value ranks; a vertex is inside when its
     rank falls in one of the ranges, and a simplex when all its vertices
-    are.  The result holds the index's own simplex objects.  Correct as a
-    homotopy model of the preimage whenever the complex has been split at
-    all endpoint levels of u."""
+    are; their ids are read straight off the mask.  Correct as a homotopy
+    model of the preimage whenever the complex has been split at all
+    endpoint levels of u."""
     ix = k.index
     if not ix.verts:
-        return frozenset()
+        return ix.subcomplex(())
     levels = ix.levels[func]
     keep = np.zeros(len(levels), dtype=bool)
     for lo, hi in u.intervals:
         keep[0 if lo is NEG_INF else bisect.bisect_right(levels, lo):
              len(levels) if hi is INF else bisect.bisect_left(levels, hi)] = True
     inside = keep[ix.ranks[func]]
-    return frozenset(ix.cells[np.concatenate([inside[v].all(axis=1) for v in ix.verts])])
+    return Subcomplex(np.flatnonzero(np.concatenate([inside[v].all(axis=1) for v in ix.verts])))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +404,7 @@ class CohomBasis:
 
     degree: int
     p: int
-    cells: List[Simplex]          # the n-simplices of A minus B, in order
+    ids: np.ndarray               # sorted ids of the n-simplices of A minus B
     reps: Mat                     # columns: representative cocycles
     coboundaries: Mat             # columns spanning the image of delta^{n-1}
     delta: Mat                    # delta^n, for cocycle checks
@@ -374,47 +426,30 @@ class CohomBasis:
         return Mat(c.data[: self.dim], self.p)
 
 
-def relative_cohomology(a: Set[Simplex], b: Set[Simplex], n: int, p: int = 2,
-                        index: Optional[SimplexIndex] = None) -> CohomBasis:
-    """Basis of degree-n cohomology of the pair (A, B), with B a subcomplex
-    of A; cochains live on the simplices of A not in B.
-
-    The cells of A minus B become their ids in the given index (by default
-    an index of A itself), and both coboundaries are the rows and columns
-    of those ids selected from the index's face arrays, so nothing is
-    sorted per call."""
-    ix = SimplexIndex(a) if index is None else index
-    rel = ix.relative(a, b)
-    d_n = ix.coboundary(rel, n, p)
-    d_nm1 = ix.coboundary(rel, n - 1, p)
-    cells = ix.cells[ix.of_dim(rel, n)].tolist()
+def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
+                        index: SimplexIndex) -> CohomBasis:
+    """Basis of degree-n cohomology of the pair (A, B) of subcomplexes of
+    the complex with the given index, B inside A; cochains live on the ids
+    of A not in B, and both coboundaries select their rows and columns of
+    the index's face arrays, so nothing is sorted per call."""
+    rel = a.minus(b)
+    d_n = index.coboundary(rel, n, p)
+    d_nm1 = index.coboundary(rel, n - 1, p)
+    ids = index.of_dim(rel, n)
     cocycles = kernel_basis(d_n)
     own, chosen = independent_split(d_nm1, cocycles)
     d_nm1 = Mat(d_nm1.data[:, own], p)
-    if chosen:
-        reps = Mat.hstack([cocycles.column(j) for j in chosen])
-    else:
-        reps = Mat.zeros(len(cells), 0, p)
-    return CohomBasis(n, p, cells, reps, d_nm1, d_n)
-
-
-def restrict_cochains(cochains: Mat, src_cells: List[Simplex], dst_cells: List[Simplex], p: int) -> Mat:
-    src_index = {s: i for i, s in enumerate(src_cells)}
-    out = Mat.zeros(len(dst_cells), cochains.cols, p)
-    for i, s in enumerate(dst_cells):
-        j = src_index.get(s)
-        if j is not None:
-            out.data[i] = cochains.data[j]
-    return out
+    reps = Mat.hstack([Mat.zeros(len(ids), 0, p)] + [cocycles.column(j) for j in chosen])
+    return CohomBasis(n, p, ids, reps, d_nm1, d_n)
 
 
 def induced_map(src: CohomBasis, dst: CohomBasis) -> Mat:
     """Matrix of the map H^n(A,B) -> H^n(A',B') induced by an inclusion of
-    pairs (A',B') into (A,B): restrict representatives, express in the target
-    basis."""
+    pairs (A',B') into (A,B): restrict representatives to the target cells,
+    express in the target basis."""
     if src.degree != dst.degree or src.p != dst.p:
         raise ValueError("degree/field mismatch")
-    return dst.express(restrict_cochains(src.reps, src.cells, dst.cells, src.p))
+    return dst.express(Mat(take_rows(src.ids, src.reps.data, dst.ids), src.p))
 
 
 def _check_triad(aw, a1, a2, au):
@@ -422,19 +457,18 @@ def _check_triad(aw, a1, a2, au):
         raise ValueError("triad union/intersection conditions violated")
 
 
-def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int = 2,
+def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
+                  index: SimplexIndex,
                   src: Optional[CohomBasis] = None,
-                  dst: Optional[CohomBasis] = None,
-                  index: Optional[SimplexIndex] = None) -> Mat:
+                  dst: Optional[CohomBasis] = None) -> Mat:
     """Connecting map H^n(A_u, B_u) -> H^{n+1}(A_w, B_w) of the relative
     Mayer-Vietoris sequence of an excisive triad (componentwise union at w,
-    intersection at u).
+    intersection at u) of subcomplexes of the complex with the given index.
 
     The construction is the cochain snake: lift a relative cocycle z on the
     intersection through the surjection (c1, c2) |-> c1|_u - c2|_u, apply
     delta, and glue the two coboundaries to the unique relative cochain on
-    the union.  All columns go at once, as row/column selections through
-    the given index (by default an index of A_w)."""
+    the union.  All columns go at once, as row selections by id."""
     aw, bw = pair_w
     a1, b1 = pair_1
     a2, b2 = pair_2
@@ -442,38 +476,25 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int = 2,
     _check_triad(aw, a1, a2, au)
     _check_triad(bw, b1, b2, bu)
 
-    ix = SimplexIndex(aw) if index is None else index
     if src is None:
-        src = relative_cohomology(au, bu, n, p, ix)
+        src = relative_cohomology(au, bu, n, p, index)
     if dst is None:
-        dst = relative_cohomology(aw, bw, n + 1, p, ix)
+        dst = relative_cohomology(aw, bw, n + 1, p, index)
 
-    rel1, rel2 = ix.relative(a1, b1), ix.relative(a2, b2)
-    d1, d2 = ix.coboundary(rel1, n, p), ix.coboundary(rel2, n, p)
+    rel1, rel2 = a1.minus(b1), a2.minus(b2)
+    cells1, cells2 = index.of_dim(rel1, n), index.of_dim(rel2, n)
+    rows1, rows2 = index.of_dim(rel1, n + 1), index.of_dim(rel2, n + 1)
     z = src.reps.data.astype(np.int64)
-    src_ids = ix.ids(src.cells)
-    at1 = ix.positions(ix.of_dim(rel1, n))[src_ids]
-    at2 = ix.positions(ix.of_dim(rel2, n))[src_ids]
-    on1, on2 = at1 >= 0, (at1 < 0) & (at2 >= 0)
-    if z[~(on1 | on2)].any():
+    on1 = (locate(cells1, src.ids) >= 0)[:, None]
+    if z[~on1[:, 0] & (locate(cells2, src.ids) < 0)].any():
         raise AssertionError("intersection cell missing from both sides")
-    c1 = np.zeros((d1.cols, src.dim), dtype=np.int64)
-    c2 = np.zeros((d2.cols, src.dim), dtype=np.int64)
-    c1[at1[on1]] = z[on1]
-    c2[at2[on2]] = -z[on2]
-    dc1 = (d1 @ Mat(c1, p)).data
-    dc2 = (d2 @ Mat(c2, p)).data
-
-    dst_ids = ix.ids(dst.cells)
-    rows1 = ix.positions(ix.of_dim(rel1, n + 1))
-    rows2 = ix.of_dim(rel2, n + 1)
-    at1, at2 = rows1[dst_ids], ix.positions(rows2)[dst_ids]
-    gamma = np.zeros((len(dst.cells), src.dim), dtype=np.int64)
-    on1, on2 = at1 >= 0, (at1 < 0) & (at2 >= 0)
-    gamma[on1] = dc1[at1[on1]]
-    gamma[on2] = dc2[at2[on2]]
-    # consistency on the overlap
-    shared = rows1[rows2]
-    assert np.array_equal(dc1[shared[shared >= 0]], dc2[shared >= 0]), \
+    c1 = take_rows(src.ids, z, cells1)
+    c2 = take_rows(src.ids, np.where(on1, 0, -z), cells2)
+    dc1 = (index.coboundary(rel1, n, p) @ Mat(c1, p)).data
+    dc2 = (index.coboundary(rel2, n, p) @ Mat(c2, p)).data
+    shared = rows2[locate(rows1, rows2) >= 0]
+    assert np.array_equal(take_rows(rows1, dc1, shared), take_rows(rows2, dc2, shared)), \
         "snake glueing inconsistency"
+    in1 = (locate(rows1, dst.ids) >= 0)[:, None]
+    gamma = np.where(in1, take_rows(rows1, dc1, dst.ids), take_rows(rows2, dc2, dst.ids))
     return dst.express(Mat(gamma, p))

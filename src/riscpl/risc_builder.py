@@ -38,6 +38,7 @@ from .plc import (
     CohomBasis,
     LevelGrid,
     PLComplex,
+    Subcomplex,
     induced_map,
     mv_connecting,
     open_model,
@@ -101,21 +102,21 @@ class FunctorEvaluator:
         self.table = table
         self.func = func
         self.p = p
-        self._models: Dict[RealOpenSet, frozenset] = {}
+        self._models: Dict[RealOpenSet, Subcomplex] = {}
         # point data by max degree, then by key
         self._points: Dict[int, Dict[Key, tuple]] = defaultdict(dict)
         self._bases: Dict[tuple, CohomBasis] = {}
         self._induced: Dict[tuple, Mat] = {}
         self._connecting: Dict[tuple, Mat] = {}
 
-    def model(self, u: RealOpenSet) -> frozenset:
+    def model(self, u: RealOpenSet) -> Subcomplex:
         out = self._models.get(u)
         if out is None:
             out = open_model(self.split, u, self.func)
             self._models[u] = out
         return out
 
-    def pair_at(self, w: Key) -> Tuple[frozenset, frozenset]:
+    def pair_at(self, w: Key) -> Tuple[Subcomplex, Subcomplex]:
         """Open models of the pair attached to a point of the fundamental
         band."""
         rho1, rho0 = rho(self.table.point(w))
@@ -123,7 +124,7 @@ class FunctorEvaluator:
         b = self.model(rho0.intersect(rho1))
         return a, b
 
-    def basis(self, a: frozenset, b: frozenset, n: int) -> CohomBasis:
+    def basis(self, a: Subcomplex, b: Subcomplex, n: int) -> CohomBasis:
         key = (n, a, b)
         out = self._bases.get(key)
         if out is None:
@@ -157,9 +158,8 @@ class FunctorEvaluator:
         out = self._connecting.get(key)
         if out is None:
             out = mv_connecting(
-                pw, p1, p2, pu, n, self.p,
+                pw, p1, p2, pu, n, self.p, self.split.index,
                 src=self.basis(*pu, n), dst=self.basis(*pw, n + 1),
-                index=self.split.index,
             )
             self._connecting[key] = out
         return out
@@ -289,7 +289,7 @@ def fiber_dimension_check(r: RiscResult, t) -> Optional[tuple]:
     lo = max((v for v in r.grid.critical if v < t), default=None)
     hi = min((v for v in r.grid.critical if v > t), default=None)
     u = RealOpenSet.make([(NEG_INF if lo is None else lo, INF if hi is None else hi)])
-    fiber = open_model(r.split, u, r.func)
+    fiber, empty = open_model(r.split, u, r.func), r.split.index.subcomplex(())
     top = r.split.dim()
     for n in range(top + 2):
         counted = sum(
@@ -298,7 +298,7 @@ def fiber_dimension_check(r: RiscResult, t) -> Optional[tuple]:
             if d.interval[0] == n and d.interval[1] is not None
             and d.interval[1].contains(t)
         )
-        want = relative_cohomology(fiber, set(), n, r.module.p, r.split.index).dim
+        want = relative_cohomology(fiber, empty, n, r.module.p, r.split.index).dim
         if counted != want:
             return (t, n, counted, want)
     return None

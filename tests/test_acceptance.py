@@ -346,8 +346,8 @@ def test_criterion_10_splitting_soundness(capsys):
         for t in list(grid.regular)[:3]:
             u = RealOpenSet.make([(t - F(1, 2), t + F(1, 2))])
             model = open_model(ks, u)
-            verts = {v for s in model for v in s}
-            full = frozenset(s for s in ks.simplices if s <= verts)
+            verts = {v for s in ks.index.cells[model.ids] for v in s}
+            full = ks.index.subcomplex(s for s in ks.simplices if s <= verts)
             ok = ok and model == full
     with capsys.disabled():
         report(10, "splitting preserves topology; models are full subcomplexes",

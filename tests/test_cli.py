@@ -202,6 +202,69 @@ def test_field_three_is_accepted(capsys, tmp_path):
     assert json.loads((tmp_path / "dgm.json").read_text())["field"] == 3
 
 
+def assert_cli_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Complexes on which a created split vertex would take an existing id: a
+# user vertex named like the first split of the edge a-b, and two edges
+# whose end ids 1 and "1" print alike.
+COLLIDING = {
+    "user-id": {
+        "vertices": [{"id": "a", "value": 0}, {"id": "b", "value": 1},
+                     {"id": "a~b@1/4", "value": 5}],
+        "simplices": [["a", "b"], ["a~b@1/4"]],
+    },
+    "int-and-string": {
+        "vertices": [{"id": 1, "value": 0}, {"id": "1", "value": 0},
+                     {"id": "b", "value": 1}],
+        "simplices": [[1, "b"], ["1", "b"]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLIDING))
+def test_rejects_split_id_collision(capsys, tmp_path, case):
+    path = write_json(tmp_path / "bad.json", COLLIDING[case])
+    assert_cli_error(capsys, "barcode", path)
+
+
+FLAG_INPUTS = {
+    "one-value": {
+        "vertices": [{"id": 1, "value": "0"}, {"id": 2, "value": "1"}],
+        "simplices": [[1, 2]],
+    },
+    "two-values": {
+        "vertices": [{"id": 1, "value": ["0", "0"]}, {"id": 2, "value": ["1", "2"]}],
+        "simplices": [[1, 2]],
+    },
+    "module": {"field": 2, "xs": [], "ys": [], "dims": [], "maps": []},
+}
+
+
+@pytest.mark.parametrize("doc,argv", [
+    ("one-value", ["dgm", "--func", "3"]),
+    ("one-value", ["dgm", "--func", "-1"]),
+    ("one-value", ["barcode", "--func", "1"]),
+    ("one-value", ["check", "--func", "-1"]),
+    ("two-values", ["interleave", "--g", "5"]),
+    ("two-values", ["interleave", "--f", "-1"]),
+    ("one-value", ["dgm", "--field", "0"]),
+    ("one-value", ["barcode", "--field", "4"]),
+    ("one-value", ["check", "--field", "1"]),
+    ("two-values", ["interleave", "--field", "0"]),
+    ("module", ["check", "--module", "--field", "0"]),
+    ("module", ["check", "--module", "--field", "3"]),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_rejects_bad_function_index_and_field_flag(capsys, tmp_path, doc, argv):
+    path = write_json(tmp_path / "input.json", FLAG_INPUTS[doc])
+    assert_cli_error(capsys, argv[0], path, *argv[1:])
+
+
 # Arbitrary JSON, and documents shaped like complex files with arbitrary
 # parts, for the loader fuzz test.
 _scalars = (st.none() | st.booleans() | st.integers()

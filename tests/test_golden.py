@@ -3,7 +3,10 @@
 A change to the exact pipeline that alters a module dump, a barcode or a
 plot, over GF(2) or GF(3), shows up here.  The real projective plane adds a
 case with torsion, where the two fields give different diagrams and every
-orientation sign counts.
+orientation sign counts.  The per-sample matrices of the stability
+transformation and of the morphisms induced by simplicial maps are pinned
+the same way; an orientation-reversing fold makes the pullback's signs
+count over GF(3).
 """
 
 import hashlib
@@ -14,7 +17,13 @@ from collections import Counter
 import pytest
 
 from riscpl.cli import complex_json, main
-from riscpl.interleave import build_transformation, distance_pair, joint_context
+from riscpl.interleave import (
+    build_transformation,
+    distance_pair,
+    induced_morphism,
+    joint_context,
+    precomposition_check,
+)
 
 from oracle_ext_persistence import extended_persistence
 
@@ -143,7 +152,11 @@ def transformation_dump(k, field) -> bytes:
     """Canonical bytes of build_transformation's per-sample matrices."""
     a = distance_pair(k)
     ctx = joint_context(k, [0, 1], shifts=[a.a1, a.a2], p=field)
-    md = build_transformation(ctx)
+    return morphism_dump(build_transformation(ctx))
+
+
+def morphism_dump(md) -> bytes:
+    """Canonical bytes of a morphism's per-sample matrices."""
     rows = [[list(idx), m.rows, m.cols, m.data.tolist()]
             for idx, m in sorted(md.per_sample.items())]
     return json.dumps(rows, separators=(",", ":")).encode()
@@ -165,3 +178,52 @@ def test_interleaving_morphism_is_pinned(tmp_path, case, field):
     assert (got_report, got_morphism) == INTERLEAVE_GOLDEN[(case, field)]
     if case == "hood":
         assert report["ok"] and report["delta"] == "1" and "witness" in report
+
+
+# The contravariant morphisms induced by simplicial maps: per-sample
+# matrices of `induced_morphism` over GF(2) and GF(3) for the triangle fold
+# (which reverses the orientation of the edge 2-3, so the pullback sign
+# shows over GF(3)), the edge collapse and the cone retract.
+PULLBACK_GOLDEN = {
+    ("fold", 2): "1aee10b8ef08d447c5166c5f3b7f15b45d6556ff9fa12edf218e58dab0fc871e",
+    ("fold", 3): "72474d821b72b1bffb736902734a1276d5dfe2aea30fb52da63ff3c5f6193ef2",
+    ("collapse", 2): "dc670b89f0652e7ef4aac6dc9024a089cee0c8e704965ef12da5e1d0c4409d87",
+    ("collapse", 3): "dc670b89f0652e7ef4aac6dc9024a089cee0c8e704965ef12da5e1d0c4409d87",
+    ("retract", 2): "11ab66ad185955035b53bb53921338086a41af9b199a420560c399817ba45f58",
+    ("retract", 3): "11ab66ad185955035b53bb53921338086a41af9b199a420560c399817ba45f58",
+}
+
+
+def pullback_case(case):
+    from test_interleave import complex_of
+
+    from test_oracles import HOOD_F, HOOD_SIMPLICES
+
+    if case == "fold":
+        return (complex_of({1: (0,), 2: (1,)}, [{1, 2}]),
+                complex_of({1: (0,), 2: (1,), 3: (0,)}, [{1, 2, 3}]),
+                {1: 1, 2: 2, 3: 1})
+    if case == "collapse":
+        return (complex_of({1: (0,)}, [{1}]),
+                complex_of({1: (0,), 2: (0,)}, [{1, 2}]),
+                {1: 1, 2: 1})
+    return (complex_of({1: (0,), 2: (1,), 5: (2,)}, [{1, 2, 5}]),
+            complex_of({v: (HOOD_F[v],) for v in HOOD_F}, HOOD_SIMPLICES),
+            {1: 1, 2: 2, 3: 1, 4: 5, 5: 5})
+
+
+@pytest.mark.parametrize("case,field", [(c, f) for c in ("fold", "collapse", "retract")
+                                        for f in (2, 3)])
+def test_induced_morphism_is_pinned(case, field):
+    ky, kx, phi = pullback_case(case)
+    md = induced_morphism(ky, kx, phi, p=field)
+    assert hashlib.sha256(morphism_dump(md)).hexdigest() == PULLBACK_GOLDEN[(case, field)]
+
+
+def test_precomposition_with_fold_over_gf3():
+    # both functions pulled back along the orientation-reversing fold
+    from test_interleave import complex_of
+
+    ky = complex_of({1: (0, 0), 2: (1, 2)}, [{1, 2}], nfuncs=2)
+    kx = complex_of({1: (0, 0), 2: (1, 2), 3: (0, 0)}, [{1, 2, 3}], nfuncs=2)
+    assert precomposition_check(ky, kx, {1: 1, 2: 2, 3: 1}, p=3) is None

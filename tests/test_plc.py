@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -138,16 +139,29 @@ def test_split_cap():
 # open models
 
 
+def whole(k):
+    return k.index.subcomplex(k.simplices)
+
+
+def nothing(k):
+    return k.index.subcomplex(())
+
+
+def simplices(k, model):
+    return set(k.index.cells[model.ids])
+
+
 def test_open_model_trivial():
     k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()))
-    assert open_model(k, RealOpenSet.whole_line()) == frozenset(k.simplices)
-    assert open_model(k, RealOpenSet.empty()) == frozenset()
+    assert open_model(k, RealOpenSet.whole_line()) == whole(k)
+    assert open_model(k, RealOpenSet.empty()) == nothing(k)
+    assert len(whole(k)) == len(k.simplices) and len(nothing(k)) == 0
 
 
 def test_open_model_hood_sublevel():
     k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()))
     sub = open_model(k, RealOpenSet.make([(NEG_INF, F(1, 2))]))
-    assert betti_numbers(sub) == [2]
+    assert betti_numbers(simplices(k, sub)) == [2]
 
 
 def test_open_model_boolean_compat():
@@ -178,29 +192,29 @@ def test_open_model_boolean_compat():
 
 def test_relative_cohomology_examples():
     pt = PLComplex.from_maximal({1: (0,)}, [{1}])
-    h = relative_cohomology(pt.simplices, set(), 0)
+    h = relative_cohomology(whole(pt), nothing(pt), 0, 2, pt.index)
     assert h.dim == 1
 
     path = PLComplex.from_maximal({"a": (0,), "x": (1,), "b": (2,)}, [{"a", "x"}, {"x", "b"}])
-    ends = {frozenset({"a"}), frozenset({"b"})}
-    assert relative_cohomology(path.simplices, ends, 1).dim == 1
-    assert relative_cohomology(path.simplices, ends, 0).dim == 0
+    ends = path.index.subcomplex({frozenset({"a"}), frozenset({"b"})})
+    assert relative_cohomology(whole(path), ends, 1, 2, path.index).dim == 1
+    assert relative_cohomology(whole(path), ends, 0, 2, path.index).dim == 0
 
     c = circle()
-    assert relative_cohomology(c.simplices, set(), 1).dim == 1
-    assert relative_cohomology(c.simplices, set(), 0).dim == 1
+    assert relative_cohomology(whole(c), nothing(c), 1, 2, c.index).dim == 1
+    assert relative_cohomology(whole(c), nothing(c), 0, 2, c.index).dim == 1
 
 
 def test_induced_map_identity_and_cone():
     c = circle()
-    h = relative_cohomology(c.simplices, set(), 1)
+    h = relative_cohomology(whole(c), nothing(c), 1, 2, c.index)
     assert induced_map(h, h) == Mat.eye(h.dim)
 
     cone = PLComplex.from_maximal(
         {1: (0,), 2: (1,), 3: (2,), 4: (1,), 5: (2,)},
         [{5, 1, 2}, {5, 2, 3}, {5, 3, 4}, {5, 4, 1}],
     )
-    hc = relative_cohomology(cone.simplices, set(), 1)
+    hc = relative_cohomology(whole(cone), nothing(cone), 1, 2, cone.index)
     assert hc.dim == 0
     m = induced_map(hc, h)
     assert m.rows == 1 and m.cols == 0
@@ -219,11 +233,11 @@ def test_induced_map_functorial_random():
         u_mid = RealOpenSet.make([(NEG_INF, cuts[1])])
         a0 = open_model(ks, u_small)
         a1 = open_model(ks, u_mid)
-        a2 = frozenset(ks.simplices)
+        a2 = whole(ks)
         for n in (0, 1):
-            h0 = relative_cohomology(a0, set(), n)
-            h1 = relative_cohomology(a1, set(), n)
-            h2 = relative_cohomology(a2, set(), n)
+            h0 = relative_cohomology(a0, nothing(ks), n, 2, ks.index)
+            h1 = relative_cohomology(a1, nothing(ks), n, 2, ks.index)
+            h2 = relative_cohomology(a2, nothing(ks), n, 2, ks.index)
             assert induced_map(h2, h0) == induced_map(h1, h0) @ induced_map(h2, h1)
 
 
@@ -235,20 +249,21 @@ def vstack(a, b):
     return Mat(np.vstack([a.data, b.data]), a.p)
 
 
-def les_exact(pair_w, pair_1, pair_2, pair_u, top, p=2):
+def les_exact(pair_w, pair_1, pair_2, pair_u, top, ix, p=2):
     """Check exactness of the Mayer-Vietoris long exact sequence of the triad
-    at every term up to degree top."""
+    of subcomplexes of the complex with index ix at every term up to degree
+    top."""
     terms = []  # (dim, outgoing map) alternating w, sum, u per degree
     maps = []
     prev_delta_rank = 0
     for n in range(top + 2):
-        hw = relative_cohomology(*pair_w, n, p)
-        h1 = relative_cohomology(*pair_1, n, p)
-        h2 = relative_cohomology(*pair_2, n, p)
-        hu = relative_cohomology(*pair_u, n, p)
+        hw = relative_cohomology(*pair_w, n, p, ix)
+        h1 = relative_cohomology(*pair_1, n, p, ix)
+        h2 = relative_cohomology(*pair_2, n, p, ix)
+        hu = relative_cohomology(*pair_u, n, p, ix)
         restrict = vstack(induced_map(hw, h1), induced_map(hw, h2))
         diff = Mat.hstack([induced_map(h1, hu), -induced_map(h2, hu)])
-        delta = mv_connecting(pair_w, pair_1, pair_2, pair_u, n, p, src=hu)
+        delta = mv_connecting(pair_w, pair_1, pair_2, pair_u, n, p, ix, src=hu)
         # exactness at H^n(w): image of previous delta = kernel of restrict
         assert prev_delta_rank == hw.dim - rank(restrict)
         # exactness at the sum term
@@ -263,22 +278,23 @@ def les_exact(pair_w, pair_1, pair_2, pair_u, top, p=2):
 
 def test_mv_degenerate_triad():
     c = circle()
-    pair = (set(c.simplices), set())
-    m = mv_connecting(pair, pair, pair, pair, 0)
+    pair = (whole(c), nothing(c))
+    m = mv_connecting(pair, pair, pair, pair, 0, 2, c.index)
     assert m.is_zero()
 
 
 def test_mv_circle_two_arcs():
     c = circle()
-    top = {frozenset(s) for s in
-           [{2}, {3}, {4}, {2, 3}, {3, 4}]}
-    bot = {frozenset(s) for s in
-           [{4}, {1}, {2}, {4, 1}, {1, 2}]}
-    union = set(c.simplices)
+    ix, none = c.index, nothing(c)
+    top = ix.subcomplex(frozenset(s) for s in
+                        [{2}, {3}, {4}, {2, 3}, {3, 4}])
+    bot = ix.subcomplex(frozenset(s) for s in
+                        [{4}, {1}, {2}, {4, 1}, {1, 2}])
+    union = whole(c)
     inter = top & bot
-    delta = mv_connecting((union, set()), (top, set()), (bot, set()), (inter, set()), 0)
+    delta = mv_connecting((union, none), (top, none), (bot, none), (inter, none), 0, 2, ix)
     assert rank(delta) == 1
-    les_exact((union, set()), (top, set()), (bot, set()), (inter, set()), top=1)
+    les_exact((union, none), (top, none), (bot, none), (inter, none), top=1, ix=ix)
 
 
 def test_mv_random_sublevel_superlevel_triads():
@@ -295,8 +311,9 @@ def test_mv_random_sublevel_superlevel_triads():
         a2 = open_model(ks, RealOpenSet.make([(lo, INF)]))
         union = a1 | a2
         inter = a1 & a2
-        les_exact((union, set()), (a1, set()), (a2, set()), (inter, set()),
-                  top=max(1, ks.dim()))
+        none = nothing(ks)
+        les_exact((union, none), (a1, none), (a2, none), (inter, none),
+                  top=max(1, ks.dim()), ix=ks.index)
         done += 1
 
 
@@ -342,8 +359,8 @@ def test_open_model_matches_vertex_by_vertex_reference():
         for func in range(k.nfuncs):
             for u in random_open_sets(rng, grid):
                 model = open_model(k, u, func)
-                assert model == reference.open_model(k, u, func)
-                assert all(s is k.index.cells[k.index.id[s]] for s in model)
+                assert simplices(k, model) == reference.open_model(k, u, func)
+                assert model == k.index.subcomplex(reference.open_model(k, u, func))
 
 
 def test_coboundaries_match_sorted_reference():
@@ -356,18 +373,17 @@ def test_coboundaries_match_sorted_reference():
             func = rng.randrange(k.nfuncs)
             a = open_model(k, u1, func)
             b = open_model(k, u1.intersect(u0), func)
-            rel = ix.relative(a, b)
+            rel = a.minus(b)
+            assert set(ix.cells[rel]) == simplices(k, a) - simplices(k, b)
             for n in range(-1, k.dim() + 1):
                 for p in (2, 3, 5):
-                    m, rows, cols = reference.coboundary_matrix(a - b, n, p)
+                    m, rows, cols = reference.coboundary_matrix(
+                        simplices(k, a) - simplices(k, b), n, p)
                     assert ix.coboundary(rel, n, p) == m
                     assert ix.cells[ix.of_dim(rel, n + 1)].tolist() == rows
                     assert ix.cells[ix.of_dim(rel, n)].tolist() == cols
                     h = relative_cohomology(a, b, n, p, ix)
-                    assert h.cells == cols and h.delta == m
-                    own = relative_cohomology(a, b, n, p)
-                    assert (own.cells, own.reps, own.coboundaries) == \
-                        (h.cells, h.reps, h.coboundaries)
+                    assert ix.cells[h.ids].tolist() == cols and h.delta == m
 
 
 def test_mv_connecting_index_and_odd_primes():
@@ -384,8 +400,34 @@ def test_mv_connecting_index_and_odd_primes():
         b1 = open_model(k, RealOpenSet.make([(NEG_INF, sub)]))
         b2 = open_model(k, RealOpenSet.make([(sup, INF)]))
         triad = ((a1 | a2, b1 | b2), (a1, b1), (a2, b2), (a1 & a2, b1 & b2))
-        for p in (3, 5):
-            for n in range(k.dim() + 1):
-                assert mv_connecting(*triad, n, p, index=k.index) == \
-                    mv_connecting(*triad, n, p)
-        les_exact(*triad, top=max(1, k.dim()), p=3)
+        les_exact(*triad, top=max(1, k.dim()), ix=k.index, p=3)
+        les_exact(*triad, top=max(1, k.dim()), ix=k.index, p=5)
+
+
+def test_subcomplex_operations_match_frozensets():
+    rng = random.Random(37)
+    for k, grid in random_split_complexes(rng):
+        ix = k.index
+        models = [whole(k), nothing(k)]
+        for func in range(k.nfuncs):
+            models += [open_model(k, u, func) for u in random_open_sets(rng, grid)]
+        sets = [frozenset(ix.cells[m.ids]) for m in models]
+        for m, s in zip(models, sets):
+            assert len(m) == len(s)
+            assert list(m.ids) == sorted(m.ids)
+        for (a, sa), (b, sb) in rng.sample(list(combinations(zip(models, sets), 2)), 60):
+            assert frozenset(ix.cells[(a | b).ids]) == sa | sb
+            assert frozenset(ix.cells[(a & b).ids]) == sa & sb
+            assert (a <= b) == (sa <= sb) and (b <= a) == (sb <= sa)
+            assert (a == b) == (sa == sb) and (a != b) == (sa != sb)
+            if sa == sb:
+                assert hash(a) == hash(b)
+            assert set(ix.cells[a.minus(b)]) == sa - sb
+        # one model reached from two different open sets
+        levels = ix.levels[0]
+        wide = RealOpenSet.make([(levels[0] - 1, levels[-1] + 1)])
+        gap = RealOpenSet.make([(levels[-1], levels[-1] + 1)])
+        for u, v in ((RealOpenSet.whole_line(), wide), (RealOpenSet.empty(), gap)):
+            a, b = open_model(k, u), open_model(k, v)
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1

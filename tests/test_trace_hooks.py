@@ -46,7 +46,8 @@ def test_plc_hooks_on_dgm_hood(tracer, tmp_path):
     m = tracer.metrics()
     for attr in TRACED["plc"]:
         assert m[f"plc.{attr}.calls"] > 0, attr
-    assert m["plc.relative_cohomology.max_cells"] > 0
+    # the size hook reads len(a) - len(b): the simplex count of A minus B
+    assert m["plc.relative_cohomology.max_cells"] == 631
     # cache hits and misses as measured before the simplex index
     assert m["risc_builder.model_hit_ratio"] == 1737 / 1882
     assert m["risc_builder.basis_hit_ratio"] == 772 / 929
@@ -73,3 +74,4 @@ def test_interleave_hooks_on_hood_pair(tracer, tmp_path):
         "induced_map": 27, "mv_connecting": 0}
     assert m["risc_builder.FunctorEvaluator.model.calls"] == 1772
     assert m["risc_builder.FunctorEvaluator.basis.calls"] == 694
+    assert m["plc.relative_cohomology.max_cells"] == 1597
