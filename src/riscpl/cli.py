@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .exact_geometry import Coord, INF, NEG_INF
 from .field_linalg import Mat, check_prime
 from .interleave import interleaving_check
-from .plc import PLComplex
+from .plc import PLComplex, check_funcs
 from .risc_builder import DEFAULT_CAP, barcode, evaluate
 from .strip_module import (
     GridModule,
@@ -100,13 +100,6 @@ def field_of(args, field: int) -> int:
         return field
     check_prime(args.field)
     return args.field
-
-
-def check_funcs(k: PLComplex, *funcs: int) -> None:
-    """Every function index must name one of the vertex value sets."""
-    for func in funcs:
-        if not 0 <= func < k.nfuncs:
-            raise ValueError(f"function index {func} is outside 0..{k.nfuncs - 1}")
 
 
 def load_complex(path) -> Tuple[PLComplex, int]:
@@ -335,14 +328,17 @@ def run_suite(module: GridModule, suite: str) -> dict:
 
 def cmd_check(args) -> int:
     if args.module:
+        if args.func is not None or args.cap is not None:
+            raise ValueError("--func and --cap do not apply to a module dump")
         module, field = load_module(args.input)
         if field_of(args, field) != field:
             raise ValueError(f"--field {args.field} differs from the module's field {field}")
     else:
+        func = 0 if args.func is None else args.func
+        cap = DEFAULT_CAP if args.cap is None else args.cap
         k, field = load_complex(args.input)
-        check_funcs(k, args.func)
-        module = evaluate(k, func=args.func, p=field_of(args, field),
-                          cap=args.cap).module
+        check_funcs(k, func)
+        module = evaluate(k, func=func, p=field_of(args, field), cap=cap).module
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = {"suites": {}, "ok": True}
     for suite in suites:
@@ -582,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p.add_argument("--module", action="store_true",
                    help="treat the input as a grid module dump")
-    p.set_defaults(func_cmd=cmd_check)
+    # None marks a flag not given: a module dump takes neither
+    p.set_defaults(func_cmd=cmd_check, func=None, cap=None)
 
     p = sub.add_parser("interleave", help="verify the interleaving of two functions")
     p.add_argument("input", help="complex file with two values per vertex")

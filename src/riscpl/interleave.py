@@ -11,22 +11,24 @@ the point and its glide-reflection preimage.  On top of this sit the
 interleaving and composition checkers, and the contravariant morphisms
 induced by simplicial maps over the reals.
 
-All of this runs on the integer coordinate table of the joint sample grid
-(`exact_geometry.CoordTable`), shared by the evaluators of a context: a
-sample, its glide-reflection translates and its shifts by alpha and omega
-are pairs of coordinate ids, and every per-sample cache is keyed by them.
+All of this runs on contexts built by `risc_builder.joint_context`, the
+one builder of grids, split complexes and evaluators.  The evaluators of a
+context share the integer coordinate table of its sample grid
+(`exact_geometry.CoordTable`), and the domain of a pullback is evaluated on
+the codomain's table.  A sample, its glide-reflection translates and its
+shifts by alpha and omega are pairs of coordinate ids, and every
+per-sample cache is keyed by them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exact_geometry import (
-    Coord,
     CoordTable,
     Key,
     ShiftVector,
@@ -37,22 +39,22 @@ from .plc import (
     PLComplex,
     Subcomplex,
     _fresh_vid,
+    check_funcs,
     induced_map,
     mv_connecting,
-    split_all,
     take_rows,
     vkey,
 )
 from .risc_builder import (
     DEFAULT_CAP,
-    DEFAULT_TRANSLATES,
     FunctorEvaluator,
+    JointContext,
     assemble_module,
-    build_lines,
     internal_map,
+    joint_context,
     point_data,
 )
-from .strip_module import GridModule, refine_lines
+from .strip_module import GridModule
 
 Index = Tuple[int, int]
 
@@ -64,6 +66,7 @@ Index = Tuple[int, int]
 def distance_pair(k: PLComplex, f: int = 0, g: int = 1) -> ShiftVector:
     """The pair (inf(g - f), sup(g - f)); a PL difference attains both
     extremes at vertices."""
+    check_funcs(k, f, g)
     diffs = [k.value(v, g) - k.value(v, f) for v in k.values]
     if not diffs:
         return ShiftVector(0, 0)
@@ -76,83 +79,12 @@ def sup_norm(k: PLComplex, f: int = 0, g: int = 1) -> Fraction:
     return max(abs(a.a1), abs(a.a2))
 
 
-# ---------------------------------------------------------------------------
-# joint splitting for several functions and shift amounts
-
-
-def shift_closure(amounts) -> List[Fraction]:
-    out = {Fraction(0)}
-    for s in amounts:
-        s = Fraction(s)
-        out.add(s)
-        out.add(-s)
-    return sorted(out)
-
-
-def joint_levels(xs: Sequence[Coord], shifts) -> List[Fraction]:
-    """Split levels covering every finite grid value moved by every shift
-    amount and its negative, plus midpoints of consecutive values, so that
-    all open sets met during shifted evaluation have split endpoints and
-    contain a split level whenever their preimage is nonempty."""
-    base = sorted({x.v for x in xs if isinstance(x.v, Fraction)})
-    vals = sorted({v + s for v in base for s in shift_closure(shifts)})
-    out = list(vals)
-    for a, b in zip(vals, vals[1:]):
-        out.append((a + b) / 2)
-    return sorted(out)
-
-
-@dataclass
-class JointContext:
-    """A complex split finely enough to evaluate several of its functions
-    at shifted sample points, with one cached evaluator per function."""
-
-    complex: PLComplex
-    split: PLComplex
-    p: int
-    xs: Tuple[Coord, ...]
-    max_degree: int
-    evaluators: Dict[int, FunctorEvaluator]
-    table: CoordTable
-
-    def evaluator(self, func: int) -> FunctorEvaluator:
-        return self.evaluators[func]
-
-
-def joint_context(k: PLComplex, funcs: Sequence[int] = (0, 1), shifts=(),
-                  p: int = 2,
-                  kmin: int = DEFAULT_TRANSLATES[0],
-                  kmax: int = DEFAULT_TRANSLATES[1],
-                  cap: int = DEFAULT_CAP,
-                  critical=None, trace=None,
-                  table: Optional[CoordTable] = None) -> JointContext:
-    """Build the shared sample grid and the jointly split complex for the
-    given functions and shift amounts.  A context whose points must be
-    compared with another's takes the other's coordinate table, which must
-    belong to the same grid."""
-    funcs = sorted(set(funcs))
-    if critical is None:
-        critical = {k.value(v, func) for v in k.values for func in funcs}
-    critical = sorted({Fraction(c) for c in critical})
-    xs = refine_lines(build_lines(critical, kmin, kmax))
-    if table is None:
-        table = CoordTable(xs)
-    elif table.grid != xs:
-        raise ValueError("the coordinate table belongs to another grid")
-    split = split_all(k, joint_levels(xs, shifts), funcs=funcs, cap=cap,
-                      trace=trace)
-    max_degree = split.dim() + 1
-    evs = {func: FunctorEvaluator(split, table, func, p) for func in funcs}
-    return JointContext(k, split, p, xs, max_degree, evs, table)
-
-
 def context_module(ctx: JointContext, func: int,
                    a: Optional[ShiftVector] = None) -> GridModule:
     """The module of one function over the shared grid, optionally pulled
     back along a shift."""
     transform = None if a is None else ctx.table.shift(a)
-    return assemble_module(ctx.evaluator(func), ctx.max_degree,
-                           transform=transform)
+    return assemble_module(ctx.evaluator(func), transform=transform)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +103,7 @@ class Transformation:
     and its glide-reflection preimage."""
 
     def __init__(self, ev_f: FunctorEvaluator, ev_g: FunctorEvaluator,
-                 a: ShiftVector, max_degree: int):
+                 a: ShiftVector):
         if ev_f.p != ev_g.p:
             raise ValueError("field mismatch")
         if ev_f.table is not ev_g.table:
@@ -179,7 +111,6 @@ class Transformation:
         self.ev_f = ev_f
         self.ev_g = ev_g
         self.a = a
-        self.max_degree = max_degree
         self.p = ev_f.p
         self.table = ev_f.table
         self.shift = self.table.shift(a)
@@ -204,8 +135,8 @@ class Transformation:
 
     def _compute(self, key: Key) -> Mat:
         table = self.table
-        d_dst, n, _ = point_data(self.ev_f, key, self.max_degree)
-        d_src, _, _ = point_data(self.ev_g, self.shift(key), self.max_degree)
+        d_dst, n, _ = point_data(self.ev_f, key)
+        d_src, _, _ = point_data(self.ev_g, self.shift(key))
         if d_dst == 0 or d_src == 0:
             return Mat.zeros(d_dst, d_src, self.p)
         u = table.power(n)[key]
@@ -298,7 +229,7 @@ def build_transformation(ctx: JointContext, f: int = 0, g: int = 1,
     ev_f, ev_g = ctx.evaluator(f), ctx.evaluator(g)
     target = context_module(ctx, f)
     source = context_module(ctx, g, a)
-    trans = Transformation(ev_f, ev_g, a, ctx.max_degree)
+    trans = Transformation(ev_f, ev_g, a)
     per_sample = {idx: trans.at(idx) for idx in target.samples()}
     return MorphismData(source, target, per_sample, a)
 
@@ -331,10 +262,7 @@ def _report(delta, ok, counterexample=None, witness=None) -> dict:
 
 
 def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
-                       p: int = 2,
-                       kmin: int = DEFAULT_TRANSLATES[0],
-                       kmax: int = DEFAULT_TRANSLATES[1],
-                       cap: int = DEFAULT_CAP) -> dict:
+                       p: int = 2, cap: int = DEFAULT_CAP) -> dict:
     """Build the two interleaving transformations for the given parameter
     (default: the sup norm of g - f) and verify both triangle identities
     against the internal superlinear-shift maps at every sample."""
@@ -345,22 +273,20 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     a_rev = ShiftVector(-a.a2, -a.a1)
     shifts = [a.a1, a.a2, delta, 2 * delta,
               a.a1 - delta, a.a2 + delta, a.a1 + delta, a.a2 - delta]
-    ctx = joint_context(k, [f, g], shifts, p, kmin, kmax, cap)
+    ctx = joint_context(k, [f, g], shifts, p, cap)
     ev_f, ev_g = ctx.evaluator(f), ctx.evaluator(g)
-    fwd = Transformation(ev_f, ev_g, a, ctx.max_degree)
-    bwd = Transformation(ev_g, ev_f, a_rev, ctx.max_degree)
+    fwd = Transformation(ev_f, ev_g, a)
+    bwd = Transformation(ev_g, ev_f, a_rev)
     shift_a = ctx.table.shift(a)
     shift_rev = ctx.table.shift(a_rev)
     omega = ctx.table.shift(ShiftVector(-delta, delta))
     omega2 = ctx.table.shift(ShiftVector(-2 * delta, 2 * delta))
 
     def phi(key):
-        return fwd.at(key) @ internal_map(
-            ev_g, shift_a(key), omega(key), ctx.max_degree)
+        return fwd.at(key) @ internal_map(ev_g, shift_a(key), omega(key))
 
     def psi(key):
-        return bwd.at(key) @ internal_map(
-            ev_f, shift_rev(key), omega(key), ctx.max_degree)
+        return bwd.at(key) @ internal_map(ev_f, shift_rev(key), omega(key))
 
     witness = None
     for idx in period_samples(ctx.table):
@@ -368,12 +294,12 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
         far = omega2(idx)
         phi_pt = phi(idx)
         lhs = phi_pt @ psi(mid)
-        rhs = internal_map(ev_f, idx, far, ctx.max_degree)
+        rhs = internal_map(ev_f, idx, far)
         if lhs != rhs:
             return _report(delta, False, {
                 "sample": idx, "function": f, "lhs": lhs, "rhs": rhs})
         lhs = psi(idx) @ phi(mid)
-        rhs = internal_map(ev_g, idx, far, ctx.max_degree)
+        rhs = internal_map(ev_g, idx, far)
         if lhs != rhs:
             return _report(delta, False, {
                 "sample": idx, "function": g, "lhs": lhs, "rhs": rhs})
@@ -388,10 +314,7 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
 
 
 def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
-                      p: int = 2,
-                      kmin: int = DEFAULT_TRANSLATES[0],
-                      kmax: int = DEFAULT_TRANSLATES[1],
-                      cap: int = DEFAULT_CAP) -> Optional[tuple]:
+                      p: int = 2, cap: int = DEFAULT_CAP) -> Optional[tuple]:
     """The transformation of the outer pair, corrected by the internal map
     from the summed shift to the outer distance, must equal the composite
     of the two inner transformations at every sample."""
@@ -403,15 +326,15 @@ def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
     if not c.precedes(ab):
         raise AssertionError("distance triangle inequality violated")
     shifts = [a.a1, a.a2, b.a1, b.a2, c.a1, c.a2, ab.a1, ab.a2]
-    ctx = joint_context(k, [f1, f2, f3], shifts, p, kmin, kmax, cap)
-    t12 = Transformation(ctx.evaluator(f1), ctx.evaluator(f2), a, ctx.max_degree)
-    t23 = Transformation(ctx.evaluator(f2), ctx.evaluator(f3), b, ctx.max_degree)
-    t13 = Transformation(ctx.evaluator(f1), ctx.evaluator(f3), c, ctx.max_degree)
+    ctx = joint_context(k, [f1, f2, f3], shifts, p, cap)
+    t12 = Transformation(ctx.evaluator(f1), ctx.evaluator(f2), a)
+    t23 = Transformation(ctx.evaluator(f2), ctx.evaluator(f3), b)
+    t13 = Transformation(ctx.evaluator(f1), ctx.evaluator(f3), c)
     shift_a, shift_c, shift_ab = (ctx.table.shift(s) for s in (a, c, ab))
     for idx in period_samples(ctx.table):
         lhs = t12.at(idx) @ t23.at(shift_a(idx))
         rhs = t13.at(idx) @ internal_map(
-            ctx.evaluator(f3), shift_c(idx), shift_ab(idx), ctx.max_degree)
+            ctx.evaluator(f3), shift_c(idx), shift_ab(idx))
         if lhs != rhs:
             return (idx, lhs, rhs)
     return None
@@ -460,12 +383,11 @@ class CochainPullback:
     sorting the image's vertices, (-1) to the number of inversions."""
 
     def __init__(self, ev_y: FunctorEvaluator, ev_x: FunctorEvaluator,
-                 phi: Dict, max_degree: int):
+                 phi: Dict):
         if ev_y.table is not ev_x.table:
             raise ValueError("evaluators over different coordinate tables")
         self.ev_y = ev_y
         self.ev_x = ev_x
-        self.max_degree = max_degree
         cells, target = ev_x.split.index.cells, ev_y.split.index.id
         self.image = np.full(len(cells), -1, dtype=np.intp)
         self.sign = np.ones(len(cells), dtype=np.int64)
@@ -477,8 +399,8 @@ class CochainPullback:
         self._by_model: Dict[tuple, Mat] = {}
 
     def at(self, key: Key) -> Mat:
-        d_dst, _, dst = point_data(self.ev_x, key, self.max_degree)
-        d_src, _, src = point_data(self.ev_y, key, self.max_degree)
+        d_dst, _, dst = point_data(self.ev_x, key)
+        d_src, _, src = point_data(self.ev_y, key)
         if d_dst == 0 or d_src == 0:
             return Mat.zeros(d_dst, d_src, self.ev_x.p)
         # the evaluators cache one basis per pair of subcomplexes
@@ -491,68 +413,62 @@ class CochainPullback:
         return out
 
 
+def _pullback_contexts(ky: PLComplex, kx: PLComplex, phi: Dict,
+                       funcs: Sequence[int], shifts, p: int, cap: int):
+    """The codomain's context, the domain's context on the codomain's
+    coordinate table, and the vertex map extended along the domain's
+    splitting, checked to be simplicial and value-preserving before and
+    after the splitting."""
+    check_funcs(kx, *funcs)
+    check_funcs(ky, *funcs)
+    _validate_simplicial(phi, kx, ky, funcs)
+    ctx_y = joint_context(ky, funcs, shifts, p, cap)
+    trace_x: list = []
+    ctx_x = joint_context(kx, funcs, shifts, p, cap, trace=trace_x,
+                          table=ctx_y.table)
+    phi_split = extend_to_split(phi, trace_x)
+    _validate_simplicial(phi_split, ctx_x.split, ctx_y.split, funcs)
+    return ctx_y, ctx_x, phi_split
+
+
 def induced_morphism(ky: PLComplex, kx: PLComplex, phi: Dict, func: int = 0,
                      p: int = 2, shifts=(),
-                     kmin: int = DEFAULT_TRANSLATES[0],
-                     kmax: int = DEFAULT_TRANSLATES[1],
-                     cap: int = DEFAULT_CAP,
-                     critical=None) -> MorphismData:
+                     cap: int = DEFAULT_CAP) -> MorphismData:
     """The morphism from the module of a function on the codomain to the
     module of its pullback on the domain, induced by a simplicial
     value-preserving vertex map."""
-    _validate_simplicial(phi, kx, ky, [func])
-    if critical is None:
-        critical = {ky.value(v, func) for v in ky.values}
-    ctx_y = joint_context(ky, [func], shifts, p, kmin, kmax, cap, critical)
-    trace_x: list = []
-    ctx_x = joint_context(kx, [func], shifts, p, kmin, kmax, cap, critical,
-                          trace=trace_x, table=ctx_y.table)
-    phi_split = extend_to_split(phi, trace_x)
-    _validate_simplicial(phi_split, ctx_x.split, ctx_y.split, [func])
-    max_degree = max(ctx_x.max_degree, ctx_y.max_degree)
-    source = assemble_module(ctx_y.evaluator(func), max_degree)
-    target = assemble_module(ctx_x.evaluator(func), max_degree)
-    pull = CochainPullback(ctx_y.evaluator(func), ctx_x.evaluator(func),
-                           phi_split, max_degree)
+    ctx_y, ctx_x, phi_split = _pullback_contexts(ky, kx, phi, [func], shifts,
+                                                 p, cap)
+    ev_y, ev_x = ctx_y.evaluator(func), ctx_x.evaluator(func)
+    source = assemble_module(ev_y)
+    target = assemble_module(ev_x)
+    pull = CochainPullback(ev_y, ev_x, phi_split)
     per_sample = {idx: pull.at(idx) for idx in target.samples()}
     return MorphismData(source, target, per_sample, ShiftVector(0, 0))
 
 
 def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
                          f: int = 0, g: int = 1, p: int = 2,
-                         kmin: int = DEFAULT_TRANSLATES[0],
-                         kmax: int = DEFAULT_TRANSLATES[1],
                          cap: int = DEFAULT_CAP) -> Optional[tuple]:
     """Pulling the two functions back along a simplicial map commutes with
     the stability transformations: the square of the induced morphisms, the
     domain transformation corrected by the internal map from the smaller
     domain distance, and the codomain transformation must commute at every
     sample."""
-    _validate_simplicial(phi, kx, ky, [f, g])
     a = distance_pair(ky, f, g)
     b = distance_pair(kx, f, g)
+    ctx_y, ctx_x, phi_split = _pullback_contexts(
+        ky, kx, phi, [f, g], [a.a1, a.a2, b.a1, b.a2], p, cap)
     if not b.precedes(a):
         raise AssertionError("pulled-back distance is not dominated")
-    shifts = [a.a1, a.a2, b.a1, b.a2]
-    critical = {ky.value(v, func) for v in ky.values for func in (f, g)}
-    ctx_y = joint_context(ky, [f, g], shifts, p, kmin, kmax, cap, critical)
-    trace_x: list = []
-    ctx_x = joint_context(kx, [f, g], shifts, p, kmin, kmax, cap, critical,
-                          trace=trace_x, table=ctx_y.table)
-    phi_split = extend_to_split(phi, trace_x)
-    _validate_simplicial(phi_split, ctx_x.split, ctx_y.split, [f, g])
-    max_degree = max(ctx_x.max_degree, ctx_y.max_degree)
-    t_y = Transformation(ctx_y.evaluator(f), ctx_y.evaluator(g), a, max_degree)
-    t_x = Transformation(ctx_x.evaluator(f), ctx_x.evaluator(g), b, max_degree)
-    pull_f = CochainPullback(ctx_y.evaluator(f), ctx_x.evaluator(f),
-                             phi_split, max_degree)
-    pull_g = CochainPullback(ctx_y.evaluator(g), ctx_x.evaluator(g),
-                             phi_split, max_degree)
+    t_y = Transformation(ctx_y.evaluator(f), ctx_y.evaluator(g), a)
+    t_x = Transformation(ctx_x.evaluator(f), ctx_x.evaluator(g), b)
+    pull_f = CochainPullback(ctx_y.evaluator(f), ctx_x.evaluator(f), phi_split)
+    pull_g = CochainPullback(ctx_y.evaluator(g), ctx_x.evaluator(g), phi_split)
     shift_a, shift_b = ctx_y.table.shift(a), ctx_y.table.shift(b)
     for idx in period_samples(ctx_y.table):
         lhs = t_x.at(idx) @ internal_map(
-            ctx_x.evaluator(g), shift_b(idx), shift_a(idx),
-            max_degree) @ pull_g.at(shift_a(idx))
+            ctx_x.evaluator(g), shift_b(idx), shift_a(idx)) @ pull_g.at(shift_a(idx))
         rhs = pull_f.at(idx) @ t_y.at(idx)
         if lhs != rhs:
             return (idx, lhs, rhs)

@@ -115,6 +115,13 @@ def validate(k: PLComplex) -> None:
                     raise ValueError(f"complex not closed under faces at {sorted(map(str, s))}")
 
 
+def check_funcs(k: PLComplex, *funcs: int) -> None:
+    """Every function index must name one of the vertex value sets."""
+    for func in funcs:
+        if not 0 <= func < k.nfuncs:
+            raise ValueError(f"function index {func} is outside 0..{k.nfuncs - 1}")
+
+
 # ---------------------------------------------------------------------------
 # level grids
 

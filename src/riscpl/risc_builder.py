@@ -8,6 +8,13 @@ Mayer-Vietoris connecting maps of the rectangle triads.  On top of the
 resulting GridModule sit the diagram, its region classification, the
 levelset barcode and the fiberwise dimension check.
 
+One builder, `joint_context`, makes the sample grid, the split complex and
+one evaluator per function for every entry point: `evaluate` asks for one
+function and no shift, `interleave` for several functions and the shift
+amounts of its transformations.  The grid lines lie on the fixed window of
+translates T^-3..T^3.  An evaluator owns its degree bound, one above the
+dimension of its split complex.
+
 An evaluator works over the integer coordinate table of its sample grid
 (`exact_geometry.CoordTable`): points are pairs of coordinate ids, the
 per-point cache is keyed by them, and the location, tile index and
@@ -17,10 +24,9 @@ StripPoint only where its pair of open sets is built.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_geometry import (
     Coord,
@@ -39,6 +45,7 @@ from .plc import (
     LevelGrid,
     PLComplex,
     Subcomplex,
+    check_funcs,
     induced_map,
     mv_connecting,
     open_model,
@@ -47,7 +54,7 @@ from .plc import (
 )
 from .strip_module import Diagram, GridModule, dgm, refine_lines
 
-DEFAULT_TRANSLATES = (-3, 3)
+TRANSLATES = range(-3, 4)  # the grid lines lie on the translates T^-3..T^3
 DEFAULT_CAP = 20000
 
 
@@ -56,21 +63,17 @@ class RiscResult:
     module: GridModule
     diagram: Diagram
     grid: LevelGrid
-    max_degree: int
     split: PLComplex
     func: int = 0
 
 
-def build_lines(critical, kmin: int = DEFAULT_TRANSLATES[0],
-                kmax: int = DEFAULT_TRANSLATES[1]) -> List[Coord]:
+def build_lines(critical) -> List[Coord]:
     """The grid lines: every critical value and its negative on every
     translate in the window, together with the half-pi lines.  The family is
     closed under negation and under shifts, hence the sample grid is closed
     under T."""
-    if isinstance(critical, LevelGrid):
-        critical = critical.critical
-    out = {Coord(kmin - 1, INF)}
-    for k in range(kmin, kmax + 1):
+    out = {Coord(TRANSLATES[0] - 1, INF)}
+    for k in TRANSLATES:
         out.add(Coord(k, INF))
         for lam in critical:
             out.add(Coord(k, Fraction(lam)))
@@ -78,12 +81,22 @@ def build_lines(critical, kmin: int = DEFAULT_TRANSLATES[0],
     return sorted(out)
 
 
-def split_levels(xs) -> List[Fraction]:
-    """Levels the complex must be split at so that every open set handed to
-    the model builder has split endpoints and contains a split level whenever
-    its preimage is nonempty: all finite grid values plus midpoints of
-    consecutive ones."""
-    vals = sorted({x.v for x in xs if isinstance(x.v, Fraction)})
+def shift_closure(amounts) -> List[Fraction]:
+    out = {Fraction(0)}
+    for s in amounts:
+        s = Fraction(s)
+        out.add(s)
+        out.add(-s)
+    return sorted(out)
+
+
+def joint_levels(xs: Sequence[Coord], shifts) -> List[Fraction]:
+    """Split levels covering every finite grid value moved by every shift
+    amount and its negative, plus midpoints of consecutive values, so that
+    all open sets met during shifted evaluation have split endpoints and
+    contain a split level whenever their preimage is nonempty."""
+    base = sorted({x.v for x in xs if isinstance(x.v, Fraction)})
+    vals = sorted({v + s for v in base for s in shift_closure(shifts)})
     out = list(vals)
     for a, b in zip(vals, vals[1:]):
         out.append((a + b) / 2)
@@ -94,7 +107,9 @@ class FunctorEvaluator:
     """Evaluates the pair-cohomology functor of one PL function on a split
     complex, with caching keyed by the open models so that the cell
     constancy of the functor is exploited.  Points are keys of the
-    coordinate table of the sample grid."""
+    coordinate table of the sample grid.  Relative cohomology vanishes
+    above the dimension of the split complex, so values in degrees above
+    max_degree = dim + 1 are zero without being computed."""
 
     def __init__(self, split: PLComplex, table: CoordTable, func: int = 0,
                  p: int = 2):
@@ -102,9 +117,9 @@ class FunctorEvaluator:
         self.table = table
         self.func = func
         self.p = p
+        self.max_degree = split.dim() + 1
         self._models: Dict[RealOpenSet, Subcomplex] = {}
-        # point data by max degree, then by key
-        self._points: Dict[int, Dict[Key, tuple]] = defaultdict(dict)
+        self._points: Dict[Key, tuple] = {}
         self._bases: Dict[tuple, CohomBasis] = {}
         self._induced: Dict[tuple, Mat] = {}
         self._connecting: Dict[tuple, Mat] = {}
@@ -165,13 +180,12 @@ class FunctorEvaluator:
         return out
 
 
-def point_data(ev: FunctorEvaluator, key: Key,
-               max_degree: int) -> Tuple[int, Optional[int], Optional[CohomBasis]]:
+def point_data(ev: FunctorEvaluator,
+               key: Key) -> Tuple[int, Optional[int], Optional[CohomBasis]]:
     """Dimension, tile index and basis of the evaluated functor at one point
     of the evaluator's coordinate table (dimension 0 with no basis outside
     the supported range)."""
-    points = ev._points[max_degree]
-    out = points.get(key)
+    out = ev._points.get(key)
     if out is not None:
         return out
     table = ev.table
@@ -179,17 +193,16 @@ def point_data(ev: FunctorEvaluator, key: Key,
         out = (0, None, None)
     else:
         n = table.tile[key]
-        if n < 0 or n > max_degree:
+        if n < 0 or n > ev.max_degree:
             out = (0, n, None)
         else:
             basis = ev.basis_at(table.power(n)[key], n)
             out = (basis.dim, n, basis)
-    points[key] = out
+    ev._points[key] = out
     return out
 
 
-def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key,
-                 max_degree: int) -> Mat:
+def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key) -> Mat:
     """Matrix of the structure map from the value at hi to the value at lo
     for any comparable pair lo below hi.  Same tile: restriction-induced.
     One tile apart with hi below T(lo): connecting map.  Further apart: the
@@ -197,8 +210,8 @@ def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key,
     table = ev.table
     if not table.precedes(lo, hi):
         raise ValueError("points are not comparable in the given order")
-    d_lo, n_lo, b_lo = point_data(ev, lo, max_degree)
-    d_hi, n_hi, b_hi = point_data(ev, hi, max_degree)
+    d_lo, n_lo, b_lo = point_data(ev, lo)
+    d_hi, n_hi, b_hi = point_data(ev, hi)
     if d_lo == 0 or d_hi == 0:
         return Mat.zeros(d_lo, d_hi, ev.p)
     if n_lo == n_hi:
@@ -211,8 +224,7 @@ def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key,
     return Mat.zeros(d_lo, d_hi, ev.p)
 
 
-def assemble_module(ev: FunctorEvaluator, max_degree: int,
-                    transform=None) -> GridModule:
+def assemble_module(ev: FunctorEvaluator, transform=None) -> GridModule:
     """Evaluate the functor on every sample of the evaluator's grid,
     optionally after a pointwise order-preserving transform of the sample
     keys, and assemble the grid module of values and covering-pair
@@ -225,7 +237,7 @@ def assemble_module(ev: FunctorEvaluator, max_degree: int,
     for idx in m.samples():
         key = idx if transform is None else transform(idx)
         keys[idx] = key
-        d, n, _ = point_data(ev, key, max_degree)
+        d, n, _ = point_data(ev, key)
         dims[idx] = d
         if n is not None:
             tiles[idx] = n
@@ -240,25 +252,51 @@ def assemble_module(ev: FunctorEvaluator, max_degree: int,
                     f"adjacent samples {idx}, {up} differ by "
                     f"{tiles[idx] - tiles[up]} tiles"
                 )
-            m.maps[(idx, up)] = internal_map(ev, keys[idx], keys[up], max_degree)
+            m.maps[(idx, up)] = internal_map(ev, keys[idx], keys[up])
     return m
 
 
+@dataclass
+class JointContext:
+    """A complex split finely enough to evaluate several of its functions
+    at shifted sample points, with one cached evaluator per function."""
+
+    complex: PLComplex
+    split: PLComplex
+    evaluators: Dict[int, FunctorEvaluator]
+    table: CoordTable
+
+    def evaluator(self, func: int) -> FunctorEvaluator:
+        return self.evaluators[func]
+
+
+def joint_context(k: PLComplex, funcs: Sequence[int] = (0, 1), shifts=(),
+                  p: int = 2, cap: int = DEFAULT_CAP, trace=None,
+                  table: Optional[CoordTable] = None) -> JointContext:
+    """Build the shared sample grid and the jointly split complex for the
+    given functions and shift amounts.  A context whose points must be
+    compared with another's takes the other's coordinate table and with it
+    the other's grid."""
+    funcs = sorted(set(funcs))
+    check_funcs(k, *funcs)
+    if table is None:
+        critical = {k.value(v, func) for v in k.values for func in funcs}
+        table = CoordTable(refine_lines(build_lines(critical)))
+    split = split_all(k, joint_levels(table.grid, shifts), funcs=funcs,
+                      cap=cap, trace=trace)
+    evs = {func: FunctorEvaluator(split, table, func, p) for func in funcs}
+    return JointContext(k, split, evs, table)
+
+
 def evaluate(k: PLComplex, func: int = 0, p: int = 2,
-             kmin: int = DEFAULT_TRANSLATES[0],
-             kmax: int = DEFAULT_TRANSLATES[1],
              cap: int = DEFAULT_CAP) -> RiscResult:
     """Compute the full interlevel-set cohomology module of a PL function
     together with its classified diagram."""
     if not k.values:
         empty = GridModule((), (), {}, {}, p)
-        return RiscResult(empty, Diagram(), LevelGrid((), ()), 0, k, func)
-    grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    xs = refine_lines(build_lines(grid, kmin, kmax))
-    split = split_all(k, split_levels(xs), funcs=[func], cap=cap)
-    ev = FunctorEvaluator(split, CoordTable(xs), func, p)
-    max_degree = split.dim() + 1
-    module = assemble_module(ev, max_degree)
+        return RiscResult(empty, Diagram(), LevelGrid((), ()), k, func)
+    ctx = joint_context(k, [func], (), p, cap=cap)
+    module = assemble_module(ctx.evaluator(func))
     diagram = dgm(module)
     for d in diagram.points:
         n, region, pair = classify_region(d.point)
@@ -266,7 +304,8 @@ def evaluate(k: PLComplex, func: int = 0, p: int = 2,
         d.region = region
         d.pair = pair
         d.interval = beta_levelset(d.point)
-    return RiscResult(module, diagram, grid, max_degree, split, func)
+    grid = LevelGrid.from_values(x[func] for x in k.values.values())
+    return RiscResult(module, diagram, grid, ctx.split, func)
 
 
 def barcode(r: RiscResult) -> List[tuple]:

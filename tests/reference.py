@@ -14,15 +14,14 @@ import numpy as np
 
 from riscpl.exact_geometry import Coord, CoordTable, RealOpenSet, ShiftVector
 from riscpl.field_linalg import Mat, _rref
-from riscpl.interleave import joint_levels
 from riscpl.plc import LevelGrid, PLComplex, Simplex, _fresh_vid, skey, split_all, vkey
 from riscpl.risc_builder import (
     DEFAULT_CAP,
-    DEFAULT_TRANSLATES,
     FunctorEvaluator,
     RiscResult,
     assemble_module,
     build_lines,
+    joint_levels,
 )
 from riscpl.strip_module import GridModule, refine_lines
 
@@ -102,15 +101,13 @@ def coboundary_matrix(rel: Set[Simplex], n: int, p: int) -> Tuple[Mat, List[Simp
     return m, rows, cols
 
 
-def build_grid(k: PLComplex, func: int = 0,
-               kmin: int = DEFAULT_TRANSLATES[0],
-               kmax: int = DEFAULT_TRANSLATES[1]) -> Tuple[Coord, ...]:
+def build_grid(k: PLComplex, func: int = 0) -> Tuple[Coord, ...]:
     """The refined sample coordinates for a complex, shared by both axes
     (empty complex gives an empty grid)."""
     if not k.values:
         return ()
     grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    return refine_lines(build_lines(grid, kmin, kmax))
+    return refine_lines(build_lines(grid.critical))
 
 
 def shifted_module(r: RiscResult, a: ShiftVector,
@@ -124,7 +121,7 @@ def shifted_module(r: RiscResult, a: ShiftVector,
     split = split_all(r.split, joint_levels(xs, (a.a1, a.a2)),
                       funcs=[r.func], cap=cap)
     ev = FunctorEvaluator(split, CoordTable(xs), r.func, r.module.p)
-    return assemble_module(ev, split.dim() + 1, transform=ev.table.shift(a))
+    return assemble_module(ev, transform=ev.table.shift(a))
 
 
 def kernel_basis(m: Mat) -> Mat:

@@ -39,7 +39,7 @@ from riscpl.risc_builder import (
     assemble_module,
     evaluate,
     fiber_dimension_check,
-    split_levels,
+    joint_levels,
 )
 from riscpl.strip_module import (
     GridModule,
@@ -188,8 +188,8 @@ def test_criterion_05_continuity_and_cell_constancy(capsys):
     # structure maps towards the cell's samples
     r = examples[2]
     xs2 = refine_lines(r.module.xs)
-    split2 = split_all(r.split, split_levels(xs2))
-    m2 = assemble_module(FunctorEvaluator(split2, CoordTable(xs2), 0, 2), r.max_degree)
+    split2 = split_all(r.split, joint_levels(xs2, ()))
+    m2 = assemble_module(FunctorEvaluator(split2, CoordTable(xs2), 0, 2))
 
     def within_cell(a, b):
         # consecutive refined indices sampling the same original open cell:

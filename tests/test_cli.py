@@ -259,6 +259,8 @@ FLAG_INPUTS = {
     ("two-values", ["interleave", "--field", "0"]),
     ("module", ["check", "--module", "--field", "0"]),
     ("module", ["check", "--module", "--field", "3"]),
+    ("module", ["check", "--module", "--func", "0"]),
+    ("module", ["check", "--module", "--cap", "5"]),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
 def test_rejects_bad_function_index_and_field_flag(capsys, tmp_path, doc, argv):
     path = write_json(tmp_path / "input.json", FLAG_INPUTS[doc])

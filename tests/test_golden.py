@@ -91,14 +91,18 @@ RP2_MODULE = {
 }
 
 
-@pytest.mark.parametrize("field", sorted(RP2_MODULE))
-def test_rp2_torsion_module_is_pinned_and_matches_oracle(tmp_path, field):
-    cx, module, dgm = (tmp_path / name for name in ("rp2.json", "module.json", "dgm.json"))
-    cx.write_text(json.dumps({
+def write_rp2(path, field):
+    path.write_text(json.dumps({
         "field": field,
         "vertices": [{"id": v, "value": str(x)} for v, x in RP2_HEIGHT.items()],
         "simplices": RP2,
     }))
+
+
+@pytest.mark.parametrize("field", sorted(RP2_MODULE))
+def test_rp2_torsion_module_is_pinned_and_matches_oracle(tmp_path, field):
+    cx, module, dgm = (tmp_path / name for name in ("rp2.json", "module.json", "dgm.json"))
+    write_rp2(cx, field)
     assert main(["dgm", str(cx), "--dump-module", str(module), "--out", str(dgm)]) == 0
     assert sha256(module) == RP2_MODULE[field]
     got = Counter()
@@ -107,6 +111,24 @@ def test_rp2_torsion_module_is_pinned_and_matches_oracle(tmp_path, field):
     want = Counter((n, region, (str(lo), str(hi)))
                    for n, region, (lo, hi) in extended_persistence(RP2, RP2_HEIGHT, field))
     assert got == want
+
+
+def test_rp2_checkers_over_gf3(tmp_path):
+    # every suite passes on the torsion module over GF(3); negating one
+    # nonzero structure map, which is the identity over GF(2), breaks it
+    cx, module, dgm, report = (tmp_path / name for name in
+                               ("rp2.json", "module.json", "dgm.json", "report.json"))
+    write_rp2(cx, 3)
+    check = ["check", str(module), "--module", "--suite", "all", "--out", str(report)]
+    assert main(["dgm", str(cx), "--dump-module", str(module), "--out", str(dgm)]) == 0
+    assert main(check) == 0
+    assert json.loads(report.read_text())["ok"]
+    doc = json.loads(module.read_text())
+    entry = next(e for e in doc["maps"] if any(any(row) for row in e[2]))
+    entry[2] = [[-x % 3 for x in row] for row in entry[2]]
+    module.write_text(json.dumps(doc))
+    assert main(check) == 1
+    assert not json.loads(report.read_text())["ok"]
 
 
 # The interleaving morphism: the `interleave --delta auto` report and the

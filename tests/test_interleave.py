@@ -284,6 +284,25 @@ def test_induced_rejects_bad_maps():
         induced_morphism(point, edge, {1: 1, 2: 1})  # value not preserved
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_entry_points_reject_bad_function_index(bad):
+    # an edge with two functions: -1 would otherwise name the second one
+    k = complex_of({1: (0, 0), 2: (1, 2)}, [{1, 2}], nfuncs=2)
+    ident = {1: 1, 2: 2}
+    calls = [
+        lambda: evaluate(k, func=bad),
+        lambda: joint_context(k, [0, bad]),
+        lambda: interleaving_check(k, f=bad),
+        lambda: interleaving_check(k, g=bad),
+        lambda: composition_check(k, (0, 1, bad)),
+        lambda: induced_morphism(k, k, ident, func=bad),
+        lambda: precomposition_check(k, k, ident, f=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="function index"):
+            call()
+
+
 def test_edge_collapse_round_trip():
     # Collapsing a constant edge to a point and including it back induces
     # the identity on both modules.

@@ -9,7 +9,7 @@ from riscpl.risc_builder import (
     barcode,
     evaluate,
     fiber_dimension_check,
-    split_levels,
+    joint_levels,
 )
 from riscpl.strip_module import (
     cohomological_check,
@@ -172,7 +172,7 @@ def test_grid_negation_closed():
 
 def test_split_levels_cover_grid_values():
     xs = build_grid(circle())
-    lv = split_levels(xs)
+    lv = joint_levels(xs, ())
     vals = sorted({x.v for x in xs if x.v is not INF})
     assert set(vals) <= set(lv)
     # consecutive grid values are separated by a split level
