@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exact_geometry import Coord, INF, NEG_INF
+from .exact_geometry import Coord, CoordTable, INF, NEG_INF
 from .field_linalg import Mat, check_prime
 from .interleave import interleaving_check
 from .plc import PLComplex, check_funcs
@@ -39,6 +39,13 @@ PI = math.pi
 
 # ---------------------------------------------------------------------------
 # exact value serialization
+
+
+def parse_int(x, what: str) -> int:
+    """A JSON integer: not a boolean or a float."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def parse_rational(x) -> Fraction:
@@ -72,7 +79,8 @@ def coord_json(c: Coord) -> dict:
 
 
 def coord_parse(d: dict) -> Coord:
-    return Coord(int(d["k"]), INF if d["v"] == "inf" else parse_rational(d["v"]))
+    v = INF if d["v"] == "inf" else parse_rational(d["v"])
+    return Coord(parse_int(d["k"], "a coordinate's k"), v)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +94,7 @@ def _is_vertex_id(x) -> bool:
 def parse_field(data: dict) -> int:
     """The field characteristic of a file: a JSON integer (not a boolean or
     a float) that is a prime below 2^16; GF(2) when absent."""
-    p = data.get("field", 2)
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise ValueError(f"the field must be a prime integer, got {p!r}")
+    p = parse_int(data.get("field", 2), "the field")
     check_prime(p)
     return p
 
@@ -220,10 +226,11 @@ def barcode_csv(doc: dict) -> str:
 
 
 def module_json(m: GridModule, field: int) -> dict:
+    xs = [coord_json(c) for c in m.table.grid]
     return {
         "field": field,
-        "xs": [coord_json(c) for c in m.xs],
-        "ys": [coord_json(c) for c in m.ys],
+        "xs": xs,
+        "ys": xs,
         "dims": [[i, j, d] for (i, j), d in sorted(m.dims.items()) if d],
         "maps": [
             [list(a), list(b), mm.data.tolist()]
@@ -233,7 +240,21 @@ def module_json(m: GridModule, field: int) -> dict:
     }
 
 
+def sample_parse(m: GridModule, idx) -> Tuple[int, int]:
+    """A grid index pair that names a sample of the module's grid."""
+    if not isinstance(idx, list) or len(idx) != 2:
+        raise ValueError(f"a grid index must be a pair of integers, got {idx!r}")
+    idx = tuple(parse_int(i, "a grid index") for i in idx)
+    if not m.is_sample(idx):
+        raise ValueError(f"{list(idx)} is not a sample of the grid")
+    return idx
+
+
 def load_module(path) -> Tuple[GridModule, int]:
+    """A module dump, checked against the format: "ys" repeats the strictly
+    increasing "xs", every dims entry and map end is a sample, every map
+    key is a covering pair and every map is an integer matrix of the shape
+    of its ends' dimensions."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -241,14 +262,23 @@ def load_module(path) -> Tuple[GridModule, int]:
     field = parse_field(data)
     try:
         xs = tuple(coord_parse(c) for c in data["xs"])
-        ys = tuple(coord_parse(c) for c in data["ys"])
-        dims = {(int(i), int(j)): int(d) for i, j, d in data["dims"]}
-        maps = {}
+        if tuple(coord_parse(c) for c in data["ys"]) != xs:
+            raise ValueError("the module's ys must equal its xs")
+        m = GridModule(CoordTable(xs), {}, {}, field)
+        for i, j, d in data["dims"]:
+            m.dims[sample_parse(m, [i, j])] = parse_int(d, "a dimension")
         for a, b, arr in data["maps"]:
-            maps[(tuple(a), tuple(b))] = Mat(arr, field)
+            lo, hi = sample_parse(m, a), sample_parse(m, b)
+            if hi not in ((lo[0] - 1, lo[1]), (lo[0], lo[1] + 1)):
+                raise ValueError(f"the map key {[a, b]} is not a covering pair")
+            arr = [[parse_int(x, "a map entry") for x in row] for row in arr]
+            mat = m.maps[(lo, hi)] = Mat(arr, field)
+            if (mat.rows, mat.cols) != (m.dim_at(lo), m.dim_at(hi)):
+                raise ValueError(f"the map at {[a, b]} has shape {(mat.rows, mat.cols)}, "
+                                 f"not that of its ends' dimensions")
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed module file: {type(e).__name__}: {e}") from e
-    return GridModule(xs, ys, dims, maps, field), field
+    return m, field
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,9 @@ class _Lazy(dict):
 class CoordTable:
     """Integer ids for the coordinates met on one sample grid.
 
+    The strictly increasing list `grid` holds the coordinates of both axes
+    of the sample grid.
+
     The grid coordinates come first, so the grid index of a coordinate is
     its id; a coordinate reached off the grid (by T or a shift) gets the next
     free id when first met.  A point is the pair of its coordinate ids.  The
@@ -608,9 +611,9 @@ class CoordTable:
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
         self.coords: List[Coord] = list(self.grid)
+        if any(not a < b for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError("grid coordinates must be strictly increasing")
         self.ids: Dict[Coord, int] = {c: i for i, c in enumerate(self.coords)}
-        if len(self.ids) != len(self.coords):
-            raise ValueError("grid coordinates must be distinct")
         self.location = _Lazy(lambda key: strip_location(self.point(key)))
         self.tile = _Lazy(lambda key: tile_index(self.point(key)))
         self.fundamental = _Lazy(lambda key: in_fundamental_domain(self.point(key)))

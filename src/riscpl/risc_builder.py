@@ -228,9 +228,8 @@ def assemble_module(ev: FunctorEvaluator, transform=None) -> GridModule:
     """Evaluate the functor on every sample of the evaluator's grid,
     optionally after a pointwise order-preserving transform of the sample
     keys, and assemble the grid module of values and covering-pair
-    structure maps."""
-    xs = ev.table.grid
-    m = GridModule(xs, xs, {}, {}, ev.p)
+    structure maps on the evaluator's coordinate table."""
+    m = GridModule(ev.table, {}, {}, ev.p)
     dims = m.dims
     tiles: Dict[Key, int] = {}
     keys: Dict[Key, Key] = {}
@@ -292,8 +291,9 @@ def evaluate(k: PLComplex, func: int = 0, p: int = 2,
              cap: int = DEFAULT_CAP) -> RiscResult:
     """Compute the full interlevel-set cohomology module of a PL function
     together with its classified diagram."""
+    check_funcs(k, func)
     if not k.values:
-        empty = GridModule((), (), {}, {}, p)
+        empty = GridModule(CoordTable(()), {}, {}, p)
         return RiscResult(empty, Diagram(), LevelGrid((), ()), k, func)
     ctx = joint_context(k, [func], (), p, cap=cap)
     module = assemble_module(ctx.evaluator(func))

@@ -8,10 +8,11 @@ so this finite data determines them.  On top of this sit the diagram
 formula, block decompositions and the checkers for the cohomological,
 continuity, decomposition and filtration properties.
 
-A GridModule keeps the strip location of every grid point and the grid
-indices of the T and T^-1 translates of every sample in arrays, each filled
-on first use by one exact call per grid point; the sample and interior
-tests, the sample iteration and the translate lookups read them.
+The x and y axes of a sample grid share one coordinate list, held by the
+GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
+is a coordinate id, the sample and interior tests and the sample iteration
+read the table's strip locations, and the translate lookups its maps of
+T and T^-1.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exact_geometry import (
     Coord,
+    CoordTable,
     INF,
     StripPoint,
     block_contains,
     strip_location,
-    t_apply,
-    t_inverse,
 )
 from .field_linalg import (
     Mat,
@@ -42,9 +41,6 @@ from .field_linalg import (
 )
 
 Index = Tuple[int, int]
-
-# Codes of the strip locations in GridModule's location array.
-_LOCATION_CODE = {"outside": 0, "boundary": 1, "interior": 2}
 
 
 def midpoint_coord(a: Coord, b: Coord) -> Coord:
@@ -96,74 +92,45 @@ class Diagram:
 class GridModule:
     """Dimensions and structure maps of a pfd functor on a sample grid.
 
-    xs and ys are the refined coordinate lists (lines at even indices,
-    midpoints at odd indices).  In the strip order, the upward covering
-    neighbors of the sample (i, j) are (i-1, j) and (i, j+1); maps is keyed
-    by such covering pairs ((i, j), neighbor) and stores the matrix of the
-    structure map M(neighbor) -> M(i, j), i.e. maps point down the order as
-    the functor is contravariant.  Samples outside the strip are absent and
-    act as zero spaces."""
+    The grid of the coordinate table is the refined coordinate list of both
+    axes (lines at even indices, midpoints at odd indices).  In the strip
+    order, the upward covering neighbors of the sample (i, j) are (i-1, j)
+    and (i, j+1); maps is keyed by such covering pairs ((i, j), neighbor)
+    and stores the matrix of the structure map M(neighbor) -> M(i, j), i.e.
+    maps point down the order as the functor is contravariant.  Samples
+    outside the strip are absent and act as zero spaces."""
 
-    def __init__(self, xs: Sequence[Coord], ys: Sequence[Coord],
-                 dims: Dict[Index, int], maps: Dict[Tuple[Index, Index], Mat],
-                 p: int = 2):
-        self.xs = tuple(xs)
-        self.ys = tuple(ys)
+    def __init__(self, table: CoordTable, dims: Dict[Index, int],
+                 maps: Dict[Tuple[Index, Index], Mat], p: int = 2):
+        self.table = table
         self.dims = dict(dims)
         self.maps = dict(maps)
         self.p = p
-        self._x_index = {c: i for i, c in enumerate(self.xs)}
-        self._y_index = {c: j for j, c in enumerate(self.ys)}
-
-    @cached_property
-    def _locations(self) -> np.ndarray:
-        """Strip location code of every grid point (see _LOCATION_CODE)."""
-        return np.array(
-            [[_LOCATION_CODE[strip_location(StripPoint(x, y))] for y in self.ys]
-             for x in self.xs],
-            dtype=np.int8,
-        ).reshape(len(self.xs), len(self.ys))
-
-    @cached_property
-    def _translates(self) -> Dict[int, np.ndarray]:
-        """Grid index of T(s) and T^-1(s) for every sample s, -1 off the
-        grid."""
-        out = {}
-        for power, fn in ((1, t_apply), (-1, t_inverse)):
-            arr = np.full((len(self.xs), len(self.ys), 2), -1, dtype=np.int32)
-            for idx in self.samples():
-                q = self.index_of(fn(self.point(idx)))
-                if q is not None:
-                    arr[idx] = q
-            out[power] = arr
-        return out
 
     # -- sample bookkeeping
 
-    def point(self, idx: Index) -> StripPoint:
-        return StripPoint(self.xs[idx[0]], self.ys[idx[1]])
-
     def index_of(self, pt: StripPoint) -> Optional[Index]:
-        i = self._x_index.get(pt.x)
-        j = self._y_index.get(pt.y)
-        if i is None or j is None:
-            return None
-        return (i, j)
+        n = len(self.table.grid)
+        i = self.table.ids.get(pt.x, n)
+        j = self.table.ids.get(pt.y, n)
+        return (i, j) if i < n and j < n else None
 
     def in_range(self, idx: Index) -> bool:
-        return 0 <= idx[0] < len(self.xs) and 0 <= idx[1] < len(self.ys)
+        n = len(self.table.grid)
+        return 0 <= idx[0] < n and 0 <= idx[1] < n
 
     def is_sample(self, idx: Index) -> bool:
-        return self.in_range(idx) and bool(self._locations[idx])
+        return self.in_range(idx) and self.table.location[idx] != "outside"
 
     def is_interior(self, idx: Index) -> bool:
-        return (self.in_range(idx)
-                and int(self._locations[idx]) == _LOCATION_CODE["interior"])
+        return self.in_range(idx) and self.table.location[idx] == "interior"
 
     def samples(self) -> Iterable[Index]:
         """The grid points in the strip, row by row."""
-        rows, cols = np.nonzero(self._locations)
-        return zip(rows.tolist(), cols.tolist())
+        n = len(self.table.grid)
+        location = self.table.location
+        return [(i, j) for i in range(n) for j in range(n)
+                if location[(i, j)] != "outside"]
 
     def dim_at(self, idx: Index) -> int:
         return self.dims.get(idx, 0)
@@ -206,16 +173,15 @@ class GridModule:
 
     def vertex_indices(self) -> Iterable[Index]:
         """The samples at grid vertices (both indices even), row by row."""
-        rows, cols = np.nonzero(self._locations[::2, ::2])
-        return zip((2 * rows).tolist(), (2 * cols).tolist())
+        return (idx for idx in self.samples() if not (idx[0] % 2 or idx[1] % 2))
 
     def t_index(self, idx: Index, power: int = 1) -> Optional[Index]:
         """Index of the translate T^power (power 1 or -1) of a sample, if on
         the grid."""
         if not self.is_sample(idx):
             return None
-        i, j = self._translates[1 if power == 1 else -1][idx].tolist()
-        return None if i < 0 else (i, j)
+        q = self.table.power(1 if power == 1 else -1)[idx]
+        return q if self.in_range(q) else None
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +189,7 @@ class GridModule:
 
 
 def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
-                ys: Sequence[Coord], p: int = 2) -> GridModule:
+                p: int = 2) -> GridModule:
     """Direct sum of blocks: the dimension at a sample counts the blocks
     whose support contains it, and each structure map is the 0/1 matrix
     matching up the shared blocks."""
@@ -235,31 +201,24 @@ def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
             raise ValueError("block points must be interior")
         for c in range(mult):
             ids.append((v, c))
-    shell = GridModule(xs, ys, {}, {}, p)
+    m = GridModule(CoordTable(xs), {}, {}, p)
     local: Dict[Index, List[int]] = {}
-    dims: Dict[Index, int] = {}
-    for idx in shell.samples():
-        if not shell.is_interior(idx):
-            dims[idx] = 0
-            local[idx] = []
-            continue
-        pt = shell.point(idx)
-        present = [b for b, (v, _) in enumerate(ids) if block_contains(v, pt)]
-        dims[idx] = len(present)
-        local[idx] = present
-    maps: Dict[Tuple[Index, Index], Mat] = {}
-    for idx in dims:
+    for idx in m.samples():
+        pt = m.table.point(idx)
+        local[idx] = [b for b, (v, _) in enumerate(ids) if block_contains(v, pt)]
+        m.dims[idx] = len(local[idx])
+    for idx in m.dims:
         i, j = idx
         for up in ((i - 1, j), (i, j + 1)):
-            if up not in dims:
+            if up not in m.dims:
                 continue
-            m = Mat.zeros(dims[idx], dims[up], p)
+            mat = Mat.zeros(m.dims[idx], m.dims[up], p)
             pos = {b: r for r, b in enumerate(local[idx])}
             for c, b in enumerate(local[up]):
                 if b in pos:
-                    m.data[pos[b], c] = 1
-            maps[(idx, up)] = m
-    return GridModule(xs, ys, dims, maps, p)
+                    mat.data[pos[b], c] = 1
+            m.maps[(idx, up)] = mat
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +245,7 @@ def dgm(m: GridModule) -> Diagram:
     for idx in m.vertex_indices():
         mu = dgm_value(m, idx)
         if mu > 0:
-            out.points.append(DiagramPoint(m.point(idx), mu))
+            out.points.append(DiagramPoint(m.table.point(idx), mu))
     out.points.sort(key=lambda d: (d.point.x, d.point.y))
     return out
 
@@ -312,7 +271,7 @@ def composites_down(m: GridModule, v: Index) -> Dict[Index, Mat]:
     dynamic-programming sweep of the lower quadrant."""
     iv, jv = v
     comp = {v: Mat.eye(m.dim_at(v), m.p)}
-    for i in range(iv, len(m.xs)):
+    for i in range(iv, len(m.table.grid)):
         for j in range(jv, -1, -1):
             s = (i, j)
             if s == v or not m.is_sample(s):
@@ -331,8 +290,9 @@ def composites_down(m: GridModule, v: Index) -> Dict[Index, Mat]:
 def square_commutes_check(m: GridModule):
     """Every unit square of structure maps must commute; with that, any two
     staircase composites between comparable samples agree."""
-    for i in range(1, len(m.xs)):
-        for j in range(len(m.ys) - 1):
+    n = len(m.table.grid)
+    for i in range(1, n):
+        for j in range(n - 1):
             lo, diag = (i, j), (i - 1, j + 1)
             via_x = (i - 1, j)
             via_y = (i, j + 1)
@@ -380,7 +340,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
     sections: List[_Section] = []
     for _, vi, v, mult in order:
         comp = composites_down(m, vi)
-        supp = {s for s in comp if block_contains(v, m.point(s))}
+        supp = {s for s in comp if block_contains(v, m.table.point(s))}
         rows = []
         for (i, j) in supp:
             for down in ((i + 1, j), (i, j - 1)):
@@ -394,7 +354,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
         prior = [
             sec.comp[vi] @ sec.xi
             for sec in sections
-            if vi in sec.comp and block_contains(sec.v, m.point(vi))
+            if vi in sec.comp and block_contains(sec.v, m.table.point(vi))
         ]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
         free = independent_split(base, ker)[1]
@@ -407,7 +367,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
         cols = [
             sec.comp[s] @ sec.xi
             for sec in sections
-            if s in sec.comp and block_contains(sec.v, m.point(s))
+            if s in sec.comp and block_contains(sec.v, m.table.point(s))
         ]
         d = m.dim_at(s)
         total = sum(c.cols for c in cols)
@@ -417,7 +377,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
             return ("not invertible", s)
 
     def predicted(p_idx: Index, q_idx: Index) -> int:
-        pp, qq = m.point(p_idx), m.point(q_idx)
+        pp, qq = m.table.point(p_idx), m.table.point(q_idx)
         return sum(
             mult
             for v, mult in blocks
@@ -492,20 +452,20 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
 def cohomological_check(m: GridModule, random_rectangles: int = 100, seed: int = 0):
     """Middle exactness on every unit sample square, plus full long-sequence
     exactness on a random selection of larger rectangles."""
-    nx, ny = len(m.xs), len(m.ys)
-    for i in range(1, nx):
-        for j in range(ny - 1):
+    n = len(m.table.grid)
+    for i in range(1, n):
+        for j in range(n - 1):
             bad = _rectangle_exact(m, (i, j), (i - 1, j + 1))
             if bad is not None:
                 return bad
     rng = random.Random(seed)
-    if nx < 2 or ny < 2:
+    if n < 2:
         return None
     for _ in range(random_rectangles):
-        ih = rng.randrange(nx - 1)
-        il = rng.randrange(ih + 1, nx)
-        jl = rng.randrange(ny - 1)
-        jh = rng.randrange(jl + 1, ny)
+        ih = rng.randrange(n - 1)
+        il = rng.randrange(ih + 1, n)
+        jl = rng.randrange(n - 1)
+        jh = rng.randrange(jl + 1, n)
         bad = _rectangle_exact(m, (il, jl), (ih, jh))
         if bad is not None:
             return bad
@@ -620,8 +580,8 @@ def nat_space_dim(v, m: GridModule) -> int:
     into m, computed by solving the naturality equations on the sample grid.
     By the Yoneda-style lemma this must equal dim m(v)."""
     v_idx = m._resolve(v)
-    v_pt = m.point(v_idx)
-    supp = [idx for idx in m.samples() if block_contains(v_pt, m.point(idx))]
+    v_pt = m.table.point(v_idx)
+    supp = [idx for idx in m.samples() if block_contains(v_pt, m.table.point(idx))]
     if not supp:
         return 0
     offset = {}

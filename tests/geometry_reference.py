@@ -2,8 +2,9 @@
 
 Brute-force searches for the closed-form tile index and region degree (each
 tries every power of T in a fixed window and insists that exactly one
-qualifies), and a floating-point oracle of the transcendental definitions.
-Tests compare the exact code against them.
+qualifies), the sample-grid bookkeeping recomputed point by point, and a
+floating-point oracle of the transcendental definitions.  Tests compare the
+exact code against them.
 """
 
 import math
@@ -12,8 +13,11 @@ from typing import Tuple
 from riscpl.exact_geometry import (
     NEG_HALF_PI,
     ShiftVector,
+    StripPoint,
     in_fundamental_domain,
     strip_location,
+    t_apply,
+    t_inverse,
     t_power,
 )
 
@@ -36,6 +40,43 @@ def region_degree_search(u) -> int:
     """The n whose T-translate q has q.x > -pi/2 and q.y >= -pi/2, found by
     search."""
     return _unique_power(u, lambda q: q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI)
+
+
+class SampleGridReference:
+    """The geometry of a sample grid whose axes share one coordinate list,
+    recomputed point by point: one strip_location per grid point, the
+    translates by t_apply and t_inverse, and a coordinate -> index dict."""
+
+    def __init__(self, xs):
+        self.xs = tuple(xs)
+        self.index = {c: i for i, c in enumerate(self.xs)}
+        self.location = {(i, j): strip_location(StripPoint(x, y))
+                         for i, x in enumerate(self.xs) for j, y in enumerate(self.xs)}
+
+    def point(self, idx):
+        return StripPoint(self.xs[idx[0]], self.xs[idx[1]])
+
+    def index_of(self, p):
+        i, j = self.index.get(p.x), self.index.get(p.y)
+        return None if i is None or j is None else (i, j)
+
+    def is_sample(self, idx):
+        return self.location.get(idx, "outside") != "outside"
+
+    def is_interior(self, idx):
+        return self.location.get(idx) == "interior"
+
+    def samples(self):
+        """The grid points in the strip, row by row."""
+        return [idx for idx in sorted(self.location) if self.is_sample(idx)]
+
+    def vertex_indices(self):
+        return [(i, j) for i, j in self.samples() if i % 2 == 0 and j % 2 == 0]
+
+    def t_index(self, idx, power=1):
+        if not self.is_sample(idx):
+            return None
+        return self.index_of((t_apply if power == 1 else t_inverse)(self.point(idx)))
 
 
 # ---------------------------------------------------------------------------

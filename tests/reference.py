@@ -117,7 +117,7 @@ def shifted_module(r: RiscResult, a: ShiftVector,
     complex is refined further so the shifted evaluation points are
     covered."""
     a = ShiftVector(a.a1, a.a2) if isinstance(a, ShiftVector) else ShiftVector(*a)
-    xs = r.module.xs if samples is None else samples
+    xs = r.module.table.grid if samples is None else samples
     split = split_all(r.split, joint_levels(xs, (a.a1, a.a2)),
                       funcs=[r.func], cap=cap)
     ev = FunctorEvaluator(split, CoordTable(xs), r.func, r.module.p)

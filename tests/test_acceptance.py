@@ -187,7 +187,7 @@ def test_criterion_05_continuity_and_cell_constancy(capsys):
     # samples inside one open cell carry the same dimension and invertible
     # structure maps towards the cell's samples
     r = examples[2]
-    xs2 = refine_lines(r.module.xs)
+    xs2 = refine_lines(r.module.table.grid)
     split2 = split_all(r.split, joint_levels(xs2, ()))
     m2 = assemble_module(FunctorEvaluator(split2, CoordTable(xs2), 0, 2))
 
@@ -257,14 +257,14 @@ def test_criterion_07_composition_and_precomposition(capsys):
 
 def test_criterion_08_yoneda(capsys):
     t0 = time.monotonic()
-    xs, ys = sym_grid()
-    shell = GridModule(xs, ys, {}, {})
+    xs = sym_grid()
+    shell = GridModule(CoordTable(xs), {}, {})
     rng = random.Random(501)
     ok = True
     pairs = 0
     while pairs < 100:
         blocks = random_blocks(rng, shell, rng.randint(1, 3))
-        m = from_blocks(blocks, xs, ys)
+        m = from_blocks(blocks, xs)
         queries = [pt for pt, _ in blocks]
         queries += [pt for pt, _ in random_blocks(rng, shell, 2)]
         for v in queries:

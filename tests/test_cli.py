@@ -343,6 +343,51 @@ def test_check_mutated_module_dump_fails(capsys, tmp_path):
     assert any("counterexample" in r for r in report["suites"].values())
 
 
+# One broken circle dump per rule of the module format, each of which must
+# be refused with one error line: "ys" repeats "xs"; the coordinates are
+# strictly increasing; every k and index is a JSON integer; every dims entry
+# and map end is a sample; every map key is a covering pair; every map is an
+# integer matrix of the shape of its ends' dimensions.
+def break_dump(doc, case):
+    first_map = doc["maps"][0]
+    if case == "ys-shortened":
+        doc["ys"] = doc["ys"][:-4]
+    elif case in ("xs-reversed", "xs-duplicate"):
+        xs = doc["xs"][::-1] if case == "xs-reversed" else doc["xs"][:1] + doc["xs"]
+        doc["xs"] = doc["ys"] = xs
+    elif case == "k-float":
+        for c in doc["xs"] + doc["ys"]:
+            c["k"] = 1.5
+    elif case.startswith("dims-index"):
+        doc["dims"][0][0] = {"float": 1.5, "bool": True, "negative": -1,
+                             "beyond": 1000}[case.split("-")[-1]]
+    elif case == "map-end-outside":
+        first_map[1] = [0, 0]
+    elif case == "map-key-short":
+        first_map[0] = [5]
+    elif case == "map-not-covering":
+        first_map[0], first_map[1] = first_map[1], first_map[0]
+    elif case == "map-shape":
+        first_map[2].append(first_map[2][0])
+    elif case == "map-entry-float":
+        first_map[2][0][0] += 0.5
+
+
+@pytest.mark.parametrize("case", [
+    "ys-shortened", "xs-reversed", "xs-duplicate", "k-float", "dims-index-float",
+    "dims-index-bool", "dims-index-negative", "dims-index-beyond", "map-end-outside",
+    "map-key-short", "map-not-covering", "map-shape", "map-entry-float"])
+def test_check_rejects_broken_module_dump(capsys, tmp_path, case):
+    circle = tmp_path / "circle.json"
+    dump = tmp_path / "module.json"
+    assert main(["gen", "--preset", "circle", "--out", str(circle)]) == 0
+    assert main(["dgm", str(circle), "--dump-module", str(dump),
+                 "--out", str(tmp_path / "dgm.json")]) == 0
+    doc = json.loads(dump.read_text())
+    break_dump(doc, case)
+    assert_module_error(capsys, write_json(tmp_path / "broken.json", doc))
+
+
 def test_interleave_hood(capsys, tmp_path):
     code, hood = run(capsys, "gen", "--preset", "hood")
     doc = json.loads(hood)

@@ -458,3 +458,5 @@ def test_coord_table_matches_exact_functions(case):
     assert i >= n and table.intern(c) == i and table.coords[i] == c
     with pytest.raises(ValueError):
         CoordTable([Coord(0, F(0)), Coord(0, F(0))])
+    with pytest.raises(ValueError):
+        CoordTable([Coord(0, F(1)), Coord(0, F(0))])

@@ -129,6 +129,44 @@ def test_rp2_checkers_over_gf3(tmp_path):
     module.write_text(json.dumps(doc))
     assert main(check) == 1
     assert not json.loads(report.read_text())["ok"]
+    assert sha256(report) == RP2_CHECK_REPORT
+
+
+# The checkers' first counterexamples: the `check --module --suite all`
+# report on preset dumps with one nonzero structure map zeroed or negated.
+# A counterexample is printed with repr, so a change in sample order or in
+# the type of an index shows up here.
+CHECK_GOLDEN = {
+    ("hood", 2, "zero", "first"):
+        "c22e43ab2b2484d1367cf9b3d3bd023c242d56cfbd297bdd5589937ad31c174d",
+    ("hood", 3, "negate", "middle"):
+        "4e5c86e996ca5b47b1c7b5366a421340f8b543ce82a5c427271abcde474b6953",
+    ("cone", 3, "negate", "middle"):
+        "467a70830f31a6b47243be296f8e428cf3f72b931432fa1f8c049a21c3c2ceee",
+    ("circle", 2, "zero", "middle"):
+        "377c62f6e3822aa73fd55f86cad5b03d29647bc1791a53d6b8847c16d8fd9cd5",
+}
+RP2_CHECK_REPORT = "5d6e3447e1d15bd07a32f254a7381175602386288a012dbd7cbc1e0eeb0bd7a4"
+
+
+@pytest.mark.parametrize("preset,field,edit,which", sorted(CHECK_GOLDEN))
+def test_checker_counterexamples_are_pinned(tmp_path, preset, field, edit, which):
+    cx, module, dgm, report = (tmp_path / name for name in
+                               ("complex.json", "module.json", "dgm.json", "report.json"))
+    assert main(["gen", "--preset", preset, "--out", str(cx)]) == 0
+    assert main(["dgm", str(cx), "--field", str(field), "--dump-module", str(module),
+                 "--out", str(dgm)]) == 0
+    doc = json.loads(module.read_text())
+    nonzero = [e for e in doc["maps"] if any(any(row) for row in e[2])]
+    entry = nonzero[0] if which == "first" else nonzero[len(nonzero) // 2]
+    if edit == "zero":
+        entry[2] = [[0] * len(row) for row in entry[2]]
+    else:
+        entry[2] = [[-x % field for x in row] for row in entry[2]]
+    module.write_text(json.dumps(doc))
+    assert main(["check", str(module), "--module", "--suite", "all",
+                 "--out", str(report)]) == 1
+    assert sha256(report) == CHECK_GOLDEN[(preset, field, edit, which)]
 
 
 # The interleaving morphism: the `interleave --delta auto` report and the

@@ -121,7 +121,7 @@ def test_distance_triangle_inequality():
 def test_zero_shift_is_identity():
     r = evaluate(complex_of({v: (HOOD_F[v],) for v in HOOD_F}, HOOD_SIMPLICES))
     m = shifted_module(r, ShiftVector(0, 0))
-    assert m.xs == r.module.xs
+    assert m.table.grid == r.module.table.grid
     for idx in m.samples():
         assert m.dim_at(idx) == r.module.dim_at(idx)
     for key in r.module.maps:
@@ -139,8 +139,7 @@ def test_shifted_flattened_hood_is_block_sum():
             (StripPoint(Coord(0, F(4)), Coord(0, F(0))), 1),
             (StripPoint(Coord(1, F(-1)), Coord(-2, F(2))), 1),
         ],
-        m.xs,
-        m.ys,
+        m.table.grid,
     )
     for idx in m.samples():
         assert m.dim_at(idx) == blocks.dim_at(idx)
@@ -192,8 +191,8 @@ def test_hood_transformation_nonzero_on_named_blocks():
         if md.target.dim_at(idx) == 1
         and md.source.dim_at(idx) == 1
         and not md.per_sample[idx].is_zero()
-        and block_contains(tgt_block, md.target.point(idx))
-        and block_contains(src_block, alpha_apply(md.shift, md.target.point(idx)))
+        and block_contains(tgt_block, md.target.table.point(idx))
+        and block_contains(src_block, alpha_apply(md.shift, md.target.table.point(idx)))
     ]
     assert witnesses
 
@@ -284,13 +283,17 @@ def test_induced_rejects_bad_maps():
         induced_morphism(point, edge, {1: 1, 2: 1})  # value not preserved
 
 
-@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("bad", [-1, 2, 7])
 def test_entry_points_reject_bad_function_index(bad):
     # an edge with two functions: -1 would otherwise name the second one
     k = complex_of({1: (0, 0), 2: (1, 2)}, [{1, 2}], nfuncs=2)
     ident = {1: 1, 2: 2}
+    # the empty complex carries one function, before its early return too
+    empty = complex_of({}, [])
+    assert evaluate(empty, func=0).diagram.points == []
     calls = [
         lambda: evaluate(k, func=bad),
+        lambda: evaluate(empty, func=bad),
         lambda: joint_context(k, [0, bad]),
         lambda: interleaving_check(k, f=bad),
         lambda: interleaving_check(k, g=bad),

@@ -73,7 +73,7 @@ def test_point_diagram_and_module():
     r = evaluate(point_complex())
     assert keyed(r.diagram) == {((0, F(0)), (0, F(0))): 1}
     block = from_blocks(
-        [(StripPoint(Coord(0, F(0)), Coord(0, F(0))), 1)], r.module.xs, r.module.ys
+        [(StripPoint(Coord(0, F(0)), Coord(0, F(0))), 1)], r.module.table.grid
     )
     for idx in r.module.samples():
         assert r.module.dim_at(idx) == block.dim_at(idx)
@@ -151,7 +151,7 @@ def test_empty_complex():
     r = evaluate(PLComplex({}, set(), 1))
     assert r.diagram.points == []
     assert barcode(r) == []
-    assert r.module.xs == ()
+    assert r.module.table.grid == ()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_support_in_diagonal_downset():
     r = evaluate(circle())
     for idx in r.module.samples():
         if r.module.dim_at(idx) > 0:
-            assert in_diag_downset(r.module.point(idx))
+            assert in_diag_downset(r.module.table.point(idx))
 
 
 def test_diagram_vertices_on_critical_lines():

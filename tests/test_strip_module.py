@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from riscpl.exact_geometry import (
     Coord,
+    CoordTable,
     INF,
     StripPoint,
     block_contains,
@@ -31,6 +33,8 @@ from riscpl.strip_module import (
     seq_continuity_check,
 )
 
+from geometry_reference import SampleGridReference
+
 F = Fraction
 
 
@@ -47,8 +51,7 @@ def sym_lines(lams=(0, 1, 2), kmin=-2, kmax=2):
 
 
 def sym_grid(lams=(0, 1, 2), kmin=-2, kmax=2):
-    xs = refine_lines(sym_lines(lams, kmin, kmax))
-    return xs, xs
+    return refine_lines(sym_lines(lams, kmin, kmax))
 
 
 HOOD_V1 = point(0, 2, 0, 0)
@@ -74,34 +77,34 @@ def test_refinement_symmetric_under_negation():
 
 
 def test_from_blocks_empty_and_single():
-    xs, ys = sym_grid()
-    z = from_blocks([], xs, ys)
+    xs = sym_grid()
+    z = from_blocks([], xs)
     assert all(d == 0 for d in z.dims.values())
-    m = from_blocks([(HOOD_V1, 1)], xs, ys)
+    m = from_blocks([(HOOD_V1, 1)], xs)
     for idx in m.samples():
-        want = 1 if block_contains(HOOD_V1, m.point(idx)) else 0
+        want = 1 if block_contains(HOOD_V1, m.table.point(idx)) else 0
         assert m.dim_at(idx) == want
 
 
 def test_dgm_single_block_and_midpoint_vanishing():
-    xs, ys = sym_grid()
-    m = from_blocks([(HOOD_V1, 1)], xs, ys)
+    xs = sym_grid()
+    m = from_blocks([(HOOD_V1, 1)], xs)
     d = dgm(m)
     assert d.multiset() == [(HOOD_V1, 1)]
     for idx in m.samples():
         if idx[0] % 2 == 1 or idx[1] % 2 == 1:
-            if 0 < idx[0] and idx[1] < len(ys) - 1:
+            if 0 < idx[0] and idx[1] < len(xs) - 1:
                 assert dgm_value(m, idx) == 0
 
 
 def random_blocks(rng, m_shell, count):
     """Block points at interior grid vertices away from the window edge,
     with the inverse translate also safely inside."""
-    n_x, n_y = len(m_shell.xs), len(m_shell.ys)
+    n_x = n_y = len(m_shell.table.grid)
     candidates = []
     for i in range(2, n_x - 2, 2):
         for j in range(2, n_y - 2, 2):
-            pt = m_shell.point((i, j))
+            pt = m_shell.table.point((i, j))
             if strip_location(pt) != "interior":
                 continue
             w = m_shell.index_of(t_inverse(pt))
@@ -113,18 +116,18 @@ def random_blocks(rng, m_shell, count):
 
 
 def test_dgm_roundtrip_random_blocks():
-    xs, ys = sym_grid()
-    shell = GridModule(xs, ys, {}, {})
+    xs = sym_grid()
+    shell = GridModule(CoordTable(xs), {}, {})
     rng = random.Random(3)
     for _ in range(10):
         blocks = random_blocks(rng, shell, rng.randint(1, 3))
-        m = from_blocks(blocks, xs, ys)
+        m = from_blocks(blocks, xs)
         assert dgm(m).multiset() == sorted(blocks, key=lambda t: (t[0].x, t[0].y))
 
 
 def test_rank_between_examples():
-    xs, ys = sym_grid()
-    m = from_blocks([(HOOD_V1, 2)], xs, ys)
+    xs = sym_grid()
+    m = from_blocks([(HOOD_V1, 2)], xs)
     v_idx = m.index_of(HOOD_V1)
     assert rank_between(m, v_idx, v_idx) == 2
     # comparable pair inside the support: full multiplicity
@@ -132,24 +135,24 @@ def test_rank_between_examples():
     assert below is not None and rank_between(m, below, v_idx) == 2
     # q beyond T(p): rank 0 even though dimensions are positive
     v2 = t_apply(HOOD_V1)
-    m2 = from_blocks([(HOOD_V1, 2), (v2, 2)], xs, ys)
+    m2 = from_blocks([(HOOD_V1, 2), (v2, 2)], xs)
     p_idx = m2.index_of(point(0, 3, -1, 0))
     q_idx = m2.index_of(v2)
     assert p_idx is not None and q_idx is not None
     assert m2.dim_at(p_idx) == 2 and m2.dim_at(q_idx) == 2
-    q_pt, tp = m2.point(q_idx), t_apply(m2.point(p_idx))
+    q_pt, tp = m2.table.point(q_idx), t_apply(m2.table.point(p_idx))
     assert not (q_pt.x >= tp.x and q_pt.y <= tp.y)
     assert rank_between(m2, p_idx, q_idx) == 0
 
 
 def test_decomposition_check_blocks_ok_and_mutation():
-    xs, ys = sym_grid()
+    xs = sym_grid()
     rng = random.Random(5)
-    shell = GridModule(xs, ys, {}, {})
+    shell = GridModule(CoordTable(xs), {}, {})
     for _ in range(5):
-        m = from_blocks(random_blocks(rng, shell, 2), xs, ys)
+        m = from_blocks(random_blocks(rng, shell, 2), xs)
         assert decomposition_check(m) is None
-    m = from_blocks([(HOOD_V1, 1)], xs, ys)
+    m = from_blocks([(HOOD_V1, 1)], xs)
     v_idx = m.index_of(HOOD_V1)
     key = ((v_idx[0] + 1, v_idx[1]), v_idx)
     assert m.maps[key] == Mat.eye(1)
@@ -165,25 +168,25 @@ def test_middle_exact_examples():
 
 
 def test_cohomological_check_blocks_and_mutation():
-    xs, ys = sym_grid()
+    xs = sym_grid()
     rng = random.Random(9)
-    shell = GridModule(xs, ys, {}, {})
+    shell = GridModule(CoordTable(xs), {}, {})
     for _ in range(4):
-        m = from_blocks(random_blocks(rng, shell, 2), xs, ys)
+        m = from_blocks(random_blocks(rng, shell, 2), xs)
         assert cohomological_check(m, random_rectangles=40) is None
-    m = from_blocks([(HOOD_V1, 1)], xs, ys)
+    m = from_blocks([(HOOD_V1, 1)], xs)
     v_idx = m.index_of(HOOD_V1)
     m.maps[((v_idx[0] + 1, v_idx[1]), v_idx)] = Mat.zeros(1, 1)
     assert cohomological_check(m, random_rectangles=40) is not None
 
 
-def support_module(pred, xs, ys, p=2):
+def support_module(pred, xs, p=2):
     """Dimension-1 module supported where pred holds, with identity maps on
     the shared support (test helper for malformed supports)."""
-    shell = GridModule(xs, ys, {}, {}, p)
+    shell = GridModule(CoordTable(xs), {}, {}, p)
     dims = {}
     for idx in shell.samples():
-        dims[idx] = 1 if pred(shell.point(idx)) else 0
+        dims[idx] = 1 if pred(shell.table.point(idx)) else 0
     maps = {}
     for idx in dims:
         i, j = idx
@@ -191,12 +194,12 @@ def support_module(pred, xs, ys, p=2):
             if up in dims:
                 one = dims[idx] == 1 and dims[up] == 1
                 maps[(idx, up)] = Mat([[1]], p) if one else Mat.zeros(dims[idx], dims[up], p)
-    return GridModule(xs, ys, dims, maps, p)
+    return GridModule(shell.table, dims, maps, p)
 
 
 def test_seq_continuity_blocks_and_flipped_support():
-    xs, ys = sym_grid()
-    m = from_blocks([(HOOD_V1, 1), (HOOD_V2, 1)], xs, ys)
+    xs = sym_grid()
+    m = from_blocks([(HOOD_V1, 1), (HOOD_V2, 1)], xs)
     assert seq_continuity_check(m) is None
 
     w = t_inverse(HOOD_V1)
@@ -207,16 +210,16 @@ def test_seq_continuity_blocks_and_flipped_support():
             return False
         return pt.precedes(HOOD_V1) and pt.x <= w.x and pt.y > w.y
 
-    bad = support_module(wrong_side, xs, ys)
+    bad = support_module(wrong_side, xs)
     assert seq_continuity_check(bad) is not None
 
 
 def test_four_squares_identity_random_blocks():
-    xs, ys = sym_grid()
-    shell = GridModule(xs, ys, {}, {})
+    xs = sym_grid()
+    shell = GridModule(CoordTable(xs), {}, {})
     rng = random.Random(21)
-    m = from_blocks(random_blocks(rng, shell, 3), xs, ys)
-    n_x, n_y = len(xs), len(ys)
+    m = from_blocks(random_blocks(rng, shell, 3), xs)
+    n_x = n_y = len(xs)
     for _ in range(200):
         i = rng.randrange(1, n_x - 1)
         j = rng.randrange(1, n_y - 1)
@@ -235,11 +238,11 @@ def test_reflect_precomposition_homological():
     """Pulling back along the diagonal reflection turns the contravariant
     module into a covariant one; its Mayer-Vietoris squares must be exact in
     the homological direction."""
-    xs, ys = sym_grid()
-    assert xs == ys  # the grid is symmetric, so reflection permutes samples
-    shell = GridModule(xs, ys, {}, {})
+    xs = sym_grid()
+    # both axes share one coordinate list, so reflection permutes samples
+    shell = GridModule(CoordTable(xs), {}, {})
     rng = random.Random(23)
-    m = from_blocks(random_blocks(rng, shell, 2), xs, ys)
+    m = from_blocks(random_blocks(rng, shell, 2), xs)
     n = len(xs)
 
     def refl(idx):
@@ -272,13 +275,13 @@ def test_reflect_precomposition_homological():
 
 
 def test_colex_filtration_zero_and_single_block():
-    xs, ys = sym_grid()
-    z = from_blocks([], xs, ys)
+    xs = sym_grid()
+    z = from_blocks([], xs)
     u = z.index_of(point(0, 1, 0, 0))
     rows = colex_filtration(z, u)
     assert all(all(d == 0 for d in row) for row in rows)
 
-    m = from_blocks([(HOOD_V1, 1)], xs, ys)
+    m = from_blocks([(HOOD_V1, 1)], xs)
     rows = colex_filtration(m, m.index_of(HOOD_V1))
     flat = [d for row in rows for d in row]
     assert rows[-1][-1] == 1
@@ -287,12 +290,12 @@ def test_colex_filtration_zero_and_single_block():
 
 
 def test_colex_filtration_random_blocks():
-    xs, ys = sym_grid()
-    shell = GridModule(xs, ys, {}, {})
+    xs = sym_grid()
+    shell = GridModule(CoordTable(xs), {}, {})
     rng = random.Random(29)
     for _ in range(5):
         blocks = random_blocks(rng, shell, 2)
-        m = from_blocks(blocks, xs, ys)
+        m = from_blocks(blocks, xs)
         for v, _mult in blocks:
             idx = m.index_of(v)
             if m.t_index(idx) is None:
@@ -302,21 +305,66 @@ def test_colex_filtration_random_blocks():
 
 
 def test_nat_space_dim():
-    xs, ys = sym_grid()
-    m1 = from_blocks([(HOOD_V1, 1)], xs, ys)
+    xs = sym_grid()
+    m1 = from_blocks([(HOOD_V1, 1)], xs)
     assert nat_space_dim(m1.index_of(HOOD_V1), m1) == 1
 
     far = point(-2, 1, 2, -1)
     assert strip_location(far) == "interior"
-    m_far = from_blocks([(far, 1)], xs, ys)
+    m_far = from_blocks([(far, 1)], xs)
     if not block_contains(far, HOOD_V1) and not block_contains(HOOD_V1, far):
         assert nat_space_dim(m_far.index_of(HOOD_V1), m_far) \
             == m_far.dim_at(m_far.index_of(HOOD_V1))
 
-    shell = GridModule(xs, ys, {}, {})
+    shell = GridModule(CoordTable(xs), {}, {})
     rng = random.Random(31)
     for _ in range(6):
         blocks = random_blocks(rng, shell, 2)
-        m = from_blocks(blocks, xs, ys)
+        m = from_blocks(blocks, xs)
         v = rng.choice(blocks)[0]
         assert nat_space_dim(m.index_of(v), m) == m.dim_at(m.index_of(v))
+
+
+# ---------------------------------------------------------------------------
+# sample-grid geometry
+
+
+def geometry_case(case, tmp_path):
+    from riscpl.cli import load_module, module_json
+    from riscpl.risc_builder import evaluate
+
+    from test_oracles import HOOD_F, HOOD_SIMPLICES
+    from test_risc_builder import complex_of, random_complex
+
+    if case == "random":
+        return evaluate(random_complex(random.Random(7))).module
+    m = evaluate(complex_of(HOOD_F, HOOD_SIMPLICES), p=3).module
+    if case == "dump":
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(module_json(m, 3)))
+        m, _ = load_module(str(path))
+    return m
+
+
+@pytest.mark.parametrize("case", ["hood", "random", "dump"])
+def test_grid_geometry_matches_reference(case, tmp_path):
+    m = geometry_case(case, tmp_path)
+    xs = m.table.grid
+    ref = SampleGridReference(xs)
+    n = len(xs)
+    assert n > 0
+    assert list(m.samples()) == ref.samples()
+    assert list(m.vertex_indices()) == ref.vertex_indices()
+    for i in range(-1, n + 1):
+        for j in range(-1, n + 1):
+            idx = (i, j)
+            assert m.is_sample(idx) == ref.is_sample(idx), idx
+            assert m.is_interior(idx) == ref.is_interior(idx), idx
+            for power in (1, -1):
+                assert m.t_index(idx, power) == ref.t_index(idx, power), (idx, power)
+            if 0 <= i < n and 0 <= j < n:
+                assert m.index_of(m.table.point(idx)) == idx
+    for idx in ref.samples():
+        # translates that leave the grid have no index
+        for q in (t_apply(ref.point(idx)), t_inverse(ref.point(idx))):
+            assert m.index_of(q) == ref.index_of(q)
