@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .exact_geometry import Coord, CoordTable, INF, NEG_INF
 from .field_linalg import Mat, check_prime
 from .interleave import interleaving_check
-from .plc import PLComplex, check_funcs
+from .plc import PLComplex
 from .risc_builder import DEFAULT_CAP, barcode, evaluate
 from .strip_module import (
     GridModule,
@@ -252,9 +252,10 @@ def sample_parse(m: GridModule, idx) -> Tuple[int, int]:
 
 def load_module(path) -> Tuple[GridModule, int]:
     """A module dump, checked against the format: "ys" repeats the strictly
-    increasing "xs", every dims entry and map end is a sample, every map
-    key is a covering pair and every map is an integer matrix of the shape
-    of its ends' dimensions."""
+    increasing "xs", every dims entry and map end is a sample, no sample
+    has two dims entries and no dimension is negative, every map key is a
+    covering pair given once, and every map is an integer matrix of the
+    shape of its ends' dimensions."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -266,11 +267,18 @@ def load_module(path) -> Tuple[GridModule, int]:
             raise ValueError("the module's ys must equal its xs")
         m = GridModule(CoordTable(xs), {}, {}, field)
         for i, j, d in data["dims"]:
-            m.dims[sample_parse(m, [i, j])] = parse_int(d, "a dimension")
+            idx = sample_parse(m, [i, j])
+            if idx in m.dims:
+                raise ValueError(f"the dims entry {[i, j, d]} repeats the sample {[i, j]}")
+            if parse_int(d, "a dimension") < 0:
+                raise ValueError(f"the dims entry {[i, j, d]} has a negative dimension")
+            m.dims[idx] = d
         for a, b, arr in data["maps"]:
             lo, hi = sample_parse(m, a), sample_parse(m, b)
-            if hi not in ((lo[0] - 1, lo[1]), (lo[0], lo[1] + 1)):
+            if hi not in m.up(lo):
                 raise ValueError(f"the map key {[a, b]} is not a covering pair")
+            if (lo, hi) in m.maps:
+                raise ValueError(f"the map key {[a, b]} is repeated")
             arr = [[parse_int(x, "a map entry") for x in row] for row in arr]
             mat = m.maps[(lo, hi)] = Mat(arr, field)
             if (mat.rows, mat.cols) != (m.dim_at(lo), m.dim_at(hi)):
@@ -305,7 +313,6 @@ def emit_json(doc: dict, out: Optional[str]):
 
 def cmd_dgm(args) -> int:
     k, field = load_complex(args.input)
-    check_funcs(k, args.func)
     p = field_of(args, field)
     r = evaluate(k, func=args.func, p=p, cap=args.cap)
     if args.dump_module:
@@ -320,7 +327,6 @@ def cmd_dgm(args) -> int:
 
 def cmd_barcode(args) -> int:
     k, field = load_complex(args.input)
-    check_funcs(k, args.func)
     p = field_of(args, field)
     r = evaluate(k, func=args.func, p=p, cap=args.cap)
     doc = barcode_json(r, p)
@@ -367,7 +373,6 @@ def cmd_check(args) -> int:
         func = 0 if args.func is None else args.func
         cap = DEFAULT_CAP if args.cap is None else args.cap
         k, field = load_complex(args.input)
-        check_funcs(k, func)
         module = evaluate(k, func=func, p=field_of(args, field), cap=cap).module
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = {"suites": {}, "ok": True}
@@ -383,7 +388,6 @@ def cmd_interleave(args) -> int:
     k, field = load_complex(args.input)
     if k.nfuncs < 2:
         raise ValueError("interleave needs two value sets per vertex")
-    check_funcs(k, args.f, args.g)
     delta = None if args.delta == "auto" else parse_rational(args.delta)
     result = interleaving_check(k, args.f, args.g, delta,
                                 p=field_of(args, field), cap=args.cap)

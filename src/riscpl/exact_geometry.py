@@ -18,7 +18,8 @@ coordinates of one grid to integer ids (the grid lines first, so a grid index
 is its id) and fills its maps lazily, one exact call per entry: the strip
 location, tile index and fundamental-domain membership of a point (ix, iy),
 the id maps of T^n, and the per-coordinate id maps of every shift.  Repeated
-geometry on the grid is then a lookup on ints.
+geometry on the grid, the support of a block included, is then a lookup on
+ints.
 """
 
 from __future__ import annotations
@@ -450,7 +451,7 @@ def rho(p: StripPoint) -> Tuple[RealOpenSet, RealOpenSet]:
 
 
 # ---------------------------------------------------------------------------
-# Fundamental domain, tiles, blocks
+# Fundamental domain and tiles
 
 
 def in_diag_downset(p: StripPoint) -> bool:
@@ -481,17 +482,6 @@ def tile_index(p: StripPoint) -> int:
     if m % 2 == 0 and p.y.v > p.x.v:
         n -= 1
     return n
-
-
-def block_contains(v: StripPoint, p: StripPoint) -> bool:
-    """Support predicate of the indecomposable block at v: p must be below v
-    and interior to the upset of T^-1(v); boundary points never qualify."""
-    if strip_location(p) != "interior":
-        return False
-    if not p.precedes(v):
-        return False
-    w = t_inverse(v)
-    return p.x < w.x and p.y > w.y
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +596,7 @@ class CoordTable:
     function it stores: `location` (strip_location), `tile` (tile_index),
     `fundamental` (in_fundamental_domain), `power(n)` (t_power), `shift(a)`
     (the coordinate action of alpha_apply) and the coordinate order behind
-    `precedes`."""
+    `precedes` and `in_block`."""
 
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
@@ -637,6 +627,14 @@ class CoordTable:
     def precedes(self, lo: Key, hi: Key) -> bool:
         """StripPoint.precedes on keys: lo.x >= hi.x and lo.y <= hi.y."""
         return self._le[(hi[0], lo[0])] and self._le[(lo[1], hi[1])]
+
+    def in_block(self, v: Key, s: Key) -> bool:
+        """Support of the indecomposable block at v: s must be interior,
+        below v and strictly above T^-1(v) in both coordinates."""
+        if self.location[s] != "interior" or not self.precedes(s, v):
+            return False
+        w = self.power(-1)[v]
+        return not self._le[(w[0], s[0])] and not self._le[(s[1], w[1])]
 
     def power(self, n: int) -> Dict[Key, Key]:
         """The key map of T^n."""

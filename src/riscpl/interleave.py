@@ -209,8 +209,7 @@ def naturality_check(md: MorphismData) -> Optional[tuple]:
     indices or None."""
     src, dst = md.source, md.target
     for idx in dst.samples():
-        i, j = idx
-        for up in ((i - 1, j), (i, j + 1)):
+        for up in dst.up(idx):
             if up not in md.per_sample:
                 continue
             lhs = dst.map_at(idx, up) @ md.per_sample[up]

@@ -242,8 +242,7 @@ def assemble_module(ev: FunctorEvaluator, transform=None) -> GridModule:
             tiles[idx] = n
 
     for idx, d in dims.items():
-        i, j = idx
-        for up in ((i - 1, j), (i, j + 1)):
+        for up in m.up(idx):
             if up not in dims:
                 continue
             if d and dims[up] and tiles[idx] - tiles[up] not in (0, 1):

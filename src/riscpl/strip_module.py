@@ -11,8 +11,10 @@ continuity, decomposition and filtration properties.
 The x and y axes of a sample grid share one coordinate list, held by the
 GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
 is a coordinate id, the sample and interior tests and the sample iteration
-read the table's strip locations, and the translate lookups its maps of
-T and T^-1.
+read the table's strip locations, the translate lookups its maps of T^n,
+and the block supports its `in_block`.  The checkers work on grid indices
+alone, with `GridModule.up` and `GridModule.down` as the one covering
+relation.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_geometry import (
-    Coord,
-    CoordTable,
-    INF,
-    StripPoint,
-    block_contains,
-    strip_location,
-)
+from .exact_geometry import Coord, CoordTable, INF, StripPoint
 from .field_linalg import (
     Mat,
     column_space_sum_dim,
@@ -93,12 +88,12 @@ class GridModule:
     """Dimensions and structure maps of a pfd functor on a sample grid.
 
     The grid of the coordinate table is the refined coordinate list of both
-    axes (lines at even indices, midpoints at odd indices).  In the strip
-    order, the upward covering neighbors of the sample (i, j) are (i-1, j)
-    and (i, j+1); maps is keyed by such covering pairs ((i, j), neighbor)
-    and stores the matrix of the structure map M(neighbor) -> M(i, j), i.e.
-    maps point down the order as the functor is contravariant.  Samples
-    outside the strip are absent and act as zero spaces."""
+    axes (lines at even indices, midpoints at odd indices).  `up` and `down`
+    give the covering neighbors of a sample in the strip order; maps is
+    keyed by covering pairs (idx, neighbor) with neighbor in up(idx) and
+    stores the matrix of the structure map M(neighbor) -> M(idx), i.e. maps
+    point down the order as the functor is contravariant.  Samples outside
+    the strip are absent and act as zero spaces."""
 
     def __init__(self, table: CoordTable, dims: Dict[Index, int],
                  maps: Dict[Tuple[Index, Index], Mat], p: int = 2):
@@ -108,6 +103,20 @@ class GridModule:
         self.p = p
 
     # -- sample bookkeeping
+
+    @staticmethod
+    def up(idx: Index) -> Tuple[Index, Index]:
+        """The upward covering neighbors of a grid index: one step down in x
+        and one step up in y."""
+        i, j = idx
+        return (i - 1, j), (i, j + 1)
+
+    @staticmethod
+    def down(idx: Index) -> Tuple[Index, Index]:
+        """The downward covering neighbors of a grid index: one step up in x
+        and one step down in y."""
+        i, j = idx
+        return (i + 1, j), (i, j - 1)
 
     def index_of(self, pt: StripPoint) -> Optional[Index]:
         n = len(self.table.grid)
@@ -148,39 +157,29 @@ class GridModule:
     def map_between(self, lo: Index, hi: Index) -> Mat:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
-        independence makes any other monotone path agree."""
+        independence makes any other monotone path agree.  A staircase
+        through a zero space composes to zero, so it is not multiplied."""
         (il, jl), (ih, jh) = lo, hi
         if il < ih or jl > jh:
             raise ValueError("samples not comparable in the given direction")
+        path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
+            [(i, jl) for i in range(ih + 1, il + 1)]
+        if any(self.dim_at(s) == 0 for s in path):
+            return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
         acc = Mat.eye(self.dim_at(hi), self.p)
-        j = jh
-        while j > jl:
-            acc = self.map_at((ih, j - 1), (ih, j)) @ acc
-            j -= 1
-        i = ih
-        while i < il:
-            acc = self.map_at((i + 1, jl), (i, jl)) @ acc
-            i += 1
+        for above, below in zip(path, path[1:]):
+            acc = self.map_at(below, above) @ acc
         return acc
-
-    def _resolve(self, s) -> Index:
-        if isinstance(s, StripPoint):
-            idx = self.index_of(s)
-            if idx is None:
-                raise ValueError(f"{s} is not a sample")
-            return idx
-        return s
 
     def vertex_indices(self) -> Iterable[Index]:
         """The samples at grid vertices (both indices even), row by row."""
         return (idx for idx in self.samples() if not (idx[0] % 2 or idx[1] % 2))
 
     def t_index(self, idx: Index, power: int = 1) -> Optional[Index]:
-        """Index of the translate T^power (power 1 or -1) of a sample, if on
-        the grid."""
+        """Index of the translate T^power of a sample, if on the grid."""
         if not self.is_sample(idx):
             return None
-        q = self.table.power(1 if power == 1 else -1)[idx]
+        q = self.table.power(power)[idx]
         return q if self.in_range(q) else None
 
 
@@ -193,23 +192,21 @@ def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
     """Direct sum of blocks: the dimension at a sample counts the blocks
     whose support contains it, and each structure map is the 0/1 matrix
     matching up the shared blocks."""
-    ids = []
+    m = GridModule(CoordTable(xs), {}, {}, p)
+    vertices = []
     for v, mult in blocks:
         if mult < 1:
             raise ValueError("multiplicities must be positive")
-        if strip_location(v) != "interior":
+        key = m.table.key(v)
+        if m.table.location[key] != "interior":
             raise ValueError("block points must be interior")
-        for c in range(mult):
-            ids.append((v, c))
-    m = GridModule(CoordTable(xs), {}, {}, p)
+        vertices += [key] * mult
     local: Dict[Index, List[int]] = {}
     for idx in m.samples():
-        pt = m.table.point(idx)
-        local[idx] = [b for b, (v, _) in enumerate(ids) if block_contains(v, pt)]
+        local[idx] = [b for b, v in enumerate(vertices) if m.table.in_block(v, idx)]
         m.dims[idx] = len(local[idx])
     for idx in m.dims:
-        i, j = idx
-        for up in ((i - 1, j), (i, j + 1)):
+        for up in m.up(idx):
             if up not in m.dims:
                 continue
             mat = Mat.zeros(m.dims[idx], m.dims[up], p)
@@ -231,9 +228,8 @@ def dgm_value(m: GridModule, idx: Index) -> int:
     d = m.dim_at(idx)
     if d == 0:
         return 0
-    i, j = idx
     imgs = []
-    for up in ((i - 1, j), (i, j + 1)):
+    for up in m.up(idx):
         if not m.in_range(up):
             raise ValueError(f"grid too small: sample {idx} lacks neighbor {up}")
         imgs.append(m.map_at(idx, up))
@@ -250,18 +246,6 @@ def dgm(m: GridModule) -> Diagram:
     return out
 
 
-def rank_between(m: GridModule, p, q) -> int:
-    """Rank of the structure map between comparable samples p precedes q."""
-    pi = m._resolve(p)
-    qi = m._resolve(q)
-    (il, jl), (ih, jh) = pi, qi
-    if il < ih or jl > jh:
-        raise ValueError("samples not comparable")
-    # when q lies beyond T(p) the staircase passes through the boundary and
-    # the composite is zero, as it must be
-    return rank(m.map_between(pi, qi))
-
-
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -276,8 +260,7 @@ def composites_down(m: GridModule, v: Index) -> Dict[Index, Mat]:
             s = (i, j)
             if s == v or not m.is_sample(s):
                 continue
-            via_x = (i - 1, j)
-            via_y = (i, j + 1)
+            via_x, via_y = m.up(s)
             if i > iv and via_x in comp:
                 comp[s] = m.map_at(s, via_x) @ comp[via_x]
             elif j < jv and via_y in comp:
@@ -294,8 +277,7 @@ def square_commutes_check(m: GridModule):
     for i in range(1, n):
         for j in range(n - 1):
             lo, diag = (i, j), (i - 1, j + 1)
-            via_x = (i - 1, j)
-            via_y = (i, j + 1)
+            via_x, via_y = m.up(lo)
             left = m.map_at(lo, via_x) @ m.map_at(via_x, diag)
             right = m.map_at(lo, via_y) @ m.map_at(via_y, diag)
             if left != right:
@@ -305,7 +287,7 @@ def square_commutes_check(m: GridModule):
 
 @dataclass
 class _Section:
-    v: StripPoint
+    v: Index
     comp: Dict[Index, Mat]
     xi: Mat
 
@@ -325,25 +307,20 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
     bad = square_commutes_check(m)
     if bad is not None:
         return ("square", *bad)
-    diagram = dgm(m)
-    blocks = [(d.point, d.multiplicity) for d in diagram.points]
+    # diagram points are grid vertices
+    blocks = [(m.index_of(d.point), d.multiplicity) for d in dgm(m).points]
+    in_block = m.table.in_block
     # process upper blocks first: a block can only feed sections into the
     # vertex spaces of blocks whose vertex its support contains
-    order = []
-    for v, mult in blocks:
-        vi = m.index_of(v)
-        if vi is None:
-            return ("vertex off grid", v)
-        order.append((vi[0] - vi[1], vi, v, mult))
-    order.sort(key=lambda t: t[0])
+    order = sorted(blocks, key=lambda b: b[0][0] - b[0][1])
 
     sections: List[_Section] = []
-    for _, vi, v, mult in order:
+    for vi, mult in order:
         comp = composites_down(m, vi)
-        supp = {s for s in comp if block_contains(v, m.table.point(s))}
+        supp = {s for s in comp if in_block(vi, s)}
         rows = []
-        for (i, j) in supp:
-            for down in ((i + 1, j), (i, j - 1)):
+        for s in supp:
+            for down in m.down(s):
                 if down in comp and down not in supp:
                     rows.append(comp[down])
         if rows:
@@ -354,20 +331,20 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
         prior = [
             sec.comp[vi] @ sec.xi
             for sec in sections
-            if vi in sec.comp and block_contains(sec.v, m.table.point(vi))
+            if vi in sec.comp and in_block(sec.v, vi)
         ]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
         free = independent_split(base, ker)[1]
         if len(free) < mult:
-            return ("too few sections", v, len(free), mult)
+            return ("too few sections", m.table.point(vi), len(free), mult)
         xi = Mat.hstack([ker.column(c) for c in free[:mult]])
-        sections.append(_Section(v, comp, xi))
+        sections.append(_Section(vi, comp, xi))
 
     for s in m.samples():
         cols = [
             sec.comp[s] @ sec.xi
             for sec in sections
-            if s in sec.comp and block_contains(sec.v, m.table.point(s))
+            if s in sec.comp and in_block(sec.v, s)
         ]
         d = m.dim_at(s)
         total = sum(c.cols for c in cols)
@@ -377,12 +354,8 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
             return ("not invertible", s)
 
     def predicted(p_idx: Index, q_idx: Index) -> int:
-        pp, qq = m.table.point(p_idx), m.table.point(q_idx)
-        return sum(
-            mult
-            for v, mult in blocks
-            if block_contains(v, pp) and block_contains(v, qq)
-        )
+        return sum(mult for vi, mult in blocks
+                   if in_block(vi, p_idx) and in_block(vi, q_idx))
 
     rng = random.Random(seed)
     all_samples = list(m.samples())
@@ -393,7 +366,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
         qi = rng.choice(all_samples)
         if not (pi[0] >= qi[0] and pi[1] <= qi[1]):
             continue
-        got = rank_between(m, pi, qi)
+        got = rank(m.map_between(pi, qi))
         want = predicted(pi, qi)
         if got != want:
             return (pi, qi, got, want)
@@ -499,17 +472,17 @@ def _discontinuities(m: GridModule, u: Index, horizontal: bool,
     out = []
     for t in range(min(lo_line, hi_line) + 2, max(lo_line, hi_line), 2):
         if horizontal:
-            left = rank_between(m, u, (t - 1, u[1]))
-            right = rank_between(m, u, (t + 1, u[1]))
+            left = rank(m.map_between(u, (t - 1, u[1])))
+            right = rank(m.map_between(u, (t + 1, u[1])))
         else:
-            left = rank_between(m, u, (u[0], t - 1))
-            right = rank_between(m, u, (u[0], t + 1))
+            left = rank(m.map_between(u, (u[0], t - 1)))
+            right = rank(m.map_between(u, (u[0], t + 1)))
         if left != right:
             out.append(t)
     return out
 
 
-def colex_filtration(m: GridModule, u) -> List[List[int]]:
+def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
     """Dimensions of the colexicographic filtration of M(u) by sums of
     images from above, one row per y-level from T(u).y down to u.y.
 
@@ -517,7 +490,6 @@ def colex_filtration(m: GridModule, u) -> List[List[int]]:
     vanishes, each row starts where the previous one ended, and the
     quotient growth matches the local diagram formula at every inner grid
     point (the step-isomorphism identity)."""
-    u = m._resolve(u)
     if not m.is_interior(u):
         raise ValueError("filtration base point must be interior")
     tu = m.t_index(u)
@@ -575,13 +547,11 @@ def colex_filtration(m: GridModule, u) -> List[List[int]]:
 # natural transformations from a block
 
 
-def nat_space_dim(v, m: GridModule) -> int:
-    """Dimension of the space of natural transformations from the block at v
-    into m, computed by solving the naturality equations on the sample grid.
-    By the Yoneda-style lemma this must equal dim m(v)."""
-    v_idx = m._resolve(v)
-    v_pt = m.table.point(v_idx)
-    supp = [idx for idx in m.samples() if block_contains(v_pt, m.table.point(idx))]
+def nat_space_dim(v: Index, m: GridModule) -> int:
+    """Dimension of the space of natural transformations from the block at
+    the sample v into m, computed by solving the naturality equations on the
+    sample grid.  By the Yoneda-style lemma this must equal dim m(v)."""
+    supp = [idx for idx in m.samples() if m.table.in_block(v, idx)]
     if not supp:
         return 0
     offset = {}
@@ -591,8 +561,7 @@ def nat_space_dim(v, m: GridModule) -> int:
         total += m.dim_at(idx)
     rows = []
     for idx in supp:
-        i, j = idx
-        for up in ((i - 1, j), (i, j + 1)):
+        for up in m.up(idx):
             if not m.is_sample(up):
                 continue
             mat = m.map_at(idx, up)
@@ -603,7 +572,7 @@ def nat_space_dim(v, m: GridModule) -> int:
                     row[offset[idx] + r] = 1
                     row[offset[up] : offset[up] + m.dim_at(up)] -= mat.data[r]
                     rows.append(row % m.p)
-        for down in ((i + 1, j), (i, j - 1)):
+        for down in m.down(idx):
             if down in offset or not m.is_sample(down):
                 continue
             # the block dies moving down; the image of eta must die with it

@@ -2,8 +2,9 @@
 
 Brute-force searches for the closed-form tile index and region degree (each
 tries every power of T in a fixed window and insists that exactly one
-qualifies), the sample-grid bookkeeping recomputed point by point, and a
-floating-point oracle of the transcendental definitions.  Tests compare the
+qualifies), the block support on strip points, the sample-grid bookkeeping
+recomputed point by point, and a floating-point oracle of the transcendental
+definitions.  Tests compare the
 exact code against them.
 """
 
@@ -42,6 +43,17 @@ def region_degree_search(u) -> int:
     return _unique_power(u, lambda q: q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI)
 
 
+def block_contains(v: StripPoint, p: StripPoint) -> bool:
+    """Support predicate of the indecomposable block at v: p must be below v
+    and interior to the upset of T^-1(v); boundary points never qualify."""
+    if strip_location(p) != "interior":
+        return False
+    if not p.precedes(v):
+        return False
+    w = t_inverse(v)
+    return p.x < w.x and p.y > w.y
+
+
 class SampleGridReference:
     """The geometry of a sample grid whose axes share one coordinate list,
     recomputed point by point: one strip_location per grid point, the
@@ -74,9 +86,14 @@ class SampleGridReference:
         return [(i, j) for i, j in self.samples() if i % 2 == 0 and j % 2 == 0]
 
     def t_index(self, idx, power=1):
+        """The index of T^power of a sample, by |power| steps of t_apply or
+        t_inverse."""
         if not self.is_sample(idx):
             return None
-        return self.index_of((t_apply if power == 1 else t_inverse)(self.point(idx)))
+        p = self.point(idx)
+        for _ in range(abs(power)):
+            p = (t_apply if power > 0 else t_inverse)(p)
+        return self.index_of(p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Straightforward versions of what the package computes another way, kept
 to check the package against them: one-level splitting and its check, the
 vertex-by-vertex open model, the sorted coboundary of a relative cochain
-complex, the refined sample grid of one function, the shifted module, and
-the loop-based kernel basis.
+complex, the refined sample grid of one function, the shifted module, the
+full staircase product of a grid module, and the loop-based kernel basis.
 """
 
 from fractions import Fraction
@@ -122,6 +122,19 @@ def shifted_module(r: RiscResult, a: ShiftVector,
                       funcs=[r.func], cap=cap)
     ev = FunctorEvaluator(split, CoordTable(xs), r.func, r.module.p)
     return assemble_module(ev, transform=ev.table.shift(a))
+
+
+def staircase_fold(m: GridModule, lo, hi) -> Mat:
+    """M(hi) -> M(lo) for lo preceding hi: the product of every covering map
+    on the staircase through the corner (hi.x, lo.y), starting from the
+    identity of M(hi)."""
+    (il, jl), (ih, jh) = lo, hi
+    acc = Mat.eye(m.dim_at(hi), m.p)
+    for j in range(jh, jl, -1):
+        acc = m.map_at((ih, j - 1), (ih, j)) @ acc
+    for i in range(ih, il):
+        acc = m.map_at((i + 1, jl), (i, jl)) @ acc
+    return acc
 
 
 def kernel_basis(m: Mat) -> Mat:

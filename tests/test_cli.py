@@ -159,6 +159,7 @@ def assert_module_error(capsys, path):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_check_rejects_module_top_level_list(capsys, tmp_path):
@@ -346,8 +347,10 @@ def test_check_mutated_module_dump_fails(capsys, tmp_path):
 # One broken circle dump per rule of the module format, each of which must
 # be refused with one error line: "ys" repeats "xs"; the coordinates are
 # strictly increasing; every k and index is a JSON integer; every dims entry
-# and map end is a sample; every map key is a covering pair; every map is an
-# integer matrix of the shape of its ends' dimensions.
+# and map end is a sample; no sample has two dims entries and no dimension is
+# negative; every map key is a covering pair given once; every map is an
+# integer matrix of the shape of its ends' dimensions.  Where the error must
+# name the broken entry, the entry is returned.
 def break_dump(doc, case):
     first_map = doc["maps"][0]
     if case == "ys-shortened":
@@ -361,6 +364,12 @@ def break_dump(doc, case):
     elif case.startswith("dims-index"):
         doc["dims"][0][0] = {"float": 1.5, "bool": True, "negative": -1,
                              "beyond": 1000}[case.split("-")[-1]]
+    elif case == "dims-negative":
+        doc["dims"][0][2] = -1
+        return doc["dims"][0]
+    elif case == "dims-repeated":
+        doc["dims"].append(doc["dims"][0])
+        return doc["dims"][0]
     elif case == "map-end-outside":
         first_map[1] = [0, 0]
     elif case == "map-key-short":
@@ -371,12 +380,17 @@ def break_dump(doc, case):
         first_map[2].append(first_map[2][0])
     elif case == "map-entry-float":
         first_map[2][0][0] += 0.5
+    elif case == "map-repeated":
+        a, b, arr = first_map
+        doc["maps"].append([a, b, [[1 - x for x in row] for row in arr]])
+        return [a, b]
 
 
 @pytest.mark.parametrize("case", [
     "ys-shortened", "xs-reversed", "xs-duplicate", "k-float", "dims-index-float",
-    "dims-index-bool", "dims-index-negative", "dims-index-beyond", "map-end-outside",
-    "map-key-short", "map-not-covering", "map-shape", "map-entry-float"])
+    "dims-index-bool", "dims-index-negative", "dims-index-beyond", "dims-negative",
+    "dims-repeated", "map-end-outside", "map-key-short", "map-not-covering",
+    "map-repeated", "map-shape", "map-entry-float"])
 def test_check_rejects_broken_module_dump(capsys, tmp_path, case):
     circle = tmp_path / "circle.json"
     dump = tmp_path / "module.json"
@@ -384,8 +398,9 @@ def test_check_rejects_broken_module_dump(capsys, tmp_path, case):
     assert main(["dgm", str(circle), "--dump-module", str(dump),
                  "--out", str(tmp_path / "dgm.json")]) == 0
     doc = json.loads(dump.read_text())
-    break_dump(doc, case)
-    assert_module_error(capsys, write_json(tmp_path / "broken.json", doc))
+    named = break_dump(doc, case)
+    err = assert_module_error(capsys, write_json(tmp_path / "broken.json", doc))
+    assert named is None or str(named) in err
 
 
 def test_interleave_hood(capsys, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geometry_reference import (
+    block_contains,
     float_alpha,
     float_in_strip,
     float_rho1_bounds,
@@ -23,7 +24,6 @@ from riscpl.exact_geometry import (
     StripPoint,
     alpha_apply,
     beta_levelset,
-    block_contains,
     classify_region,
     diag_point,
     in_diag_downset,

@@ -8,7 +8,6 @@ from riscpl.exact_geometry import (
     ShiftVector,
     StripPoint,
     alpha_apply,
-    block_contains,
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import (
@@ -27,6 +26,7 @@ from riscpl.plc import PLComplex
 from riscpl.risc_builder import evaluate
 from riscpl.strip_module import from_blocks
 
+from geometry_reference import block_contains
 from reference import shifted_module
 from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 

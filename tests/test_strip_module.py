@@ -10,7 +10,6 @@ from riscpl.exact_geometry import (
     CoordTable,
     INF,
     StripPoint,
-    block_contains,
     point,
     strip_location,
     t_apply,
@@ -28,12 +27,12 @@ from riscpl.strip_module import (
     middle_exact_check,
     midpoint_coord,
     nat_space_dim,
-    rank_between,
     refine_lines,
     seq_continuity_check,
 )
 
-from geometry_reference import SampleGridReference
+from geometry_reference import SampleGridReference, block_contains
+from reference import staircase_fold
 
 F = Fraction
 
@@ -129,10 +128,10 @@ def test_rank_between_examples():
     xs = sym_grid()
     m = from_blocks([(HOOD_V1, 2)], xs)
     v_idx = m.index_of(HOOD_V1)
-    assert rank_between(m, v_idx, v_idx) == 2
+    assert rank(m.map_between(v_idx, v_idx)) == 2
     # comparable pair inside the support: full multiplicity
     below = m.index_of(point(0, 2, -1, 0))
-    assert below is not None and rank_between(m, below, v_idx) == 2
+    assert below is not None and rank(m.map_between(below, v_idx)) == 2
     # q beyond T(p): rank 0 even though dimensions are positive
     v2 = t_apply(HOOD_V1)
     m2 = from_blocks([(HOOD_V1, 2), (v2, 2)], xs)
@@ -142,7 +141,38 @@ def test_rank_between_examples():
     assert m2.dim_at(p_idx) == 2 and m2.dim_at(q_idx) == 2
     q_pt, tp = m2.table.point(q_idx), t_apply(m2.table.point(p_idx))
     assert not (q_pt.x >= tp.x and q_pt.y <= tp.y)
-    assert rank_between(m2, p_idx, q_idx) == 0
+    assert rank(m2.map_between(p_idx, q_idx)) == 0
+
+
+def zeroed_at(m, s):
+    """A copy of m whose space at the sample s is zero."""
+    dims = dict(m.dims)
+    dims[s] = 0
+    maps = {key: Mat.zeros(dims[key[0]], dims[key[1]], m.p) if s in key else mat
+            for key, mat in m.maps.items()}
+    return GridModule(m.table, dims, maps, m.p)
+
+
+def test_map_between_matches_staircase_fold():
+    xs = sym_grid(lams=(0,), kmin=-1, kmax=1)
+    shell = GridModule(CoordTable(xs), {}, {})
+    rng = random.Random(37)
+    modules = [from_blocks(random_blocks(rng, shell, 3), xs) for _ in range(3)]
+    m0 = modules[0]
+    full = [s for s in m0.samples() if m0.dim_at(s) and m0.is_interior(s)]
+    modules.append(zeroed_at(m0, rng.choice(full)))
+    killed = 0
+    for m in modules:
+        samples = list(m.samples())
+        for lo in samples:
+            for hi in samples:
+                if lo[0] >= hi[0] and lo[1] <= hi[1]:
+                    got = m.map_between(lo, hi)
+                    assert got == staircase_fold(m, lo, hi), (lo, hi)
+                    if m is modules[-1]:
+                        killed += got.is_zero() and not m0.map_between(lo, hi).is_zero()
+    # the zeroed space cuts some staircase that carried a nonzero map
+    assert killed > 0
 
 
 def test_decomposition_check_blocks_ok_and_mutation():
@@ -360,7 +390,7 @@ def test_grid_geometry_matches_reference(case, tmp_path):
             idx = (i, j)
             assert m.is_sample(idx) == ref.is_sample(idx), idx
             assert m.is_interior(idx) == ref.is_interior(idx), idx
-            for power in (1, -1):
+            for power in (1, -1, 2, -2):
                 assert m.t_index(idx, power) == ref.t_index(idx, power), (idx, power)
             if 0 <= i < n and 0 <= j < n:
                 assert m.index_of(m.table.point(idx)) == idx
@@ -368,3 +398,11 @@ def test_grid_geometry_matches_reference(case, tmp_path):
         # translates that leave the grid have no index
         for q in (t_apply(ref.point(idx)), t_inverse(ref.point(idx))):
             assert m.index_of(q) == ref.index_of(q)
+    # block supports: every diagram vertex and seeded interior samples
+    interior = [idx for idx in ref.samples() if ref.is_interior(idx)]
+    vertices = [m.index_of(d.point) for d in dgm(m).points]
+    vertices += random.Random(0).sample(interior, min(200, len(interior)))
+    points = {s: ref.point(s) for s in ref.samples()}
+    for v in vertices:
+        for s, pt in points.items():
+            assert m.table.in_block(v, s) == block_contains(points[v], pt), (v, s)
