@@ -16,10 +16,10 @@ A sample grid meets only a small, fixed set of coordinates: T and the shift
 action act on each strip coordinate separately.  `CoordTable` interns the
 coordinates of one grid to integer ids (the grid lines first, so a grid index
 is its id) and fills its maps lazily, one exact call per entry: the strip
-location, tile index and fundamental-domain membership of a point (ix, iy),
-the id maps of T^n, and the per-coordinate id maps of every shift.  Repeated
-geometry on the grid, the support of a block included, is then a lookup on
-ints.
+location and tile index of a point (ix, iy), the id maps of T^n, and the
+per-coordinate id maps of every shift.  Repeated geometry on the grid, the
+support of a block and the band of a shifted sample included, is then a
+lookup on ints.
 """
 
 from __future__ import annotations
@@ -459,15 +459,6 @@ def in_diag_downset(p: StripPoint) -> bool:
     return p.y <= p.x and p.y <= HALF_PI and p.x >= NEG_HALF_PI
 
 
-def in_shifted_diag_downset(p: StripPoint) -> bool:
-    """Membership in the T-preimage of the diagonal downset."""
-    return p.x >= HALF_PI and p.y <= NEG_HALF_PI and p.y.shift_pi(2) <= p.x
-
-
-def in_fundamental_domain(p: StripPoint) -> bool:
-    return in_diag_downset(p) and not in_shifted_diag_downset(p)
-
-
 def tile_index(p: StripPoint) -> int:
     """The unique n such that applying T n times lands in the fundamental
     domain.  Only defined away from the strip boundary.
@@ -513,10 +504,11 @@ def classify_region(u: StripPoint):
     elif birth_rel:
         region = REL
         pair = (-q.y.v, q.x.v)
-    else:
-        assert death_abs, f"forbidden (absolute birth, relative death) at {u}"
+    elif death_abs:
         region = ORD
         pair = (q.y.v, -q.x.v)
+    else:
+        raise AssertionError(f"forbidden (absolute birth, relative death) at {u}")
     return n, region, pair
 
 
@@ -594,9 +586,9 @@ class CoordTable:
     free id when first met.  A point is the pair of its coordinate ids.  The
     maps are filled on first use, each entry by one call of the exact
     function it stores: `location` (strip_location), `tile` (tile_index),
-    `fundamental` (in_fundamental_domain), `power(n)` (t_power), `shift(a)`
-    (the coordinate action of alpha_apply) and the coordinate order behind
-    `precedes` and `in_block`."""
+    `power(n)` (t_power), `shift(a)` (the coordinate action of alpha_apply)
+    and the coordinate order behind `precedes` and `in_block`.  A point lies
+    in the fundamental domain exactly when its tile is 0."""
 
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
@@ -606,7 +598,6 @@ class CoordTable:
         self.ids: Dict[Coord, int] = {c: i for i, c in enumerate(self.coords)}
         self.location = _Lazy(lambda key: strip_location(self.point(key)))
         self.tile = _Lazy(lambda key: tile_index(self.point(key)))
-        self.fundamental = _Lazy(lambda key: in_fundamental_domain(self.point(key)))
         self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
         self._powers: Dict[int, _Lazy] = {}
         self._shifts: Dict[Tuple[Fraction, Fraction], _Lazy] = {}

@@ -3,11 +3,13 @@
 The two-valued distance of a pair of PL functions on one complex determines
 a shift under which the second function's module maps naturally to the
 first's.  The per-sample matrices of this transformation come in two kinds,
-decided by exact geometry: where the shifted point stays in the fundamental
-band the map is induced by an inclusion of open model pairs, and where it
-crosses into the next band the map is the Mayer-Vietoris connecting
+decided by the tile indices of the point and of its shift, the rule
+`risc_builder.internal_map` follows (the shift commutes with the glide
+reflection): in the same band the map is induced by an inclusion of open
+model pairs, and one band back it is the Mayer-Vietoris connecting
 differential of an interpolating pair of open sets on the rectangle between
-the point and its glide-reflection preimage.  On top of this sit the
+the point and its glide-reflection preimage.  Both kinds are read from and
+cached by the target function's evaluator.  On top of this sit the
 interleaving and composition checkers, and the contravariant morphisms
 induced by simplicial maps over the reals.
 
@@ -40,8 +42,6 @@ from .plc import (
     Subcomplex,
     _fresh_vid,
     check_funcs,
-    induced_map,
-    mv_connecting,
     take_rows,
     vkey,
 )
@@ -95,12 +95,15 @@ class Transformation:
     """Per-sample matrices of the natural transformation from the shifted
     module of g to the module of f, for one fixed shift dominating g - f.
 
-    At a sample whose shifted image stays in the fundamental band the
-    matrix is induced by the inclusion of the f open-model pair into the
-    shifted g open-model pair.  Where the shifted image crosses into the
-    previous band, the matrix is the connecting differential of the
+    The two evaluators share their coordinate table and split complex.  At
+    a sample whose shift lies in the same tile, the matrix is induced by
+    the inclusion of the f open-model pair into the shifted g open-model
+    pair, between the two bases `point_data` returns.  Where the shift lies
+    one tile back, the matrix is the connecting differential of the
     interpolating pair on the rectangle spanned by the band representative
-    and its glide-reflection preimage."""
+    and its glide-reflection preimage.  The f evaluator caches both kinds
+    of map (`inclusion`, `connecting_pairs`); this object caches only the
+    matrix of each sample."""
 
     def __init__(self, ev_f: FunctorEvaluator, ev_g: FunctorEvaluator,
                  a: ShiftVector):
@@ -108,6 +111,8 @@ class Transformation:
             raise ValueError("field mismatch")
         if ev_f.table is not ev_g.table:
             raise ValueError("evaluators over different coordinate tables")
+        if ev_f.split is not ev_g.split:
+            raise ValueError("evaluators over different split complexes")
         self.ev_f = ev_f
         self.ev_g = ev_g
         self.a = a
@@ -115,7 +120,6 @@ class Transformation:
         self.table = ev_f.table
         self.shift = self.table.shift(a)
         self._by_point: Dict[Key, Mat] = {}
-        self._by_model: Dict[tuple, Mat] = {}
 
     def at(self, key: Key) -> Mat:
         out = self._by_point.get(key)
@@ -134,40 +138,29 @@ class Transformation:
         return amb, amb & self.ev_f.model(rho0f)
 
     def _compute(self, key: Key) -> Mat:
-        table = self.table
-        d_dst, n, _ = point_data(self.ev_f, key)
-        d_src, _, _ = point_data(self.ev_g, self.shift(key))
-        if d_dst == 0 or d_src == 0:
-            return Mat.zeros(d_dst, d_src, self.p)
-        u = table.power(n)[key]
-        au = self.shift(u)
-        if table.fundamental[au]:
+        d, n, basis = point_data(self.ev_f, key)
+        d_src, n_src, basis_src = point_data(self.ev_g, self.shift(key))
+        if d == 0 or d_src == 0:
+            return Mat.zeros(d, d_src, self.p)
+        u = self.table.power(n)[key]
+        if n_src == n:
             pair_f = self.ev_f.pair_at(u)
-            pair_g = self.ev_g.pair_at(au)
-            model_key = ("inc", n, pair_f, pair_g)
-            out = self._by_model.get(model_key)
-            if out is None:
-                if not (pair_f[0] <= pair_g[0] and pair_f[1] <= pair_g[1]):
-                    raise ValueError(
-                        "open-model pair inclusion fails; the shift does not "
-                        "dominate the difference of the functions"
-                    )
-                out = induced_map(self.ev_g.basis(*pair_g, n),
-                                  self.ev_f.basis(*pair_f, n))
-                self._by_model[model_key] = out
-            return out
-        t_inv = table.power(-1)
-        m = t_inv[u]
-        if not table.fundamental[t_inv[au]]:
+            pair_g = self.ev_g.pair_at(self.shift(u))
+            if not (pair_f[0] <= pair_g[0] and pair_f[1] <= pair_g[1]):
+                raise ValueError(
+                    "open-model pair inclusion fails; the shift does not "
+                    "dominate the difference of the functions"
+                )
+            return self.ev_f.inclusion(basis_src, basis)
+        if n_src != n - 1:
             raise ValueError(
                 "shifted sample lies more than one band away; "
                 "the joint grid is insufficient for this shift"
             )
-        v1 = (m[0], u[1])
-        v2 = (u[0], m[1])
+        m = self.table.power(-1)[u]
         xi_w = self._interp_pair(u)
-        xi_1 = self._interp_pair(v1)
-        xi_2 = self._interp_pair(v2)
+        xi_1 = self._interp_pair((m[0], u[1]))
+        xi_2 = self._interp_pair((u[0], m[1]))
         xi_m = self._interp_pair(m)
         if xi_w != self.ev_f.pair_at(u):
             raise ValueError(
@@ -179,16 +172,8 @@ class Transformation:
                 "interpolating pair differs from the shifted g pair at the "
                 "reflected corner; construction regions do not glue here"
             )
-        model_key = ("con", n, xi_w, xi_1, xi_2, xi_m)
-        out = self._by_model.get(model_key)
-        if out is None:
-            out = mv_connecting(
-                xi_w, xi_1, xi_2, xi_m, n - 1, self.p, self.ev_f.split.index,
-                src=self.ev_g.basis(*xi_m, n - 1),
-                dst=self.ev_f.basis(*xi_w, n),
-            )
-            self._by_model[model_key] = out
-        return out
+        return self.ev_f.connecting_pairs(self.ev_g, xi_w, xi_1, xi_2, xi_m,
+                                          n - 1)
 
 
 @dataclass

@@ -465,12 +465,11 @@ def _check_triad(aw, a1, a2, au):
 
 
 def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
-                  index: SimplexIndex,
-                  src: Optional[CohomBasis] = None,
-                  dst: Optional[CohomBasis] = None) -> Mat:
+                  index: SimplexIndex, src: CohomBasis, dst: CohomBasis) -> Mat:
     """Connecting map H^n(A_u, B_u) -> H^{n+1}(A_w, B_w) of the relative
     Mayer-Vietoris sequence of an excisive triad (componentwise union at w,
-    intersection at u) of subcomplexes of the complex with the given index.
+    intersection at u) of subcomplexes of the complex with the given index,
+    in the caller's bases: src of H^n(A_u, B_u), dst of H^{n+1}(A_w, B_w).
 
     The construction is the cochain snake: lift a relative cocycle z on the
     intersection through the surjection (c1, c2) |-> c1|_u - c2|_u, apply
@@ -482,11 +481,6 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
     au, bu = pair_u
     _check_triad(aw, a1, a2, au)
     _check_triad(bw, b1, b2, bu)
-
-    if src is None:
-        src = relative_cohomology(au, bu, n, p, index)
-    if dst is None:
-        dst = relative_cohomology(aw, bw, n + 1, p, index)
 
     rel1, rel2 = a1.minus(b1), a2.minus(b2)
     cells1, cells2 = index.of_dim(rel1, n), index.of_dim(rel2, n)
@@ -500,8 +494,8 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
     dc1 = (index.coboundary(rel1, n, p) @ Mat(c1, p)).data
     dc2 = (index.coboundary(rel2, n, p) @ Mat(c2, p)).data
     shared = rows2[locate(rows1, rows2) >= 0]
-    assert np.array_equal(take_rows(rows1, dc1, shared), take_rows(rows2, dc2, shared)), \
-        "snake glueing inconsistency"
+    if not np.array_equal(take_rows(rows1, dc1, shared), take_rows(rows2, dc2, shared)):
+        raise AssertionError("snake glueing inconsistency")
     in1 = (locate(rows1, dst.ids) >= 0)[:, None]
     gamma = np.where(in1, take_rows(rows1, dc1, dst.ids), take_rows(rows2, dc2, dst.ids))
     return dst.express(Mat(gamma, p))

@@ -109,7 +109,13 @@ class FunctorEvaluator:
     constancy of the functor is exploited.  Points are keys of the
     coordinate table of the sample grid.  Relative cohomology vanishes
     above the dimension of the split complex, so values in degrees above
-    max_degree = dim + 1 are zero without being computed."""
+    max_degree = dim + 1 are zero without being computed.
+
+    There is one cache per kind of map: induced maps by the pair of basis
+    objects, connecting maps by the triad of pairs and the degree.  The
+    stability transformation into this function's module fills the same
+    two caches, with bases of a second evaluator on the same split complex
+    as sources."""
 
     def __init__(self, split: PLComplex, table: CoordTable, func: int = 0,
                  p: int = 2):
@@ -152,7 +158,10 @@ class FunctorEvaluator:
         return self.basis(a, b, n)
 
     def inclusion(self, src: CohomBasis, dst: CohomBasis) -> Mat:
-        key = ("inc", src.degree, id(src), id(dst))
+        """The map induced by an inclusion of pairs, from a cached basis to
+        a cached basis of this evaluator; the two objects name the pairs
+        and the degree."""
+        key = (id(src), id(dst))
         out = self._induced.get(key)
         if out is None:
             out = induced_map(src, dst)
@@ -163,19 +172,21 @@ class FunctorEvaluator:
         """Mayer-Vietoris connecting map of the rectangle triad spanned by
         u (the intersection corner) and w (the union corner) inside the
         fundamental band."""
-        v1 = (u[0], w[1])
-        v2 = (w[0], u[1])
-        pw = self.pair_at(w)
-        p1 = self.pair_at(v1)
-        p2 = self.pair_at(v2)
-        pu = self.pair_at(u)
-        key = ("con", n, pw, p1, p2, pu)
+        return self.connecting_pairs(
+            self, self.pair_at(w), self.pair_at((u[0], w[1])),
+            self.pair_at((w[0], u[1])), self.pair_at(u), n)
+
+    def connecting_pairs(self, source: "FunctorEvaluator", pw, p1, p2, pu,
+                         n: int) -> Mat:
+        """Connecting map H^n(pu) -> H^{n+1}(pw) of a triad of open-model
+        pairs, the degree n basis taken from the source evaluator and the
+        degree n + 1 basis from this one.  Both work on one split complex,
+        so the pairs and the degree determine the map."""
+        key = (n, pw, p1, p2, pu)
         out = self._connecting.get(key)
         if out is None:
-            out = mv_connecting(
-                pw, p1, p2, pu, n, self.p, self.split.index,
-                src=self.basis(*pu, n), dst=self.basis(*pw, n + 1),
-            )
+            out = mv_connecting(pw, p1, p2, pu, n, self.p, self.split.index,
+                                source.basis(*pu, n), self.basis(*pw, n + 1))
             self._connecting[key] = out
         return out
 

@@ -1,21 +1,22 @@
 """Test-only references for the exact strip geometry.
 
-Brute-force searches for the closed-form tile index and region degree (each
+The fundamental domain as the diagonal downset minus its T-preimage,
+brute-force searches for the closed-form tile index and region degree (each
 tries every power of T in a fixed window and insists that exactly one
 qualifies), the block support on strip points, the sample-grid bookkeeping
 recomputed point by point, and a floating-point oracle of the transcendental
-definitions.  Tests compare the
-exact code against them.
+definitions.  Tests compare the exact code against them.
 """
 
 import math
 from typing import Tuple
 
 from riscpl.exact_geometry import (
+    HALF_PI,
     NEG_HALF_PI,
     ShiftVector,
     StripPoint,
-    in_fundamental_domain,
+    in_diag_downset,
     strip_location,
     t_apply,
     t_inverse,
@@ -23,6 +24,16 @@ from riscpl.exact_geometry import (
 )
 
 WINDOW = 16
+
+
+def in_shifted_diag_downset(p: StripPoint) -> bool:
+    """Membership in the T-preimage of the diagonal downset."""
+    return p.x >= HALF_PI and p.y <= NEG_HALF_PI and p.y.shift_pi(2) <= p.x
+
+
+def in_fundamental_domain(p: StripPoint) -> bool:
+    """The fundamental domain: the diagonal downset minus its T-preimage."""
+    return in_diag_downset(p) and not in_shifted_diag_downset(p)
 
 
 def _unique_power(p, accept):

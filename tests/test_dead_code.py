@@ -7,6 +7,8 @@ imported name or a word inside a string constant (the benchmark tracer
 looks functions up by name).  Dunder methods, `main` and the `cmd_*`
 command handlers are reached through the interpreter or argparse and are
 exempt.
+
+No check in src/riscpl is an `assert` statement, which `python -O` strips.
 """
 
 import ast
@@ -59,3 +61,12 @@ def test_no_dead_helpers():
             if not exempt(name) and name not in used:
                 dead.append(f"{path.name}:{line} {qualname}")
     assert dead == []
+
+
+def test_no_assert_statements():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -11,6 +11,7 @@ from geometry_reference import (
     float_rho1_bounds,
     float_t,
     float_t_inverse,
+    in_fundamental_domain,
     region_degree_search,
     tile_index_search,
 )
@@ -27,7 +28,6 @@ from riscpl.exact_geometry import (
     classify_region,
     diag_point,
     in_diag_downset,
-    in_fundamental_domain,
     in_strip,
     omega_apply,
     point,
@@ -430,7 +430,10 @@ def test_coord_table_matches_exact_functions(case):
                 q = shift(key)
                 assert table.point(q) == alpha_apply(a, p)
                 assert table.location[q] == strip_location(alpha_apply(a, p))
-                assert table.fundamental[q] == in_fundamental_domain(alpha_apply(a, p))
+                if table.location[q] == "interior":
+                    assert (table.tile[q] == 0) == in_fundamental_domain(alpha_apply(a, p))
+                for e in (-1, 1, 2):
+                    assert shift(table.power(e)[key]) == table.power(e)[q]
             # the check also shifts the off-grid point omega(p)
             mid = maps[2](key)
             for a, shift in zip(shifts, maps):
@@ -443,7 +446,7 @@ def test_coord_table_matches_exact_functions(case):
                 tile = table.tile[key]
                 assert tile == tile_index(p)
                 assert table.point(table.power(tile)[key]) == t_power(p, tile)
-                assert table.fundamental[key] == in_fundamental_domain(p)
+                assert (tile == 0) == in_fundamental_domain(p)
             other = (rng.randrange(n), rng.randrange(n))
             assert table.precedes(key, other) == p.precedes(table.point(other))
             assert table.precedes(other, key) == table.point(other).precedes(p)

@@ -11,6 +11,7 @@ from riscpl.exact_geometry import (
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import (
+    Transformation,
     build_transformation,
     composition_check,
     context_module,
@@ -204,6 +205,24 @@ def test_transformation_natural_on_random_pairs():
         a = distance_pair(k)
         ctx = joint_context(k, [0, 1], shifts=[a.a1, a.a2])
         assert naturality_check(build_transformation(ctx)) is None
+
+
+def test_transformation_rejects_evaluators_over_different_split_complexes():
+    # Two contexts on one coordinate table, as a pullback builds them; the
+    # connecting branch reads the bases of both evaluators on one simplex
+    # index, so the two must share their split complex.
+    k = hood_pair()
+    subs = [s for s in HOOD_SIMPLICES if 5 not in s]
+    verts = sorted({v for s in subs for v in s})
+    sub = complex_of({v: (HOOD_F[v], HOOD_GPRIME[v]) for v in verts},
+                     subs, nfuncs=2)
+    ctx = joint_context(k, [0, 1], shifts=[2])
+    ctx_sub = joint_context(sub, [0, 1], shifts=[2], table=ctx.table)
+    a = distance_pair(k)
+    with pytest.raises(ValueError, match="different split complexes"):
+        Transformation(ctx_sub.evaluator(0), ctx.evaluator(1), a)
+    with pytest.raises(ValueError, match="different split complexes"):
+        Transformation(ctx.evaluator(0), ctx_sub.evaluator(1), a)
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,8 @@ def les_exact(pair_w, pair_1, pair_2, pair_u, top, ix, p=2):
         hu = relative_cohomology(*pair_u, n, p, ix)
         restrict = vstack(induced_map(hw, h1), induced_map(hw, h2))
         diff = Mat.hstack([induced_map(h1, hu), -induced_map(h2, hu)])
-        delta = mv_connecting(pair_w, pair_1, pair_2, pair_u, n, p, ix, src=hu)
+        delta = mv_connecting(pair_w, pair_1, pair_2, pair_u, n, p, ix, hu,
+                              relative_cohomology(*pair_w, n + 1, p, ix))
         # exactness at H^n(w): image of previous delta = kernel of restrict
         assert prev_delta_rank == hw.dim - rank(restrict)
         # exactness at the sum term
@@ -279,7 +280,8 @@ def les_exact(pair_w, pair_1, pair_2, pair_u, top, ix, p=2):
 def test_mv_degenerate_triad():
     c = circle()
     pair = (whole(c), nothing(c))
-    m = mv_connecting(pair, pair, pair, pair, 0, 2, c.index)
+    h0, h1 = (relative_cohomology(*pair, n, 2, c.index) for n in (0, 1))
+    m = mv_connecting(pair, pair, pair, pair, 0, 2, c.index, h0, h1)
     assert m.is_zero()
 
 
@@ -292,7 +294,9 @@ def test_mv_circle_two_arcs():
                         [{4}, {1}, {2}, {4, 1}, {1, 2}])
     union = whole(c)
     inter = top & bot
-    delta = mv_connecting((union, none), (top, none), (bot, none), (inter, none), 0, 2, ix)
+    delta = mv_connecting((union, none), (top, none), (bot, none), (inter, none), 0, 2, ix,
+                          relative_cohomology(inter, none, 0, 2, ix),
+                          relative_cohomology(union, none, 1, 2, ix))
     assert rank(delta) == 1
     les_exact((union, none), (top, none), (bot, none), (inter, none), top=1, ix=ix)
 
