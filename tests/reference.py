@@ -7,14 +7,27 @@ complex, the refined sample grid of one function, the shifted module, the
 full staircase product of a grid module, and the loop-based kernel basis.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from riscpl.exact_geometry import Coord, CoordTable, RealOpenSet, ShiftVector
-from riscpl.field_linalg import Mat, _rref
-from riscpl.plc import LevelGrid, PLComplex, Simplex, _fresh_vid, skey, split_all, vkey
+from riscpl.field_linalg import Mat, _rref, independent_split, solve_in_span
+from riscpl.plc import (
+    LevelGrid,
+    PLComplex,
+    Simplex,
+    SimplexIndex,
+    Subcomplex,
+    _fresh_vid,
+    locate,
+    skey,
+    split_all,
+    take_rows,
+    vkey,
+)
 from riscpl.risc_builder import (
     DEFAULT_CAP,
     FunctorEvaluator,
@@ -147,3 +160,78 @@ def kernel_basis(m: Mat) -> Mat:
         for row, pc in enumerate(pivots):
             basis[pc, idx] = (-int(r[row, c])) % m.p
     return Mat(basis, m.p)
+
+
+# ---------------------------------------------------------------------------
+# relative cohomology by dense elimination
+
+
+def dense_coboundary(index: SimplexIndex, rel: np.ndarray, n: int, p: int) -> Mat:
+    """delta^n of the relative cochain complex on the sorted ids rel, dense."""
+    return coboundary_matrix(set(index.cells[rel]), n, p)[0]
+
+
+@dataclass
+class DenseBasis:
+    """A basis of H^n(A, B; GF(p)) found by dense elimination: the RREF
+    kernel of delta^n, the cocycles independent of the image of delta^{n-1}
+    greedily left to right, and coordinates solved in the span of
+    [reps | coboundaries]."""
+
+    degree: int
+    p: int
+    ids: np.ndarray
+    reps: Mat
+    coboundaries: Mat             # the independent columns of delta^{n-1}
+    delta: Mat
+
+    @property
+    def dim(self) -> int:
+        return self.reps.cols
+
+    def express(self, cochains: Mat) -> Mat:
+        if not (self.delta @ cochains).is_zero():
+            raise ValueError("not a cocycle")
+        if self.dim == 0:
+            return Mat.zeros(0, cochains.cols, self.p)
+        c = solve_in_span(Mat.hstack([self.reps, self.coboundaries]), cochains)
+        if c is None:
+            raise ValueError("cocycle not expressible in basis")
+        return Mat(c.data[: self.dim], self.p)
+
+
+def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
+                        index: SimplexIndex) -> DenseBasis:
+    rel = a.minus(b)
+    d_n = dense_coboundary(index, rel, n, p)
+    d_nm1 = dense_coboundary(index, rel, n - 1, p)
+    ids = index.of_dim(rel, n)
+    cocycles = kernel_basis(d_n)
+    own, chosen = independent_split(d_nm1, cocycles)
+    reps = Mat(np.zeros((len(ids), len(chosen)), dtype=np.int64) if not chosen
+               else cocycles.data[:, chosen], p)
+    return DenseBasis(n, p, ids, reps, Mat(d_nm1.data[:, own], p), d_n)
+
+
+def induced_map(src: DenseBasis, dst: DenseBasis) -> Mat:
+    return dst.express(Mat(take_rows(src.ids, src.reps.data, dst.ids), src.p))
+
+
+def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
+                  index: SimplexIndex, src: DenseBasis, dst: DenseBasis) -> Mat:
+    """The Mayer-Vietoris connecting map by the cochain snake, with dense
+    coboundaries: lift to the first side (zero on the second's own cells),
+    apply delta on each side and glue on the union."""
+    (a1, b1), (a2, b2) = pair_1, pair_2
+    rel1, rel2 = a1.minus(b1), a2.minus(b2)
+    cells1, cells2 = index.of_dim(rel1, n), index.of_dim(rel2, n)
+    rows1, rows2 = index.of_dim(rel1, n + 1), index.of_dim(rel2, n + 1)
+    z = src.reps.data.astype(np.int64)
+    on1 = (locate(cells1, src.ids) >= 0)[:, None]
+    c1 = take_rows(src.ids, z, cells1)
+    c2 = take_rows(src.ids, np.where(on1, 0, -z), cells2)
+    dc1 = (dense_coboundary(index, rel1, n, p) @ Mat(c1, p)).data
+    dc2 = (dense_coboundary(index, rel2, n, p) @ Mat(c2, p)).data
+    in1 = (locate(rows1, dst.ids) >= 0)[:, None]
+    gamma = np.where(in1, take_rows(rows1, dc1, dst.ids), take_rows(rows2, dc2, dst.ids))
+    return dst.express(Mat(gamma, p))

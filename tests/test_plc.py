@@ -408,6 +408,94 @@ def test_mv_connecting_index_and_odd_primes():
         les_exact(*triad, top=max(1, k.dim()), ix=k.index, p=5)
 
 
+# ---------------------------------------------------------------------------
+# bases and maps against dense elimination
+
+
+def kept_coboundaries(h: CohomBasis) -> Mat:
+    """The columns of delta^{n-1} a basis keeps beside its representatives."""
+    return h.coboundaries
+
+
+def without_first_rep(h: CohomBasis) -> CohomBasis:
+    """The basis with its first representative left out, so that it no
+    longer spans the cohomology."""
+    return CohomBasis(h.degree, h.p, h.ids, Mat(h.reps.data[:, 1:], h.p), h.coboundaries,
+                      h.delta)
+
+
+def random_mat(rng, rows, cols, p):
+    return Mat(np.array([rng.randrange(p) for _ in range(rows * cols)],
+                        dtype=np.int64).reshape(rows, cols), p)
+
+
+def test_bases_and_maps_match_dense_reference():
+    """Representatives, kept coboundaries, coordinates and induced maps
+    equal those of dense elimination entry for entry, on random 1-D and 2-D
+    relative pairs over GF(2), GF(3) and GF(5); so do the connecting maps
+    of sublevel/superlevel triads."""
+    rng = random.Random(41)
+    for k, grid in random_split_complexes(rng):
+        ix = k.index
+        sets = random_open_sets(rng, grid)
+        for _ in range(8):
+            u1, u0, w = rng.sample(sets, 3)
+            func = rng.randrange(k.nfuncs)
+            big = (open_model(k, u1, func), open_model(k, u1.intersect(u0), func))
+            small = (open_model(k, u1.intersect(w), func),
+                     open_model(k, u1.intersect(w).intersect(u0), func))
+            for n in range(k.dim() + 1):
+                for p in (2, 3, 5):
+                    hs = [relative_cohomology(*pair, n, p, ix) for pair in (big, small)]
+                    rs = [reference.relative_cohomology(*pair, n, p, ix) for pair in (big, small)]
+                    for h, r in zip(hs, rs):
+                        assert np.array_equal(h.ids, r.ids)
+                        assert h.reps == r.reps
+                        assert kept_coboundaries(h) == r.coboundaries
+                        t = (r.reps @ random_mat(rng, r.dim, 3, p)
+                             + r.coboundaries @ random_mat(rng, r.coboundaries.cols, 3, p))
+                        assert h.express(t) == r.express(t)
+                    assert induced_map(*hs) == reference.induced_map(*rs)
+        for _ in range(3):
+            # a sublevel and a superlevel pair, each relative to a smaller
+            # one or to nothing
+            lo, hi = sorted(rng.sample(grid.levels, 2))
+            a1 = open_model(k, RealOpenSet.make([(NEG_INF, hi)]))
+            a2 = open_model(k, RealOpenSet.make([(lo, INF)]))
+            b1 = a1 & open_model(k, RealOpenSet.make([(NEG_INF, rng.choice(grid.levels))]))
+            b2 = a2 & open_model(k, RealOpenSet.make([(rng.choice(grid.levels), INF)]))
+            if rng.random() < 0.5:
+                b1 = b2 = nothing(k)
+            triad = ((a1 | a2, b1 | b2), (a1, b1), (a2, b2), (a1 & a2, b1 & b2))
+            for n in range(k.dim() + 1):
+                for p in (2, 3, 5):
+                    got = mv_connecting(*triad, n, p, ix,
+                                        relative_cohomology(*triad[3], n, p, ix),
+                                        relative_cohomology(*triad[0], n + 1, p, ix))
+                    want = reference.mv_connecting(
+                        *triad, n, p, ix, reference.relative_cohomology(*triad[3], n, p, ix),
+                        reference.relative_cohomology(*triad[0], n + 1, p, ix))
+                    assert got == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_express_rejects_a_cochain_that_is_not_a_cocycle(p):
+    c = circle()
+    h = relative_cohomology(whole(c), nothing(c), 0, p, c.index)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        h.express(Mat([[1], [0], [0], [0]], p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_express_rejects_a_cocycle_outside_the_basis(p):
+    # three points and an edge: H^0 has dimension three
+    k = PLComplex.from_maximal({v: (0,) for v in range(1, 5)}, [{1, 2}, {3}, {4}])
+    h = relative_cohomology(whole(k), nothing(k), 0, p, k.index)
+    assert h.dim == 3
+    with pytest.raises(ValueError, match="cocycle not expressible in basis"):
+        without_first_rep(h).express(h.reps.column(0))
+
+
 def test_subcomplex_operations_match_frozensets():
     rng = random.Random(37)
     for k, grid in random_split_complexes(rng):
