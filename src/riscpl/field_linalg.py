@@ -3,6 +3,9 @@
 numpy holds the entries (int64 residues in [0, p)); all elimination is done
 with vectorized modular row operations, so results are exact.  The default
 field is GF(2); any prime below 2^16 is accepted.
+
+Dense elimination now serves only the checkers of strip_module: relative
+cohomology in plc reduces sparse coboundary columns instead.
 """
 
 from __future__ import annotations

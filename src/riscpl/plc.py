@@ -10,8 +10,20 @@ and face ids of every simplex, and per function every vertex's rank among
 the distinct values.  Every subcomplex is a Subcomplex, the sorted ids of
 its simplices in that index: an open model is read off a vertex mask of
 value ranks, and a relative cochain complex selects rows and columns of
-the face arrays.  Cohomology of relative cochain complexes, induced maps,
-and Mayer-Vietoris connecting maps all work over GF(p) via field_linalg.
+the face arrays.
+
+Cohomology of relative cochain complexes, induced maps, and Mayer-Vietoris
+connecting maps work over GF(p) on sparse coboundaries, by one column
+reduction for every prime: columns are added left to right and reduced
+against the pivot columns before them, keyed by their lowest row, with the
+coordinates tracked (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian &
+Carlsson 2005).  It keeps the canonical bases of dense row reduction: the
+cocycle found for a dependent column of delta^n is 1 there and 0 at every
+other dependent column, which determines it, and a cocycle joins the
+representatives exactly when it is independent of the coboundaries and of
+the cocycles before it, which does not depend on how that is found out.
+So every basis, and every structure map in a module dump, is the one
+dense elimination gives.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .exact_geometry import INF, NEG_INF, RealOpenSet
-from .field_linalg import Mat, independent_split, kernel_basis, solve_in_span
+from .field_linalg import Mat
 
 Vid = object  # vertex ids: ints from input files, strings for split vertices
 Simplex = FrozenSet
@@ -361,18 +373,44 @@ class SimplexIndex:
         lo, hi = np.searchsorted(ids, self.start[n:n + 2])
         return ids[lo:hi]
 
-    def coboundary(self, rel: np.ndarray, n: int, p: int) -> Mat:
+    def coboundary(self, rel: np.ndarray, n: int, p: int) -> "Coboundary":
         """delta: C^n -> C^{n+1} of the relative cochain complex on the
-        sorted ids rel: the rows are its (n+1)-cells, the columns its
-        n-cells, and a column that is face i of a row carries (-1)^i."""
+        sorted ids rel, read off the face arrays: its rows are the
+        (n+1)-cells, its columns the n-cells."""
         rows, cols = self.of_dim(rel, n + 1), self.of_dim(rel, n)
-        out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        faces = np.full((len(rows), n + 2), -1, dtype=np.intp)
         if len(rows) and len(cols):
-            at = locate(cols, self.faces[n + 1][rows - self.start[n + 1]])
-            hit = at >= 0
-            sign = np.where(np.arange(n + 2) % 2, p - 1, 1)
-            out[np.nonzero(hit)[0], at[hit]] = np.broadcast_to(sign, at.shape)[hit]
-        return Mat(out, p)
+            faces = locate(cols, self.faces[n + 1][rows - self.start[n + 1]])
+        return Coboundary(faces, len(cols), p)
+
+
+class Coboundary:
+    """A relative coboundary matrix over GF(p), kept sparse: row r lists in
+    faces[r] the column of each face of its (n+1)-cell, -1 where that face
+    is not a cell, and face i carries the sign (-1)^i."""
+
+    __slots__ = ("faces", "cols", "p")
+
+    def __init__(self, faces: np.ndarray, cols: int, p: int):
+        self.faces = faces
+        self.cols = cols
+        self.p = p
+
+    def __matmul__(self, x: Mat) -> Mat:
+        if self.p != x.p or self.cols != x.rows:
+            raise ValueError("matrix product shape/field mismatch")
+        # a missing face reads the zero row appended at position -1
+        padded = np.vstack([x.data.astype(np.int64), np.zeros((1, x.cols), dtype=np.int64)])
+        sign = np.where(np.arange(self.faces.shape[1]) % 2, -1, 1)
+        return Mat((padded[self.faces] * sign[:, None]).sum(axis=1), self.p)
+
+    def columns(self) -> List[Dict[int, int]]:
+        """Every column as a dict from row to nonzero entry."""
+        out: List[Dict[int, int]] = [{} for _ in range(self.cols)]
+        rows, pos = np.nonzero(self.faces >= 0)
+        for r, i, j in zip(rows.tolist(), pos.tolist(), self.faces[rows, pos].tolist()):
+            out[j][r] = self.p - 1 if i % 2 else 1
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +442,59 @@ def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> Subcomplex:
 # relative cochain cohomology
 
 
+class Reduction:
+    """Sparse columns over GF(p) reduced left to right, as in persistence
+    (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian & Carlsson 2005).
+
+    A column is a dict from row to nonzero entry.  Each added column is
+    reduced against the pivots before it, each keyed by its lowest row and
+    scaled to 1 there, so the reduced columns that stay nonzero are exactly
+    the added columns independent of those before them, whatever the row
+    order.  A second dict, the column's coordinates, undergoes the same
+    operations."""
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+
+    def reduce(self, col: Dict[int, int], coords: Dict[int, int]) -> Optional[int]:
+        """Reduce col in place against the pivots, adding the same
+        multiples of their coordinates to coords; the low row left without
+        a pivot, or None when col reduces to zero."""
+        p, pivots = self.p, self.pivots
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                return low
+            f = p - col[low]
+            for d, vals in zip((col, coords), pivot):
+                for r, x in vals.items():
+                    y = (d.get(r, 0) + f * x) % p
+                    if y:
+                        d[r] = y
+                    else:
+                        del d[r]
+        return None
+
+    def add(self, col: Dict[int, int], coords: Dict[int, int]) -> bool:
+        """Append a column and reduce it.  Keep it as a pivot and return
+        True unless it reduces to zero; then coords holds the combination
+        of the added columns that vanishes."""
+        low = self.reduce(col, coords)
+        if low is None:
+            return False
+        if col[low] != 1:
+            scale = pow(col[low], self.p - 2, self.p)
+            for d in (col, coords):
+                for r in d:
+                    d[r] = d[r] * scale % self.p
+        self.pivots[low] = (col, coords)
+        return True
+
+
 @dataclass
 class CohomBasis:
     """A basis of H^n(A, B; GF(p)) with cocycle representatives and the data
@@ -413,8 +504,8 @@ class CohomBasis:
     p: int
     ids: np.ndarray               # sorted ids of the n-simplices of A minus B
     reps: Mat                     # columns: representative cocycles
-    coboundaries: Mat             # columns spanning the image of delta^{n-1}
-    delta: Mat                    # delta^n, for cocycle checks
+    delta: Coboundary             # delta^n, for cocycle checks
+    span: Reduction               # [delta^{n-1} | reps], coordinates on reps
 
     @property
     def dim(self) -> int:
@@ -425,29 +516,58 @@ class CohomBasis:
         coboundaries).  Raises if a column is not a cocycle class."""
         if not (self.delta @ cochains).is_zero():
             raise ValueError("not a cocycle")
+        out = np.zeros((self.dim, cochains.cols), dtype=np.int64)
         if self.dim == 0:
-            return Mat.zeros(0, cochains.cols, self.p)
-        c = solve_in_span(Mat.hstack([self.reps, self.coboundaries]), cochains)
-        if c is None:
-            raise ValueError("cocycle not expressible in basis")
-        return Mat(c.data[: self.dim], self.p)
+            return Mat(out, self.p)
+        for j in range(cochains.cols):
+            col = cochains.data[:, j]
+            rows = np.flatnonzero(col)
+            coords: Dict[int, int] = {}
+            if self.span.reduce(dict(zip(rows.tolist(), col[rows].tolist())), coords) is not None:
+                raise ValueError("cocycle not expressible in basis")
+            for i, x in coords.items():
+                out[i, j] = -x
+        return Mat(out, self.p)
 
 
 def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
                         index: SimplexIndex) -> CohomBasis:
     """Basis of degree-n cohomology of the pair (A, B) of subcomplexes of
     the complex with the given index, B inside A; cochains live on the ids
-    of A not in B, and both coboundaries select their rows and columns of
-    the index's face arrays, so nothing is sorted per call."""
+    of A not in B.
+
+    Reducing delta^n with coordinates, a column that reduces to zero gives
+    a cocycle: the reduced row echelon kernel vector of that free column,
+    whose low row is that column.  Every low of a coboundary is the low of
+    a cocycle, so a cocycle is independent of the coboundaries and of the
+    cocycles before it exactly when its column is not the low of a pivot of
+    delta^{n-1}: those cocycles are the representatives.  A column of
+    delta^m that is the low of a pivot of delta^{m-1} reduces to zero and
+    gives no representative, so it is skipped (clearing, Chen & Kerber
+    2011); the reductions run from delta^0 up for that.  The reduction of
+    delta^{n-1}, with the representatives added as pivots, is kept to
+    express cocycles."""
     rel = a.minus(b)
-    d_n = index.coboundary(rel, n, p)
-    d_nm1 = index.coboundary(rel, n - 1, p)
     ids = index.of_dim(rel, n)
-    cocycles = kernel_basis(d_n)
-    own, chosen = independent_split(d_nm1, cocycles)
-    d_nm1 = Mat(d_nm1.data[:, own], p)
-    reps = Mat.hstack([Mat.zeros(len(ids), 0, p)] + [cocycles.column(j) for j in chosen])
-    return CohomBasis(n, p, ids, reps, d_nm1, d_n)
+    span = Reduction(p)
+    for m in range(n):
+        cleared, span = span.pivots, Reduction(p)
+        for j, col in enumerate(index.coboundary(rel, m, p).columns()):
+            if j not in cleared:
+                span.add(col, {})
+    delta = index.coboundary(rel, n, p)
+    kernel = Reduction(p)
+    chosen = []
+    for j, col in enumerate(delta.columns()):
+        if j in span.pivots:
+            continue
+        z = {j: 1}
+        if not kernel.add(col, z) and span.add(dict(z), {len(chosen): 1}):
+            chosen.append(z)
+    reps = np.zeros((len(ids), len(chosen)), dtype=np.int64)
+    for i, z in enumerate(chosen):
+        reps[list(z), i] = list(z.values())
+    return CohomBasis(n, p, ids, Mat(reps, p), delta, span)
 
 
 def induced_map(src: CohomBasis, dst: CohomBasis) -> Mat:
