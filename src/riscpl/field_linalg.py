@@ -4,8 +4,9 @@ numpy holds the entries (int64 residues in [0, p)); all elimination is done
 with vectorized modular row operations, so results are exact.  The default
 field is GF(2); any prime below 2^16 is accepted.
 
-Dense elimination now serves only the checkers of strip_module: relative
-cohomology in plc reduces sparse coboundary columns instead.
+Dense elimination now serves only strip_module, on the small structure
+matrices of the diagram formula and the checkers: relative cohomology in
+plc reduces sparse coboundary columns instead.
 """
 
 from __future__ import annotations

@@ -208,9 +208,8 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
     ids = index.of_dim(rel, n)
     cocycles = kernel_basis(d_n)
     own, chosen = independent_split(d_nm1, cocycles)
-    reps = Mat(np.zeros((len(ids), len(chosen)), dtype=np.int64) if not chosen
-               else cocycles.data[:, chosen], p)
-    return DenseBasis(n, p, ids, reps, Mat(d_nm1.data[:, own], p), d_n)
+    return DenseBasis(n, p, ids, Mat(cocycles.data[:, chosen], p), Mat(d_nm1.data[:, own], p),
+                      d_n)
 
 
 def induced_map(src: DenseBasis, dst: DenseBasis) -> Mat:

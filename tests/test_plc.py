@@ -499,7 +499,7 @@ def test_express_rejects_a_cochain_that_is_not_a_cocycle(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_express_rejects_a_cocycle_outside_the_basis(p):
-    # three points and an edge: H^0 has dimension three
+    # an edge and two points: H^0 has dimension three
     k = PLComplex.from_maximal({v: (0,) for v in range(1, 5)}, [{1, 2}, {3}, {4}])
     h = relative_cohomology(whole(k), nothing(k), 0, p, k.index)
     assert h.dim == 3
