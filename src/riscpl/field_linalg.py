@@ -1,18 +1,19 @@
-"""Exact dense linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p).
 
-numpy holds the entries (int64 residues in [0, p)); all elimination is done
-with vectorized modular row operations, so results are exact.  The default
-field is GF(2); any prime below 2^16 is accepted.
+A Mat holds its entries in numpy (residues in [0, p)); the default field is
+GF(2), and any prime below 2^16 is accepted.
 
-Dense elimination now serves only strip_module, on the small structure
-matrices of the diagram formula and the checkers: relative cohomology in
-plc reduces sparse coboundary columns instead.
+All elimination is one sparse column reduction, the same for every prime
+and every caller: Reduction reduces dict columns left to right against
+earlier pivots, tracking coordinates.  plc computes relative cohomology
+with it, and rank, kernel_basis, independent_split and solve_in_span run
+it on the columns of a Mat for the diagram formula and the checkers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,9 +97,6 @@ class Mat:
             and bool(np.array_equal(self.data, other.data))
         )
 
-    def __hash__(self):
-        return hash((self.p, self.data.shape, self.data.tobytes()))
-
     def __repr__(self):
         return f"Mat(GF{self.p}, {self.data.tolist()})"
 
@@ -110,9 +108,6 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         return Mat(self.data + other.data, self.p)
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        return Mat(self.data - other.data, self.p)
-
     def __neg__(self) -> "Mat":
         return Mat(-self.data, self.p)
 
@@ -123,69 +118,88 @@ class Mat:
         return not self.data.any()
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(int(a), p - 2, p)
+# ---------------------------------------------------------------------------
+# elimination
 
 
-def _rref_gf2(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Bit-packed reduced row echelon form over GF(2): rows are byte arrays
-    and row operations are vectorized XORs."""
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return np.mod(a, 2).astype(np.uint8), []
-    r = np.packbits(np.mod(a, 2).astype(np.uint8), axis=1)
-    pivots = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        byte, bit = divmod(col, 8)
-        shift = 7 - bit
-        nz = np.nonzero((r[row:, byte] >> shift) & 1)[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        mask = ((r[:, byte] >> shift) & 1).astype(bool)
-        mask[row] = False
-        if mask.any():
-            r[mask] ^= r[row]
-        pivots.append(col)
-        row += 1
-    return np.unpackbits(r, axis=1)[:, :cols], pivots
+class Reduction:
+    """Sparse columns over GF(p) reduced left to right, as in persistence
+    (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian & Carlsson 2005).
+
+    A column is a dict from row to nonzero entry.  Each added column is
+    reduced against the pivots before it, each keyed by its lowest row and
+    scaled to 1 there, so the reduced columns that stay nonzero are exactly
+    the added columns independent of those before them, whatever the row
+    order.  A second dict, the column's coordinates, undergoes the same
+    operations."""
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+
+    def reduce(self, col: Dict[int, int], coords: Dict[int, int]) -> Optional[int]:
+        """Reduce col in place against the pivots, adding the same
+        multiples of their coordinates to coords; the low row left without
+        a pivot, or None when col reduces to zero."""
+        p, pivots = self.p, self.pivots
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                return low
+            f = p - col[low]
+            for d, vals in zip((col, coords), pivot):
+                for r, x in vals.items():
+                    y = (d.get(r, 0) + f * x) % p
+                    if y:
+                        d[r] = y
+                    else:
+                        del d[r]
+        return None
+
+    def add(self, col: Dict[int, int], coords: Dict[int, int]) -> bool:
+        """Append a column and reduce it.  Keep it as a pivot and return
+        True unless it reduces to zero; then coords holds the combination
+        of the added columns that vanishes."""
+        low = self.reduce(col, coords)
+        if low is None:
+            return False
+        if col[low] != 1:
+            scale = pow(col[low], self.p - 2, self.p)
+            for d in (col, coords):
+                for r in d:
+                    d[r] = d[r] * scale % self.p
+        self.pivots[low] = (col, coords)
+        return True
+
+    def solve(self, cols: Mat, n: int) -> Optional[Mat]:
+        """The columns of cols as combinations of the pivots, read on the n
+        coordinates; None when some column is outside their span."""
+        out = np.zeros((n, cols.cols), dtype=np.int64)
+        for j, col in enumerate(_columns(cols)):
+            coords: Dict[int, int] = {}
+            if self.reduce(col, coords) is not None:
+                return None
+            for i, x in coords.items():
+                out[i, j] = -x
+        return Mat(out, self.p)
 
 
-def _rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form; returns the reduced array and pivot columns."""
-    if p == 2:
-        return _rref_gf2(a)
-    r = np.mod(a.astype(np.int64), p).copy()
-    rows, cols = r.shape
-    pivots = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = np.mod(r[row] * _inv_mod(r[row, col], p), p)
-        mask = np.nonzero(r[:, col])[0]
-        mask = mask[mask != row]
-        if mask.size:
-            r[mask] = np.mod(r[mask] - np.outer(r[mask, col], r[row]), p)
-        pivots.append(col)
-        row += 1
-    return r, pivots
+def _columns(m: Mat) -> List[Dict[int, int]]:
+    """The columns of m as dicts from row to nonzero entry."""
+    out: List[Dict[int, int]] = [{} for _ in range(m.cols)]
+    t = m.data.T
+    cols, rows = np.nonzero(t)
+    for j, r, x in zip(cols.tolist(), rows.tolist(), t[cols, rows].tolist()):
+        out[j][r] = x
+    return out
 
 
 def rank(m: Mat) -> int:
-    _, pivots = _rref(m.data, m.p)
-    return len(pivots)
+    red = Reduction(m.p)
+    return sum(red.add(col, {}) for col in _columns(m))
 
 
 def column_space_sum_dim(mats: Sequence[Mat]) -> int:
@@ -198,39 +212,41 @@ def column_space_sum_dim(mats: Sequence[Mat]) -> int:
 
 
 def kernel_basis(m: Mat) -> Mat:
-    """Columns spanning the kernel."""
-    r, pivots = _rref(m.data, m.p)
-    free = np.ones(m.cols, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots] = -r[:len(pivots)][:, free].astype(np.int64)
+    """Columns spanning the kernel: for each column that reduces to zero,
+    the combination that vanishes.  It is 1 at that column and elsewhere
+    supported on the pivots, so it is the reduced row echelon kernel vector
+    of that free column."""
+    red = Reduction(m.p)
+    kernel = []
+    for j, col in enumerate(_columns(m)):
+        coords = {j: 1}
+        if not red.add(col, coords):
+            kernel.append(coords)
+    basis = np.zeros((m.cols, len(kernel)), dtype=np.int64)
+    for i, z in enumerate(kernel):
+        basis[list(z), i] = list(z.values())
     return Mat(basis, m.p)
 
 
-def independent_split(base: Mat, cand: Mat) -> Tuple[List[int], List[int]]:
-    """From a single elimination of [base | cand]: the pivot columns of
-    base, and the candidate columns that enlarge the column space of base,
+def independent_split(base: Mat, cand: Mat) -> List[int]:
+    """The candidate columns that enlarge the column space of base,
     greedily left to right."""
     if base.p != cand.p or base.rows != cand.rows:
         raise ValueError("shape/field mismatch")
-    _, pivots = _rref(np.hstack([base.data, cand.data]), base.p)
-    own = [c for c in pivots if c < base.cols]
-    extra = [c - base.cols for c in pivots if c >= base.cols]
-    return own, extra
+    red = Reduction(base.p)
+    for col in _columns(base):
+        red.add(col, {})
+    return [j for j, col in enumerate(_columns(cand)) if red.add(col, {})]
 
 
 def solve_in_span(b: Mat, target: Mat) -> Optional[Mat]:
     """Coefficients c with b @ c = target, or None if some target column is
-    not in the column space of b.  target may have several columns."""
+    not in the column space of b.  target may have several columns; c is
+    the solution supported on the pivots of b, as reduced row echelon form
+    gives it."""
     if b.p != target.p or b.rows != target.rows:
         raise ValueError("shape/field mismatch")
-    aug = np.hstack([b.data, target.data])
-    r, pivots = _rref(aug, b.p)
-    if any(c >= b.cols for c in pivots):
-        return None
-    coeffs = np.zeros((b.cols, target.cols), dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        coeffs[pc] = r[row, b.cols :]
-    return Mat(coeffs, b.p)
+    red = Reduction(b.p)
+    for j, col in enumerate(_columns(b)):
+        red.add(col, {j: 1})
+    return red.solve(target, b.cols)

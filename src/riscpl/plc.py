@@ -13,17 +13,16 @@ value ranks, and a relative cochain complex selects rows and columns of
 the face arrays.
 
 Cohomology of relative cochain complexes, induced maps, and Mayer-Vietoris
-connecting maps work over GF(p) on sparse coboundaries, by one column
-reduction for every prime: columns are added left to right and reduced
-against the pivot columns before them, keyed by their lowest row, with the
-coordinates tracked (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian &
-Carlsson 2005).  It keeps the canonical bases of dense row reduction: the
-cocycle found for a dependent column of delta^n is 1 there and 0 at every
-other dependent column, which determines it, and a cocycle joins the
-representatives exactly when it is independent of the coboundaries and of
-the cocycles before it, which does not depend on how that is found out.
-So every basis, and every structure map in a module dump, is the one
-dense elimination gives.
+connecting maps work over GF(p) on sparse coboundaries, by the package's
+one column reduction, field_linalg.Reduction: columns are added left to
+right and reduced against the pivot columns before them, keyed by their
+lowest row, with the coordinates tracked.  It keeps the canonical bases of
+reduced row echelon form: the cocycle found for a dependent column of
+delta^n is 1 there and 0 at every other dependent column, which determines
+it, and a cocycle joins the representatives exactly when it is independent
+of the coboundaries and of the cocycles before it, which does not depend
+on how that is found out.  So every basis, and every structure map in a
+module dump, is the one row reduction gives.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .exact_geometry import INF, NEG_INF, RealOpenSet
-from .field_linalg import Mat
+from .field_linalg import Mat, Reduction
 
 Vid = object  # vertex ids: ints from input files, strings for split vertices
 Simplex = FrozenSet
@@ -442,59 +441,6 @@ def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> Subcomplex:
 # relative cochain cohomology
 
 
-class Reduction:
-    """Sparse columns over GF(p) reduced left to right, as in persistence
-    (Edelsbrunner, Letscher & Zomorodian 2002; Zomorodian & Carlsson 2005).
-
-    A column is a dict from row to nonzero entry.  Each added column is
-    reduced against the pivots before it, each keyed by its lowest row and
-    scaled to 1 there, so the reduced columns that stay nonzero are exactly
-    the added columns independent of those before them, whatever the row
-    order.  A second dict, the column's coordinates, undergoes the same
-    operations."""
-
-    __slots__ = ("p", "pivots")
-
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
-
-    def reduce(self, col: Dict[int, int], coords: Dict[int, int]) -> Optional[int]:
-        """Reduce col in place against the pivots, adding the same
-        multiples of their coordinates to coords; the low row left without
-        a pivot, or None when col reduces to zero."""
-        p, pivots = self.p, self.pivots
-        while col:
-            low = max(col)
-            pivot = pivots.get(low)
-            if pivot is None:
-                return low
-            f = p - col[low]
-            for d, vals in zip((col, coords), pivot):
-                for r, x in vals.items():
-                    y = (d.get(r, 0) + f * x) % p
-                    if y:
-                        d[r] = y
-                    else:
-                        del d[r]
-        return None
-
-    def add(self, col: Dict[int, int], coords: Dict[int, int]) -> bool:
-        """Append a column and reduce it.  Keep it as a pivot and return
-        True unless it reduces to zero; then coords holds the combination
-        of the added columns that vanishes."""
-        low = self.reduce(col, coords)
-        if low is None:
-            return False
-        if col[low] != 1:
-            scale = pow(col[low], self.p - 2, self.p)
-            for d in (col, coords):
-                for r in d:
-                    d[r] = d[r] * scale % self.p
-        self.pivots[low] = (col, coords)
-        return True
-
-
 @dataclass
 class CohomBasis:
     """A basis of H^n(A, B; GF(p)) with cocycle representatives and the data
@@ -516,18 +462,12 @@ class CohomBasis:
         coboundaries).  Raises if a column is not a cocycle class."""
         if not (self.delta @ cochains).is_zero():
             raise ValueError("not a cocycle")
-        out = np.zeros((self.dim, cochains.cols), dtype=np.int64)
         if self.dim == 0:
-            return Mat(out, self.p)
-        for j in range(cochains.cols):
-            col = cochains.data[:, j]
-            rows = np.flatnonzero(col)
-            coords: Dict[int, int] = {}
-            if self.span.reduce(dict(zip(rows.tolist(), col[rows].tolist())), coords) is not None:
-                raise ValueError("cocycle not expressible in basis")
-            for i, x in coords.items():
-                out[i, j] = -x
-        return Mat(out, self.p)
+            return Mat.zeros(0, cochains.cols, self.p)
+        out = self.span.solve(cochains, self.dim)
+        if out is None:
+            raise ValueError("cocycle not expressible in basis")
+        return out
 
 
 def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,

@@ -336,7 +336,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
             if vi in sec.comp and in_block(sec.v, vi)
         ]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
-        free = independent_split(base, ker)[1]
+        free = independent_split(base, ker)
         if len(free) < mult:
             return ("too few sections", m.table.point(vi), len(free), mult)
         xi = Mat.hstack([ker.column(c) for c in free[:mult]])

@@ -1,6 +1,6 @@
 """Brute-force GF(p) Betti numbers from boundary-matrix ranks (tests only)."""
 
-from riscpl.field_linalg import rank
+from reference import rank
 
 from oracle_ext_persistence import _boundary_matrix, close_complex
 

@@ -10,13 +10,16 @@ picture of the relative groups) and reads the diagram off composite ranks:
 mult[b, d] = r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1).
 
 The main package computes everything through cochains and open models, so the
-two routes share no code beyond the GF(p) matrix kernel.
+two routes share no code beyond the GF(p) matrix type: the elimination here is
+the dense one of reference.py.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from riscpl.field_linalg import Mat, kernel_basis, rank, solve_in_span
+from riscpl.field_linalg import Mat
+
+from reference import kernel_basis, rank, solve_in_span
 
 
 def _vkey(v):

@@ -4,7 +4,9 @@ Straightforward versions of what the package computes another way, kept
 to check the package against them: one-level splitting and its check, the
 vertex-by-vertex open model, the sorted coboundary of a relative cochain
 complex, the refined sample grid of one function, the shifted module, the
-full staircase product of a grid module, and the loop-based kernel basis.
+full staircase product of a grid module, and dense elimination: reduced
+row echelon form and the rank, kernel, independence test and solve built
+on it.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from typing import Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from riscpl.exact_geometry import Coord, CoordTable, RealOpenSet, ShiftVector
-from riscpl.field_linalg import Mat, _rref, independent_split, solve_in_span
+from riscpl.field_linalg import Mat
 from riscpl.plc import (
     LevelGrid,
     PLComplex,
@@ -150,9 +152,103 @@ def staircase_fold(m: GridModule, lo, hi) -> Mat:
     return acc
 
 
+# ---------------------------------------------------------------------------
+# dense elimination
+
+
+def _inv_mod(a: int, p: int) -> int:
+    return pow(int(a), p - 2, p)
+
+
+def _rref_gf2(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Bit-packed reduced row echelon form over GF(2): rows are byte arrays
+    and row operations are vectorized XORs."""
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return np.mod(a, 2).astype(np.uint8), []
+    r = np.packbits(np.mod(a, 2).astype(np.uint8), axis=1)
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        byte, bit = divmod(col, 8)
+        shift = 7 - bit
+        nz = np.nonzero((r[row:, byte] >> shift) & 1)[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        mask = ((r[:, byte] >> shift) & 1).astype(bool)
+        mask[row] = False
+        if mask.any():
+            r[mask] ^= r[row]
+        pivots.append(col)
+        row += 1
+    return np.unpackbits(r, axis=1)[:, :cols], pivots
+
+
+def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form; returns the reduced array and pivot columns."""
+    if p == 2:
+        return _rref_gf2(a)
+    r = np.mod(a.astype(np.int64), p).copy()
+    rows, cols = r.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        r[row] = np.mod(r[row] * _inv_mod(r[row, col], p), p)
+        mask = np.nonzero(r[:, col])[0]
+        mask = mask[mask != row]
+        if mask.size:
+            r[mask] = np.mod(r[mask] - np.outer(r[mask, col], r[row]), p)
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def rank(m: Mat) -> int:
+    return len(rref(m.data, m.p)[1])
+
+
+def independent_split(base: Mat, cand: Mat) -> Tuple[List[int], List[int]]:
+    """From a single elimination of [base | cand]: the pivot columns of
+    base, and the candidate columns that enlarge the column space of base,
+    greedily left to right."""
+    if base.p != cand.p or base.rows != cand.rows:
+        raise ValueError("shape/field mismatch")
+    _, pivots = rref(np.hstack([base.data, cand.data]), base.p)
+    own = [c for c in pivots if c < base.cols]
+    extra = [c - base.cols for c in pivots if c >= base.cols]
+    return own, extra
+
+
+def solve_in_span(b: Mat, target: Mat) -> Optional[Mat]:
+    """Coefficients c with b @ c = target, or None if some target column is
+    not in the column space of b.  target may have several columns."""
+    if b.p != target.p or b.rows != target.rows:
+        raise ValueError("shape/field mismatch")
+    r, pivots = rref(np.hstack([b.data, target.data]), b.p)
+    if any(c >= b.cols for c in pivots):
+        return None
+    coeffs = np.zeros((b.cols, target.cols), dtype=np.int64)
+    for row, pc in enumerate(pivots):
+        coeffs[pc] = r[row, b.cols :]
+    return Mat(coeffs, b.p)
+
+
 def kernel_basis(m: Mat) -> Mat:
     """Columns spanning the kernel, one free column at a time."""
-    r, pivots = _rref(m.data, m.p)
+    r, pivots = rref(m.data, m.p)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = np.zeros((m.cols, len(free)), dtype=np.int64)
     for idx, c in enumerate(free):

@@ -6,6 +6,7 @@ import pytest
 from riscpl.field_linalg import (
     Mat,
     column_space_sum_dim,
+    independent_split,
     kernel_basis,
     rank,
     solve_in_span,
@@ -76,21 +77,42 @@ def test_bad_field():
         Mat([[1]], 1 << 17)
 
 
-def test_kernel_basis_matches_loop_reference():
-    # Exact matrix equality, not only the same span, including 0-row and
-    # 0-column shapes and the all-zero matrix.
+def random_mat(rng, rows, cols, p):
+    """Dense or sparse at random, so that some rows and columns are zero."""
+    dense = rng.random() < 0.5
+    entries = [rng.randrange(p) if dense or rng.random() < 0.3 else 0
+               for _ in range(rows * cols)]
+    return Mat(np.array(entries, dtype=np.int64).reshape(rows, cols), p)
+
+
+def test_helpers_match_dense_reference():
+    # Exact matrix equality with dense elimination, not only the same span
+    # or rank, including 0-row and 0-column shapes, all-zero matrices and
+    # shapes wider than 8 columns.
     rng = random.Random(3)
-    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3)]
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 9), (5, 12), (9, 17)]
     shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
-    for p in (2, 3, 5):
+    outside = 0
+    for p in (2, 3, 5, 7):
         for rows, cols in shapes:
-            dense = rng.random() < 0.5
-            entries = [rng.randrange(p) if dense or rng.random() < 0.3 else 0
-                       for _ in range(rows * cols)]
-            m = Mat(np.array(entries, dtype=np.int64).reshape(rows, cols), p)
-            assert kernel_basis(m) == reference.kernel_basis(m)
+            m = random_mat(rng, rows, cols, p)
             z = Mat.zeros(rows, cols, p)
-            assert kernel_basis(z) == reference.kernel_basis(z) == Mat.eye(cols, p)
+            for a in (m, z):
+                assert rank(a) == reference.rank(a)
+                assert kernel_basis(a) == reference.kernel_basis(a)
+            assert kernel_basis(z) == Mat.eye(cols, p)
+            cut = rng.randint(0, cols)
+            base, cand = Mat(m.data[:, :cut], p), Mat(m.data[:, cut:], p)
+            assert independent_split(base, cand) == reference.independent_split(base, cand)[1]
+            assert independent_split(z, m) == reference.independent_split(z, m)[1]
+            inside = m @ random_mat(rng, cols, rng.randint(0, 3), p)
+            target = random_mat(rng, rows, rng.randint(1, 3), p)
+            for b, t in ((m, inside), (m, target), (z, target)):
+                got = solve_in_span(b, t)
+                assert got == reference.solve_in_span(b, t)
+                outside += got is None
+            assert solve_in_span(m, inside) is not None
+    assert outside > 50
 
 
 def assert_same_as_validated(m: Mat):

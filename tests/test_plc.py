@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from riscpl.exact_geometry import INF, NEG_INF, RealOpenSet
-from riscpl.field_linalg import Mat, rank
+from riscpl.field_linalg import Mat, Reduction, rank
 from riscpl.plc import (
     Coboundary,
     CohomBasis,
     LevelGrid,
     PLComplex,
-    Reduction,
     induced_map,
     mv_connecting,
     open_model,
