@@ -443,36 +443,56 @@ def _float_region(x: float, y: float) -> Optional[str]:
     return None
 
 
-def plot_svg(doc: dict, size: int = 640, shading_steps: int = 120) -> str:
-    pts = [(coord_parse(p["x"]).to_float(), coord_parse(p["y"]).to_float(),
-            p["multiplicity"]) for p in doc.get("points", [])]
+# the side of the square SVG and the rows and columns of its region shading
+SVG_SIZE = 640
+SHADING_STEPS = 120
+
+
+def load_diagram(path) -> List[Tuple[float, float, int]]:
+    """The points of a diagram file as (x, y, multiplicity), with x and y
+    as floats for display."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a diagram file must hold a JSON object")
+    try:
+        points = data["points"]
+        if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
+            raise ValueError("a diagram file's points must be a list of objects")
+        return [(coord_parse(p["x"]).to_float(), coord_parse(p["y"]).to_float(),
+                 parse_int(p["multiplicity"], "a multiplicity")) for p in points]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed diagram file: {type(e).__name__}: {e}") from e
+
+
+def plot_svg(pts: List[Tuple[float, float, int]]) -> str:
     lo, hi = -3 * PI / 2 - 0.4, 3 * PI / 2 + 0.4
     for x, y, _ in pts:
         lo = min(lo, x - 0.5, y - 0.5)
         hi = max(hi, x + 0.5, y + 0.5)
     margin = 36
     span = hi - lo
-    scale = (size - 2 * margin) / span
+    scale = (SVG_SIZE - 2 * margin) / span
 
     def sx(x):
         return margin + (x - lo) * scale
 
     def sy(y):
-        return size - margin - (y - lo) * scale
+        return SVG_SIZE - margin - (y - lo) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     # region shading by sampled cells, merged into horizontal runs
-    step = span / shading_steps
-    for row in range(shading_steps):
+    step = span / SHADING_STEPS
+    for row in range(SHADING_STEPS):
         y = lo + (row + 0.5) * step
         run_start, run_region = None, None
-        for col in range(shading_steps + 1):
+        for col in range(SHADING_STEPS + 1):
             x = lo + (col + 0.5) * step
-            region = _float_region(x, y) if col < shading_steps else None
+            region = _float_region(x, y) if col < SHADING_STEPS else None
             if region != run_region:
                 if run_region is not None:
                     x0, x1 = sx(lo + run_start * step), sx(lo + col * step)
@@ -518,11 +538,11 @@ def plot_svg(doc: dict, size: int = 640, shading_steps: int = 120) -> str:
     for i, (name, color) in enumerate(sorted(REGION_COLORS.items())):
         ly = margin + 18 * i
         parts.append(
-            f'<rect x="{size - margin - 70}" y="{ly}" width="12" height="12" '
+            f'<rect x="{SVG_SIZE - margin - 70}" y="{ly}" width="12" height="12" '
             f'fill="{color}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{size - margin - 52}" y="{ly + 10}" '
+            f'<text x="{SVG_SIZE - margin - 52}" y="{ly + 10}" '
             f'font-size="12">{name}</text>'
         )
     parts.append("</svg>")
@@ -530,9 +550,7 @@ def plot_svg(doc: dict, size: int = 640, shading_steps: int = 120) -> str:
 
 
 def cmd_plot(args) -> int:
-    with open(args.input) as fh:
-        doc = json.load(fh)
-    emit(plot_svg(doc), args.out)
+    emit(plot_svg(load_diagram(args.input)), args.out)
     return 0
 
 
@@ -544,6 +562,8 @@ C4_CONE = [[1, 2, 5], [2, 3, 5], [3, 4, 5], [4, 1, 5]]
 
 
 def gen_complex(preset: str, seed: int, funcs: int) -> dict:
+    if funcs < 1:
+        raise ValueError(f"--funcs must be at least 1, got {funcs}")
     if preset == "hood":
         return complex_json({1: 0, 2: 1, 3: 0, 4: 2, 5: 2}, C4_CONE)
     if preset == "flattened-hood":

@@ -16,8 +16,8 @@ A sample grid meets only a small, fixed set of coordinates: T and the shift
 action act on each strip coordinate separately.  `CoordTable` interns the
 coordinates of one grid to integer ids (the grid lines first, so a grid index
 is its id) and fills its maps lazily, one exact call per entry: the strip
-location and tile index of a point (ix, iy), the id maps of T^n, and the
-per-coordinate id maps of every shift.  Repeated geometry on the grid, the
+location and tile index of a point (ix, iy), and the per-coordinate id maps
+of T^n and of every shift.  Repeated geometry on the grid, the
 support of a block and the band of a shifted sample included, is then a
 lookup on ints.
 """
@@ -30,87 +30,48 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
-class _PosInf:
-    """Positive infinity sentinel, comparable with Fraction."""
+class _Infinity:
+    """The infinity sentinels INF and NEG_INF, comparable with Fraction.
 
-    _instance = None
+    There are exactly two instances, compared by identity: INF lies above
+    and NEG_INF below every other value.  NEG_INF is never stored inside a
+    Coord (the canonical encoding replaces it by INF on the previous
+    branch); it only appears transiently and as an interval endpoint."""
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ("sign",)
 
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INF
-
-    def __gt__(self, other):
-        return other is not INF
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is INF
-
-    def __hash__(self):
-        return hash("riscpl.+inf")
-
-    def __neg__(self):
-        return NEG_INF
-
-    def __repr__(self):
-        return "inf"
-
-
-class _NegInf:
-    """Negative infinity sentinel.
-
-    Never stored inside a Coord (the canonical encoding replaces it by +inf on
-    the previous branch); it only appears transiently and as an interval
-    endpoint.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, sign: int):
+        self.sign = sign
 
     def __lt__(self, other):
-        return other is not NEG_INF
+        return self.sign < 0 and other is not self
 
     def __le__(self, other):
-        return True
+        return self.sign < 0 or other is self
 
     def __gt__(self, other):
-        return False
+        return self.sign > 0 and other is not self
 
     def __ge__(self, other):
-        return other is NEG_INF
+        return self.sign > 0 or other is self
 
     def __eq__(self, other):
-        return other is NEG_INF
+        return other is self
 
-    def __hash__(self):
-        return hash("riscpl.-inf")
+    __hash__ = object.__hash__
 
     def __neg__(self):
-        return INF
+        return NEG_INF if self is INF else INF
 
     def __repr__(self):
-        return "-inf"
+        return "inf" if self is INF else "-inf"
 
 
-INF = _PosInf()
-NEG_INF = _NegInf()
+INF = _Infinity(1)
+NEG_INF = _Infinity(-1)
 
-ExtRational = Union[Fraction, _PosInf]
-# Interval endpoints may additionally be -inf.
-Endpoint = Union[Fraction, _PosInf, _NegInf]
+# Interval endpoints may be -inf; a Coord's offset never is.
+ExtRational = Union[Fraction, _Infinity]
 
 
 @dataclass(frozen=True, order=False)
@@ -152,6 +113,10 @@ class Coord:
 
     def shift_pi(self, m: int) -> "Coord":
         return Coord(self.k + m, self.v)
+
+    def pi_minus(self, m: int) -> "Coord":
+        """The coordinate m*pi - self."""
+        return (-self).shift_pi(m)
 
     def to_float(self) -> float:
         a = math.pi / 2 if self.v is INF else math.atan(self.v)
@@ -271,28 +236,27 @@ def _require_in_strip(p: StripPoint):
 # The glide reflection T and the shift action alpha
 
 
+def t_power(p: StripPoint, n: int) -> StripPoint:
+    """Apply T n times (or its inverse -n times).
+
+    T(x, y) = (-pi - y, pi - x) and T^2 is the translation by (-2*pi, 2*pi),
+    so T^n moves x by -n*pi and y by n*pi, after the two coordinates are
+    swapped and negated for odd n: T^n(x, y) = (-n*pi - y, n*pi - x).  T^2
+    keeps x + y, so only an odd power checks that p lies in the strip."""
+    if n % 2 == 0:
+        return StripPoint(p.x.shift_pi(-n), p.y.shift_pi(n))
+    _require_in_strip(p)
+    return StripPoint(p.y.pi_minus(-n), p.x.pi_minus(n))
+
+
 def t_apply(p: StripPoint) -> StripPoint:
     """The glide reflection (x, y) -> (-pi - y, pi - x)."""
-    _require_in_strip(p)
-    return StripPoint((-p.y).shift_pi(-1), (-p.x).shift_pi(1))
+    return t_power(p, 1)
 
 
 def t_inverse(p: StripPoint) -> StripPoint:
     """The inverse glide reflection (x, y) -> (pi - y, -pi - x)."""
-    _require_in_strip(p)
-    return StripPoint((-p.y).shift_pi(1), (-p.x).shift_pi(-1))
-
-
-def t_power(p: StripPoint, n: int) -> StripPoint:
-    """Apply T n times (or its inverse -n times).
-
-    T^2 is the translation by (-2*pi, +2*pi), so only the parity of n needs an
-    actual reflection."""
-    q, r = divmod(n, 2)
-    out = StripPoint(p.x.shift_pi(-2 * q), p.y.shift_pi(2 * q))
-    if r:
-        out = t_apply(out)
-    return out
+    return t_power(p, -1)
 
 
 def _alpha_coord(c: Coord, even_shift: Fraction, odd_shift: Fraction) -> Coord:
@@ -336,10 +300,10 @@ class RealOpenSet:
 
     Endpoints are exact rationals or the two infinity sentinels."""
 
-    intervals: Tuple[Tuple[Endpoint, Endpoint], ...]
+    intervals: Tuple[Tuple[ExtRational, ExtRational], ...]
 
     @staticmethod
-    def make(intervals: Iterable[Tuple[Endpoint, Endpoint]]) -> "RealOpenSet":
+    def make(intervals: Iterable[Tuple[ExtRational, ExtRational]]) -> "RealOpenSet":
         """Normalize: drop empty intervals, sort, merge overlapping ones."""
         norm = []
         for lo, hi in intervals:
@@ -398,8 +362,8 @@ class TypedInterval:
     """An interval with per-endpoint open/closed flags; may be a point or
     empty (empty is represented by `None` at the call sites)."""
 
-    lo: Endpoint
-    hi: Endpoint
+    lo: ExtRational
+    hi: ExtRational
     lo_closed: bool
     hi_closed: bool
 
@@ -426,8 +390,8 @@ def rho(p: StripPoint) -> Tuple[RealOpenSet, RealOpenSet]:
     _require_in_strip(p)
 
     # First component: one open interval, clamped to the range of arctan.
-    lowc = (-p.y).shift_pi(-1)   # the coordinate -pi - y
-    upc = (-p.x).shift_pi(1)     # the coordinate pi - x
+    lowc = p.y.pi_minus(-1)   # the coordinate -pi - y
+    upc = p.x.pi_minus(1)     # the coordinate pi - x
     if lowc >= HALF_PI or upc <= NEG_HALF_PI:
         rho1 = RealOpenSet.empty()
     else:
@@ -585,10 +549,13 @@ class CoordTable:
     its id; a coordinate reached off the grid (by T or a shift) gets the next
     free id when first met.  A point is the pair of its coordinate ids.  The
     maps are filled on first use, each entry by one call of the exact
-    function it stores: `location` (strip_location), `tile` (tile_index),
-    `power(n)` (t_power), `shift(a)` (the coordinate action of alpha_apply)
-    and the coordinate order behind `precedes` and `in_block`.  A point lies
-    in the fundamental domain exactly when its tile is 0."""
+    function it stores: `location` (strip_location), `tile` (tile_index) and
+    the coordinate order behind `precedes` and `in_block`.  The key maps
+    `power(n)` (t_power) and `shift(a)` (alpha_apply) act on each coordinate
+    on its own, so each is a pair of per-coordinate id maps, filled one
+    coordinate function call per id.  Unlike t_apply and alpha_apply, they
+    do not check that a key lies in the strip.  A point lies in the
+    fundamental domain exactly when its tile is 0."""
 
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
@@ -599,8 +566,7 @@ class CoordTable:
         self.location = _Lazy(lambda key: strip_location(self.point(key)))
         self.tile = _Lazy(lambda key: tile_index(self.point(key)))
         self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
-        self._powers: Dict[int, _Lazy] = {}
-        self._shifts: Dict[Tuple[Fraction, Fraction], _Lazy] = {}
+        self._coord_maps: Dict[tuple, _Lazy] = {}
 
     def intern(self, c: Coord) -> int:
         i = self.ids.get(c)
@@ -624,27 +590,31 @@ class CoordTable:
         below v and strictly above T^-1(v) in both coordinates."""
         if self.location[s] != "interior" or not self.precedes(s, v):
             return False
-        w = self.power(-1)[v]
+        w = self.power(-1)(v)
         return not self._le[(w[0], s[0])] and not self._le[(s[1], w[1])]
 
-    def power(self, n: int) -> Dict[Key, Key]:
-        """The key map of T^n."""
-        out = self._powers.get(n)
-        if out is None:
-            out = self._powers[n] = _Lazy(
-                lambda key: self.key(t_power(self.point(key), n)))
-        return out
+    def power(self, n: int) -> Callable[[Key], Key]:
+        """The key map of T^n: the coordinate maps of t_power, which swaps
+        the coordinates for odd n."""
+        if n % 2 == 0:
+            xmap = self._coord_map(Coord.shift_pi, -n)
+            ymap = self._coord_map(Coord.shift_pi, n)
+            return lambda key: (xmap[key[0]], ymap[key[1]])
+        xmap = self._coord_map(Coord.pi_minus, -n)
+        ymap = self._coord_map(Coord.pi_minus, n)
+        return lambda key: (xmap[key[1]], ymap[key[0]])
 
     def shift(self, a: ShiftVector) -> Callable[[Key], Key]:
         """The key map of the shift action of a: alpha_apply acts on x by
-        the pair (a1, a2) and on y by (a2, a1), one coordinate at a time."""
-        xmap = self._coord_shift(a.a1, a.a2)
-        ymap = self._coord_shift(a.a2, a.a1)
+        the pair (a1, a2) and on y by (a2, a1)."""
+        xmap = self._coord_map(_alpha_coord, a.a1, a.a2)
+        ymap = self._coord_map(_alpha_coord, a.a2, a.a1)
         return lambda key: (xmap[key[0]], ymap[key[1]])
 
-    def _coord_shift(self, even: Fraction, odd: Fraction) -> Dict[int, int]:
-        out = self._shifts.get((even, odd))
+    def _coord_map(self, f: Callable[..., Coord], *args) -> Dict[int, int]:
+        """The id map of the coordinate function c -> f(c, *args)."""
+        out = self._coord_maps.get((f, args))
         if out is None:
-            out = self._shifts[(even, odd)] = _Lazy(
-                lambda i: self.intern(_alpha_coord(self.coords[i], even, odd)))
+            out = self._coord_maps[(f, args)] = _Lazy(
+                lambda i: self.intern(f(self.coords[i], *args)))
         return out

@@ -142,7 +142,7 @@ class Transformation:
         d_src, n_src, basis_src = point_data(self.ev_g, self.shift(key))
         if d == 0 or d_src == 0:
             return Mat.zeros(d, d_src, self.p)
-        u = self.table.power(n)[key]
+        u = self.table.power(n)(key)
         if n_src == n:
             pair_f = self.ev_f.pair_at(u)
             pair_g = self.ev_g.pair_at(self.shift(u))
@@ -157,7 +157,7 @@ class Transformation:
                 "shifted sample lies more than one band away; "
                 "the joint grid is insufficient for this shift"
             )
-        m = self.table.power(-1)[u]
+        m = self.table.power(-1)(u)
         xi_w = self._interp_pair(u)
         xi_1 = self._interp_pair((m[0], u[1]))
         xi_2 = self._interp_pair((u[0], m[1]))

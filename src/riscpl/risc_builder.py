@@ -207,7 +207,7 @@ def point_data(ev: FunctorEvaluator,
         if n < 0 or n > ev.max_degree:
             out = (0, n, None)
         else:
-            basis = ev.basis_at(table.power(n)[key], n)
+            basis = ev.basis_at(table.power(n)(key), n)
             out = (basis.dim, n, basis)
     ev._points[key] = out
     return out
@@ -228,8 +228,8 @@ def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key) -> Mat:
     if n_lo == n_hi:
         return ev.inclusion(b_hi, b_lo)
     if n_lo == n_hi + 1:
-        u = table.power(n_hi)[hi]
-        w = table.power(n_lo)[lo]
+        u = table.power(n_hi)(hi)
+        w = table.power(n_lo)(lo)
         if table.precedes(u, w):
             return ev.connecting(u, w, n_hi)
     return Mat.zeros(d_lo, d_hi, ev.p)

@@ -37,6 +37,9 @@ from .field_linalg import (
 
 Index = Tuple[int, int]
 
+# The seed of the checkers' random spot checks, so that a verdict is fixed.
+CHECK_SEED = 0
+
 
 def midpoint_coord(a: Coord, b: Coord) -> Coord:
     """A deterministic Coord strictly between two consecutive grid Coords."""
@@ -179,7 +182,7 @@ class GridModule:
         """Index of the translate T^power of a sample, if on the grid."""
         if not self.is_sample(idx):
             return None
-        q = self.table.power(power)[idx]
+        q = self.table.power(power)(idx)
         return q if self.in_range(q) else None
 
 
@@ -294,7 +297,7 @@ class _Section:
     xi: Mat
 
 
-def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
+def decomposition_check(m: GridModule, spot_checks: int = 200):
     """Verify the block decomposition by constructing an explicit natural
     isomorphism from the block sum read off the diagram.
 
@@ -359,7 +362,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200, seed: int = 0):
         return sum(mult for vi, mult in blocks
                    if in_block(vi, p_idx) and in_block(vi, q_idx))
 
-    rng = random.Random(seed)
+    rng = random.Random(CHECK_SEED)
     all_samples = list(m.samples())
     if not all_samples:
         return None
@@ -424,7 +427,7 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     return None
 
 
-def cohomological_check(m: GridModule, random_rectangles: int = 100, seed: int = 0):
+def cohomological_check(m: GridModule, random_rectangles: int = 100):
     """Middle exactness on every unit sample square, plus full long-sequence
     exactness on a random selection of larger rectangles."""
     n = len(m.table.grid)
@@ -434,7 +437,7 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100, seed: int =
         bad = _rectangle_exact(m, (i, j), (i - 1, j + 1))
         if bad is not None:
             return bad
-    rng = random.Random(seed)
+    rng = random.Random(CHECK_SEED)
     if n < 2:
         return None
     for _ in range(random_rectangles):

@@ -209,6 +209,7 @@ def assert_cli_error(capsys, *argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 # Complexes on which a created split vertex would take an existing id: a
@@ -444,6 +445,25 @@ def test_plot_counts_glyphs(capsys, tmp_path):
     code, svg = run(capsys, "plot", epath)
     assert code == 0
     assert svg.count("dgm-point") == 0 and "<svg" in svg
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"field": 2},
+    {"points": 5},
+    {"points": [5]},
+    {"points": [{"x": 1}]},
+    {"points": [{"x": {"k": 0, "v": "1"}, "y": {"k": 0, "v": "0"}}]},
+    {"points": [{"x": {"k": 0, "v": "1"}, "y": {"k": 0, "v": "0"},
+                 "multiplicity": "2"}]},
+])
+def test_plot_rejects_malformed_diagram(capsys, tmp_path, doc):
+    assert_cli_error(capsys, "plot", write_json(tmp_path / "bad.json", doc))
+
+
+@pytest.mark.parametrize("funcs", ["0", "-1"])
+def test_gen_rejects_funcs_below_one(capsys, funcs):
+    assert "--funcs" in assert_cli_error(capsys, "gen", "--preset", "random", "--funcs", funcs)
 
 
 def test_atomic_write_and_round_trip(capsys, tmp_path):

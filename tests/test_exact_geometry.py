@@ -67,6 +67,27 @@ def random_shift(rng):
 # frozen examples
 
 
+def test_infinity_sentinels():
+    for t in (F(-7, 2), F(0), F(10**9), 3):
+        assert t < INF and INF > t and t <= INF and INF >= t
+        assert not (INF < t or t > INF or INF <= t or t >= INF)
+        assert NEG_INF < t and t > NEG_INF and NEG_INF <= t and t >= NEG_INF
+        assert not (t < NEG_INF or NEG_INF > t or t <= NEG_INF or NEG_INF >= t)
+        assert INF != t and t != INF and NEG_INF != t and t != NEG_INF
+        assert max(t, INF) is INF and min(t, NEG_INF) is NEG_INF
+    assert NEG_INF < INF and INF > NEG_INF and NEG_INF <= INF and INF >= NEG_INF
+    assert not (INF < NEG_INF or NEG_INF > INF or INF <= NEG_INF or NEG_INF >= INF)
+    for s in (INF, NEG_INF):
+        assert s == s and s <= s and s >= s and not (s < s or s > s)
+    assert INF != NEG_INF and not INF == NEG_INF
+    assert -INF is NEG_INF and -NEG_INF is INF
+    assert len({INF, NEG_INF, -NEG_INF}) == 2
+    assert (repr(INF), repr(NEG_INF)) == ("inf", "-inf")
+    for k in (-2, 0, 3):
+        assert Coord(k, NEG_INF) == Coord(k - 1, INF)
+        assert Coord(k, NEG_INF).v is INF
+
+
 def test_t_apply_origin():
     assert t_apply(point(0, 0, 0, 0)) == point(-1, 0, 1, 0)
 
@@ -90,6 +111,12 @@ def test_t_roundtrip_random():
         p = random_strip_point(rng)
         assert t_inverse(t_apply(p)) == p
         assert t_apply(t_inverse(p)) == p
+        # T^n is the n-fold composite of T or of its inverse
+        for step in (1, -1):
+            q = p
+            for n in range(0, 5 * step, step):
+                assert t_power(p, n) == q
+                q = t_power(q, step)
 
 
 def test_alpha_at_origin():
@@ -414,6 +441,7 @@ def test_coord_table_matches_exact_functions(case):
     assert table.coords[:n] == list(table.grid)
     assert all(table.ids[c] == i for i, c in enumerate(table.grid))
     maps = [table.shift(a) for a in shifts]
+    powers = {e: table.power(e) for e in range(-3, 4)}
     rng = random.Random(0)
     for ix in range(n):
         for iy in range(n):
@@ -424,8 +452,10 @@ def test_coord_table_matches_exact_functions(case):
             assert table.location[key] == loc
             if loc == "outside":
                 continue
-            assert table.point(table.power(1)[key]) == t_apply(p)
-            assert table.point(table.power(-1)[key]) == t_inverse(p)
+            for e, power in powers.items():
+                assert table.point(power(key)) == t_power(p, e)
+            assert table.point(powers[1](key)) == t_apply(p)
+            assert table.point(powers[-1](key)) == t_inverse(p)
             for a, shift in zip(shifts, maps):
                 q = shift(key)
                 assert table.point(q) == alpha_apply(a, p)
@@ -433,19 +463,22 @@ def test_coord_table_matches_exact_functions(case):
                 if table.location[q] == "interior":
                     assert (table.tile[q] == 0) == in_fundamental_domain(alpha_apply(a, p))
                 for e in (-1, 1, 2):
-                    assert shift(table.power(e)[key]) == table.power(e)[q]
+                    assert shift(powers[e](key)) == powers[e](q)
             # the check also shifts the off-grid point omega(p)
             mid = maps[2](key)
             for a, shift in zip(shifts, maps):
                 assert table.point(shift(mid)) == alpha_apply(a, table.point(mid))
+            if table.location[mid] != "outside":
+                for e, power in powers.items():
+                    assert table.point(power(mid)) == t_power(table.point(mid), e)
             if table.location[mid] == "interior":
                 tile = table.tile[mid]
                 assert tile == tile_index(table.point(mid))
-                assert table.point(table.power(tile)[mid]) == t_power(table.point(mid), tile)
+                assert table.point(table.power(tile)(mid)) == t_power(table.point(mid), tile)
             if loc == "interior":
                 tile = table.tile[key]
                 assert tile == tile_index(p)
-                assert table.point(table.power(tile)[key]) == t_power(p, tile)
+                assert table.point(table.power(tile)(key)) == t_power(p, tile)
                 assert (tile == 0) == in_fundamental_domain(p)
             other = (rng.randrange(n), rng.randrange(n))
             assert table.precedes(key, other) == p.precedes(table.point(other))
