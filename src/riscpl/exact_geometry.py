@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -555,7 +556,9 @@ class CoordTable:
     on its own, so each is a pair of per-coordinate id maps, filled one
     coordinate function call per id.  Unlike t_apply and alpha_apply, they
     do not check that a key lies in the strip.  A point lies in the
-    fundamental domain exactly when its tile is 0."""
+    fundamental domain exactly when its tile is 0.  The grid points in the
+    strip are listed once: `row_samples[i]` holds those of row i, filled on
+    first use, and `samples` joins the rows in order."""
 
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
@@ -566,6 +569,8 @@ class CoordTable:
         self.location = _Lazy(lambda key: strip_location(self.point(key)))
         self.tile = _Lazy(lambda key: tile_index(self.point(key)))
         self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
+        self.row_samples = _Lazy(lambda i: tuple(
+            (i, j) for j in range(len(self.grid)) if self.location[(i, j)] != "outside"))
         self._coord_maps: Dict[tuple, _Lazy] = {}
 
     def intern(self, c: Coord) -> int:
@@ -580,6 +585,11 @@ class CoordTable:
 
     def point(self, key: Key) -> StripPoint:
         return StripPoint(self.coords[key[0]], self.coords[key[1]])
+
+    @cached_property
+    def samples(self) -> Tuple[Key, ...]:
+        """The grid points in the strip, row by row."""
+        return tuple(s for i in range(len(self.grid)) for s in self.row_samples[i])
 
     def precedes(self, lo: Key, hi: Key) -> bool:
         """StripPoint.precedes on keys: lo.x >= hi.x and lo.y <= hi.y."""

@@ -1,7 +1,8 @@
 """Exact linear algebra over a prime field GF(p).
 
-A Mat holds its entries in numpy (residues in [0, p)); the default field is
-GF(2), and any prime below 2^16 is accepted.
+A Mat holds its entries in a numpy int64 array (residues in [0, p)) for
+every prime; the default field is GF(2), and any prime below 2^16 is
+accepted.
 
 All elimination is one sparse column reduction, the same for every prime
 and every caller: Reduction reduces dict columns left to right against
@@ -28,12 +29,6 @@ def check_prime(p: int):
         raise ValueError(f"{p} is not prime")
 
 
-def _dtype(p: int):
-    # Mod-2 arithmetic survives uint8 wraparound (parity is preserved), so
-    # the common GF(2) case stores entries in one byte.
-    return np.uint8 if p == 2 else np.int64
-
-
 class Mat:
     """An exact matrix over GF(p)."""
 
@@ -44,13 +39,13 @@ class Mat:
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-        self.data = np.mod(arr, p).astype(_dtype(p))
+        self.data = np.mod(arr, p).astype(np.int64)
         self.p = p
 
     @classmethod
     def _reduced(cls, data: np.ndarray, p: int) -> "Mat":
-        """Wrap a two-dimensional array that already holds residues mod the
-        checked prime p in the dtype of p, skipping the validation."""
+        """Wrap a two-dimensional int64 array that already holds residues
+        mod the checked prime p, skipping the validation."""
         out = object.__new__(cls)
         out.data = data
         out.p = p
@@ -61,12 +56,12 @@ class Mat:
     @staticmethod
     def zeros(rows: int, cols: int, p: int = 2) -> "Mat":
         check_prime(p)
-        return Mat._reduced(np.zeros((rows, cols), dtype=_dtype(p)), p)
+        return Mat._reduced(np.zeros((rows, cols), dtype=np.int64), p)
 
     @staticmethod
     def eye(n: int, p: int = 2) -> "Mat":
         check_prime(p)
-        return Mat._reduced(np.eye(n, dtype=_dtype(p)), p)
+        return Mat._reduced(np.eye(n, dtype=np.int64), p)
 
     @staticmethod
     def hstack(mats: Sequence["Mat"]) -> "Mat":

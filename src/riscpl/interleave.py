@@ -228,12 +228,8 @@ def period_samples(table: CoordTable):
     reflection, which shifts the x translate index by two, so the samples
     with x translate -1 or 0 meet every periodicity orbit and per-sample
     identities checked there hold at every sample."""
-    n = len(table.grid)
-    for i, x in enumerate(table.grid):
-        if x.k in (-1, 0):
-            for j in range(n):
-                if table.location[(i, j)] != "outside":
-                    yield (i, j)
+    return [s for i, x in enumerate(table.grid) if x.k in (-1, 0)
+            for s in table.row_samples[i]]
 
 
 def _report(delta, ok, counterexample=None, witness=None) -> dict:

@@ -10,11 +10,11 @@ continuity, decomposition and filtration properties.
 
 The x and y axes of a sample grid share one coordinate list, held by the
 GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
-is a coordinate id, the sample and interior tests and the sample iteration
-read the table's strip locations, the translate lookups its maps of T^n,
-and the block supports its `in_block`.  The checkers work on grid indices
-alone, with `GridModule.up` and `GridModule.down` as the one covering
-relation.
+is a coordinate id, the sample and interior tests read the table's strip
+locations, the sample iteration its one sample list, the translate lookups
+its maps of T^n, and the block supports its `in_block`.  The checkers
+work on grid indices alone, with `GridModule.up` and `GridModule.down` as
+the one covering relation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,12 +137,9 @@ class GridModule:
     def is_interior(self, idx: Index) -> bool:
         return self.in_range(idx) and self.table.location[idx] == "interior"
 
-    def samples(self) -> Iterable[Index]:
-        """The grid points in the strip, row by row."""
-        n = len(self.table.grid)
-        location = self.table.location
-        return [(i, j) for i in range(n) for j in range(n)
-                if location[(i, j)] != "outside"]
+    def samples(self) -> Tuple[Index, ...]:
+        """The grid points in the strip, row by row: the table's list."""
+        return self.table.samples
 
     def dim_at(self, idx: Index) -> int:
         return self.dims.get(idx, 0)
@@ -161,16 +158,21 @@ class GridModule:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
         independence makes any other monotone path agree.  A staircase
-        through a zero space composes to zero, so it is not multiplied."""
+        through a zero space composes to zero, so it is not multiplied.  The
+        fold starts from the first covering map, so a covering pair gets
+        its stored matrix back; like map_at's, the result is shared and
+        must not be written to."""
         (il, jl), (ih, jh) = lo, hi
         if il < ih or jl > jh:
             raise ValueError("samples not comparable in the given direction")
+        if lo == hi:
+            return self.map_at(lo, hi)
         path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
             [(i, jl) for i in range(ih + 1, il + 1)]
         if any(self.dim_at(s) == 0 for s in path):
             return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
-        acc = Mat.eye(self.dim_at(hi), self.p)
-        for above, below in zip(path, path[1:]):
+        acc = self.map_at(path[1], path[0])
+        for above, below in zip(path[1:], path[2:]):
             acc = self.map_at(below, above) @ acc
         return acc
 
@@ -382,47 +384,38 @@ def _vstack(a: Mat, b: Mat) -> Mat:
     return Mat(np.vstack([a.data, b.data]), a.p)
 
 
-def middle_exact_check(top_to_b: Mat, top_to_c: Mat,
-                       b_to_bot: Mat, c_to_bot: Mat) -> bool:
-    """Exactness of A -> B (+) C -> D in the middle, where the first map
-    stacks the two restrictions and the second takes the difference."""
-    first = _vstack(top_to_b, top_to_c)
-    second = Mat.hstack([b_to_bot, -c_to_bot])
-    if not (second @ first).is_zero():
-        return False
-    return rank(first) == second.cols - rank(second)
-
-
 def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     """Exactness of the long sequence
     M(T(u)) -> M(w) -> M(v1) (+) M(v2) -> M(u) -> M(T^{-1}(w))
     on the sample rectangle u = lo, w = hi, at the three inner terms (the
-    outer ones only where the translates lie on the grid)."""
+    outer ones only where the translates lie on the grid).  At each term the
+    two maps compose to zero and the rank of the outgoing map is the
+    dimension minus the rank of the incoming one."""
     (il, jl), (ih, jh) = lo, hi
     v1 = (il, jh)  # shares x with u
     v2 = (ih, jl)  # shares x with w
     for corner in (lo, hi, v1, v2):
         if not m.is_interior(corner):
             return None
-    to_b = m.map_between(v1, hi)
-    to_c = m.map_between(v2, hi)
-    b_bot = m.map_between(lo, v1)
-    c_bot = m.map_between(lo, v2)
-    first = _vstack(to_b, to_c)
-    second = Mat.hstack([b_bot, -c_bot])
+    first = _vstack(m.map_between(v1, hi), m.map_between(v2, hi))
+    second = Mat.hstack([m.map_between(lo, v1), -m.map_between(lo, v2)])
     if not (second @ first).is_zero():
         return (lo, hi, "composite nonzero")
+    rank_first = rank(first)
     tu = m.t_index(lo)
     if tu is not None and hi[0] >= tu[0] and hi[1] <= tu[1]:
         into_w = m.map_between(hi, tu)
-        if rank(first) != m.dim_at(hi) - rank(into_w):
+        if (not (first @ into_w).is_zero()
+                or rank_first != m.dim_at(hi) - rank(into_w)):
             return (lo, hi, "not exact at the union term")
-    if rank(first) != second.cols - rank(second):
+    rank_second = rank(second)
+    if rank_first != second.cols - rank_second:
         return (lo, hi, "not exact at the middle term")
     tw = m.t_index(hi, power=-1)
     if tw is not None and tw[0] >= lo[0] and tw[1] <= lo[1]:
         out_u = m.map_between(tw, lo)
-        if rank(second) != m.dim_at(lo) - rank(out_u):
+        if (not (out_u @ second).is_zero()
+                or rank_second != m.dim_at(lo) - rank(out_u)):
             return (lo, hi, "not exact at the intersection term")
     return None
 
@@ -471,21 +464,14 @@ def seq_continuity_check(m: GridModule):
 # the colexicographic filtration
 
 
-def _discontinuities(m: GridModule, u: Index, horizontal: bool,
+def _discontinuities(m: GridModule, u: Index, at: Callable[[int], Index],
                      lo_line: int, hi_line: int) -> List[int]:
     """Even indices strictly between two line indices where the rank of the
-    map from u jumps, detected by comparing the flanking midpoint samples."""
-    out = []
-    for t in range(min(lo_line, hi_line) + 2, max(lo_line, hi_line), 2):
-        if horizontal:
-            left = rank(m.map_between(u, (t - 1, u[1])))
-            right = rank(m.map_between(u, (t + 1, u[1])))
-        else:
-            left = rank(m.map_between(u, (u[0], t - 1)))
-            right = rank(m.map_between(u, (u[0], t + 1)))
-        if left != right:
-            out.append(t)
-    return out
+    map from u jumps, detected by comparing the flanking midpoint samples;
+    at(t) is the sample at index t on the scanned line through u."""
+    lo, hi = min(lo_line, hi_line), max(lo_line, hi_line)
+    ranks = {t: rank(m.map_between(u, at(t))) for t in range(lo + 1, hi, 2)}
+    return [t for t in range(lo + 2, hi, 2) if ranks[t - 1] != ranks[t + 1]]
 
 
 def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
@@ -503,20 +489,14 @@ def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
         raise ValueError("T(u) outside the sample grid")
     iu, ju = u
     i0, j0 = tu
-    x_idx = [i0] + _discontinuities(m, u, True, i0, iu) + [iu]
-    y_desc = _discontinuities(m, u, False, ju, j0)
+    x_idx = [i0] + _discontinuities(m, u, lambda t: (t, ju), i0, iu) + [iu]
+    y_desc = _discontinuities(m, u, lambda t: (iu, t), ju, j0)
     y_idx = [j0] + sorted(y_desc, reverse=True) + [ju]
     k = len(x_idx) - 1
     l = len(y_idx) - 1
 
     def image(i, j):
         return m.map_between(u, (x_idx[i], y_idx[j]))
-
-    def filtr_dim(i, j, also_cols=None):
-        cols = [image(i, j), image(k, j - 1)]
-        if also_cols:
-            cols += also_cols
-        return column_space_sum_dim(cols)
 
     dims = []
     for j in range(l + 1):
@@ -527,7 +507,7 @@ def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
                     raise AssertionError("filtration does not start at zero")
                 row.append(0)
             else:
-                row.append(filtr_dim(i, j))
+                row.append(column_space_sum_dim([image(i, j), image(k, j - 1)]))
         dims.append(row)
 
     for j in range(1, l + 1):
@@ -592,3 +572,14 @@ def nat_space_dim(v: Index, m: GridModule) -> int:
         return total
     system = Mat(np.array(rows, dtype=np.int64), m.p)
     return total - rank(system)
+
+
+def yoneda_check(m: GridModule):
+    """The Yoneda-type count at every diagram vertex v: the natural
+    transformations from the block at v into m form a space of dimension
+    dim m(v)."""
+    for d in dgm(m).points:
+        idx = m.index_of(d.point)
+        if nat_space_dim(idx, m) != m.dim_at(idx):
+            return ("yoneda mismatch at", idx)
+    return None

@@ -316,6 +316,31 @@ def test_check_suites_pass(capsys, tmp_path):
     }
 
 
+def test_each_suite_reports_its_entry_of_all(capsys, tmp_path):
+    # a GF(3) hood dump, intact and with one nonzero structure map negated
+    code, hood = run(capsys, "gen", "--preset", "hood")
+    path = write_json(tmp_path / "hood.json", json.loads(hood))
+    intact = tmp_path / "hood3.json"
+    code, _ = run(capsys, "dgm", path, "--field", "3", "--dump-module", str(intact))
+    assert code == 0
+    doc = json.loads(intact.read_text())
+    nonzero = [e for e in doc["maps"] if any(any(row) for row in e[2])]
+    entry = nonzero[len(nonzero) // 2]
+    entry[2] = [[-x % 3 for x in row] for row in entry[2]]
+    negated = write_json(tmp_path / "negated.json", doc)
+    verdicts = []
+    for dump in (str(intact), negated):
+        code, full = run_json(capsys, "check", dump, "--module", "--suite", "all")
+        assert list(full["suites"]) == ["exactness", "continuity", "decomposition", "yoneda"]
+        assert code == (0 if full["ok"] else 1)
+        verdicts.append(full["ok"])
+        for name, result in full["suites"].items():
+            code, one = run_json(capsys, "check", dump, "--module", "--suite", name)
+            assert one == {"suites": {name: result}, "ok": result["ok"]}
+            assert code == (0 if result["ok"] else 1)
+    assert verdicts == [True, False]
+
+
 def test_check_empty_passes_vacuously(capsys, tmp_path):
     path = write_json(tmp_path / "empty.json",
                       {"field": 2, "vertices": [], "simplices": []})

@@ -120,7 +120,7 @@ def assert_same_as_validated(m: Mat):
     result on the same entries, with the same dtype."""
     ref = Mat(m.data.astype(np.int64), m.p)
     assert m == ref
-    assert m.data.dtype == ref.data.dtype == (np.uint8 if m.p == 2 else np.int64)
+    assert m.data.dtype == ref.data.dtype == np.int64
     assert m.data.ndim == 2
 
 

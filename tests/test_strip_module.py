@@ -18,13 +18,13 @@ from riscpl.exact_geometry import (
 from riscpl.field_linalg import Mat, column_space_sum_dim, rank
 from riscpl.strip_module import (
     GridModule,
+    _rectangle_exact,
     cohomological_check,
     colex_filtration,
     decomposition_check,
     dgm,
     dgm_value,
     from_blocks,
-    middle_exact_check,
     midpoint_coord,
     nat_space_dim,
     refine_lines,
@@ -190,13 +190,6 @@ def test_decomposition_check_blocks_ok_and_mutation():
     assert decomposition_check(m) is not None
 
 
-def test_middle_exact_examples():
-    i1 = Mat.eye(1)
-    assert middle_exact_check(i1, i1, i1, i1)
-    z = Mat.zeros(1, 0)
-    assert not middle_exact_check(z, z, i1, i1)
-
-
 def test_cohomological_check_blocks_and_mutation():
     xs = sym_grid()
     rng = random.Random(9)
@@ -208,6 +201,57 @@ def test_cohomological_check_blocks_and_mutation():
     v_idx = m.index_of(HOOD_V1)
     m.maps[((v_idx[0] + 1, v_idx[1]), v_idx)] = Mat.zeros(1, 1)
     assert cohomological_check(m, random_rectangles=40) is not None
+
+
+def square_with_translates(m):
+    """The first unit sample square (lo, hi) with interior corners whose
+    translates T(lo) and T^-1(hi) lie on the grid, above hi and below lo;
+    returned with the two translates."""
+    for lo in m.samples():
+        hi = (lo[0] - 1, lo[1] + 1)
+        corners = (lo, hi, (lo[0], hi[1]), (hi[0], lo[1]))
+        tu, tw = m.t_index(lo), m.t_index(hi, power=-1)
+        if (all(map(m.is_interior, corners)) and tu is not None and tw is not None
+                and hi[0] >= tu[0] and hi[1] <= tu[1]
+                and tw[0] >= lo[0] and tw[1] <= lo[1]):
+            return lo, hi, tu, tw
+    raise AssertionError("no such square on the grid")
+
+
+def constant_between(m, lo, hi):
+    """Dimension 1 and identity maps on the samples from lo up to hi."""
+    dims = {(i, j): 1 for i in range(hi[0], lo[0] + 1) for j in range(lo[1], hi[1] + 1)
+            if m.is_sample((i, j))}
+    maps = {(s, up): Mat.eye(1) for s in dims for up in m.up(s) if up in dims}
+    return dims, maps
+
+
+def test_rectangle_exact_checks_outer_composites():
+    # the ranks add up at the union and the intersection term, but the map
+    # into (out of) that term composes to a nonzero map with the next one
+    shell = GridModule(CoordTable(sym_grid()), {}, {})
+    lo, hi, tu, tw = square_with_translates(shell)
+    v1, v2 = (lo[0], hi[1]), (hi[0], lo[1])
+    # M(w) = F^2 -> M(v1) (+) M(v2) = F is [1 0]; M(T(u)) -> M(w) hits e1
+    dims, maps = constant_between(shell, hi, tu)
+    dims[hi], dims[v1] = 2, 1
+    for up in shell.up(hi):
+        if up in dims:
+            maps[(hi, up)] = Mat([[1], [0]])
+    maps[(v1, hi)] = Mat([[1, 0]])
+    m = GridModule(shell.table, dims, maps)
+    assert rank(m.map_between(hi, tu)) == 1
+    assert _rectangle_exact(m, lo, hi) == (lo, hi, "not exact at the union term")
+    # M(v1) (+) M(v2) = F -> M(u) = F^2 hits e1; M(u) -> M(T^-1(w)) is [1 0]
+    dims, maps = constant_between(shell, tw, lo)
+    dims[lo], dims[v2] = 2, 1
+    for down in shell.down(lo):
+        if down in dims:
+            maps[(down, lo)] = Mat([[1, 0]])
+    maps[(lo, v2)] = Mat([[1], [0]])
+    m = GridModule(shell.table, dims, maps)
+    assert rank(m.map_between(tw, lo)) == 1
+    assert _rectangle_exact(m, lo, hi) == (lo, hi, "not exact at the intersection term")
 
 
 def support_module(pred, xs, p=2):
