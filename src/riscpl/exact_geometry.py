@@ -572,6 +572,7 @@ class CoordTable:
         self.row_samples = _Lazy(lambda i: tuple(
             (i, j) for j in range(len(self.grid)) if self.location[(i, j)] != "outside"))
         self._coord_maps: Dict[tuple, _Lazy] = {}
+        self._powers = _Lazy(self._power_map)
 
     def intern(self, c: Coord) -> int:
         i = self.ids.get(c)
@@ -604,8 +605,12 @@ class CoordTable:
         return not self._le[(w[0], s[0])] and not self._le[(s[1], w[1])]
 
     def power(self, n: int) -> Callable[[Key], Key]:
-        """The key map of T^n: the coordinate maps of t_power, which swaps
-        the coordinates for odd n."""
+        """The key map of T^n, built once per n."""
+        return self._powers[n]
+
+    def _power_map(self, n: int) -> Callable[[Key], Key]:
+        """The coordinate maps of t_power, which swaps the coordinates for
+        odd n."""
         if n % 2 == 0:
             xmap = self._coord_map(Coord.shift_pi, -n)
             ymap = self._coord_map(Coord.shift_pi, n)

@@ -412,13 +412,11 @@ def _pullback_contexts(ky: PLComplex, kx: PLComplex, phi: Dict,
 
 
 def induced_morphism(ky: PLComplex, kx: PLComplex, phi: Dict, func: int = 0,
-                     p: int = 2, shifts=(),
-                     cap: int = DEFAULT_CAP) -> MorphismData:
+                     p: int = 2, cap: int = DEFAULT_CAP) -> MorphismData:
     """The morphism from the module of a function on the codomain to the
     module of its pullback on the domain, induced by a simplicial
     value-preserving vertex map."""
-    ctx_y, ctx_x, phi_split = _pullback_contexts(ky, kx, phi, [func], shifts,
-                                                 p, cap)
+    ctx_y, ctx_x, phi_split = _pullback_contexts(ky, kx, phi, [func], (), p, cap)
     ev_y, ev_x = ctx_y.evaluator(func), ctx_x.evaluator(func)
     source = assemble_module(ev_y)
     target = assemble_module(ev_x)

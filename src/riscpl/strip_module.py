@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +40,15 @@ Index = Tuple[int, int]
 
 # The seed of the checkers' random spot checks, so that a verdict is fixed.
 CHECK_SEED = 0
+
+
+@lru_cache(maxsize=None)
+def _zero(rows: int, cols: int, p: int) -> Mat:
+    """The one shared zero matrix of a shape, read-only so that a write
+    raises instead of changing every zero."""
+    out = Mat.zeros(rows, cols, p)
+    out.data.setflags(write=False)
+    return out
 
 
 def midpoint_coord(a: Coord, b: Coord) -> Coord:
@@ -146,22 +156,23 @@ class GridModule:
 
     def map_at(self, lo: Index, hi: Index) -> Mat:
         """Matrix M(hi) -> M(lo) for hi a covering upward neighbor of lo
-        (or hi == lo)."""
+        (or hi == lo); a missing map is the shared read-only zero."""
         if lo == hi:
             return Mat.eye(self.dim_at(lo), self.p)
         m = self.maps.get((lo, hi))
         if m is None:
-            return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
+            return _zero(self.dim_at(lo), self.dim_at(hi), self.p)
         return m
 
     def map_between(self, lo: Index, hi: Index) -> Mat:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
         independence makes any other monotone path agree.  A staircase
-        through a zero space composes to zero, so it is not multiplied.  The
-        fold starts from the first covering map, so a covering pair gets
-        its stored matrix back; like map_at's, the result is shared and
-        must not be written to."""
+        through a zero space composes to zero, so it is not multiplied and
+        the shared read-only zero of its shape comes back.  The fold starts
+        from the first covering map, so a covering pair gets its stored
+        matrix back; like map_at's, the result is shared and must not be
+        written to."""
         (il, jl), (ih, jh) = lo, hi
         if il < ih or jl > jh:
             raise ValueError("samples not comparable in the given direction")
@@ -170,7 +181,7 @@ class GridModule:
         path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
             [(i, jl) for i in range(ih + 1, il + 1)]
         if any(self.dim_at(s) == 0 for s in path):
-            return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
+            return _zero(self.dim_at(lo), self.dim_at(hi), self.p)
         acc = self.map_at(path[1], path[0])
         for above, below in zip(path[1:], path[2:]):
             acc = self.map_at(below, above) @ acc
@@ -255,26 +266,6 @@ def dgm(m: GridModule) -> Diagram:
 # checkers
 
 
-def composites_down(m: GridModule, v: Index) -> Dict[Index, Mat]:
-    """All composite matrices M(v) -> M(s) for samples s below v, by one
-    dynamic-programming sweep of the lower quadrant."""
-    iv, jv = v
-    comp = {v: Mat.eye(m.dim_at(v), m.p)}
-    for i in range(iv, len(m.table.grid)):
-        for j in range(jv, -1, -1):
-            s = (i, j)
-            if s == v or not m.is_sample(s):
-                continue
-            via_x, via_y = m.up(s)
-            if i > iv and via_x in comp:
-                comp[s] = m.map_at(s, via_x) @ comp[via_x]
-            elif j < jv and via_y in comp:
-                comp[s] = m.map_at(s, via_y) @ comp[via_y]
-            else:
-                comp[s] = Mat.zeros(m.dim_at(s), m.dim_at(v), m.p)
-    return comp
-
-
 def square_commutes_check(m: GridModule):
     """Every unit square of structure maps must commute; with that, any two
     staircase composites between comparable samples agree.  A square whose
@@ -290,13 +281,6 @@ def square_commutes_check(m: GridModule):
         if left != right:
             return (lo, diag)
     return None
-
-
-@dataclass
-class _Section:
-    v: Index
-    comp: Dict[Index, Mat]
-    xi: Mat
 
 
 def decomposition_check(m: GridModule, spot_checks: int = 200):
@@ -316,53 +300,38 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
         return ("square", *bad)
     # diagram points are grid vertices
     blocks = [(m.index_of(d.point), d.multiplicity) for d in dgm(m).points]
-    in_block = m.table.in_block
+    table = m.table
     # process upper blocks first: a block can only feed sections into the
     # vertex spaces of blocks whose vertex its support contains
     order = sorted(blocks, key=lambda b: b[0][0] - b[0][1])
 
-    sections: List[_Section] = []
+    # each section (v, supp, xi) moves along the staircase of map_between,
+    # through the corner (v.x, s.y), which lies in the strip for every s in
+    # or just below the support when the grid is closed under T
+    sections: List[Tuple[Index, set, Mat]] = []
     for vi, mult in order:
-        comp = composites_down(m, vi)
-        supp = {s for s in comp if in_block(vi, s)}
-        rows = []
-        for s in supp:
-            for down in m.down(s):
-                if down in comp and down not in supp:
-                    rows.append(comp[down])
-        if rows:
-            constraints = Mat(np.vstack([r.data for r in rows]), m.p)
-        else:
-            constraints = Mat.zeros(0, m.dim_at(vi), m.p)
+        supp = {s for i in range(vi[0], len(table.grid))
+                for s in table.row_samples[i] if table.in_block(vi, s)}
+        rows = [m.map_between(down, vi) for s in supp for down in m.down(s)
+                if m.is_sample(down) and down not in supp]
+        constraints = _vstack(rows) if rows else Mat.zeros(0, m.dim_at(vi), m.p)
         ker = kernel_basis(constraints)
-        prior = [
-            sec.comp[vi] @ sec.xi
-            for sec in sections
-            if vi in sec.comp and in_block(sec.v, vi)
-        ]
+        prior = [m.map_between(vi, v) @ xi for v, sv, xi in sections if vi in sv]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
         free = independent_split(base, ker)
         if len(free) < mult:
-            return ("too few sections", m.table.point(vi), len(free), mult)
+            return ("too few sections", table.point(vi), len(free), mult)
         xi = Mat.hstack([ker.column(c) for c in free[:mult]])
-        sections.append(_Section(vi, comp, xi))
+        sections.append((vi, supp, xi))
 
     for s in m.samples():
-        cols = [
-            sec.comp[s] @ sec.xi
-            for sec in sections
-            if s in sec.comp and in_block(sec.v, s)
-        ]
+        cols = [m.map_between(s, v) @ xi for v, supp, xi in sections if s in supp]
         d = m.dim_at(s)
         total = sum(c.cols for c in cols)
         if total != d:
             return ("dimension mismatch", s, total, d)
         if cols and rank(Mat.hstack(cols)) < d:
             return ("not invertible", s)
-
-    def predicted(p_idx: Index, q_idx: Index) -> int:
-        return sum(mult for vi, mult in blocks
-                   if in_block(vi, p_idx) and in_block(vi, q_idx))
 
     rng = random.Random(CHECK_SEED)
     all_samples = list(m.samples())
@@ -374,14 +343,14 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
         if not (pi[0] >= qi[0] and pi[1] <= qi[1]):
             continue
         got = rank(m.map_between(pi, qi))
-        want = predicted(pi, qi)
+        want = sum(xi.cols for v, supp, xi in sections if pi in supp and qi in supp)
         if got != want:
             return (pi, qi, got, want)
     return None
 
 
-def _vstack(a: Mat, b: Mat) -> Mat:
-    return Mat(np.vstack([a.data, b.data]), a.p)
+def _vstack(mats: Sequence[Mat]) -> Mat:
+    return Mat(np.vstack([a.data for a in mats]), mats[0].p)
 
 
 def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
@@ -397,7 +366,7 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     for corner in (lo, hi, v1, v2):
         if not m.is_interior(corner):
             return None
-    first = _vstack(m.map_between(v1, hi), m.map_between(v2, hi))
+    first = _vstack([m.map_between(v1, hi), m.map_between(v2, hi)])
     second = Mat.hstack([m.map_between(lo, v1), -m.map_between(lo, v2)])
     if not (second @ first).is_zero():
         return (lo, hi, "composite nonzero")

@@ -442,6 +442,8 @@ def test_coord_table_matches_exact_functions(case):
     assert all(table.ids[c] == i for i, c in enumerate(table.grid))
     maps = [table.shift(a) for a in shifts]
     powers = {e: table.power(e) for e in range(-3, 4)}
+    # each key map of T^n is built once
+    assert all(table.power(e) is power for e, power in powers.items())
     rng = random.Random(0)
     for ix in range(n):
         for iy in range(n):

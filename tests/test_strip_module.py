@@ -190,6 +190,55 @@ def test_decomposition_check_blocks_ok_and_mutation():
     assert decomposition_check(m) is not None
 
 
+def zero_maps_at(m, s):
+    """Zero structure maps between the sample s and its covering neighbors."""
+    for up in m.up(s):
+        if m.is_sample(up):
+            m.maps[(s, up)] = Mat.zeros(m.dim_at(s), m.dim_at(up), m.p)
+    for down in m.down(s):
+        if m.is_sample(down):
+            m.maps[(down, s)] = Mat.zeros(m.dim_at(down), m.dim_at(s), m.p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decomposition_check_first_counterexamples(p):
+    xs = sym_grid()
+    # a phantom space in an open cell that no block covers
+    m = from_blocks([(HOOD_V1, 1), (HOOD_V2, 1)], xs, p)
+    s = next(s for s in m.samples() if s[0] % 2 and s[1] % 2
+             and m.is_interior(s) and m.dim_at(s) == 0)
+    m.dims[s] = 1
+    zero_maps_at(m, s)
+    assert decomposition_check(m) == ("dimension mismatch", (1, 49), 0, 1)
+    # both maps out of the vertex of a double block collapse it to rank one
+    m = from_blocks([(HOOD_V1, 2)], xs, p)
+    v = m.index_of(HOOD_V1)
+    for down in m.down(v):
+        m.maps[(down, v)] = Mat([[1, 1], [1, 1]], p)
+    assert decomposition_check(m) == ("not invertible", (34, 15))
+    # the block reaches one sample past its lower rim below v, so no
+    # section vanishes there
+    m = from_blocks([(HOOD_V1, 1)], xs, p)
+    rim = next((v[0], j) for j in range(v[1], -1, -1) if m.dim_at((v[0], j)) == 0)
+    assert m.is_sample(rim)
+    m.dims[rim] = 1
+    zero_maps_at(m, rim)
+    m.maps[(rim, m.up(rim)[1])] = Mat.eye(1, p)
+    assert decomposition_check(m) == ("too few sections", HOOD_V1, 0, 1)
+
+
+def test_zero_composites_are_shared_and_read_only():
+    m = from_blocks([(HOOD_V1, 1), (HOOD_V2, 1)], sym_grid(lams=(0,), kmin=-1, kmax=1))
+    pairs = [(lo, hi) for lo in m.samples() for hi in m.samples()
+             if lo != hi and lo[0] >= hi[0] and lo[1] <= hi[1]
+             and m.dim_at(lo) == m.dim_at(hi) == 1 and m.map_between(lo, hi).is_zero()]
+    assert len(pairs) > 1
+    zeros = {id(m.map_between(lo, hi)) for lo, hi in pairs}
+    assert len(zeros) == 1
+    with pytest.raises(ValueError):
+        m.map_between(*pairs[0]).data[0, 0] = 1
+
+
 def test_cohomological_check_blocks_and_mutation():
     xs = sym_grid()
     rng = random.Random(9)
