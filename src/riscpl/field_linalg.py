@@ -193,6 +193,8 @@ def _columns(m: Mat) -> List[Dict[int, int]]:
 
 
 def rank(m: Mat) -> int:
+    if not m.data.any():
+        return 0
     red = Reduction(m.p)
     return sum(red.add(col, {}) for col in _columns(m))
 

@@ -23,6 +23,15 @@ it, and a cocycle joins the representatives exactly when it is independent
 of the coboundaries and of the cocycles before it, which does not depend
 on how that is found out.  So every basis, and every structure map in a
 module dump, is the one row reduction gives.
+
+The evaluators ask each relative cell set for one degree after another, so
+the reductions form a ladder: the simplex index keeps, per prime and cell
+set, the top rung, the pivot columns of the highest coboundary delta^n
+(n >= 1) reduced so far, without coordinates.  A call of a higher degree
+climbs on from there instead of reducing delta^0 again, and stores its own
+delta^n as the new top.  Degree 0 stores nothing: the evaluators of an
+interleaving ask that degree alone, where such a rung would only hold
+memory.
 """
 
 from __future__ import annotations
@@ -331,10 +340,13 @@ class SimplexIndex:
     its faces, face i dropping vertex i with sign (-1)^i.  levels[f] lists
     the distinct values of function f in increasing order and ranks[f]
     holds every vertex's rank among them.  cells and id map ids to simplex
-    objects and back."""
+    objects and back.  tops holds the reduction ladder of
+    relative_cohomology."""
 
     def __init__(self, simplices: Iterable[Simplex],
                  values: Dict[Vid, Tuple[Fraction, ...]]):
+        # (prime, relative id bytes) -> (n, the reduction of delta^n)
+        self.tops: Dict[Tuple[int, bytes], Tuple[int, Reduction]] = {}
         order = sorted({v for s in simplices for v in s}, key=vkey)
         pos = {v: i for i, v in enumerate(order)}
         keyed = sorted(((len(s) - 1, tuple(sorted(pos[v] for v in s)), s) for s in simplices),
@@ -486,11 +498,27 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
     gives no representative, so it is skipped (clearing, Chen & Kerber
     2011); the reductions run from delta^0 up for that.  The reduction of
     delta^{n-1}, with the representatives added as pivots, is kept to
-    express cocycles."""
+    express cocycles.
+
+    The index keeps one reduction ladder top per prime and cell set A
+    minus B.  A call of degree n >= 1 stores its kernel reduction of
+    delta^n there, coordinates dropped, unless a higher degree is stored:
+    it has the columns and the cleared set of the reduction of delta^n that
+    a degree n + 1 call builds, so it has the same pivots.  A call above
+    the stored degree starts from that reduction and reduces only the
+    coboundaries between; it replaces the top with its own, so it may take
+    the old one over as its span.  Any other call starts from delta^0.
+    Degree 0 stores nothing: only a degree 1 call could read it, and the
+    evaluators of the interleaving ask degree 0 alone, so it would only
+    hold memory."""
     rel = a.minus(b)
     ids = index.of_dim(rel, n)
-    span = Reduction(p)
-    for m in range(n):
+    key = (p, rel.tobytes())
+    top = index.tops.get(key)
+    span, first = Reduction(p), 0
+    if top is not None and top[0] < n:
+        first, span = top[0] + 1, top[1]
+    for m in range(first, n):
         cleared, span = span.pivots, Reduction(p)
         for j, col in enumerate(index.coboundary(rel, m, p).columns()):
             if j not in cleared:
@@ -504,6 +532,10 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
         z = {j: 1}
         if not kernel.add(col, z) and span.add(dict(z), {len(chosen): 1}):
             chosen.append(z)
+    if n >= 1 and (top is None or top[0] < n):
+        for _, coords in kernel.pivots.values():
+            coords.clear()
+        index.tops[key] = (n, kernel)
     reps = np.zeros((len(ids), len(chosen)), dtype=np.int64)
     for i, z in enumerate(chosen):
         reps[list(z), i] = list(z.values())

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from riscpl.cli import main as cli_main
@@ -62,6 +63,7 @@ from geometry_reference import (
 from oracle_betti import betti_numbers, euler_characteristic
 from oracle_ext_persistence import extended_persistence
 from test_exact_geometry import random_coord, random_shift, random_strip_point
+from test_golden import RP2
 from test_interleave import hood_pair, hood_stability_pair, random_pair, random_triple
 from test_oracles import (
     CIRCLE_HEIGHTS,
@@ -382,4 +384,27 @@ def test_criterion_12_homotopy_invariance_instance(capsys):
         ok = ok and comp == Mat.eye(md_i.target.dim_at(idx), 2)
     with capsys.disabled():
         report(12, "edge-collapse round trip is the identity transformation",
+               ok, t0)
+
+
+def test_criterion_13_projective_plane_over_gf3(tmp_path, capsys):
+    # RP2 has torsion: over GF(3) its H^1 and H^2 vanish, so a wrong
+    # orientation sign changes the diagram
+    t0 = time.monotonic()
+    heights = {v: v for v in range(1, 7)}
+    src, module, out = (tmp_path / name for name in ("rp2.json", "rp2-3.json", "dgm.json"))
+    src.write_text(json.dumps({
+        "field": 3,
+        "vertices": [{"id": v, "value": str(x)} for v, x in heights.items()],
+        "simplices": RP2,
+    }))
+    ok = cli_main(["dgm", str(src), "--dump-module", str(module), "--out", str(out)]) == 0
+    got = Counter()
+    for pt in json.loads(out.read_text())["points"] if ok else ():
+        got[(pt["degree"], pt["region"], tuple(pt["pair"]))] += pt["multiplicity"]
+    want = Counter((n, region, (str(lo), str(hi)))
+                   for n, region, (lo, hi) in extended_persistence(RP2, heights, 3))
+    ok = ok and got == want and time.monotonic() - t0 < 10
+    with capsys.disabled():
+        report(13, "RP2 with height = vertex id over GF(3) vs extended persistence",
                ok, t0)

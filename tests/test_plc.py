@@ -13,6 +13,7 @@ from riscpl.plc import (
     CohomBasis,
     LevelGrid,
     PLComplex,
+    SimplexIndex,
     induced_map,
     mv_connecting,
     open_model,
@@ -486,6 +487,58 @@ def test_bases_and_maps_match_dense_reference():
                         *triad, n, p, ix, reference.relative_cohomology(*triad[3], n, p, ix),
                         reference.relative_cohomology(*triad[0], n + 1, p, ix))
                     assert got == want
+
+
+def test_reduction_ladder_matches_a_fresh_index_per_call():
+    """On one shared index, calls in ascending, descending and shuffled
+    degree order, with repeats and the primes mixed, give the reduction,
+    representatives, kept coboundaries and coordinates that a fresh index
+    gives for each call alone.  Degree 0 stores no ladder top; otherwise
+    each prime and cell set has one, of the highest degree asked, with the
+    pivots of that whole coboundary and no coordinates."""
+    rng = random.Random(43)
+    for k, grid in random_split_complexes(rng):
+        sets = random_open_sets(rng, grid)
+        pairs = []
+        for _ in range(4):
+            u1, u0 = rng.sample(sets, 2)
+            func = rng.randrange(k.nfuncs)
+            pairs.append((open_model(k, u1, func), open_model(k, u1.intersect(u0), func)))
+        top = k.dim() + 1
+        asked = [(i, p, n) for i in range(len(pairs)) for p in (2, 3, 5)
+                 for n in range(top + 1)]
+        fresh = {(i, p, n): relative_cohomology(*pairs[i], n, p,
+                                                SimplexIndex(k.simplices, k.values))
+                 for i, p, n in asked}
+        shuffled = asked * 2
+        rng.shuffle(shuffled)
+        for calls in (asked, asked[::-1], shuffled):
+            ix = SimplexIndex(k.simplices, k.values)
+            for i, p, n in calls:
+                h, r = relative_cohomology(*pairs[i], n, p, ix), fresh[i, p, n]
+                assert np.array_equal(h.ids, r.ids) and h.reps == r.reps
+                assert h.span.pivots == r.span.pivots
+                d_nm1 = ix.coboundary(pairs[i][0].minus(pairs[i][1]), n - 1, p)
+                kept = kept_coboundaries(h, d_nm1)
+                assert kept == kept_coboundaries(r, d_nm1)
+                t = (r.reps @ random_mat(rng, r.dim, 3, p)
+                     + kept @ random_mat(rng, kept.cols, 3, p))
+                assert h.express(t) == r.express(t)
+            rels = {(p, rel.tobytes()): rel for rel in (a.minus(b) for a, b in pairs)
+                    for p in (2, 3, 5)}
+            assert ix.tops.keys() == rels.keys()
+            for (p, key), rel in rels.items():
+                n, red = ix.tops[p, key]
+                whole_delta = Reduction(p)
+                for col in ix.coboundary(rel, n, p).columns():
+                    whole_delta.add(col, {})
+                assert n == top and red.pivots == whole_delta.pivots
+                assert not any(coords for _, coords in red.pivots.values())
+        ix = SimplexIndex(k.simplices, k.values)
+        for i, p, n in asked:
+            if n == 0:
+                relative_cohomology(*pairs[i], n, p, ix)
+        assert ix.tops == {}
 
 
 @pytest.mark.parametrize("p", [2, 3])
