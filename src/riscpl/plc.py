@@ -42,7 +42,7 @@ import bisect
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -415,12 +415,20 @@ class Coboundary:
         sign = np.where(np.arange(self.faces.shape[1]) % 2, -1, 1)
         return Mat((padded[self.faces] * sign[:, None]).sum(axis=1), self.p)
 
-    def columns(self) -> List[Dict[int, int]]:
-        """Every column as a dict from row to nonzero entry."""
-        out: List[Dict[int, int]] = [{} for _ in range(self.cols)]
+    def columns(self, skip: Collection[int] = ()) -> Dict[int, Dict[int, int]]:
+        """The columns not in skip, keyed by position in order, each a dict
+        from row to nonzero entry; no dict is built for a skipped column."""
         rows, pos = np.nonzero(self.faces >= 0)
-        for r, i, j in zip(rows.tolist(), pos.tolist(), self.faces[rows, pos].tolist()):
-            out[j][r] = self.p - 1 if i % 2 else 1
+        cols = self.faces[rows, pos]
+        vals = np.where(pos % 2, self.p - 1, 1)
+        if skip:
+            keep = np.ones(self.cols, dtype=bool)
+            keep[list(skip)] = False
+            kept = keep[cols]
+            rows, cols, vals = rows[kept], cols[kept], vals[kept]
+        out: Dict[int, Dict[int, int]] = {j: {} for j in range(self.cols) if j not in skip}
+        for r, j, x in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            out[j][r] = x
         return out
 
 
@@ -520,15 +528,12 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
         first, span = top[0] + 1, top[1]
     for m in range(first, n):
         cleared, span = span.pivots, Reduction(p)
-        for j, col in enumerate(index.coboundary(rel, m, p).columns()):
-            if j not in cleared:
-                span.add(col, {})
+        for col in index.coboundary(rel, m, p).columns(cleared).values():
+            span.add(col, {})
     delta = index.coboundary(rel, n, p)
     kernel = Reduction(p)
     chosen = []
-    for j, col in enumerate(delta.columns()):
-        if j in span.pivots:
-            continue
+    for j, col in delta.columns(span.pivots).items():
         z = {j: 1}
         if not kernel.add(col, z) and span.add(dict(z), {len(chosen): 1}):
             chosen.append(z)

@@ -269,12 +269,15 @@ def dgm(m: GridModule) -> Diagram:
 def square_commutes_check(m: GridModule):
     """Every unit square of structure maps must commute; with that, any two
     staircase composites between comparable samples agree.  A square whose
-    lower corner is not a sample starts at a zero space and commutes."""
+    lower or upper corner is a zero space (or not a sample) commutes: both
+    composites are the same empty matrix, so it is skipped."""
     n = len(m.table.grid)
     for i, j in m.samples():
         if i == 0 or j == n - 1:
             continue
         lo, diag = (i, j), (i - 1, j + 1)
+        if not (m.dim_at(lo) and m.dim_at(diag)):
+            continue
         via_x, via_y = m.up(lo)
         left = m.map_at(lo, via_x) @ m.map_at(via_x, diag)
         right = m.map_at(lo, via_y) @ m.map_at(via_y, diag)
@@ -294,7 +297,8 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
     transformation is invertible at every sample, the module is the block
     sum, so every pairwise rank equals the count of blocks containing both
     samples.  The rank interface is additionally spot-checked against that
-    count on random comparable pairs."""
+    count on random comparable pairs of samples, both with nonzero spaces:
+    a pair with a zero space has the zero map and no block at both."""
     bad = square_commutes_check(m)
     if bad is not None:
         return ("square", *bad)
@@ -334,14 +338,10 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
             return ("not invertible", s)
 
     rng = random.Random(CHECK_SEED)
-    all_samples = list(m.samples())
-    if not all_samples:
-        return None
-    for _ in range(spot_checks):
-        pi = rng.choice(all_samples)
-        qi = rng.choice(all_samples)
-        if not (pi[0] >= qi[0] and pi[1] <= qi[1]):
-            continue
+    nonzero = [s for s in m.samples() if m.dim_at(s)]
+    for _ in range(spot_checks if nonzero else 0):
+        pi = rng.choice(nonzero)
+        qi = rng.choice([s for s in nonzero if s[0] <= pi[0] and s[1] >= pi[1]])
         got = rank(m.map_between(pi, qi))
         want = sum(xi.cols for v, supp, xi in sections if pi in supp and qi in supp)
         if got != want:
@@ -359,13 +359,16 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     on the sample rectangle u = lo, w = hi, at the three inner terms (the
     outer ones only where the translates lie on the grid).  At each term the
     two maps compose to zero and the rank of the outgoing map is the
-    dimension minus the rank of the incoming one."""
+    dimension minus the rank of the incoming one.  A rectangle with a corner
+    that is not interior is not checked.  Nor is one whose four corners are
+    zero spaces: every matrix in it and in its outer terms has a zero side,
+    so every composite is empty and every rank is 0 = 0 - 0."""
     (il, jl), (ih, jh) = lo, hi
     v1 = (il, jh)  # shares x with u
     v2 = (ih, jl)  # shares x with w
-    for corner in (lo, hi, v1, v2):
-        if not m.is_interior(corner):
-            return None
+    corners = (lo, hi, v1, v2)
+    if not all(map(m.is_interior, corners)) or not any(map(m.dim_at, corners)):
+        return None
     first = _vstack([m.map_between(v1, hi), m.map_between(v2, hi)])
     second = Mat.hstack([m.map_between(lo, v1), -m.map_between(lo, v2)])
     if not (second @ first).is_zero():
@@ -390,8 +393,17 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
 
 
 def cohomological_check(m: GridModule, random_rectangles: int = 100):
-    """Middle exactness on every unit sample square, plus full long-sequence
-    exactness on a random selection of larger rectangles."""
+    """Long-sequence exactness on every unit sample square, plus on random
+    larger rectangles.  Exactness at the middle term pastes from unit
+    squares to larger rectangles, but not at the outer terms: near the
+    edge of the grid a larger rectangle can have T(lo) or T^-1(hi) on the
+    grid where no unit square there has its translate.  Each draw picks lo
+    among the interior samples whose upward neighbors are interior, then
+    ih among the x indices left of lo with (ih, jl) interior, then jh among
+    the y indices above lo with (il, jh) and (ih, jh) interior, so every
+    drawn rectangle is checked.  Neither choice is empty: il - 1 is always
+    one, and since the interior is the band -pi < x + y < pi, so is
+    jl + 1."""
     n = len(m.table.grid)
     for i, j in m.samples():
         if i == 0 or j == n - 1:
@@ -399,14 +411,13 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
         bad = _rectangle_exact(m, (i, j), (i - 1, j + 1))
         if bad is not None:
             return bad
+    inner = {s for s in m.samples() if m.is_interior(s)}
+    lows = [s for s in m.samples() if s in inner and all(u in inner for u in m.up(s))]
     rng = random.Random(CHECK_SEED)
-    if n < 2:
-        return None
-    for _ in range(random_rectangles):
-        ih = rng.randrange(n - 1)
-        il = rng.randrange(ih + 1, n)
-        jl = rng.randrange(n - 1)
-        jh = rng.randrange(jl + 1, n)
+    for _ in range(random_rectangles if lows else 0):
+        il, jl = rng.choice(lows)
+        ih = rng.choice([i for i in range(il) if (i, jl) in inner])
+        jh = rng.choice([j for j in range(jl + 1, n) if (il, j) in inner and (ih, j) in inner])
         bad = _rectangle_exact(m, (il, jl), (ih, jh))
         if bad is not None:
             return bad

@@ -421,7 +421,7 @@ def kept_coboundaries(h: CohomBasis, d_nm1: Coboundary) -> Mat:
     before them.  The basis skips columns that reduce to zero, so its
     pivots must be those of reducing every column."""
     red = Reduction(h.p)
-    own = [j for j, col in enumerate(d_nm1.columns()) if red.add(col, {})]
+    own = [j for j, col in d_nm1.columns().items() if red.add(col, {})]
     assert red.pivots == {low: piv for low, piv in h.span.pivots.items() if not piv[1]}
     return Mat((d_nm1 @ Mat.eye(d_nm1.cols, h.p)).data[:, own], h.p)
 
@@ -530,7 +530,7 @@ def test_reduction_ladder_matches_a_fresh_index_per_call():
             for (p, key), rel in rels.items():
                 n, red = ix.tops[p, key]
                 whole_delta = Reduction(p)
-                for col in ix.coboundary(rel, n, p).columns():
+                for col in ix.coboundary(rel, n, p).columns().values():
                     whole_delta.add(col, {})
                 assert n == top and red.pivots == whole_delta.pivots
                 assert not any(coords for _, coords in red.pivots.values())

@@ -252,6 +252,56 @@ def test_cohomological_check_blocks_and_mutation():
     assert cohomological_check(m, random_rectangles=40) is not None
 
 
+def test_checker_draws_land(monkeypatch):
+    # nearly every random rectangle reaches the exactness test with four
+    # interior corners and is larger than a unit square, and every spot
+    # check compares two nonzero spaces
+    import riscpl.strip_module as sm
+
+    xs = sym_grid()
+    m = from_blocks(random_blocks(random.Random(9), GridModule(CoordTable(xs), {}, {}), 2), xs)
+    rects = []
+    exact = sm._rectangle_exact
+    monkeypatch.setattr(sm, "_rectangle_exact",
+                        lambda m, lo, hi: rects.append((lo, hi)) or exact(m, lo, hi))
+    assert cohomological_check(m, random_rectangles=0) is None
+    unit = len(rects)
+    rects.clear()
+    assert cohomological_check(m, random_rectangles=100) is None
+    landed = [(lo, hi) for lo, hi in rects[unit:]
+              if lo[0] - hi[0] + hi[1] - lo[1] > 2
+              and all(map(m.is_interior, (lo, hi, (lo[0], hi[1]), (hi[0], lo[1]))))]
+    assert len(landed) >= 95
+
+    pairs = []
+    between = m.map_between
+    monkeypatch.setattr(m, "map_between", lambda lo, hi: pairs.append((lo, hi)) or between(lo, hi))
+    assert decomposition_check(m, spot_checks=0) is None
+    sections = len(pairs)
+    pairs.clear()
+    assert decomposition_check(m, spot_checks=200) is None
+    spots = pairs[sections:]
+    assert len(spots) == 200
+    assert all(m.dim_at(lo) and m.dim_at(hi) and lo[0] >= hi[0] and lo[1] <= hi[1]
+               for lo, hi in spots)
+
+
+def test_cohomological_check_catches_an_outer_term_of_a_larger_rectangle():
+    # the block loses its last open column, next to its wall at T^-1(v).x;
+    # every unit square stays exact, because near the grid's edge none of
+    # them has its translate T^-1(hi) on the grid, but a larger rectangle
+    # does, and its intersection term is not exact
+    xs = sym_grid()
+    m = from_blocks([(point(2, -2, -1, 0), 1)], xs)
+    last = max(s[0] for s in m.samples() if m.dim_at(s))
+    for s in m.table.row_samples[last]:
+        m = zeroed_at(m, s)
+    assert cohomological_check(m, random_rectangles=0) is None
+    lo, hi, why = cohomological_check(m, random_rectangles=40)
+    assert why == "not exact at the intersection term"
+    assert (lo[0] - hi[0], hi[1] - lo[1]) != (1, 1)
+
+
 def square_with_translates(m):
     """The first unit sample square (lo, hi) with interior corners whose
     translates T(lo) and T^-1(hi) lie on the grid, above hi and below lo;
