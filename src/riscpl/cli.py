@@ -449,6 +449,8 @@ def load_diagram(path) -> List[Tuple[float, float, int]]:
                  parse_int(p["multiplicity"], "a multiplicity")) for p in points]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed diagram file: {type(e).__name__}: {e}") from e
+    except OverflowError as e:
+        raise ValueError(f"a diagram coordinate is too large to plot: {e}") from e
 
 
 def plot_svg(pts: List[Tuple[float, float, int]]) -> str:

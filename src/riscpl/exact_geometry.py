@@ -120,7 +120,15 @@ class Coord:
         return (-self).shift_pi(m)
 
     def to_float(self) -> float:
-        a = math.pi / 2 if self.v is INF else math.atan(self.v)
+        """k*pi + arctan(v) as a float, for display.  An offset too large
+        for a float is drawn at +-pi/2, where its arctangent rounds to."""
+        if self.v is INF:
+            a = math.pi / 2
+        else:
+            try:
+                a = math.atan(self.v)
+            except OverflowError:
+                a = math.pi / 2 if self.v > 0 else -math.pi / 2
         return self.k * math.pi + a
 
     def __repr__(self):
@@ -136,14 +144,6 @@ NEG_HALF_PI = Coord(-1, INF)
 class StripPoint:
     x: Coord
     y: Coord
-
-    def precedes(self, other: "StripPoint") -> bool:
-        """The strip's partial order: self comes before other when its x is
-        at least other's and its y is at most other's."""
-        return self.x >= other.x and self.y <= other.y
-
-    def to_float(self) -> Tuple[float, float]:
-        return (self.x.to_float(), self.y.to_float())
 
     def __repr__(self):
         return f"[{self.x};{self.y}]"
@@ -169,11 +169,6 @@ class ShiftVector:
 
     def precedes(self, other: "ShiftVector") -> bool:
         return self.a1 >= other.a1 and self.a2 <= other.a2
-
-
-def point(xk, xv, yk, yv) -> StripPoint:
-    """Shorthand constructor used heavily in tests."""
-    return StripPoint(Coord(xk, xv), Coord(yk, yv))
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +245,6 @@ def t_power(p: StripPoint, n: int) -> StripPoint:
     return StripPoint(p.y.pi_minus(-n), p.x.pi_minus(n))
 
 
-def t_apply(p: StripPoint) -> StripPoint:
-    """The glide reflection (x, y) -> (-pi - y, pi - x)."""
-    return t_power(p, 1)
-
-
-def t_inverse(p: StripPoint) -> StripPoint:
-    """The inverse glide reflection (x, y) -> (pi - y, -pi - x)."""
-    return t_power(p, -1)
-
-
 def _alpha_coord(c: Coord, even_shift: Fraction, odd_shift: Fraction) -> Coord:
     if c.v is INF:
         return c
@@ -283,12 +268,6 @@ def omega_apply(delta: Fraction, p: StripPoint) -> StripPoint:
     if delta < 0:
         raise ValueError("omega requires a nonnegative parameter")
     return alpha_apply(ShiftVector(-delta, delta), p)
-
-
-def reflect(p: StripPoint) -> StripPoint:
-    """Reflection at the diagonal; an order-reversing involution."""
-    _require_in_strip(p)
-    return StripPoint(p.y, p.x)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +313,6 @@ class RealOpenSet:
     def empty() -> "RealOpenSet":
         return RealOpenSet(())
 
-    def contains(self, t) -> bool:
-        t = Fraction(t)
-        return any(lo < t < hi for lo, hi in self.intervals)
-
-    def is_subset_of(self, other: "RealOpenSet") -> bool:
-        return self.intersect(other) == self
-
-    def union(self, other: "RealOpenSet") -> "RealOpenSet":
-        return RealOpenSet.make(self.intervals + other.intervals)
-
     def intersect(self, other: "RealOpenSet") -> "RealOpenSet":
         out = []
         for lo1, hi1 in self.intervals:
@@ -367,16 +336,6 @@ class TypedInterval:
     hi: ExtRational
     lo_closed: bool
     hi_closed: bool
-
-    def contains(self, t) -> bool:
-        t = Fraction(t)
-        if self.lo is not NEG_INF:
-            if t < self.lo or (t == self.lo and not self.lo_closed):
-                return False
-        if self.hi is not INF:
-            if t > self.hi or (t == self.hi and not self.hi_closed):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +419,7 @@ def classify_region(u: StripPoint):
     n = tile_index(u)
     q = t_power(u, n)
     if not (q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI):
-        n, q = n + 1, t_apply(q)
+        n, q = n + 1, t_power(q, 1)
     birth_rel = q.x < HALF_PI
     death_abs = q.y < HALF_PI
     if birth_rel and death_abs:
@@ -513,12 +472,6 @@ def beta_levelset(u: StripPoint) -> Tuple[int, Optional[TypedInterval]]:
     return n, TypedInterval(lo, hi, lo_closed, hi_closed)
 
 
-def diag_point(t) -> StripPoint:
-    """The diagonal embedding of a level t (rational or +inf)."""
-    v = t if t is INF else Fraction(t)
-    return StripPoint(Coord(0, v), Coord(0, v))
-
-
 # ---------------------------------------------------------------------------
 # Integer coordinate tables
 
@@ -554,7 +507,7 @@ class CoordTable:
     the coordinate order behind `precedes` and `in_block`.  The key maps
     `power(n)` (t_power) and `shift(a)` (alpha_apply) act on each coordinate
     on its own, so each is a pair of per-coordinate id maps, filled one
-    coordinate function call per id.  Unlike t_apply and alpha_apply, they
+    coordinate function call per id.  Unlike t_power and alpha_apply, they
     do not check that a key lies in the strip.  A point lies in the
     fundamental domain exactly when its tile is 0.  The grid points in the
     strip are listed once: `row_samples[i]` holds those of row i, filled on
@@ -581,9 +534,6 @@ class CoordTable:
             self.coords.append(c)
         return i
 
-    def key(self, p: StripPoint) -> Key:
-        return self.intern(p.x), self.intern(p.y)
-
     def point(self, key: Key) -> StripPoint:
         return StripPoint(self.coords[key[0]], self.coords[key[1]])
 
@@ -593,7 +543,8 @@ class CoordTable:
         return tuple(s for i in range(len(self.grid)) for s in self.row_samples[i])
 
     def precedes(self, lo: Key, hi: Key) -> bool:
-        """StripPoint.precedes on keys: lo.x >= hi.x and lo.y <= hi.y."""
+        """The strip's partial order on keys: lo comes before hi when
+        lo.x >= hi.x and lo.y <= hi.y."""
         return self._le[(hi[0], lo[0])] and self._le[(lo[1], hi[1])]
 
     def in_block(self, v: Key, s: Key) -> bool:

@@ -56,6 +56,19 @@ from .risc_builder import (
 )
 from .strip_module import GridModule
 
+# The library entry points: the interleaving check the CLI runs, the
+# stability transformation with its naturality check, the composition
+# check, and the morphism a simplicial map induces with its check against
+# the stability transformations.
+__all__ = [
+    "build_transformation",
+    "composition_check",
+    "induced_morphism",
+    "interleaving_check",
+    "naturality_check",
+    "precomposition_check",
+]
+
 Index = Tuple[int, int]
 
 

@@ -143,39 +143,6 @@ def check_funcs(k: PLComplex, *funcs: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# level grids
-
-
-@dataclass(frozen=True)
-class LevelGrid:
-    """Sorted distinct critical values interleaved with regular values
-    (midpoints of consecutive critical values plus two outer guards)."""
-
-    critical: Tuple[Fraction, ...]
-    regular: Tuple[Fraction, ...]
-
-    @staticmethod
-    def from_values(values: Iterable) -> "LevelGrid":
-        crit = sorted({Fraction(v) for v in values})
-        if not crit:
-            return LevelGrid((), ())
-        reg = [crit[0] - 1]
-        for a, b in zip(crit, crit[1:]):
-            reg.append((a + b) / 2)
-        reg.append(crit[-1] + 1)
-        return LevelGrid(tuple(crit), tuple(reg))
-
-    @property
-    def levels(self) -> Tuple[Fraction, ...]:
-        out = []
-        for i, r in enumerate(self.regular):
-            out.append(r)
-            if i < len(self.critical):
-                out.append(self.critical[i])
-        return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # stellar subdivision
 
 
@@ -198,8 +165,6 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
     id is already taken: by a user id of the form lo~hi@level, or by the
     split of another edge whose end ids print alike, such as 1 and "1"."""
     funcs = list(range(k.nfuncs)) if funcs is None else list(funcs)
-    if isinstance(levels, LevelGrid):
-        levels = levels.levels
     levels = sorted({Fraction(x) for x in levels})
     if not levels or not funcs or not k.simplices:
         return PLComplex(dict(k.values), set(k.simplices), k.nfuncs)

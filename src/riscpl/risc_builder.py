@@ -5,15 +5,15 @@ automorphism T into the fundamental band, where its value is the relative
 cohomology of the open models of the attached pair of open sets.  Maps
 within a tile are restriction-induced; maps across a tile boundary are the
 Mayer-Vietoris connecting maps of the rectangle triads.  On top of the
-resulting GridModule sit the diagram, its region classification, the
-levelset barcode and the fiberwise dimension check.
+resulting GridModule sit the diagram, its region classification and the
+levelset barcode.
 
 One builder, `joint_context`, makes the sample grid, the split complex and
 one evaluator per function for every entry point: `evaluate` asks for one
 function and no shift, `interleave` for several functions and the shift
 amounts of its transformations.  The grid lines lie on the fixed window of
-translates T^-3..T^3.  An evaluator owns its degree bound, one above the
-dimension of its split complex.
+translates T^-3..T^3.  An evaluator owns its degree bound, the dimension
+of its split complex.
 
 An evaluator works over the integer coordinate table of its sample grid
 (`exact_geometry.CoordTable`): points are pairs of coordinate ids, the
@@ -33,7 +33,6 @@ from .exact_geometry import (
     CoordTable,
     INF,
     Key,
-    NEG_INF,
     RealOpenSet,
     beta_levelset,
     classify_region,
@@ -42,7 +41,6 @@ from .exact_geometry import (
 from .field_linalg import Mat
 from .plc import (
     CohomBasis,
-    LevelGrid,
     PLComplex,
     Subcomplex,
     check_funcs,
@@ -62,7 +60,6 @@ DEFAULT_CAP = 20000
 class RiscResult:
     module: GridModule
     diagram: Diagram
-    grid: LevelGrid
     split: PLComplex
     func: int = 0
 
@@ -107,9 +104,10 @@ class FunctorEvaluator:
     """Evaluates the pair-cohomology functor of one PL function on a split
     complex, with caching keyed by the open models so that the cell
     constancy of the functor is exploited.  Points are keys of the
-    coordinate table of the sample grid.  Relative cohomology vanishes
-    above the dimension of the split complex, so values in degrees above
-    max_degree = dim + 1 are zero without being computed.
+    coordinate table of the sample grid.  Relative cochains, and with them
+    relative cohomology, vanish above the dimension of the split complex,
+    so values in degrees above max_degree = dim are zero without being
+    computed.
 
     There is one cache per kind of map: induced maps by the pair of basis
     objects, connecting maps by the triad of pairs and the degree.  The
@@ -123,7 +121,7 @@ class FunctorEvaluator:
         self.table = table
         self.func = func
         self.p = p
-        self.max_degree = split.dim() + 1
+        self.max_degree = split.dim()
         self._models: Dict[RealOpenSet, Subcomplex] = {}
         self._points: Dict[Key, tuple] = {}
         self._bases: Dict[tuple, CohomBasis] = {}
@@ -304,7 +302,7 @@ def evaluate(k: PLComplex, func: int = 0, p: int = 2,
     check_funcs(k, func)
     if not k.values:
         empty = GridModule(CoordTable(()), {}, {}, p)
-        return RiscResult(empty, Diagram(), LevelGrid((), ()), k, func)
+        return RiscResult(empty, Diagram(), k, func)
     ctx = joint_context(k, [func], (), p, cap=cap)
     module = assemble_module(ctx.evaluator(func))
     diagram = dgm(module)
@@ -314,8 +312,7 @@ def evaluate(k: PLComplex, func: int = 0, p: int = 2,
         d.region = region
         d.pair = pair
         d.interval = beta_levelset(d.point)
-    grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    return RiscResult(module, diagram, grid, ctx.split, func)
+    return RiscResult(module, diagram, ctx.split, func)
 
 
 def barcode(r: RiscResult) -> List[tuple]:
@@ -327,27 +324,3 @@ def barcode(r: RiscResult) -> List[tuple]:
         out.append((deg, interval, d.multiplicity))
     out.sort(key=lambda t: (t[0], repr(t[1])))
     return out
-
-
-def fiber_dimension_check(r: RiscResult, t) -> Optional[tuple]:
-    """At a regular level t, the bars containing t must count the fiber
-    cohomology dimensions degree by degree."""
-    t = Fraction(t)
-    if t in r.grid.critical:
-        raise ValueError("t must be a regular value")
-    lo = max((v for v in r.grid.critical if v < t), default=None)
-    hi = min((v for v in r.grid.critical if v > t), default=None)
-    u = RealOpenSet.make([(NEG_INF if lo is None else lo, INF if hi is None else hi)])
-    fiber, empty = open_model(r.split, u, r.func), r.split.index.subcomplex(())
-    top = r.split.dim()
-    for n in range(top + 2):
-        counted = sum(
-            d.multiplicity
-            for d in r.diagram.points
-            if d.interval[0] == n and d.interval[1] is not None
-            and d.interval[1].contains(t)
-        )
-        want = relative_cohomology(fiber, empty, n, r.module.p, r.split.index).dim
-        if counted != want:
-            return (t, n, counted, want)
-    return None

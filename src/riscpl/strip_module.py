@@ -5,8 +5,8 @@ grid in the strip (grid vertices, edge midpoints and cell midpoints of a
 rectangular line arrangement) and one matrix per covering pair of samples.
 All functors of interest are constant on the open cells of the arrangement,
 so this finite data determines them.  On top of this sit the diagram
-formula, block decompositions and the checkers for the cohomological,
-continuity, decomposition and filtration properties.
+formula and the checkers for the cohomological, continuity, decomposition
+and Yoneda properties.
 
 The x and y axes of a sample grid share one coordinate list, held by the
 GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,10 +91,6 @@ class DiagramPoint:
 @dataclass
 class Diagram:
     points: List[DiagramPoint] = field(default_factory=list)
-
-    def multiset(self):
-        return sorted(((d.point, d.multiplicity) for d in self.points),
-                      key=lambda t: (t[0].x, t[0].y))
 
 
 class GridModule:
@@ -197,41 +193,6 @@ class GridModule:
             return None
         q = self.table.power(power)(idx)
         return q if self.in_range(q) else None
-
-
-# ---------------------------------------------------------------------------
-# block modules
-
-
-def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
-                p: int = 2) -> GridModule:
-    """Direct sum of blocks: the dimension at a sample counts the blocks
-    whose support contains it, and each structure map is the 0/1 matrix
-    matching up the shared blocks."""
-    m = GridModule(CoordTable(xs), {}, {}, p)
-    vertices = []
-    for v, mult in blocks:
-        if mult < 1:
-            raise ValueError("multiplicities must be positive")
-        key = m.table.key(v)
-        if m.table.location[key] != "interior":
-            raise ValueError("block points must be interior")
-        vertices += [key] * mult
-    local: Dict[Index, List[int]] = {}
-    for idx in m.samples():
-        local[idx] = [b for b, v in enumerate(vertices) if m.table.in_block(v, idx)]
-        m.dims[idx] = len(local[idx])
-    for idx in m.dims:
-        for up in m.up(idx):
-            if up not in m.dims:
-                continue
-            mat = Mat.zeros(m.dims[idx], m.dims[up], p)
-            pos = {b: r for r, b in enumerate(local[idx])}
-            for c, b in enumerate(local[up]):
-                if b in pos:
-                    mat.data[pos[b], c] = 1
-            m.maps[(idx, up)] = mat
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -438,76 +399,6 @@ def seq_continuity_check(m: GridModule):
         if m.dim_at(w) != m.dim_at(idx) or rank(mat) != m.dim_at(idx):
             return (idx, w, m.dim_at(idx), m.dim_at(w), rank(mat))
     return None
-
-
-# ---------------------------------------------------------------------------
-# the colexicographic filtration
-
-
-def _discontinuities(m: GridModule, u: Index, at: Callable[[int], Index],
-                     lo_line: int, hi_line: int) -> List[int]:
-    """Even indices strictly between two line indices where the rank of the
-    map from u jumps, detected by comparing the flanking midpoint samples;
-    at(t) is the sample at index t on the scanned line through u."""
-    lo, hi = min(lo_line, hi_line), max(lo_line, hi_line)
-    ranks = {t: rank(m.map_between(u, at(t))) for t in range(lo + 1, hi, 2)}
-    return [t for t in range(lo + 2, hi, 2) if ranks[t - 1] != ranks[t + 1]]
-
-
-def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
-    """Dimensions of the colexicographic filtration of M(u) by sums of
-    images from above, one row per y-level from T(u).y down to u.y.
-
-    Asserts the structural identities of the filtration: the first row
-    vanishes, each row starts where the previous one ended, and the
-    quotient growth matches the local diagram formula at every inner grid
-    point (the step-isomorphism identity)."""
-    if not m.is_interior(u):
-        raise ValueError("filtration base point must be interior")
-    tu = m.t_index(u)
-    if tu is None:
-        raise ValueError("T(u) outside the sample grid")
-    iu, ju = u
-    i0, j0 = tu
-    x_idx = [i0] + _discontinuities(m, u, lambda t: (t, ju), i0, iu) + [iu]
-    y_desc = _discontinuities(m, u, lambda t: (iu, t), ju, j0)
-    y_idx = [j0] + sorted(y_desc, reverse=True) + [ju]
-    k = len(x_idx) - 1
-    l = len(y_idx) - 1
-
-    def image(i, j):
-        return m.map_between(u, (x_idx[i], y_idx[j]))
-
-    dims = []
-    for j in range(l + 1):
-        row = []
-        for i in range(k + 1):
-            if j == 0:
-                if rank(image(i, 0)) != 0:
-                    raise AssertionError("filtration does not start at zero")
-                row.append(0)
-            else:
-                row.append(column_space_sum_dim([image(i, j), image(k, j - 1)]))
-        dims.append(row)
-
-    for j in range(1, l + 1):
-        # wrap: the row starts where the previous one ended, as subspaces
-        prev_end = [image(k, j - 1)]
-        start = [image(0, j), image(k, j - 1)]
-        both = column_space_sum_dim(prev_end + start)
-        if not both == dims[j][0] == dims[j - 1][k]:
-            raise AssertionError("filtration wrap identity fails")
-
-    for j in range(1, l + 1):
-        for i in range(1, k + 1):
-            uij = (x_idx[i], y_idx[j])
-            local = m.dim_at(uij) - column_space_sum_dim([
-                m.map_between(uij, (x_idx[i - 1], y_idx[j])),
-                m.map_between(uij, (x_idx[i], y_idx[j - 1])),
-            ])
-            if local != dims[j][i] - dims[j][i - 1]:
-                raise AssertionError("step-isomorphism identity fails")
-    return dims
 
 
 # ---------------------------------------------------------------------------

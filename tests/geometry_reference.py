@@ -1,6 +1,7 @@
 """Test-only references for the exact strip geometry.
 
-The fundamental domain as the diagonal downset minus its T-preimage,
+Point-wise constructors and the strip order on StripPoints, the
+fundamental domain as the diagonal downset minus its T-preimage,
 brute-force searches for the closed-form tile index and region degree (each
 tries every power of T in a fixed window and insists that exactly one
 qualifies), the block support on strip points, the sample-grid bookkeeping
@@ -14,16 +15,30 @@ from typing import Tuple
 from riscpl.exact_geometry import (
     HALF_PI,
     NEG_HALF_PI,
+    Coord,
     ShiftVector,
     StripPoint,
     in_diag_downset,
     strip_location,
-    t_apply,
-    t_inverse,
     t_power,
 )
 
 WINDOW = 16
+
+
+def point(xk, xv, yk, yv) -> StripPoint:
+    """The strip point (xk*pi + arctan(xv), yk*pi + arctan(yv))."""
+    return StripPoint(Coord(xk, xv), Coord(yk, yv))
+
+
+def precedes(p: StripPoint, q: StripPoint) -> bool:
+    """The strip's partial order: p comes before q when its x is at least
+    q's and its y is at most q's."""
+    return p.x >= q.x and p.y <= q.y
+
+
+def to_float(p: StripPoint) -> Tuple[float, float]:
+    return (p.x.to_float(), p.y.to_float())
 
 
 def in_shifted_diag_downset(p: StripPoint) -> bool:
@@ -59,16 +74,17 @@ def block_contains(v: StripPoint, p: StripPoint) -> bool:
     and interior to the upset of T^-1(v); boundary points never qualify."""
     if strip_location(p) != "interior":
         return False
-    if not p.precedes(v):
+    if not precedes(p, v):
         return False
-    w = t_inverse(v)
+    w = t_power(v, -1)
     return p.x < w.x and p.y > w.y
 
 
 class SampleGridReference:
     """The geometry of a sample grid whose axes share one coordinate list,
     recomputed point by point: one strip_location per grid point, the
-    translates by t_apply and t_inverse, and a coordinate -> index dict."""
+    translates by single steps of T or its inverse, and a coordinate ->
+    index dict."""
 
     def __init__(self, xs):
         self.xs = tuple(xs)
@@ -97,13 +113,13 @@ class SampleGridReference:
         return [(i, j) for i, j in self.samples() if i % 2 == 0 and j % 2 == 0]
 
     def t_index(self, idx, power=1):
-        """The index of T^power of a sample, by |power| steps of t_apply or
-        t_inverse."""
+        """The index of T^power of a sample, by |power| steps of T or of
+        its inverse."""
         if not self.is_sample(idx):
             return None
         p = self.point(idx)
         for _ in range(abs(power)):
-            p = (t_apply if power > 0 else t_inverse)(p)
+            p = t_power(p, 1 if power > 0 else -1)
         return self.index_of(p)
 
 

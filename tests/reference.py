@@ -1,24 +1,37 @@
-"""Test-only reference implementations.
+"""Test-only reference implementations, oracles and fixture builders.
 
 Straightforward versions of what the package computes another way, kept
 to check the package against them: one-level splitting and its check, the
 vertex-by-vertex open model, the sorted coboundary of a relative cochain
-complex, the refined sample grid of one function, the shifted module, the
-full staircase product of a grid module, and dense elimination: reduced
-row echelon form and the rank, kernel, independence test and solve built
-on it.
+complex, the level grid and refined sample grid of one function, the
+shifted module, the full staircase product of a grid module, and dense
+elimination: reduced row echelon form and the rank, kernel, independence
+test and solve built on it.
+
+The proof devices the tests use as oracles live here too: block sums
+(`from_blocks`), the colexicographic filtration with its structural
+identities, and the fiberwise count of the levelset barcode.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from riscpl.exact_geometry import Coord, CoordTable, RealOpenSet, ShiftVector
+from riscpl import field_linalg, plc
+from riscpl.exact_geometry import (
+    INF,
+    NEG_INF,
+    Coord,
+    CoordTable,
+    RealOpenSet,
+    ShiftVector,
+    StripPoint,
+    TypedInterval,
+)
 from riscpl.field_linalg import Mat
 from riscpl.plc import (
-    LevelGrid,
     PLComplex,
     Simplex,
     SimplexIndex,
@@ -38,7 +51,41 @@ from riscpl.risc_builder import (
     build_lines,
     joint_levels,
 )
-from riscpl.strip_module import GridModule, refine_lines
+from riscpl.strip_module import Diagram, GridModule, Index, refine_lines
+
+
+@dataclass(frozen=True)
+class LevelGrid:
+    """Sorted distinct critical values interleaved with regular values
+    (midpoints of consecutive critical values plus two outer guards)."""
+
+    critical: Tuple[Fraction, ...]
+    regular: Tuple[Fraction, ...]
+
+    @staticmethod
+    def from_values(values: Iterable) -> "LevelGrid":
+        crit = sorted({Fraction(v) for v in values})
+        if not crit:
+            return LevelGrid((), ())
+        reg = [crit[0] - 1]
+        for a, b in zip(crit, crit[1:]):
+            reg.append((a + b) / 2)
+        reg.append(crit[-1] + 1)
+        return LevelGrid(tuple(crit), tuple(reg))
+
+    @property
+    def levels(self) -> Tuple[Fraction, ...]:
+        out = []
+        for i, r in enumerate(self.regular):
+            out.append(r)
+            if i < len(self.critical):
+                out.append(self.critical[i])
+        return tuple(out)
+
+
+def level_grid(k: PLComplex, func: int = 0) -> LevelGrid:
+    """The level grid of the values of one function of a complex."""
+    return LevelGrid.from_values(k.value(v, func) for v in k.values)
 
 
 def split_at_level(k: PLComplex, s, func: int = 0) -> PLComplex:
@@ -90,7 +137,8 @@ def is_split_at(k: PLComplex, levels: Iterable, func: int = 0) -> bool:
 def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> frozenset:
     """Full subcomplex on the vertices whose value u contains, tested one
     vertex at a time."""
-    inside = {v for v in k.values if u.contains(k.value(v, func))}
+    inside = {v for v in k.values
+              if any(lo < k.value(v, func) < hi for lo, hi in u.intervals)}
     return frozenset(s for s in k.simplices if s <= inside)
 
 
@@ -121,8 +169,7 @@ def build_grid(k: PLComplex, func: int = 0) -> Tuple[Coord, ...]:
     (empty complex gives an empty grid)."""
     if not k.values:
         return ()
-    grid = LevelGrid.from_values(x[func] for x in k.values.values())
-    return refine_lines(build_lines(grid.critical))
+    return refine_lines(build_lines(level_grid(k, func).critical))
 
 
 def shifted_module(r: RiscResult, a: ShiftVector,
@@ -150,6 +197,151 @@ def staircase_fold(m: GridModule, lo, hi) -> Mat:
     for i in range(ih, il):
         acc = m.map_at((i + 1, jl), (i, jl)) @ acc
     return acc
+
+
+def multiset(diagram: Diagram) -> List[Tuple[StripPoint, int]]:
+    """The diagram's (point, multiplicity) pairs, sorted by point."""
+    return sorted(((d.point, d.multiplicity) for d in diagram.points),
+                  key=lambda t: (t[0].x, t[0].y))
+
+
+# ---------------------------------------------------------------------------
+# block sums, the colexicographic filtration and fiber dimensions
+
+
+def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
+                p: int = 2) -> GridModule:
+    """Direct sum of blocks: the dimension at a sample counts the blocks
+    whose support contains it, and each structure map is the 0/1 matrix
+    matching up the shared blocks."""
+    m = GridModule(CoordTable(xs), {}, {}, p)
+    vertices = []
+    for v, mult in blocks:
+        if mult < 1:
+            raise ValueError("multiplicities must be positive")
+        key = m.table.intern(v.x), m.table.intern(v.y)
+        if m.table.location[key] != "interior":
+            raise ValueError("block points must be interior")
+        vertices += [key] * mult
+    local = {}
+    for idx in m.samples():
+        local[idx] = [b for b, v in enumerate(vertices) if m.table.in_block(v, idx)]
+        m.dims[idx] = len(local[idx])
+    for idx in m.dims:
+        for up in m.up(idx):
+            if up not in m.dims:
+                continue
+            mat = Mat.zeros(m.dims[idx], m.dims[up], p)
+            pos = {b: r for r, b in enumerate(local[idx])}
+            for c, b in enumerate(local[up]):
+                if b in pos:
+                    mat.data[pos[b], c] = 1
+            m.maps[(idx, up)] = mat
+    return m
+
+
+def _discontinuities(m: GridModule, u: Index, at: Callable[[int], Index],
+                     lo_line: int, hi_line: int) -> List[int]:
+    """Even indices strictly between two line indices where the rank of the
+    map from u jumps, detected by comparing the flanking midpoint samples;
+    at(t) is the sample at index t on the scanned line through u."""
+    lo, hi = min(lo_line, hi_line), max(lo_line, hi_line)
+    ranks = {t: field_linalg.rank(m.map_between(u, at(t))) for t in range(lo + 1, hi, 2)}
+    return [t for t in range(lo + 2, hi, 2) if ranks[t - 1] != ranks[t + 1]]
+
+
+def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
+    """Dimensions of the colexicographic filtration of M(u) by sums of
+    images from above, one row per y-level from T(u).y down to u.y.
+
+    Asserts the structural identities of the filtration: the first row
+    vanishes, each row starts where the previous one ended, and the
+    quotient growth matches the local diagram formula at every inner grid
+    point (the step-isomorphism identity)."""
+    sum_dim = field_linalg.column_space_sum_dim
+    if not m.is_interior(u):
+        raise ValueError("filtration base point must be interior")
+    tu = m.t_index(u)
+    if tu is None:
+        raise ValueError("T(u) outside the sample grid")
+    iu, ju = u
+    i0, j0 = tu
+    x_idx = [i0] + _discontinuities(m, u, lambda t: (t, ju), i0, iu) + [iu]
+    y_desc = _discontinuities(m, u, lambda t: (iu, t), ju, j0)
+    y_idx = [j0] + sorted(y_desc, reverse=True) + [ju]
+    k = len(x_idx) - 1
+    l = len(y_idx) - 1
+
+    def image(i, j):
+        return m.map_between(u, (x_idx[i], y_idx[j]))
+
+    dims = []
+    for j in range(l + 1):
+        row = []
+        for i in range(k + 1):
+            if j == 0:
+                if field_linalg.rank(image(i, 0)) != 0:
+                    raise AssertionError("filtration does not start at zero")
+                row.append(0)
+            else:
+                row.append(sum_dim([image(i, j), image(k, j - 1)]))
+        dims.append(row)
+
+    for j in range(1, l + 1):
+        # wrap: the row starts where the previous one ended, as subspaces
+        prev_end = [image(k, j - 1)]
+        start = [image(0, j), image(k, j - 1)]
+        both = sum_dim(prev_end + start)
+        if not both == dims[j][0] == dims[j - 1][k]:
+            raise AssertionError("filtration wrap identity fails")
+
+    for j in range(1, l + 1):
+        for i in range(1, k + 1):
+            uij = (x_idx[i], y_idx[j])
+            local = m.dim_at(uij) - sum_dim([
+                m.map_between(uij, (x_idx[i - 1], y_idx[j])),
+                m.map_between(uij, (x_idx[i], y_idx[j - 1])),
+            ])
+            if local != dims[j][i] - dims[j][i - 1]:
+                raise AssertionError("step-isomorphism identity fails")
+    return dims
+
+
+def interval_contains(bar: TypedInterval, t) -> bool:
+    """Whether the typed interval contains the level t."""
+    t = Fraction(t)
+    if bar.lo is not NEG_INF:
+        if t < bar.lo or (t == bar.lo and not bar.lo_closed):
+            return False
+    if bar.hi is not INF:
+        if t > bar.hi or (t == bar.hi and not bar.hi_closed):
+            return False
+    return True
+
+
+def fiber_dimension_check(k: PLComplex, r: RiscResult, t) -> Optional[tuple]:
+    """At a regular level t of the function of r on k, the bars containing
+    t must count the fiber cohomology dimensions degree by degree."""
+    t = Fraction(t)
+    grid = level_grid(k, r.func)
+    if t in grid.critical:
+        raise ValueError("t must be a regular value")
+    lo = max((v for v in grid.critical if v < t), default=None)
+    hi = min((v for v in grid.critical if v > t), default=None)
+    u = RealOpenSet.make([(NEG_INF if lo is None else lo, INF if hi is None else hi)])
+    fiber, empty = plc.open_model(r.split, u, r.func), r.split.index.subcomplex(())
+    top = r.split.dim()
+    for n in range(top + 2):
+        counted = sum(
+            d.multiplicity
+            for d in r.diagram.points
+            if d.interval[0] == n and d.interval[1] is not None
+            and interval_contains(d.interval[1], t)
+        )
+        want = plc.relative_cohomology(fiber, empty, n, r.module.p, r.split.index).dim
+        if counted != want:
+            return (t, n, counted, want)
+    return None
 
 
 # ---------------------------------------------------------------------------

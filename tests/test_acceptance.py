@@ -21,8 +21,7 @@ from riscpl.exact_geometry import (
     in_strip,
     omega_apply,
     rho,
-    t_apply,
-    t_inverse,
+    t_power,
 )
 from riscpl.field_linalg import Mat, rank
 from riscpl.interleave import (
@@ -34,12 +33,11 @@ from riscpl.interleave import (
     naturality_check,
     precomposition_check,
 )
-from riscpl.plc import LevelGrid, PLComplex, open_model, split_all
+from riscpl.plc import PLComplex, open_model, split_all
 from riscpl.risc_builder import (
     FunctorEvaluator,
     assemble_module,
     evaluate,
-    fiber_dimension_check,
     joint_levels,
 )
 from riscpl.strip_module import (
@@ -47,7 +45,6 @@ from riscpl.strip_module import (
     cohomological_check,
     decomposition_check,
     dgm_value,
-    from_blocks,
     nat_space_dim,
     refine_lines,
     seq_continuity_check,
@@ -59,9 +56,11 @@ from geometry_reference import (
     float_rho1_bounds,
     float_t,
     float_t_inverse,
+    to_float,
 )
 from oracle_betti import betti_numbers, euler_characteristic
 from oracle_ext_persistence import extended_persistence
+from reference import fiber_dimension_check, from_blocks, level_grid, multiset
 from test_exact_geometry import random_coord, random_shift, random_strip_point
 from test_golden import RP2
 from test_interleave import hood_pair, hood_stability_pair, random_pair, random_triple
@@ -93,7 +92,7 @@ def complex_of(values, maximal, nfuncs=None):
 
 def keyed(diagram):
     out = {}
-    for pt, mult in diagram.multiset():
+    for pt, mult in multiset(diagram):
         out[((pt.x.k, pt.x.v), (pt.y.k, pt.y.v))] = mult
     return out
 
@@ -284,24 +283,24 @@ def test_criterion_09_float_oracle_and_group_laws(capsys):
     ok = True
 
     def close(exact_pt, float_pt):
-        ex, ey = exact_pt.to_float()
+        ex, ey = to_float(exact_pt)
         return abs(ex - float_pt[0]) < FLOAT_TOL and abs(ey - float_pt[1]) < FLOAT_TOL
 
     for _ in range(2000):  # 3 maps per point
         p = random_strip_point(rng)
-        ok = ok and close(t_apply(p), float_t(p.to_float()))
-        ok = ok and close(t_inverse(p), float_t_inverse(p.to_float()))
+        ok = ok and close(t_power(p, 1), float_t(to_float(p)))
+        ok = ok and close(t_power(p, -1), float_t_inverse(to_float(p)))
         a = random_shift(rng)
-        ok = ok and close(alpha_apply(a, p), float_alpha(a, p.to_float()))
+        ok = ok and close(alpha_apply(a, p), float_alpha(a, to_float(p)))
     for _ in range(1000):
         p = random_strip_point(rng)
         delta = F(rng.randint(0, 12), rng.randint(1, 4))
         ok = ok and close(omega_apply(delta, p),
-                          float_alpha(ShiftVector(-delta, delta), p.to_float()))
+                          float_alpha(ShiftVector(-delta, delta), to_float(p)))
     for _ in range(1500):
         p = random_strip_point(rng)
         rho1, _ = rho(p)
-        flo, fhi = float_rho1_bounds(p.to_float())
+        flo, fhi = float_rho1_bounds(to_float(p))
         if flo >= fhi - FLOAT_TOL:
             if flo > fhi + FLOAT_TOL:
                 ok = ok and not rho1.intervals
@@ -315,7 +314,7 @@ def test_criterion_09_float_oracle_and_group_laws(capsys):
         ok = ok and abs(elo - flo) < FLOAT_TOL and abs(ehi - fhi) < FLOAT_TOL
     for _ in range(1500):
         p = StripPoint(random_coord(rng), random_coord(rng))
-        x, y = p.to_float()
+        x, y = to_float(p)
         if abs(abs(x + y) - math.pi) < FLOAT_TOL:
             continue
         ok = ok and in_strip(p) == float_in_strip((x, y))
@@ -324,7 +323,7 @@ def test_criterion_09_float_oracle_and_group_laws(capsys):
         p = random_strip_point(rng)
         a, b = random_shift(rng), random_shift(rng)
         ok = ok and alpha_apply(a + b, p) == alpha_apply(a, alpha_apply(b, p))
-        ok = ok and t_apply(alpha_apply(a, p)) == alpha_apply(a, t_apply(p))
+        ok = ok and t_power(alpha_apply(a, p), 1) == alpha_apply(a, t_power(p, 1))
     ok = ok and time.monotonic() - t0 < 30
     with capsys.disabled():
         report(9, "float oracle at 1e-9 plus exact group law and centrality",
@@ -344,8 +343,7 @@ def test_criterion_10_splitting_soundness(capsys):
         ok = ok and euler_characteristic(before) == euler_characteristic(after)
         ok = ok and betti_numbers(before) == betti_numbers(after)
         # interlevel models are full subcomplexes of the split complex
-        grid = LevelGrid.from_values(k.value(v) for v in k.values)
-        for t in list(grid.regular)[:3]:
+        for t in list(level_grid(k).regular)[:3]:
             u = RealOpenSet.make([(t - F(1, 2), t + F(1, 2))])
             model = open_model(ks, u)
             verts = {v for s in ks.index.cells[model.ids] for v in s}
@@ -361,9 +359,10 @@ def test_criterion_11_fiber_dimensions(capsys):
     ok = True
     for values, maximal in ((HOOD_F, HOOD_SIMPLICES),
                             (CIRCLE_HEIGHTS, CIRCLE_SIMPLICES)):
-        r = evaluate(complex_of(values, maximal))
-        for t in r.grid.regular:
-            ok = ok and fiber_dimension_check(r, t) is None
+        k = complex_of(values, maximal)
+        r = evaluate(k)
+        for t in level_grid(k).regular:
+            ok = ok and fiber_dimension_check(k, r, t) is None
     with capsys.disabled():
         report(11, "bars through every regular level count fiber cohomology",
                ok, t0)

@@ -481,9 +481,28 @@ def test_plot_counts_glyphs(capsys, tmp_path):
     {"points": [{"x": {"k": 0, "v": "1"}, "y": {"k": 0, "v": "0"}}]},
     {"points": [{"x": {"k": 0, "v": "1"}, "y": {"k": 0, "v": "0"},
                  "multiplicity": "2"}]},
+    # k*pi does not fit in a float
+    {"points": [{"x": {"k": 10 ** 400, "v": "0"}, "y": {"k": 0, "v": "0"},
+                 "multiplicity": 1}]},
 ])
 def test_plot_rejects_malformed_diagram(capsys, tmp_path, doc):
     assert_cli_error(capsys, "plot", write_json(tmp_path / "bad.json", doc))
+
+
+def test_plot_draws_offsets_too_large_for_a_float(capsys, tmp_path):
+    path = write_json(tmp_path / "big.json", {
+        "vertices": [{"id": 1, "value": "0"}, {"id": 2, "value": "1e400"}],
+        "simplices": [[1, 2]],
+    })
+    code, dgm_doc = run(capsys, "dgm", path)
+    assert code == 0
+    points = json.loads(dgm_doc)["points"]
+    assert any(len(pt[c]["v"]) > 400 for pt in points for c in ("x", "y"))
+    dpath = tmp_path / "dgm.json"
+    dpath.write_text(dgm_doc)
+    code, svg = run(capsys, "plot", str(dpath))
+    assert code == 0
+    assert svg.count("dgm-point") == len(points)
 
 
 @pytest.mark.parametrize("funcs", ["0", "-1"])

@@ -1,10 +1,18 @@
 """Guard against dead helpers in the package.
 
-Every module-level function, class and method in src/riscpl must be named
-somewhere in src/, tests/ or perfbench/ other than at its own definition.
-A name counts as used when it appears as an identifier, an attribute, an
-imported name or a word inside a string constant (the benchmark tracer
-looks functions up by name).  Dunder methods, `main` and the `cmd_*`
+Every module-level function, class and method in src/riscpl must be
+reached by the package itself or be declared.  A definition counts as used
+when one of these holds:
+
+- code in src/ names it outside its own definition, as an identifier, an
+  attribute or an imported name (words in strings and docstrings do not
+  count);
+- the benchmark tracer's TRACED table lists it, since the tracer wraps
+  those functions by name from outside;
+- its module's `__all__` declares it.
+
+References from tests/ do not count: an oracle or a fixture builder that
+only tests reach belongs in tests/.  Dunder methods, `main` and the `cmd_*`
 command handlers are reached through the interpreter or argparse and are
 exempt.
 
@@ -12,36 +20,52 @@ No check in src/riscpl is an `assert` statement, which `python -O` strips.
 """
 
 import ast
-import re
+import os
+import sys
+from collections import Counter
 from pathlib import Path
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "riscpl"
-SEARCHED = ("src", "tests", "perfbench")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from tracer import TRACED  # noqa: E402
 
 
 def definitions(tree):
-    """(name, line) of the module-level functions and classes and of the
-    methods of module-level classes."""
+    """(qualified name, node) of the module-level functions and classes and
+    of the methods of module-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item.lineno
+                    yield f"{node.name}.{item.name}", item
 
 
-def used_names(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+def named(node) -> Counter:
+    """How often the code under node names each identifier, attribute and
+    imported name."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+    return out
+
+
+def declared(tree) -> set:
+    """The names a module lists in its `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def exempt(name: str) -> bool:
@@ -49,18 +73,61 @@ def exempt(name: str) -> bool:
     return dunder or name == "main" or name.startswith("cmd_")
 
 
-def test_no_dead_helpers():
-    used = set()
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            used.update(used_names(ast.parse(path.read_text())))
+def dead_definitions(sources: Dict[str, str], traced: Dict[str, List[str]]) -> List[str]:
+    """The definitions of a package, given as module name -> source, that
+    nothing uses by the rule above; traced maps a module name to the
+    qualified names the tracer wraps in it."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(named(tree))
+    wrapped = {f"{mod}.{attr}" for mod, attrs in traced.items() for attr in attrs}
     dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qualname, line in definitions(ast.parse(path.read_text())):
+    for mod, tree in sorted(trees.items()):
+        public = declared(tree)
+        for qualname, node in definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if not exempt(name) and name not in used:
-                dead.append(f"{path.name}:{line} {qualname}")
-    assert dead == []
+            if exempt(name) or qualname in public or f"{mod}.{qualname}" in wrapped:
+                continue
+            if total[name] == named(node)[name]:
+                dead.append(f"{mod}.py:{node.lineno} {qualname}")
+    return dead
+
+
+def test_no_dead_helpers():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_definitions(sources, TRACED) == []
+
+
+SYNTHETIC = {
+    "geometry": (
+        "def t_power(p, n):\n"
+        "    return p\n"
+        "\n"
+        "def oracle(p):\n"
+        "    return oracle(t_power(p, 1)) if p else p\n"
+        "\n"
+        "def main():\n"
+        '    """Checks t_power against oracle."""\n'
+        "    return t_power(0, 2)\n"
+    ),
+}
+
+
+def test_guard_flags_a_function_only_a_test_reaches():
+    # oracle is what a test would call; in the package only a docstring
+    # word and a call from its own body name it, and neither counts
+    assert dead_definitions(SYNTHETIC, {}) == ["geometry.py:4 oracle"]
+
+
+def test_guard_keeps_a_function_declared_in_all():
+    declared_src = {"geometry": '__all__ = ["oracle"]\n\n' + SYNTHETIC["geometry"]}
+    assert dead_definitions(declared_src, {}) == []
+
+
+def test_guard_keeps_a_traced_function():
+    assert dead_definitions(SYNTHETIC, {"geometry": ["oracle"]}) == []
+    assert dead_definitions(SYNTHETIC, {"other": ["oracle"]}) == ["geometry.py:4 oracle"]
 
 
 def test_no_assert_statements():

@@ -25,10 +25,9 @@ from riscpl.interleave import (
 )
 from riscpl.plc import PLComplex
 from riscpl.risc_builder import evaluate
-from riscpl.strip_module import from_blocks
 
 from geometry_reference import block_contains
-from reference import shifted_module
+from reference import from_blocks, shifted_module
 from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 
 F = Fraction

@@ -11,7 +11,6 @@ from riscpl.field_linalg import Mat, Reduction, rank
 from riscpl.plc import (
     Coboundary,
     CohomBasis,
-    LevelGrid,
     PLComplex,
     SimplexIndex,
     induced_map,
@@ -24,7 +23,7 @@ from riscpl.plc import (
 
 from oracle_betti import betti_numbers, euler_characteristic
 import reference
-from reference import is_split_at, split_at_level
+from reference import LevelGrid, is_split_at, split_at_level
 from test_oracles import HOOD_F, HOOD_SIMPLICES
 
 F = Fraction
@@ -104,14 +103,14 @@ def test_split_all_hood_and_idempotence():
     grid = LevelGrid.from_values(HOOD_F.values())
     assert grid.critical == (F(0), F(1), F(2))
     assert grid.regular == (F(-1), F(1, 2), F(3, 2), F(3))
-    k = split_all(hood(), grid)
+    k = split_all(hood(), grid.levels)
     levels = grid.levels
     for s in k.simplices:
         vals = sorted(k.value(v) for v in s)
         lo = max(l for l in levels if l <= vals[0])
         hi = min(l for l in levels if l >= vals[-1])
         assert levels.index(hi) - levels.index(lo) <= 1
-    again = split_all(k, grid)
+    again = split_all(k, grid.levels)
     assert again.values == k.values
     assert again.simplices == k.simplices
 
@@ -127,7 +126,7 @@ def test_split_preserves_betti_random():
     for _ in range(20):
         k = random_complex(rng)
         grid = LevelGrid.from_values(x[0] for x in k.values.values())
-        ks = split_all(k, grid)
+        ks = split_all(k, grid.levels)
         assert betti_of(ks) == betti_of(k)
         assert euler_characteristic(ks.simplices) == euler_characteristic(k.simplices)
 
@@ -155,14 +154,14 @@ def simplices(k, model):
 
 
 def test_open_model_trivial():
-    k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()))
+    k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()).levels)
     assert open_model(k, RealOpenSet.whole_line()) == whole(k)
     assert open_model(k, RealOpenSet.empty()) == nothing(k)
     assert len(whole(k)) == len(k.simplices) and len(nothing(k)) == 0
 
 
 def test_open_model_hood_sublevel():
-    k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()))
+    k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()).levels)
     sub = open_model(k, RealOpenSet.make([(NEG_INF, F(1, 2))]))
     assert betti_numbers(simplices(k, sub)) == [2]
 
@@ -172,7 +171,7 @@ def test_open_model_boolean_compat():
     for _ in range(15):
         k = random_complex(rng)
         grid = LevelGrid.from_values(x[0] for x in k.values.values())
-        ks = split_all(k, grid)
+        ks = split_all(k, grid.levels)
         def rand_open():
             ints = []
             for _ in range(rng.randint(1, 2)):
@@ -183,9 +182,9 @@ def test_open_model_boolean_compat():
 
         u1, u2 = rand_open(), rand_open()
         m1, m2 = open_model(ks, u1), open_model(ks, u2)
-        assert open_model(ks, u1.union(u2)) == m1 | m2
+        assert open_model(ks, RealOpenSet.make(u1.intervals + u2.intervals)) == m1 | m2
         assert open_model(ks, u1.intersect(u2)) == m1 & m2
-        if u1.is_subset_of(u2):
+        if u1.intersect(u2) == u1:
             assert m1 <= m2
 
 
@@ -228,7 +227,7 @@ def test_induced_map_functorial_random():
     for _ in range(10):
         k = random_complex(rng)
         grid = LevelGrid.from_values(x[0] for x in k.values.values())
-        ks = split_all(k, grid)
+        ks = split_all(k, grid.levels)
         cuts = sorted(rng.sample(grid.regular, min(2, len(grid.regular))))
         if len(cuts) < 2:
             continue
@@ -310,7 +309,7 @@ def test_mv_random_sublevel_superlevel_triads():
     while done < 8:
         k = random_complex(rng)
         grid = LevelGrid.from_values(x[0] for x in k.values.values())
-        ks = split_all(k, grid)
+        ks = split_all(k, grid.levels)
         if len(grid.regular) < 2:
             continue
         lo, hi = sorted(rng.sample(grid.regular, 2))
@@ -339,7 +338,7 @@ def random_split_complexes(rng):
             maximal = [rng.sample(ids, dim + 1) for _ in range(rng.randint(2, 5))]
             k = PLComplex.from_maximal(values, maximal)
             grid = LevelGrid.from_values(x[f] for x in values.values() for f in range(nfuncs))
-            yield split_all(k, grid), grid
+            yield split_all(k, grid.levels), grid
 
 
 def random_open_sets(rng, grid):

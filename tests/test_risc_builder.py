@@ -8,18 +8,16 @@ from riscpl.plc import PLComplex
 from riscpl.risc_builder import (
     barcode,
     evaluate,
-    fiber_dimension_check,
     joint_levels,
 )
 from riscpl.strip_module import (
     cohomological_check,
     decomposition_check,
-    from_blocks,
     seq_continuity_check,
 )
 
 from oracle_ext_persistence import extended_persistence
-from reference import build_grid
+from reference import build_grid, fiber_dimension_check, from_blocks, level_grid, multiset
 from test_oracles import (
     CIRCLE_HEIGHTS,
     CIRCLE_SIMPLICES,
@@ -54,7 +52,7 @@ def flattened_hood():
 def keyed(diagram):
     """Diagram as a multiset keyed by raw coordinates."""
     out = {}
-    for pt, mult in diagram.multiset():
+    for pt, mult in multiset(diagram):
         key = ((pt.x.k, pt.x.v), (pt.y.k, pt.y.v))
         out[key] = out.get(key, 0) + mult
     return out
@@ -198,7 +196,8 @@ def test_support_in_diagonal_downset():
 def test_diagram_vertices_on_critical_lines():
     for k in (hood(), flattened_hood(), circle()):
         r = evaluate(k)
-        crits = {F(c) for c in r.grid.critical} | {-F(c) for c in r.grid.critical}
+        critical = level_grid(k).critical
+        crits = {F(c) for c in critical} | {-F(c) for c in critical}
         for d in r.diagram.points:
             assert d.point.x.v in crits
             assert d.point.y.v in crits
@@ -209,15 +208,17 @@ def test_diagram_vertices_on_critical_lines():
 
 
 def test_fiber_dimensions():
-    r = evaluate(hood())
-    for t in r.grid.regular:
-        assert fiber_dimension_check(r, t) is None
+    k = hood()
+    r = evaluate(k)
+    for t in level_grid(k).regular:
+        assert fiber_dimension_check(k, r, t) is None
     with pytest.raises(ValueError):
-        fiber_dimension_check(r, 1)
+        fiber_dimension_check(k, r, 1)
 
-    r = evaluate(circle())
-    for t in r.grid.regular:
-        assert fiber_dimension_check(r, t) is None
+    k = circle()
+    r = evaluate(k)
+    for t in level_grid(k).regular:
+        assert fiber_dimension_check(k, r, t) is None
 
 
 # ---------------------------------------------------------------------------
@@ -248,5 +249,5 @@ def test_random_complexes_checks_and_oracle():
         maximal = [set(s) for s in k.simplices]
         values = {v: k.value(v) for v in k.values}
         assert sorted(got, key=repr) == extended_persistence(maximal, values)
-        for t in r.grid.regular:
-            assert fiber_dimension_check(r, t) is None
+        for t in level_grid(k).regular:
+            assert fiber_dimension_check(k, r, t) is None

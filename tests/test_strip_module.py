@@ -10,29 +10,25 @@ from riscpl.exact_geometry import (
     CoordTable,
     INF,
     StripPoint,
-    point,
     strip_location,
-    t_apply,
-    t_inverse,
+    t_power,
 )
 from riscpl.field_linalg import Mat, column_space_sum_dim, rank
 from riscpl.strip_module import (
     GridModule,
     _rectangle_exact,
     cohomological_check,
-    colex_filtration,
     decomposition_check,
     dgm,
     dgm_value,
-    from_blocks,
     midpoint_coord,
     nat_space_dim,
     refine_lines,
     seq_continuity_check,
 )
 
-from geometry_reference import SampleGridReference, block_contains
-from reference import staircase_fold
+from geometry_reference import SampleGridReference, block_contains, point, precedes
+from reference import colex_filtration, from_blocks, multiset, staircase_fold
 
 F = Fraction
 
@@ -89,7 +85,7 @@ def test_dgm_single_block_and_midpoint_vanishing():
     xs = sym_grid()
     m = from_blocks([(HOOD_V1, 1)], xs)
     d = dgm(m)
-    assert d.multiset() == [(HOOD_V1, 1)]
+    assert multiset(d) == [(HOOD_V1, 1)]
     for idx in m.samples():
         if idx[0] % 2 == 1 or idx[1] % 2 == 1:
             if 0 < idx[0] and idx[1] < len(xs) - 1:
@@ -106,7 +102,7 @@ def random_blocks(rng, m_shell, count):
             pt = m_shell.table.point((i, j))
             if strip_location(pt) != "interior":
                 continue
-            w = m_shell.index_of(t_inverse(pt))
+            w = m_shell.index_of(t_power(pt, -1))
             if w is None or not (2 <= w[0] < n_x - 2 and 2 <= w[1] < n_y - 2):
                 continue
             candidates.append(pt)
@@ -121,7 +117,7 @@ def test_dgm_roundtrip_random_blocks():
     for _ in range(10):
         blocks = random_blocks(rng, shell, rng.randint(1, 3))
         m = from_blocks(blocks, xs)
-        assert dgm(m).multiset() == sorted(blocks, key=lambda t: (t[0].x, t[0].y))
+        assert multiset(dgm(m)) == sorted(blocks, key=lambda t: (t[0].x, t[0].y))
 
 
 def test_rank_between_examples():
@@ -133,13 +129,13 @@ def test_rank_between_examples():
     below = m.index_of(point(0, 2, -1, 0))
     assert below is not None and rank(m.map_between(below, v_idx)) == 2
     # q beyond T(p): rank 0 even though dimensions are positive
-    v2 = t_apply(HOOD_V1)
+    v2 = t_power(HOOD_V1, 1)
     m2 = from_blocks([(HOOD_V1, 2), (v2, 2)], xs)
     p_idx = m2.index_of(point(0, 3, -1, 0))
     q_idx = m2.index_of(v2)
     assert p_idx is not None and q_idx is not None
     assert m2.dim_at(p_idx) == 2 and m2.dim_at(q_idx) == 2
-    q_pt, tp = m2.table.point(q_idx), t_apply(m2.table.point(p_idx))
+    q_pt, tp = m2.table.point(q_idx), t_power(m2.table.point(p_idx), 1)
     assert not (q_pt.x >= tp.x and q_pt.y <= tp.y)
     assert rank(m2.map_between(p_idx, q_idx)) == 0
 
@@ -375,13 +371,13 @@ def test_seq_continuity_blocks_and_flipped_support():
     m = from_blocks([(HOOD_V1, 1), (HOOD_V2, 1)], xs)
     assert seq_continuity_check(m) is None
 
-    w = t_inverse(HOOD_V1)
+    w = t_power(HOOD_V1, -1)
 
     def wrong_side(pt):
         # support closed at the x = T^-1(v).x wall instead of open
         if strip_location(pt) != "interior":
             return False
-        return pt.precedes(HOOD_V1) and pt.x <= w.x and pt.y > w.y
+        return precedes(pt, HOOD_V1) and pt.x <= w.x and pt.y > w.y
 
     bad = support_module(wrong_side, xs)
     assert seq_continuity_check(bad) is not None
@@ -539,7 +535,7 @@ def test_grid_geometry_matches_reference(case, tmp_path):
                 assert m.index_of(m.table.point(idx)) == idx
     for idx in ref.samples():
         # translates that leave the grid have no index
-        for q in (t_apply(ref.point(idx)), t_inverse(ref.point(idx))):
+        for q in (t_power(ref.point(idx), 1), t_power(ref.point(idx), -1)):
             assert m.index_of(q) == ref.index_of(q)
     # block supports: every diagram vertex and seeded interior samples
     interior = [idx for idx in ref.samples() if ref.is_interior(idx)]
