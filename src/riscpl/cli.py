@@ -384,6 +384,7 @@ def cmd_interleave(args) -> int:
         ce = result["counterexample"]
         doc["counterexample"] = {
             "sample": list(ce["sample"]),
+            "function": ce["function"],
             "lhs": ce["lhs"].data.tolist(),
             "rhs": ce["rhs"].data.tolist(),
         }

@@ -69,14 +69,41 @@ def region_degree_search(u) -> int:
     return _unique_power(u, lambda q: q.x > NEG_HALF_PI and q.y >= NEG_HALF_PI)
 
 
+class PointMemo:
+    """A memo of a function of strip points, keyed by object identity:
+    hashing a point hashes its Fractions, which costs about as much as the
+    functions memoized here.  Each entry keeps its point alive, so no other
+    point can take over its id while the entry exists; the memo empties
+    itself when full."""
+
+    def __init__(self, fn, size: int = 1 << 16):
+        self.fn = fn
+        self.size = size
+        self.memo = {}
+
+    def __call__(self, p):
+        hit = self.memo.get(id(p))
+        if hit is None:
+            if len(self.memo) >= self.size:
+                self.memo.clear()
+            hit = self.memo[id(p)] = (p, self.fn(p))
+        return hit[1]
+
+
+_location = PointMemo(strip_location)
+_preimage = PointMemo(lambda v: t_power(v, -1))
+
+
 def block_contains(v: StripPoint, p: StripPoint) -> bool:
     """Support predicate of the indecomposable block at v: p must be below v
-    and interior to the upset of T^-1(v); boundary points never qualify."""
-    if strip_location(p) != "interior":
+    and interior to the upset of T^-1(v); boundary points never qualify.
+    The location of p and the preimage of v are memoized per point, since
+    tests sweep one block over many points and many blocks over one grid."""
+    if _location(p) != "interior":
         return False
     if not precedes(p, v):
         return False
-    w = t_power(v, -1)
+    w = _preimage(v)
     return p.x < w.x and p.y > w.y
 
 

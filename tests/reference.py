@@ -10,7 +10,9 @@ test and solve built on it.
 
 The proof devices the tests use as oracles live here too: block sums
 (`from_blocks`), the colexicographic filtration with its structural
-identities, and the fiberwise count of the levelset barcode.
+identities, and the fiberwise count of the levelset barcode.  So does the
+interleaving check that tests both triangle identities at every sample of
+a period, empty or not.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,12 @@ from riscpl.exact_geometry import (
     TypedInterval,
 )
 from riscpl.field_linalg import Mat
+from riscpl.interleave import (
+    Transformation,
+    distance_pair,
+    period_samples,
+    sup_norm,
+)
 from riscpl.plc import (
     PLComplex,
     Simplex,
@@ -49,6 +57,8 @@ from riscpl.risc_builder import (
     RiscResult,
     assemble_module,
     build_lines,
+    internal_map,
+    joint_context,
     joint_levels,
 )
 from riscpl.strip_module import Diagram, GridModule, Index, refine_lines
@@ -522,3 +532,54 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
     in1 = (locate(rows1, dst.ids) >= 0)[:, None]
     gamma = np.where(in1, take_rows(rows1, dc1, dst.ids), take_rows(rows2, dc2, dst.ids))
     return dst.express(Mat(gamma, p))
+
+
+def interleaving_check_reference(k: PLComplex, f: int = 0, g: int = 1, delta=None,
+                                 p: int = 2, cap: int = DEFAULT_CAP) -> dict:
+    """The interleaving check that builds both composites and all three
+    internal maps of each triangle identity at every sample of a period,
+    including the identities between empty matrices."""
+    a = distance_pair(k, f, g)
+    delta = sup_norm(k, f, g) if delta is None else Fraction(delta)
+    if not a.precedes(ShiftVector(-delta, delta)):
+        raise ValueError("delta is smaller than the sup norm of g - f")
+    a_rev = ShiftVector(-a.a2, -a.a1)
+    shifts = [a.a1, a.a2, delta, 2 * delta,
+              a.a1 - delta, a.a2 + delta, a.a1 + delta, a.a2 - delta]
+    ctx = joint_context(k, [f, g], shifts, p, cap)
+    ev_f, ev_g = ctx.evaluator(f), ctx.evaluator(g)
+    fwd = Transformation(ev_f, ev_g, a)
+    bwd = Transformation(ev_g, ev_f, a_rev)
+    shift_a = ctx.table.shift(a)
+    shift_rev = ctx.table.shift(a_rev)
+    omega = ctx.table.shift(ShiftVector(-delta, delta))
+    omega2 = ctx.table.shift(ShiftVector(-2 * delta, 2 * delta))
+
+    def phi(key):
+        return fwd.at(key) @ internal_map(ev_g, shift_a(key), omega(key))
+
+    def psi(key):
+        return bwd.at(key) @ internal_map(ev_f, shift_rev(key), omega(key))
+
+    witness = None
+    for idx in period_samples(ctx.table):
+        mid = omega(idx)
+        far = omega2(idx)
+        phi_pt = phi(idx)
+        lhs = phi_pt @ psi(mid)
+        rhs = internal_map(ev_f, idx, far)
+        if lhs != rhs:
+            return {"delta": delta, "ok": False, "counterexample": {
+                "sample": idx, "function": f, "lhs": lhs, "rhs": rhs}}
+        lhs = psi(idx) @ phi(mid)
+        rhs = internal_map(ev_g, idx, far)
+        if lhs != rhs:
+            return {"delta": delta, "ok": False, "counterexample": {
+                "sample": idx, "function": g, "lhs": lhs, "rhs": rhs}}
+        if (witness is None and phi_pt.rows == 1 and phi_pt.cols == 1
+                and not phi_pt.is_zero()):
+            witness = idx
+    out = {"delta": delta, "ok": True}
+    if witness is not None:
+        out["witness"] = witness
+    return out

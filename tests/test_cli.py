@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscpl.cli import load_complex, main
+from riscpl.field_linalg import Mat
+from riscpl.interleave import Transformation
 
 
 def run(capsys, *argv):
@@ -429,17 +431,43 @@ def test_check_rejects_broken_module_dump(capsys, tmp_path, case):
     assert named is None or str(named) in err
 
 
-def test_interleave_hood(capsys, tmp_path):
+def hood_stability_pair(capsys, tmp_path):
+    """The hood preset with the raised flattened hood as second function,
+    at sup distance 1; returns the file's path."""
     code, hood = run(capsys, "gen", "--preset", "hood")
     doc = json.loads(hood)
     raised = {1: 1, 2: 2, 3: 1, 4: 1, 5: 3}
     for v in doc["vertices"]:
         v["value"] = [v["value"], str(raised[int(v["id"])])]
-    path = write_json(tmp_path / "pair.json", doc)
+    return write_json(tmp_path / "pair.json", doc)
+
+
+def test_interleave_hood(capsys, tmp_path):
+    path = hood_stability_pair(capsys, tmp_path)
     code, report = run_json(capsys, "interleave", path, "--delta", "1")
     assert code == 0
     assert report == {"delta": "1", "ok": True, "witness": report["witness"]}
     assert report["witness"] is not None
+
+
+def test_interleave_reports_the_failing_triangle(capsys, tmp_path, monkeypatch):
+    # a forward transformation off by one at the hood pair's witness breaks
+    # the triangle identity of the first function there
+    at = Transformation.at
+
+    def mutated(self, key):
+        out = at(self, key)
+        if key != (63, 37) or self.ev_f.func != 0:
+            return out
+        return Mat(out.data + 1, out.p)
+
+    monkeypatch.setattr(Transformation, "at", mutated)
+    path = hood_stability_pair(capsys, tmp_path)
+    code, report = run_json(capsys, "interleave", path, "--delta", "1")
+    assert code == 1
+    assert report["ok"] is False
+    assert report["counterexample"] == {
+        "sample": [63, 37], "function": 0, "lhs": [[0]], "rhs": [[1]]}
 
 
 def test_interleave_equal_functions(capsys, tmp_path):

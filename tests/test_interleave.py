@@ -27,7 +27,7 @@ from riscpl.plc import PLComplex
 from riscpl.risc_builder import evaluate
 
 from geometry_reference import block_contains
-from reference import from_blocks, shifted_module
+from reference import from_blocks, interleaving_check_reference, shifted_module
 from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 
 F = Fraction
@@ -240,17 +240,86 @@ def test_interleaving_rejects_too_small_delta():
         interleaving_check(hood_stability_pair(), delta=F(1, 2))
 
 
-def test_hood_interleaving():
-    report = interleaving_check(hood_stability_pair())
-    assert report["ok"] and report["delta"] == 1
-    assert report["witness"] is not None
+def matches_reference(k, monkeypatch) -> dict:
+    """The report of interleaving_check on k, asserted equal to that of the
+    reference, which tests every identity at every sample where the check
+    skips those between empty matrices.  Both build the transformation
+    matrices, and so run their gluing checks, at the same keys."""
+    computed = []
+    compute = Transformation._compute
+
+    def recording(self, key):
+        computed.append((self.ev_f.func, self.ev_g.func, self.a, key))
+        return compute(self, key)
+
+    monkeypatch.setattr(Transformation, "_compute", recording)
+    report = interleaving_check(k)
+    keys = set(computed)
+    computed.clear()
+    assert report == interleaving_check_reference(k)
+    assert set(computed) == keys
+    monkeypatch.setattr(Transformation, "_compute", compute)
+    return report
 
 
-def test_interleaving_random_pairs():
+def interleave_pairs():
+    """The hood stability pair and the random pairs of
+    test_interleaving_random_pairs."""
     rng = random.Random(17)
-    for _ in range(3):
-        k = random_pair(rng)
-        assert interleaving_check(k)["ok"]
+    return [hood_stability_pair()] + [random_pair(rng) for _ in range(3)]
+
+
+# the witnesses of interleave_pairs(), the same over every prime tested
+PAIR_WITNESSES = [(63, 37), (63, 39), (46, 31), (63, 37)]
+
+
+def test_hood_interleaving(monkeypatch):
+    report = matches_reference(hood_stability_pair(), monkeypatch)
+    assert report["ok"] and report["delta"] == 1
+    assert report["witness"] == PAIR_WITNESSES[0]
+
+
+def test_interleaving_random_pairs(monkeypatch):
+    rng = random.Random(17)
+    for witness in PAIR_WITNESSES[1:]:
+        report = matches_reference(random_pair(rng), monkeypatch)
+        assert report["ok"] and report["witness"] == witness
+
+
+@pytest.mark.parametrize("pair, func, sample",
+                         [(0, 0, (63, 37)), (0, 1, (64, 35)), (1, 0, (60, 37))],
+                         ids=["hood-f", "hood-g", "random-f"])
+def test_interleaving_counterexample_matches_reference(monkeypatch, pair, func, sample):
+    # One entry of the transformation out of function func's module is off
+    # by one at a sample where its triangle identity is nonempty; both
+    # checks name the same first failure.  On the random pair the module
+    # of func vanishes at the omega-shift of the sample.
+    at = Transformation.at
+
+    def mutated(self, key):
+        out = at(self, key)
+        if key != sample or self.ev_f.func != func:
+            return out
+        data = out.data.copy()
+        data[0, 0] += 1
+        return Mat(data, out.p)
+
+    monkeypatch.setattr(Transformation, "at", mutated)
+    k = interleave_pairs()[pair]
+    report = interleaving_check(k)
+    assert not report["ok"]
+    assert report["counterexample"]["sample"] == sample
+    assert report["counterexample"]["function"] == func
+    assert report == interleaving_check_reference(k)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_interleaving_over_odd_primes(p):
+    # connecting-map signs are invisible over GF(2)
+    for k, witness in zip(interleave_pairs(), PAIR_WITNESSES):
+        report = interleaving_check(k, p=p)
+        assert report["ok"] and report["delta"] == 1
+        assert report["witness"] == witness
 
 
 # ---------------------------------------------------------------------------

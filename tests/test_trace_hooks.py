@@ -68,11 +68,13 @@ def test_interleave_hooks_on_hood_pair(tracer, tmp_path):
     for name in ("interleave.Transformation.at", "interleave.interleaving_check",
                  "risc_builder.point_data", "risc_builder.internal_map"):
         assert m[f"{name}.calls"] > 0, name
-    # the cohomology work as measured before the coordinate table; no
-    # connecting map is needed on this pair (none was before either)
+    # the cohomology work as measured before the coordinate table, less
+    # the three internal maps that only triangle identities between empty
+    # matrices used; no connecting map is needed on this pair (none was
+    # before either)
     assert {attr: m[f"plc.{attr}.calls"] for attr in TRACED["plc"]} == {
         "split_all": 1, "open_model": 320, "relative_cohomology": 54,
-        "induced_map": 27, "mv_connecting": 0}
+        "induced_map": 24, "mv_connecting": 0}
     assert m["risc_builder.FunctorEvaluator.model.calls"] == 1772
     # the transformation's inclusion branch maps between the two bases that
     # point_data returns and looks neither up again
