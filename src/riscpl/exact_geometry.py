@@ -16,10 +16,11 @@ A sample grid meets only a small, fixed set of coordinates: T and the shift
 action act on each strip coordinate separately.  `CoordTable` interns the
 coordinates of one grid to integer ids (the grid lines first, so a grid index
 is its id) and fills its maps lazily, one exact call per entry: the strip
-location and tile index of a point (ix, iy), and the per-coordinate id maps
-of T^n and of every shift.  Repeated geometry on the grid, the
-support of a block and the band of a shifted sample included, is then a
-lookup on ints.
+location and tile index of a point (ix, iy), the per-coordinate id maps
+of T^n and of every shift, and the rank maps that count the sorted values
+of a function whose arctangent lies below a coordinate.  Repeated geometry
+on the grid, the support of a block, the band of a shifted sample and the
+open sets of rho included, is then a lookup on ints.
 """
 
 from __future__ import annotations
@@ -313,16 +314,6 @@ class RealOpenSet:
     def empty() -> "RealOpenSet":
         return RealOpenSet(())
 
-    def intersect(self, other: "RealOpenSet") -> "RealOpenSet":
-        out = []
-        for lo1, hi1 in self.intervals:
-            for lo2, hi2 in other.intervals:
-                lo = lo1 if lo2 <= lo1 else lo2
-                hi = hi1 if hi1 <= hi2 else hi2
-                if lo < hi:
-                    out.append((lo, hi))
-        return RealOpenSet.make(out)
-
     def __bool__(self):
         return bool(self.intervals)
 
@@ -508,7 +499,9 @@ class CoordTable:
     `power(n)` (t_power) and `shift(a)` (alpha_apply) act on each coordinate
     on its own, so each is a pair of per-coordinate id maps, filled one
     coordinate function call per id.  Unlike t_power and alpha_apply, they
-    do not check that a key lies in the strip.  A point lies in the
+    do not check that a key lies in the strip.  `rank_map(levels, side)`
+    is a per-coordinate id map for a caller that holds the sorted levels,
+    one bisection per id.  A point lies in the
     fundamental domain exactly when its tile is 0.  The grid points in the
     strip are listed once: `row_samples[i]` holds those of row i, filled on
     first use, and `samples` joins the rows in order."""
@@ -554,6 +547,18 @@ class CoordTable:
             return False
         w = self.power(-1)(v)
         return not self._le[(w[0], s[0])] and not self._le[(s[1], w[1])]
+
+    def rank_map(self, levels: Sequence[Fraction], side: Callable) -> Dict[int, int]:
+        """The id map that counts the sorted levels t before a coordinate c:
+        arctan t < c for side bisect_left, arctan t <= c for bisect_right."""
+        def fill(i: int) -> int:
+            c = self.coords[i]
+            if c <= NEG_HALF_PI:
+                return 0
+            if c >= HALF_PI:
+                return len(levels)
+            return side(levels, c.v)
+        return _Lazy(fill)
 
     def power(self, n: int) -> Callable[[Key], Key]:
         """The key map of T^n, built once per n."""

@@ -34,7 +34,6 @@ from .exact_geometry import (
     CoordTable,
     Key,
     ShiftVector,
-    rho,
 )
 from .field_linalg import Mat
 from .plc import (
@@ -145,9 +144,9 @@ class Transformation:
         """The interpolating pair at a rectangle corner: ambient from the
         shifted g preimage of the first attached set, subspace cut out by
         the f preimage of the second."""
-        rho1g, _ = rho(self.table.point(self.shift(c)))
-        _, rho0f = rho(self.table.point(c))
-        amb = self.ev_g.model(rho1g)
+        rho1g, _ = self.ev_g.ranges(self.shift(c))
+        _, rho0f = self.ev_f.ranges(c)
+        amb = self.ev_g.model((rho1g,))
         return amb, amb & self.ev_f.model(rho0f)
 
     def _compute(self, key: Key) -> Mat:

@@ -9,8 +9,8 @@ simplex ids in (dimension, skey) order, per dimension the vertex positions
 and face ids of every simplex, and per function every vertex's rank among
 the distinct values.  Every subcomplex is a Subcomplex, the sorted ids of
 its simplices in that index: an open model is read off a vertex mask of
-value ranks, and a relative cochain complex selects rows and columns of
-the face arrays.
+ranges of value ranks, and a relative cochain complex selects rows and
+columns of the face arrays.
 
 Cohomology of relative cochain complexes, induced maps, and Mayer-Vietoris
 connecting maps work over GF(p) on sparse coboundaries, by the package's
@@ -46,7 +46,6 @@ from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequen
 
 import numpy as np
 
-from .exact_geometry import INF, NEG_INF, RealOpenSet
 from .field_linalg import Mat, Reduction
 
 Vid = object  # vertex ids: ints from input files, strings for split vertices
@@ -401,23 +400,21 @@ class Coboundary:
 # open models
 
 
-def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> Subcomplex:
-    """Full subcomplex spanned by the vertices with value strictly inside u.
-
-    Each interval of u is bisected on the distinct values of the function,
-    which turns it into a range of value ranks; a vertex is inside when its
-    rank falls in one of the ranges, and a simplex when all its vertices
-    are; their ids are read straight off the mask.  Correct as a homotopy
-    model of the preimage whenever the complex has been split at all
-    endpoint levels of u."""
+def open_model(k: PLComplex, ranges: Iterable[Tuple[int, int]],
+               func: int = 0) -> Subcomplex:
+    """Full subcomplex spanned by the vertices whose value lies in an open
+    set, given as ranges [lo, hi) of value ranks: a vertex is inside when
+    its rank among the distinct values of the function falls in one of the
+    ranges, and a simplex when all its vertices are; their ids are read
+    straight off the mask.  An open set of levels determines these ranges
+    once the complex has been split at all its endpoint levels, and the
+    model is then a homotopy model of its preimage."""
     ix = k.index
     if not ix.verts:
         return ix.subcomplex(())
-    levels = ix.levels[func]
-    keep = np.zeros(len(levels), dtype=bool)
-    for lo, hi in u.intervals:
-        keep[0 if lo is NEG_INF else bisect.bisect_right(levels, lo):
-             len(levels) if hi is INF else bisect.bisect_left(levels, hi)] = True
+    keep = np.zeros(len(ix.levels[func]), dtype=bool)
+    for lo, hi in ranges:
+        keep[lo:hi] = True
     inside = keep[ix.ranks[func]]
     return Subcomplex(np.flatnonzero(np.concatenate([inside[v].all(axis=1) for v in ix.verts])))
 

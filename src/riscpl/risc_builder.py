@@ -18,12 +18,13 @@ of its split complex.
 An evaluator works over the integer coordinate table of its sample grid
 (`exact_geometry.CoordTable`): points are pairs of coordinate ids, the
 per-point cache is keyed by them, and the location, tile index and
-translates of a point are table lookups.  A point is turned back into a
-StripPoint only where its pair of open sets is built.
+translates of a point are table lookups, and so are the value-rank ranges
+of its pair of open sets.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,10 +34,8 @@ from .exact_geometry import (
     CoordTable,
     INF,
     Key,
-    RealOpenSet,
     beta_levelset,
     classify_region,
-    rho,
 )
 from .field_linalg import Mat
 from .plc import (
@@ -54,6 +53,9 @@ from .strip_module import Diagram, GridModule, dgm, refine_lines
 
 TRANSLATES = range(-3, 4)  # the grid lines lie on the translates T^-3..T^3
 DEFAULT_CAP = 20000
+
+# an open set of levels as ranges [lo, hi) of a function's value ranks
+Ranges = Tuple[Tuple[int, int], ...]
 
 
 @dataclass
@@ -104,7 +106,11 @@ class FunctorEvaluator:
     """Evaluates the pair-cohomology functor of one PL function on a split
     complex, with caching keyed by the open models so that the cell
     constancy of the functor is exploited.  Points are keys of the
-    coordinate table of the sample grid.  Relative cochains, and with them
+    coordinate table of the sample grid.  A set of rho is a union of
+    ranges of value ranks, read off two per-coordinate-id maps filled on
+    first use: below[c] counts the values t with arctan t < c, upto[c]
+    those with arctan t <= c.  One model is built per vertex set, keyed by
+    its canonical ranges.  Relative cochains, and with them
     relative cohomology, vanish above the dimension of the split complex,
     so values in degrees above max_degree = dim are zero without being
     computed.
@@ -122,26 +128,51 @@ class FunctorEvaluator:
         self.func = func
         self.p = p
         self.max_degree = split.dim()
-        self._models: Dict[RealOpenSet, Subcomplex] = {}
+        self._models: Dict[Ranges, Subcomplex] = {}
+        ix = split.index
+        self.levels: List[Fraction] = ix.levels[func] if ix.levels else []
+        self.below = table.rank_map(self.levels, bisect.bisect_left)
+        self.upto = table.rank_map(self.levels, bisect.bisect_right)
         self._points: Dict[Key, tuple] = {}
         self._bases: Dict[tuple, CohomBasis] = {}
         self._induced: Dict[tuple, Mat] = {}
         self._connecting: Dict[tuple, Mat] = {}
 
-    def model(self, u: RealOpenSet) -> Subcomplex:
-        out = self._models.get(u)
+    def ranges(self, w: Key) -> Tuple[Tuple[int, int], Ranges]:
+        """The pair of open sets rho attaches to a point, as value-rank
+        ranges: the levels t with T(w).x < arctan t < T(w).y, and those off
+        w.y <= arctan t <= w.x."""
+        table = self.table
+        if table.location[w] == "outside":
+            raise ValueError(f"point {table.point(w)} lies outside the strip")
+        tx, ty = table.power(1)(w)
+        return ((self.upto[tx], self.below[ty]),
+                ((0, self.below[w[1]]), (self.upto[w[0]], len(self.levels))))
+
+    def model(self, ranges: Ranges) -> Subcomplex:
+        """The open model of a union of value-rank ranges, cached by their
+        canonical form: the nonempty ranges in order, overlapping and
+        touching ones merged."""
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in sorted(ranges):
+            if lo >= hi:
+                continue
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        key = tuple(merged)
+        out = self._models.get(key)
         if out is None:
-            out = open_model(self.split, u, self.func)
-            self._models[u] = out
+            out = self._models[key] = open_model(self.split, key, self.func)
         return out
 
     def pair_at(self, w: Key) -> Tuple[Subcomplex, Subcomplex]:
         """Open models of the pair attached to a point of the fundamental
-        band."""
-        rho1, rho0 = rho(self.table.point(w))
-        a = self.model(rho1)
-        b = self.model(rho0.intersect(rho1))
-        return a, b
+        band: rho1 and its intersection with rho0."""
+        (lo, hi), rho0 = self.ranges(w)
+        return (self.model(((lo, hi),)),
+                self.model(tuple((max(a, lo), min(b, hi)) for a, b in rho0)))
 
     def basis(self, a: Subcomplex, b: Subcomplex, n: int) -> CohomBasis:
         key = (n, a, b)

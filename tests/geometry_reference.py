@@ -1,6 +1,7 @@
 """Test-only references for the exact strip geometry.
 
 Point-wise constructors and the strip order on StripPoints, the
+intersection of two open subsets of the line, the
 fundamental domain as the diagonal downset minus its T-preimage,
 brute-force searches for the closed-form tile index and region degree (each
 tries every power of T in a fixed window and insists that exactly one
@@ -16,6 +17,7 @@ from riscpl.exact_geometry import (
     HALF_PI,
     NEG_HALF_PI,
     Coord,
+    RealOpenSet,
     ShiftVector,
     StripPoint,
     in_diag_downset,
@@ -35,6 +37,19 @@ def precedes(p: StripPoint, q: StripPoint) -> bool:
     """The strip's partial order: p comes before q when its x is at least
     q's and its y is at most q's."""
     return p.x >= q.x and p.y <= q.y
+
+
+def intersect(u: RealOpenSet, v: RealOpenSet) -> RealOpenSet:
+    """The intersection of two open subsets of the line, interval by
+    interval."""
+    out = []
+    for lo1, hi1 in u.intervals:
+        for lo2, hi2 in v.intervals:
+            lo = lo1 if lo2 <= lo1 else lo2
+            hi = hi1 if hi1 <= hi2 else hi2
+            if lo < hi:
+                out.append((lo, hi))
+    return RealOpenSet.make(out)
 
 
 def to_float(p: StripPoint) -> Tuple[float, float]:

@@ -2,19 +2,26 @@
 
 Straightforward versions of what the package computes another way, kept
 to check the package against them: one-level splitting and its check, the
-vertex-by-vertex open model, the sorted coboundary of a relative cochain
-complex, the level grid and refined sample grid of one function, the
-shifted module, the full staircase product of a grid module, and dense
-elimination: reduced row echelon form and the rank, kernel, independence
-test and solve built on it.
+value-rank ranges of an open set of levels, the vertex-by-vertex open
+model and the open-model pairs that the evaluator and the stability
+transformation build, here from the exact rho of a point, the sorted
+coboundary of a relative cochain complex, the level grid and refined
+sample grid of one function, the shifted module, the full staircase
+product of a grid module, and dense elimination: reduced row echelon form
+and the rank, kernel, independence test and solve built on it.
 
 The proof devices the tests use as oracles live here too: block sums
 (`from_blocks`), the colexicographic filtration with its structural
 identities, and the fiberwise count of the levelset barcode.  So does the
 interleaving check that tests both triangle identities at every sample of
 a period, empty or not.
+
+`evaluated` shares one evaluation per input among the tests that neither
+time nor change it.
 """
 
+import bisect
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -31,6 +38,7 @@ from riscpl.exact_geometry import (
     ShiftVector,
     StripPoint,
     TypedInterval,
+    rho,
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import (
@@ -57,11 +65,14 @@ from riscpl.risc_builder import (
     RiscResult,
     assemble_module,
     build_lines,
+    evaluate,
     internal_map,
     joint_context,
     joint_levels,
 )
 from riscpl.strip_module import Diagram, GridModule, Index, refine_lines
+
+from geometry_reference import intersect
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,69 @@ def open_model(k: PLComplex, u: RealOpenSet, func: int = 0) -> frozenset:
     inside = {v for v in k.values
               if any(lo < k.value(v, func) < hi for lo, hi in u.intervals)}
     return frozenset(s for s in k.simplices if s <= inside)
+
+
+def ranks_of(k: PLComplex, u: RealOpenSet, func: int = 0) -> List[Tuple[int, int]]:
+    """The value-rank ranges [lo, hi) of an open set of levels: each of its
+    intervals bisected on the distinct values of the function."""
+    levels = k.index.levels[func] if k.index.levels else []
+    return [(0 if lo is NEG_INF else bisect.bisect_right(levels, lo),
+             len(levels) if hi is INF else bisect.bisect_left(levels, hi))
+            for lo, hi in u.intervals]
+
+
+# per evaluator: the distinct vertex values of its function, its models by
+# open set and its models by the positions of the values they hold
+_MODELS: "weakref.WeakKeyDictionary[FunctorEvaluator, tuple]" = weakref.WeakKeyDictionary()
+
+
+def reference_model(ev: FunctorEvaluator, u: RealOpenSet) -> Subcomplex:
+    """The vertex-by-vertex open model of u for the evaluator's function, as
+    a subcomplex of its split complex.  Memoized per evaluator by u and by
+    the vertex values u holds, tested one value at a time, which determine
+    the model."""
+    if ev not in _MODELS:
+        values = sorted({ev.split.value(v, ev.func) for v in ev.split.values})
+        _MODELS[ev] = (values, {}, {})
+    values, by_set, by_held = _MODELS[ev]
+    out = by_set.get(u)
+    if out is None:
+        held = tuple(i for i, x in enumerate(values)
+                     if any(lo < x < hi for lo, hi in u.intervals))
+        out = by_held.get(held)
+        if out is None:
+            out = by_held[held] = ev.split.index.subcomplex(open_model(ev.split, u, ev.func))
+        by_set[u] = out
+    return out
+
+
+def pair_at_reference(ev: FunctorEvaluator, w) -> Tuple[Subcomplex, Subcomplex]:
+    """FunctorEvaluator.pair_at from the exact rho of the point: the open
+    models of rho1 and of its intersection with rho0."""
+    rho1, rho0 = rho(ev.table.point(w))
+    return reference_model(ev, rho1), reference_model(ev, intersect(rho0, rho1))
+
+
+def interp_pair_reference(trans: Transformation, c) -> Tuple[Subcomplex, Subcomplex]:
+    """Transformation._interp_pair from the exact rho: the g model of rho1
+    at the shifted corner, cut by the f model of rho0 at the corner."""
+    rho1g, _ = rho(trans.table.point(trans.shift(c)))
+    _, rho0f = rho(trans.table.point(c))
+    amb = reference_model(trans.ev_g, rho1g)
+    return amb, amb & reference_model(trans.ev_f, rho0f)
+
+
+_EVALUATED = {}
+
+
+def evaluated(k: PLComplex, func: int = 0, p: int = 2) -> RiscResult:
+    """evaluate(k, func, p), computed once per input and shared: only for
+    tests that neither time the evaluation nor change its result."""
+    key = (frozenset(k.values.items()), frozenset(k.simplices), k.nfuncs, func, p)
+    out = _EVALUATED.get(key)
+    if out is None:
+        out = _EVALUATED[key] = evaluate(k, func, p)
+    return out
 
 
 def simplices_of_dim(simplices: Iterable[Simplex], n: int) -> List[Simplex]:
@@ -339,7 +413,8 @@ def fiber_dimension_check(k: PLComplex, r: RiscResult, t) -> Optional[tuple]:
     lo = max((v for v in grid.critical if v < t), default=None)
     hi = min((v for v in grid.critical if v > t), default=None)
     u = RealOpenSet.make([(NEG_INF if lo is None else lo, INF if hi is None else hi)])
-    fiber, empty = plc.open_model(r.split, u, r.func), r.split.index.subcomplex(())
+    fiber = plc.open_model(r.split, ranks_of(r.split, u, r.func), r.func)
+    empty = r.split.index.subcomplex(())
     top = r.split.dim()
     for n in range(top + 2):
         counted = sum(

@@ -60,7 +60,7 @@ from geometry_reference import (
 )
 from oracle_betti import betti_numbers, euler_characteristic
 from oracle_ext_persistence import extended_persistence
-from reference import fiber_dimension_check, from_blocks, level_grid, multiset
+from reference import fiber_dimension_check, from_blocks, level_grid, multiset, ranks_of
 from test_exact_geometry import random_coord, random_shift, random_strip_point
 from test_golden import RP2
 from test_interleave import hood_pair, hood_stability_pair, random_pair, random_triple
@@ -345,7 +345,7 @@ def test_criterion_10_splitting_soundness(capsys):
         # interlevel models are full subcomplexes of the split complex
         for t in list(level_grid(k).regular)[:3]:
             u = RealOpenSet.make([(t - F(1, 2), t + F(1, 2))])
-            model = open_model(ks, u)
+            model = open_model(ks, ranks_of(ks, u))
             verts = {v for s in ks.index.cells[model.ids] for v in s}
             full = ks.index.subcomplex(s for s in ks.simplices if s <= verts)
             ok = ok and model == full

@@ -12,6 +12,7 @@ from geometry_reference import (
     float_t,
     float_t_inverse,
     in_fundamental_domain,
+    intersect,
     point,
     precedes,
     region_degree_search,
@@ -294,14 +295,14 @@ def test_rho_monotone_and_nested():
     for _ in range(80):
         p = random_strip_point(rng)
         rho1, rho0 = rho(p)
-        assert rho0.intersect(rho1) == rho0
+        assert intersect(rho0, rho1) == rho0
         if strip_location(p) == "boundary":
             assert rho0 == rho1
         q = random_strip_point(rng)
         if precedes(p, q):
             r1q, r0q = rho(q)
-            assert rho1.intersect(r1q) == rho1
-            assert rho0.intersect(r0q) == rho0
+            assert intersect(rho1, r1q) == rho1
+            assert intersect(rho0, r0q) == rho0
 
 
 def rectangle_in_domain(rng):
@@ -328,7 +329,7 @@ def test_rho_preserves_joins_and_meets():
         for i in range(2):
             rm, r1, r2, rw = rho(m)[i], rho(v1)[i], rho(v2)[i], rho(w)[i]
             assert RealOpenSet.make(r1.intervals + r2.intervals) == rw
-            assert r1.intersect(r2) == rm
+            assert intersect(r1, r2) == rm
         done += 1
     assert done >= 10
 

@@ -24,10 +24,17 @@ from riscpl.interleave import (
     sup_norm,
 )
 from riscpl.plc import PLComplex
-from riscpl.risc_builder import evaluate
+from riscpl.risc_builder import FunctorEvaluator, evaluate
 
 from geometry_reference import block_contains
-from reference import from_blocks, interleaving_check_reference, shifted_module
+from reference import (
+    evaluated,
+    from_blocks,
+    interleaving_check_reference,
+    interp_pair_reference,
+    pair_at_reference,
+    shifted_module,
+)
 from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 
 F = Fraction
@@ -119,7 +126,7 @@ def test_distance_triangle_inequality():
 
 
 def test_zero_shift_is_identity():
-    r = evaluate(complex_of({v: (HOOD_F[v],) for v in HOOD_F}, HOOD_SIMPLICES))
+    r = evaluated(complex_of({v: (HOOD_F[v],) for v in HOOD_F}, HOOD_SIMPLICES))
     m = shifted_module(r, ShiftVector(0, 0))
     assert m.table.grid == r.module.table.grid
     for idx in m.samples():
@@ -131,8 +138,8 @@ def test_zero_shift_is_identity():
 def test_shifted_flattened_hood_is_block_sum():
     # Shifting the flattened function's module left by 2 moves one block
     # vertex from value 4 down to value 2 and fixes the other block.
-    r = evaluate(complex_of({v: (HOOD_GPRIME[v],) for v in HOOD_GPRIME},
-                            HOOD_SIMPLICES))
+    r = evaluated(complex_of({v: (HOOD_GPRIME[v],) for v in HOOD_GPRIME},
+                             HOOD_SIMPLICES))
     m = shifted_module(r, ShiftVector(F(-2), F(0)))
     blocks = from_blocks(
         [
@@ -176,11 +183,30 @@ def test_transformation_for_equal_functions_is_identity():
         assert md.per_sample[idx] == Mat.eye(d, 2)
 
 
-def test_hood_transformation_nonzero_on_named_blocks():
+def checked_interp_pairs(monkeypatch) -> list:
+    """Make every interpolating pair the stability transformation builds
+    compare itself with the one from the exact rho; returns the list of
+    corners compared so far."""
+    corners = []
+    interp = Transformation._interp_pair
+
+    def checked(self, c):
+        out = interp(self, c)
+        assert out == interp_pair_reference(self, c), c
+        corners.append(c)
+        return out
+
+    monkeypatch.setattr(Transformation, "_interp_pair", checked)
+    return corners
+
+
+def test_hood_transformation_nonzero_on_named_blocks(monkeypatch):
     # Some sample lies in the supports of the one-dimensional blocks of both
     # modules, and the transformation does not vanish there.
+    corners = checked_interp_pairs(monkeypatch)
     ctx = joint_context(hood_pair(), [0, 1], shifts=[2])
     md = build_transformation(ctx)
+    assert corners
     assert md.shift == ShiftVector(F(-2), F(0))
     assert naturality_check(md) is None
     tgt_block = StripPoint(Coord(1, F(-1)), Coord(0, F(0)))
@@ -197,13 +223,15 @@ def test_hood_transformation_nonzero_on_named_blocks():
     assert witnesses
 
 
-def test_transformation_natural_on_random_pairs():
+def test_transformation_natural_on_random_pairs(monkeypatch):
+    corners = checked_interp_pairs(monkeypatch)
     rng = random.Random(11)
     for _ in range(3):
         k = random_pair(rng)
         a = distance_pair(k)
         ctx = joint_context(k, [0, 1], shifts=[a.a1, a.a2])
         assert naturality_check(build_transformation(ctx)) is None
+    assert corners
 
 
 def test_transformation_rejects_evaluators_over_different_split_complexes():
@@ -222,6 +250,49 @@ def test_transformation_rejects_evaluators_over_different_split_complexes():
         Transformation(ctx_sub.evaluator(0), ctx.evaluator(1), a)
     with pytest.raises(ValueError, match="different split complexes"):
         Transformation(ctx.evaluator(0), ctx_sub.evaluator(1), a)
+
+
+# ---------------------------------------------------------------------------
+# open-model pairs from value ranks
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_pairs_match_rho_reference(monkeypatch, p):
+    # Every pair the interleaving check builds, at the band keys point_data
+    # visits and at the shifted keys of the transformations, for both
+    # functions, equals the pair made from the exact rho of the point by
+    # intersecting its sets and taking vertex-by-vertex open models.
+    pairs = {}
+    pair_at = FunctorEvaluator.pair_at
+
+    def recording(self, w):
+        out = pairs[(self, w)] = pair_at(self, w)
+        return out
+
+    monkeypatch.setattr(FunctorEvaluator, "pair_at", recording)
+    for k in interleave_pairs():
+        pairs.clear()
+        assert interleaving_check(k, p=p)["ok"]
+        assert {ev.func for ev, _ in pairs} == {0, 1}
+        for (ev, w), pair in pairs.items():
+            assert pair == pair_at_reference(ev, w), (ev.func, w)
+
+
+def test_pairs_outside_the_strip_raise():
+    k = hood_stability_pair()
+    ctx = joint_context(k, [0, 1], shifts=[1])
+    table = ctx.table
+    outside = next(key for key in ((i, j) for i in range(len(table.grid))
+                                   for j in range(len(table.grid)))
+                   if table.location[key] == "outside")
+    for ev in ctx.evaluators.values():
+        with pytest.raises(ValueError, match="outside the strip"):
+            ev.pair_at(outside)
+        with pytest.raises(ValueError, match="outside the strip"):
+            pair_at_reference(ev, outside)
+    trans = Transformation(ctx.evaluator(0), ctx.evaluator(1), distance_pair(k))
+    with pytest.raises(ValueError, match="outside the strip"):
+        trans._interp_pair(outside)
 
 
 # ---------------------------------------------------------------------------

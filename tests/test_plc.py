@@ -21,9 +21,10 @@ from riscpl.plc import (
     validate,
 )
 
+from geometry_reference import intersect
 from oracle_betti import betti_numbers, euler_characteristic
 import reference
-from reference import LevelGrid, is_split_at, split_at_level
+from reference import LevelGrid, is_split_at, ranks_of, split_at_level
 from test_oracles import HOOD_F, HOOD_SIMPLICES
 
 F = Fraction
@@ -153,16 +154,22 @@ def simplices(k, model):
     return set(k.index.cells[model.ids])
 
 
+def model_of(k, u, func=0):
+    """The open model of an open set of levels, through its value-rank
+    ranges."""
+    return open_model(k, ranks_of(k, u, func), func)
+
+
 def test_open_model_trivial():
     k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()).levels)
-    assert open_model(k, RealOpenSet.whole_line()) == whole(k)
-    assert open_model(k, RealOpenSet.empty()) == nothing(k)
+    assert model_of(k, RealOpenSet.whole_line()) == whole(k)
+    assert model_of(k, RealOpenSet.empty()) == nothing(k)
     assert len(whole(k)) == len(k.simplices) and len(nothing(k)) == 0
 
 
 def test_open_model_hood_sublevel():
     k = split_all(hood(), LevelGrid.from_values(HOOD_F.values()).levels)
-    sub = open_model(k, RealOpenSet.make([(NEG_INF, F(1, 2))]))
+    sub = model_of(k, RealOpenSet.make([(NEG_INF, F(1, 2))]))
     assert betti_numbers(simplices(k, sub)) == [2]
 
 
@@ -181,10 +188,10 @@ def test_open_model_boolean_compat():
             return RealOpenSet.make(ints)
 
         u1, u2 = rand_open(), rand_open()
-        m1, m2 = open_model(ks, u1), open_model(ks, u2)
-        assert open_model(ks, RealOpenSet.make(u1.intervals + u2.intervals)) == m1 | m2
-        assert open_model(ks, u1.intersect(u2)) == m1 & m2
-        if u1.intersect(u2) == u1:
+        m1, m2 = model_of(ks, u1), model_of(ks, u2)
+        assert model_of(ks, RealOpenSet.make(u1.intervals + u2.intervals)) == m1 | m2
+        assert model_of(ks, intersect(u1, u2)) == m1 & m2
+        if intersect(u1, u2) == u1:
             assert m1 <= m2
 
 
@@ -233,8 +240,8 @@ def test_induced_map_functorial_random():
             continue
         u_small = RealOpenSet.make([(NEG_INF, cuts[0])])
         u_mid = RealOpenSet.make([(NEG_INF, cuts[1])])
-        a0 = open_model(ks, u_small)
-        a1 = open_model(ks, u_mid)
+        a0 = model_of(ks, u_small)
+        a1 = model_of(ks, u_mid)
         a2 = whole(ks)
         for n in (0, 1):
             h0 = relative_cohomology(a0, nothing(ks), n, 2, ks.index)
@@ -313,8 +320,8 @@ def test_mv_random_sublevel_superlevel_triads():
         if len(grid.regular) < 2:
             continue
         lo, hi = sorted(rng.sample(grid.regular, 2))
-        a1 = open_model(ks, RealOpenSet.make([(NEG_INF, hi)]))
-        a2 = open_model(ks, RealOpenSet.make([(lo, INF)]))
+        a1 = model_of(ks, RealOpenSet.make([(NEG_INF, hi)]))
+        a2 = model_of(ks, RealOpenSet.make([(lo, INF)]))
         union = a1 | a2
         inter = a1 & a2
         none = nothing(ks)
@@ -364,7 +371,7 @@ def test_open_model_matches_vertex_by_vertex_reference():
     for k, grid in random_split_complexes(rng):
         for func in range(k.nfuncs):
             for u in random_open_sets(rng, grid):
-                model = open_model(k, u, func)
+                model = model_of(k, u, func)
                 assert simplices(k, model) == reference.open_model(k, u, func)
                 assert model == k.index.subcomplex(reference.open_model(k, u, func))
 
@@ -377,8 +384,8 @@ def test_coboundaries_match_sorted_reference():
         for _ in range(6):
             u1, u0 = rng.sample(sets, 2)
             func = rng.randrange(k.nfuncs)
-            a = open_model(k, u1, func)
-            b = open_model(k, u1.intersect(u0), func)
+            a = model_of(k, u1, func)
+            b = model_of(k, intersect(u1, u0), func)
             rel = a.minus(b)
             assert set(ix.cells[rel]) == simplices(k, a) - simplices(k, b)
             for n in range(-1, k.dim() + 1):
@@ -401,10 +408,10 @@ def test_mv_connecting_index_and_odd_primes():
         lo, hi = sorted(rng.sample(grid.regular, 2))
         sub = rng.choice([x for x in grid.levels if x <= hi])
         sup = rng.choice([x for x in grid.levels if x >= lo])
-        a1 = open_model(k, RealOpenSet.make([(NEG_INF, hi)]))
-        a2 = open_model(k, RealOpenSet.make([(lo, INF)]))
-        b1 = open_model(k, RealOpenSet.make([(NEG_INF, sub)]))
-        b2 = open_model(k, RealOpenSet.make([(sup, INF)]))
+        a1 = model_of(k, RealOpenSet.make([(NEG_INF, hi)]))
+        a2 = model_of(k, RealOpenSet.make([(lo, INF)]))
+        b1 = model_of(k, RealOpenSet.make([(NEG_INF, sub)]))
+        b2 = model_of(k, RealOpenSet.make([(sup, INF)]))
         triad = ((a1 | a2, b1 | b2), (a1, b1), (a2, b2), (a1 & a2, b1 & b2))
         les_exact(*triad, top=max(1, k.dim()), ix=k.index, p=3)
         les_exact(*triad, top=max(1, k.dim()), ix=k.index, p=5)
@@ -450,9 +457,9 @@ def test_bases_and_maps_match_dense_reference():
         for _ in range(8):
             u1, u0, w = rng.sample(sets, 3)
             func = rng.randrange(k.nfuncs)
-            big = (open_model(k, u1, func), open_model(k, u1.intersect(u0), func))
-            small = (open_model(k, u1.intersect(w), func),
-                     open_model(k, u1.intersect(w).intersect(u0), func))
+            big = (model_of(k, u1, func), model_of(k, intersect(u1, u0), func))
+            small = (model_of(k, intersect(u1, w), func),
+                     model_of(k, intersect(intersect(u1, w), u0), func))
             for n in range(k.dim() + 1):
                 for p in (2, 3, 5):
                     hs = [relative_cohomology(*pair, n, p, ix) for pair in (big, small)]
@@ -470,10 +477,10 @@ def test_bases_and_maps_match_dense_reference():
             # a sublevel and a superlevel pair, each relative to a smaller
             # one or to nothing
             lo, hi = sorted(rng.sample(grid.levels, 2))
-            a1 = open_model(k, RealOpenSet.make([(NEG_INF, hi)]))
-            a2 = open_model(k, RealOpenSet.make([(lo, INF)]))
-            b1 = a1 & open_model(k, RealOpenSet.make([(NEG_INF, rng.choice(grid.levels))]))
-            b2 = a2 & open_model(k, RealOpenSet.make([(rng.choice(grid.levels), INF)]))
+            a1 = model_of(k, RealOpenSet.make([(NEG_INF, hi)]))
+            a2 = model_of(k, RealOpenSet.make([(lo, INF)]))
+            b1 = a1 & model_of(k, RealOpenSet.make([(NEG_INF, rng.choice(grid.levels))]))
+            b2 = a2 & model_of(k, RealOpenSet.make([(rng.choice(grid.levels), INF)]))
             if rng.random() < 0.5:
                 b1 = b2 = nothing(k)
             triad = ((a1 | a2, b1 | b2), (a1, b1), (a2, b2), (a1 & a2, b1 & b2))
@@ -502,7 +509,7 @@ def test_reduction_ladder_matches_a_fresh_index_per_call():
         for _ in range(4):
             u1, u0 = rng.sample(sets, 2)
             func = rng.randrange(k.nfuncs)
-            pairs.append((open_model(k, u1, func), open_model(k, u1.intersect(u0), func)))
+            pairs.append((model_of(k, u1, func), model_of(k, intersect(u1, u0), func)))
         top = k.dim() + 1
         asked = [(i, p, n) for i in range(len(pairs)) for p in (2, 3, 5)
                  for n in range(top + 1)]
@@ -564,7 +571,7 @@ def test_subcomplex_operations_match_frozensets():
         ix = k.index
         models = [whole(k), nothing(k)]
         for func in range(k.nfuncs):
-            models += [open_model(k, u, func) for u in random_open_sets(rng, grid)]
+            models += [model_of(k, u, func) for u in random_open_sets(rng, grid)]
         sets = [frozenset(ix.cells[m.ids]) for m in models]
         for m, s in zip(models, sets):
             assert len(m) == len(s)
@@ -582,6 +589,6 @@ def test_subcomplex_operations_match_frozensets():
         wide = RealOpenSet.make([(levels[0] - 1, levels[-1] + 1)])
         gap = RealOpenSet.make([(levels[-1], levels[-1] + 1)])
         for u, v in ((RealOpenSet.whole_line(), wide), (RealOpenSet.empty(), gap)):
-            a, b = open_model(k, u), open_model(k, v)
+            a, b = model_of(k, u), model_of(k, v)
             assert a is not b and a == b and hash(a) == hash(b)
             assert len({a, b}) == 1

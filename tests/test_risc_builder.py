@@ -8,6 +8,7 @@ from riscpl.plc import PLComplex
 from riscpl.risc_builder import (
     barcode,
     evaluate,
+    joint_context,
     joint_levels,
 )
 from riscpl.strip_module import (
@@ -17,7 +18,14 @@ from riscpl.strip_module import (
 )
 
 from oracle_ext_persistence import extended_persistence
-from reference import build_grid, fiber_dimension_check, from_blocks, level_grid, multiset
+from reference import (
+    build_grid,
+    evaluated,
+    fiber_dimension_check,
+    from_blocks,
+    level_grid,
+    multiset,
+)
 from test_oracles import (
     CIRCLE_HEIGHTS,
     CIRCLE_SIMPLICES,
@@ -68,7 +76,7 @@ def bar_key(entry):
 
 
 def test_point_diagram_and_module():
-    r = evaluate(point_complex())
+    r = evaluated(point_complex())
     assert keyed(r.diagram) == {((0, F(0)), (0, F(0))): 1}
     block = from_blocks(
         [(StripPoint(Coord(0, F(0)), Coord(0, F(0))), 1)], r.module.table.grid
@@ -78,7 +86,7 @@ def test_point_diagram_and_module():
 
 
 def test_hood_diagram():
-    r = evaluate(hood())
+    r = evaluated(hood())
     assert keyed(r.diagram) == {
         ((0, F(2)), (0, F(0))): 1,
         ((1, F(-1)), (0, F(0))): 1,
@@ -86,7 +94,7 @@ def test_hood_diagram():
 
 
 def test_flattened_hood_diagram():
-    r = evaluate(flattened_hood())
+    r = evaluated(flattened_hood())
     assert keyed(r.diagram) == {
         ((0, F(2)), (0, F(0))): 1,
         ((1, F(-1)), (-2, F(2))): 1,
@@ -94,7 +102,7 @@ def test_flattened_hood_diagram():
 
 
 def test_circle_diagram_with_labels():
-    r = evaluate(circle())
+    r = evaluated(circle())
     assert keyed(r.diagram) == {
         ((0, F(2)), (0, F(0))): 1,
         ((1, F(-2)), (-1, F(0))): 1,
@@ -111,7 +119,7 @@ def test_examples_match_extended_persistence_oracle():
         ([{1}], {1: 0}),
         ([{1, 2}], {1: 0, 2: 3}),
     ]:
-        r = evaluate(complex_of(values, maximal))
+        r = evaluated(complex_of(values, maximal))
         got = []
         for d in r.diagram.points:
             got.extend([(d.degree, d.region, d.pair)] * d.multiplicity)
@@ -123,22 +131,22 @@ def test_examples_match_extended_persistence_oracle():
 
 
 def test_barcodes():
-    bars = barcode(evaluate(point_complex()))
+    bars = barcode(evaluated(point_complex()))
     assert [bar_key(b) for b in bars] == [(0, F(0), F(0), True, True, 1)]
 
-    bars = barcode(evaluate(hood()))
+    bars = barcode(evaluated(hood()))
     assert [bar_key(b) for b in bars] == [
         (0, F(0), F(1), True, False, 1),
         (0, F(0), F(2), True, True, 1),
     ]
 
-    bars = barcode(evaluate(circle()))
+    bars = barcode(evaluated(circle()))
     assert [bar_key(b) for b in bars] == [
         (0, F(0), F(2), False, False, 1),
         (0, F(0), F(2), True, True, 1),
     ]
 
-    bars = barcode(evaluate(flattened_hood()))
+    bars = barcode(evaluated(flattened_hood()))
     assert [bar_key(b) for b in bars] == [
         (0, F(0), F(2), True, True, 1),
         (1, F(1), F(2), True, False, 1),
@@ -150,6 +158,21 @@ def test_empty_complex():
     assert r.diagram.points == []
     assert barcode(r) == []
     assert r.module.table.grid == ()
+
+
+def test_one_open_model_per_vertex_set():
+    # the model cache is keyed by canonical value-rank ranges: unordered,
+    # touching, overlapping and empty ranges name the same vertex set
+    ev = joint_context(hood(), [0]).evaluator(0)
+    top = len(ev.levels)
+    whole = ev.model(((0, top),))
+    assert whole == ev.split.index.subcomplex(ev.split.simplices)
+    assert ev.model(((2, top), (0, 2))) is whole
+    assert ev.model(((0, 3), (1, top), (4, 4))) is whole
+    assert ev.model(((3, 1), (top, top))) is ev.model(())
+    assert len(ev.model(())) == 0
+    assert ev.model(((1, 2), (0, 1))) is ev.model(((0, 2),))
+    assert ev.model(((0, 1), (2, 3))) != ev.model(((0, 3),))
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +203,14 @@ def test_split_levels_cover_grid_values():
 
 def test_module_checks_pass():
     for k in (hood(), flattened_hood(), circle()):
-        r = evaluate(k)
+        r = evaluated(k)
         assert seq_continuity_check(r.module) is None
         assert cohomological_check(r.module, random_rectangles=20) is None
         assert decomposition_check(r.module) is None
 
 
 def test_support_in_diagonal_downset():
-    r = evaluate(circle())
+    r = evaluated(circle())
     for idx in r.module.samples():
         if r.module.dim_at(idx) > 0:
             assert in_diag_downset(r.module.table.point(idx))
@@ -195,7 +218,7 @@ def test_support_in_diagonal_downset():
 
 def test_diagram_vertices_on_critical_lines():
     for k in (hood(), flattened_hood(), circle()):
-        r = evaluate(k)
+        r = evaluated(k)
         critical = level_grid(k).critical
         crits = {F(c) for c in critical} | {-F(c) for c in critical}
         for d in r.diagram.points:
@@ -209,14 +232,14 @@ def test_diagram_vertices_on_critical_lines():
 
 def test_fiber_dimensions():
     k = hood()
-    r = evaluate(k)
+    r = evaluated(k)
     for t in level_grid(k).regular:
         assert fiber_dimension_check(k, r, t) is None
     with pytest.raises(ValueError):
         fiber_dimension_check(k, r, 1)
 
     k = circle()
-    r = evaluate(k)
+    r = evaluated(k)
     for t in level_grid(k).regular:
         assert fiber_dimension_check(k, r, t) is None
 

@@ -500,14 +500,14 @@ def test_nat_space_dim():
 
 def geometry_case(case, tmp_path):
     from riscpl.cli import load_module, module_json
-    from riscpl.risc_builder import evaluate
 
+    from reference import evaluated
     from test_oracles import HOOD_F, HOOD_SIMPLICES
     from test_risc_builder import complex_of, random_complex
 
     if case == "random":
-        return evaluate(random_complex(random.Random(7))).module
-    m = evaluate(complex_of(HOOD_F, HOOD_SIMPLICES), p=3).module
+        return evaluated(random_complex(random.Random(7))).module
+    m = evaluated(complex_of(HOOD_F, HOOD_SIMPLICES), p=3).module
     if case == "dump":
         path = tmp_path / "module.json"
         path.write_text(json.dumps(module_json(m, 3)))

@@ -49,8 +49,9 @@ def test_plc_hooks_on_dgm_hood(tracer, tmp_path):
     # the size hook reads len(a) - len(b): the simplex count of A minus B
     assert m["plc.relative_cohomology.max_cells"] == 631
     # cache hits and misses with the degree bound at the split complex's
-    # dimension: points of the tile one above it are zero without a lookup
-    assert m["risc_builder.model_hit_ratio"] == 1559 / 1704
+    # dimension: points of the tile one above it are zero without a lookup;
+    # one open model per vertex set, keyed by its value-rank ranges
+    assert m["risc_builder.model_hit_ratio"] == 1678 / 1704
     assert m["risc_builder.basis_hit_ratio"] == 699 / 840
     assert m["risc_builder.connecting_hit_ratio"] == 0
 
@@ -71,9 +72,9 @@ def test_interleave_hooks_on_hood_pair(tracer, tmp_path):
     # the cohomology work as measured before the coordinate table, less
     # the three internal maps that only triangle identities between empty
     # matrices used; no connecting map is needed on this pair (none was
-    # before either)
+    # before either); one open model per vertex set of each function
     assert {attr: m[f"plc.{attr}.calls"] for attr in TRACED["plc"]} == {
-        "split_all": 1, "open_model": 320, "relative_cohomology": 54,
+        "split_all": 1, "open_model": 32, "relative_cohomology": 54,
         "induced_map": 24, "mv_connecting": 0}
     assert m["risc_builder.FunctorEvaluator.model.calls"] == 1772
     # the transformation's inclusion branch maps between the two bases that
