@@ -15,17 +15,19 @@ coordinates and one comparison of their offsets decide exactly.
 A sample grid meets only a small, fixed set of coordinates: T and the shift
 action act on each strip coordinate separately.  `CoordTable` interns the
 coordinates of one grid to integer ids (the grid lines first, so a grid index
-is its id) and fills its maps lazily, one exact call per entry: the strip
-location and tile index of a point (ix, iy), the per-coordinate id maps
-of T^n and of every shift, and the rank maps that count the sorted values
-of a function whose arctangent lies below a coordinate.  Repeated geometry
-on the grid, the support of a block, the band of a shifted sample and the
-open sets of rho included, is then a lookup on ints.
+is its id) and fills its maps on first use: the samples of a grid row and
+their strip locations by two bisections, the location of any other point by
+one exact call, the tile index of a point (ix, iy), the per-coordinate id
+maps of T^n and of every shift, and the rank maps that count the sorted
+values of a function whose arctangent lies below a coordinate.  Repeated
+geometry on the grid, the support of a block, the band of a shifted sample
+and the open sets of rho included, is then a lookup on ints.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -383,9 +385,14 @@ def tile_index(p: StripPoint) -> int:
     that is m // 2, less one when m is even and arctan(y.v) > arctan(x.v)."""
     if strip_location(p) != "interior":
         raise ValueError(f"tile index undefined for non-interior point {p}")
-    m = p.x.k - p.y.k
+    return _tile_of(p.x, p.y)
+
+
+def _tile_of(x: Coord, y: Coord) -> int:
+    """floor((x - y) / (2*pi)) for an interior point (x, y)."""
+    m = x.k - y.k
     n = m // 2
-    if m % 2 == 0 and p.y.v > p.x.v:
+    if m % 2 == 0 and y.v > x.v:
         n -= 1
     return n
 
@@ -493,18 +500,19 @@ class CoordTable:
     The grid coordinates come first, so the grid index of a coordinate is
     its id; a coordinate reached off the grid (by T or a shift) gets the next
     free id when first met.  A point is the pair of its coordinate ids.  The
-    maps are filled on first use, each entry by one call of the exact
-    function it stores: `location` (strip_location), `tile` (tile_index) and
-    the coordinate order behind `precedes` and `in_block`.  The key maps
-    `power(n)` (t_power) and `shift(a)` (alpha_apply) act on each coordinate
-    on its own, so each is a pair of per-coordinate id maps, filled one
-    coordinate function call per id.  Unlike t_power and alpha_apply, they
-    do not check that a key lies in the strip.  `rank_map(levels, side)`
-    is a per-coordinate id map for a caller that holds the sorted levels,
-    one bisection per id.  A point lies in the
-    fundamental domain exactly when its tile is 0.  The grid points in the
-    strip are listed once: `row_samples[i]` holds those of row i, filled on
-    first use, and `samples` joins the rows in order."""
+    maps are filled on first use.  `row_samples[i]` holds the grid points of
+    row i in the strip, found by two bisections that also store their
+    `location` (strip_location); off the rows, `location` is one exact call
+    per point.  `tile` (tile_index) is read off an interior point's
+    coordinates, and `_le` is the order behind `precedes` and `in_block`.
+    The key maps `power(n)` (t_power) and `shift(a)` (alpha_apply) act on
+    each coordinate on its own, so each is a pair of per-coordinate id maps,
+    filled one coordinate function call per id.  Unlike t_power and
+    alpha_apply, they do not check that a key lies in the strip.
+    `rank_map(levels, side)` is a per-coordinate id map for a caller that
+    holds the sorted levels, one bisection per id.  A point lies in the
+    fundamental domain exactly when its tile is 0.  `samples` joins the
+    rows in order, so the grid points in the strip are listed once."""
 
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
@@ -513,10 +521,9 @@ class CoordTable:
             raise ValueError("grid coordinates must be strictly increasing")
         self.ids: Dict[Coord, int] = {c: i for i, c in enumerate(self.coords)}
         self.location = _Lazy(lambda key: strip_location(self.point(key)))
-        self.tile = _Lazy(lambda key: tile_index(self.point(key)))
+        self.tile = _Lazy(self._tile)
         self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
-        self.row_samples = _Lazy(lambda i: tuple(
-            (i, j) for j in range(len(self.grid)) if self.location[(i, j)] != "outside"))
+        self.row_samples = _Lazy(self._row)
         self._coord_maps: Dict[tuple, _Lazy] = {}
         self._powers = _Lazy(self._power_map)
 
@@ -529,6 +536,26 @@ class CoordTable:
 
     def point(self, key: Key) -> StripPoint:
         return StripPoint(self.coords[key[0]], self.coords[key[1]])
+
+    def _row(self, i: int) -> Tuple[Key, ...]:
+        """For x = grid[i] the strip holds the y with -pi - x <= y <= pi - x:
+        one run of the grid, of which only the ends can lie on the boundary."""
+        grid, x = self.grid, self.grid[i]
+        low, up = x.pi_minus(-1), x.pi_minus(1)
+        lo, hi = bisect_left(grid, low), bisect_right(grid, up)
+        row = tuple((i, j) for j in range(lo, hi))
+        self.location.update(dict.fromkeys(row, "interior"))
+        if row and grid[lo] == low:
+            self.location[row[0]] = "boundary"
+        if row and grid[hi - 1] == up:
+            self.location[row[-1]] = "boundary"
+        return row
+
+    def _tile(self, key: Key) -> int:
+        """tile_index of an interior key, read off its coordinates."""
+        if self.location[key] != "interior":
+            raise ValueError(f"tile index undefined for non-interior point {self.point(key)}")
+        return _tile_of(self.coords[key[0]], self.coords[key[1]])
 
     @cached_property
     def samples(self) -> Tuple[Key, ...]:

@@ -414,18 +414,24 @@ def break_dump(doc, case):
         return [a, b]
 
 
+@pytest.fixture(scope="module")
+def circle_dump(tmp_path_factory):
+    """The text of the circle's module dump, written once per module."""
+    tmp = tmp_path_factory.mktemp("circle")
+    dump = tmp / "module.json"
+    assert main(["gen", "--preset", "circle", "--out", str(tmp / "circle.json")]) == 0
+    assert main(["dgm", str(tmp / "circle.json"), "--dump-module", str(dump),
+                 "--out", str(tmp / "dgm.json")]) == 0
+    return dump.read_text()
+
+
 @pytest.mark.parametrize("case", [
     "ys-shortened", "xs-reversed", "xs-duplicate", "k-float", "dims-index-float",
     "dims-index-bool", "dims-index-negative", "dims-index-beyond", "dims-negative",
     "dims-repeated", "map-end-outside", "map-key-short", "map-not-covering",
     "map-repeated", "map-shape", "map-entry-float"])
-def test_check_rejects_broken_module_dump(capsys, tmp_path, case):
-    circle = tmp_path / "circle.json"
-    dump = tmp_path / "module.json"
-    assert main(["gen", "--preset", "circle", "--out", str(circle)]) == 0
-    assert main(["dgm", str(circle), "--dump-module", str(dump),
-                 "--out", str(tmp_path / "dgm.json")]) == 0
-    doc = json.loads(dump.read_text())
+def test_check_rejects_broken_module_dump(capsys, tmp_path, circle_dump, case):
+    doc = json.loads(circle_dump)
     named = break_dump(doc, case)
     err = assert_module_error(capsys, write_json(tmp_path / "broken.json", doc))
     assert named is None or str(named) in err

@@ -492,3 +492,59 @@ def test_coord_table_matches_exact_functions(case):
         CoordTable([Coord(0, F(0)), Coord(0, F(0))])
     with pytest.raises(ValueError):
         CoordTable([Coord(0, F(1)), Coord(0, F(0))])
+
+
+def row_fill_grid(case):
+    """The grid of an interleaving table, of an evaluate table, or a seeded
+    strictly increasing list that is closed under neither negation nor T,
+    as a loaded module dump may hold; it meets one boundary on purpose."""
+    from riscpl.risc_builder import evaluate
+    from test_interleave import hood_stability_pair, random_pair
+    from test_risc_builder import hood
+
+    if case == "evaluate":
+        return evaluate(hood()).module.table.grid
+    if case == "random":
+        rng = random.Random(7)
+        c = random_coord(rng)
+        coords = {c, c.pi_minus(1)} | {random_coord(rng) for _ in range(30)}
+        return sorted(coords)
+    k = hood_stability_pair() if case == "hood" else random_pair(random.Random(case))
+    return interleaving_grid(k)[0].grid
+
+
+@pytest.mark.parametrize("case", ["hood", 5, 21, 26, "evaluate", "random"])
+def test_coord_table_rows_match_exact_functions(case):
+    grid = row_fill_grid(case)
+    n = len(grid)
+    table = CoordTable(grid)
+    samples = table.samples
+    assert samples == tuple(s for i in range(n) for s in table.row_samples[i])
+    for i in range(n):
+        row = tuple((i, j) for j in range(n)
+                    if strip_location(StripPoint(grid[i], grid[j])) != "outside")
+        assert table.row_samples[i] == row
+    # rows filled after lazy reads, as period_samples meets them, agree
+    lazy = CoordTable(grid)
+    for key in [(i, j) for i in range(0, n, 3) for j in range(0, n, 2)]:
+        assert lazy.location[key] == strip_location(lazy.point(key))
+    assert lazy.samples == samples
+    ends = set()
+    for i in range(n):
+        for j in range(n):
+            key = (i, j)
+            loc = strip_location(table.point(key))
+            assert table.location[key] == loc
+            assert lazy.location[key] == loc
+            if loc == "interior":
+                assert table.tile[key] == tile_index(table.point(key))
+            else:
+                with pytest.raises(ValueError, match="tile index undefined"):
+                    table.tile[key]
+        row = table.row_samples[i]
+        ends.update(table.location[s] for s in row[:1] + row[-1:])
+    # both branches of the row fill ran: an end on the boundary, and one
+    # whose bound is not a grid line
+    assert ends == {"boundary", "interior"}
+    assert {table.location[(i, j)] for i in range(n) for j in range(n)} == {
+        "interior", "boundary", "outside"}
