@@ -263,8 +263,9 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     (default: the sup norm of g - f) and verify both triangle identities
     against the internal superlinear-shift maps at every sample of one
     period.  An identity whose two sides are empty matrices holds and is
-    skipped; the transformations themselves, and with them their gluing
-    checks, are built at every sample."""
+    skipped.  A transformation is built wherever its target is nonzero:
+    into a zero space it is the empty matrix, returned before its gluing
+    checks, so they all run where they did at every sample."""
     a = distance_pair(k, f, g)
     delta = sup_norm(k, f, g) if delta is None else Fraction(delta)
     if not a.precedes(ShiftVector(-delta, delta)):
@@ -295,11 +296,13 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
         mid = omega(idx)
         far = omega2(idx)
         for t_idx, t_mid, ev, func, first, second in triangles:
-            # both transformations are built at every sample, so each
-            # gluing check runs where it did when every identity was
-            # tested; an identity between empty matrices holds
-            t_idx.at(idx)
-            t_mid.at(mid)
+            # a transformation is built wherever its target is nonzero,
+            # which covers every key where its gluing checks run; an
+            # identity between empty matrices holds
+            if _dim(t_idx.ev_f, idx):
+                t_idx.at(idx)
+            if _dim(t_mid.ev_f, mid):
+                t_mid.at(mid)
             if _dim(ev, idx) and _dim(ev, far):
                 lhs = first(idx) @ second(mid)
                 rhs = internal_map(ev, idx, far)
@@ -321,8 +324,9 @@ def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
     """The transformation of the outer pair, corrected by the internal map
     from the summed shift to the outer distance, must equal the composite
     of the two inner transformations at every sample (trivially so where
-    both sides are empty matrices; the transformations are built there
-    too)."""
+    both sides are empty matrices).  Each transformation is built wherever
+    its target is nonzero, so its gluing checks run at every sample where
+    they can."""
     f1, f2, f3 = funcs
     a = distance_pair(k, f1, f2)
     b = distance_pair(k, f2, f3)
@@ -338,11 +342,13 @@ def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
     shift_a, shift_c, shift_ab = (ctx.table.shift(s) for s in (a, c, ab))
     ev1, ev3 = ctx.evaluator(f1), ctx.evaluator(f3)
     for idx in period_samples(ctx.table):
-        m12, m23, m13 = t12.at(idx), t23.at(shift_a(idx)), t13.at(idx)
+        for t, key in ((t12, idx), (t23, shift_a(idx)), (t13, idx)):
+            if _dim(t.ev_f, key):
+                t.at(key)  # its gluing checks run where they can
         if not (_dim(ev1, idx) and _dim(ev3, shift_ab(idx))):
             continue  # both sides are empty matrices
-        lhs = m12 @ m23
-        rhs = m13 @ internal_map(ev3, shift_c(idx), shift_ab(idx))
+        lhs = t12.at(idx) @ t23.at(shift_a(idx))
+        rhs = t13.at(idx) @ internal_map(ev3, shift_c(idx), shift_ab(idx))
         if lhs != rhs:
             return (idx, lhs, rhs)
     return None
@@ -460,8 +466,10 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
     the stability transformations: the square of the induced morphisms, the
     domain transformation corrected by the internal map from the smaller
     domain distance, and the codomain transformation must commute at every
-    sample (trivially so where both sides are empty matrices; the
-    transformations and pullbacks are built there too)."""
+    sample (trivially so where both sides are empty matrices).  Each
+    transformation and pullback is built wherever its target is nonzero,
+    so its gluing checks or its express run at every sample where they
+    can."""
     a = distance_pair(ky, f, g)
     b = distance_pair(kx, f, g)
     ctx_y, ctx_x, phi_split = _pullback_contexts(
@@ -473,14 +481,18 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
     pull_f = CochainPullback(ctx_y.evaluator(f), ctx_x.evaluator(f), phi_split)
     pull_g = CochainPullback(ctx_y.evaluator(g), ctx_x.evaluator(g), phi_split)
     shift_a, shift_b = ctx_y.table.shift(a), ctx_y.table.shift(b)
+    ex_f, ex_g = ctx_x.evaluator(f), ctx_x.evaluator(g)
     for idx in period_samples(ctx_y.table):
-        mx, mg = t_x.at(idx), pull_g.at(shift_a(idx))
-        mf, my = pull_f.at(idx), t_y.at(idx)
-        if not (_dim(ctx_x.evaluator(f), idx)
-                and _dim(ctx_y.evaluator(g), shift_a(idx))):
+        # (map, its target evaluator, key)
+        for t, ev, key in ((t_x, ex_f, idx), (pull_g, ex_g, shift_a(idx)),
+                           (pull_f, ex_f, idx), (t_y, ctx_y.evaluator(f), idx)):
+            if _dim(ev, key):
+                t.at(key)  # its gluing checks or express run where they can
+        if not (_dim(ex_f, idx) and _dim(ctx_y.evaluator(g), shift_a(idx))):
             continue  # both sides are empty matrices
-        lhs = mx @ internal_map(ctx_x.evaluator(g), shift_b(idx), shift_a(idx)) @ mg
-        rhs = mf @ my
+        lhs = (t_x.at(idx) @ internal_map(ex_g, shift_b(idx), shift_a(idx))
+               @ pull_g.at(shift_a(idx)))
+        rhs = pull_f.at(idx) @ t_y.at(idx)
         if lhs != rhs:
             return (idx, lhs, rhs)
     return None

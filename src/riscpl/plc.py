@@ -158,11 +158,16 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
 
     Equivalent to repeated split_at_level calls, but crossing edges are
     bucketed by level up front and cofaces found through a vertex-star
-    index, so no full rescan per level is needed.  If a trace list is
-    given, each created vertex is appended as (id, endpoint_a, endpoint_b,
-    level) in creation order.  Raises ValueError when a created vertex's
-    id is already taken: by a user id of the form lo~hi@level, or by the
-    split of another edge whose end ids print alike, such as 1 and "1"."""
+    index, so no full rescan per level is needed.  Each vertex's value is
+    located among the levels once per function by two bisections, and an
+    edge is bucketed by comparing those integer positions.  Every new edge
+    ends at a created vertex, which lies between the ends of the split
+    edge, so it crosses no level that the loop has passed.  If a trace
+    list is given, each created vertex is appended as (id, endpoint_a,
+    endpoint_b, level) in creation order.  Raises ValueError when a created
+    vertex's id is already taken: by a user id of the form lo~hi@level, or
+    by the split of another edge whose end ids print alike, such as 1 and
+    "1"."""
     funcs = list(range(k.nfuncs)) if funcs is None else list(funcs)
     levels = sorted({Fraction(x) for x in levels})
     if not levels or not funcs or not k.simplices:
@@ -175,23 +180,25 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
         for v in sim:
             star.setdefault(v, set()).add(sim)
 
+    def level_pos(val: Fraction) -> Tuple[int, int]:
+        return bisect.bisect_left(levels, val), bisect.bisect_right(levels, val)
+
+    # per vertex and listed function, the levels below its value are
+    # levels[:lo] and those at or below it levels[:hi]
+    pos = {v: [level_pos(xs[func]) for func in funcs] for v, xs in values.items()}
     buckets: Dict[Tuple[int, int], set] = {}
 
-    def bucket_edge(e: Simplex, pos: Optional[Tuple[int, int]]):
+    def bucket_edge(e: Simplex):
+        # the levels strictly between the two values: from hi of the lower
+        # end up to lo of the higher one, none when the values are equal
         a, b = e
-        for fi, func in enumerate(funcs):
-            lo, hi = sorted((values[a][func], values[b][func]))
-            if lo == hi:
-                continue
-            i = bisect.bisect_right(levels, lo)
-            while i < len(levels) and levels[i] < hi:
-                if pos is None or (i, fi) > pos:
-                    buckets.setdefault((i, fi), set()).add(e)
-                i += 1
+        for fi, ((lo_a, hi_a), (lo_b, hi_b)) in enumerate(zip(pos[a], pos[b])):
+            for i in range(min(hi_a, hi_b), max(lo_a, lo_b)):
+                buckets.setdefault((i, fi), set()).add(e)
 
     for e in simplices:
         if len(e) == 2:
-            bucket_edge(e, None)
+            bucket_edge(e)
 
     for li, s in enumerate(levels):
         for fi, func in enumerate(funcs):
@@ -209,6 +216,9 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
                 values[x] = tuple(
                     va + t * (vb - va) for va, vb in zip(values[a], values[b])
                 )
+                # x lies on level li of the function split here
+                pos[x] = [(li, li + 1) if gi == fi else level_pos(values[x][g])
+                          for gi, g in enumerate(funcs)]
                 new_edges = []
                 for sim in star[a] & star[b]:
                     for v in sim:
@@ -227,7 +237,7 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
                         if len(piece) == 2:
                             new_edges.append(piece)
                 for e2 in new_edges:
-                    bucket_edge(e2, (li, fi))
+                    bucket_edge(e2)
             if cap is not None and len(simplices) > cap:
                 raise ValueError(
                     f"split complex exceeds the simplex cap ({len(simplices)} > {cap})"

@@ -12,9 +12,10 @@ and the rank, kernel, independence test and solve built on it.
 
 The proof devices the tests use as oracles live here too: block sums
 (`from_blocks`), the colexicographic filtration with its structural
-identities, and the fiberwise count of the levelset barcode.  So does the
+identities, and the fiberwise count of the levelset barcode.  So do the
 interleaving check that tests both triangle identities at every sample of
-a period, empty or not.
+a period, empty or not, and the composition and precomposition checks that
+build every transformation and pullback at every sample of a period.
 
 `evaluated` shares one evaluation per input among the tests that neither
 time nor change it.
@@ -42,7 +43,10 @@ from riscpl.exact_geometry import (
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import (
+    CochainPullback,
     Transformation,
+    _dim,
+    _pullback_contexts,
     distance_pair,
     period_samples,
     sup_norm,
@@ -658,3 +662,62 @@ def interleaving_check_reference(k: PLComplex, f: int = 0, g: int = 1, delta=Non
     if witness is not None:
         out["witness"] = witness
     return out
+
+
+def composition_check_reference(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
+                                p: int = 2, cap: int = DEFAULT_CAP) -> Optional[tuple]:
+    """The composition check that builds all three transformations at every
+    sample of a period, including the keys where their target is zero."""
+    f1, f2, f3 = funcs
+    a = distance_pair(k, f1, f2)
+    b = distance_pair(k, f2, f3)
+    c = distance_pair(k, f1, f3)
+    ab = a + b
+    if not c.precedes(ab):
+        raise AssertionError("distance triangle inequality violated")
+    shifts = [a.a1, a.a2, b.a1, b.a2, c.a1, c.a2, ab.a1, ab.a2]
+    ctx = joint_context(k, [f1, f2, f3], shifts, p, cap)
+    t12 = Transformation(ctx.evaluator(f1), ctx.evaluator(f2), a)
+    t23 = Transformation(ctx.evaluator(f2), ctx.evaluator(f3), b)
+    t13 = Transformation(ctx.evaluator(f1), ctx.evaluator(f3), c)
+    shift_a, shift_c, shift_ab = (ctx.table.shift(s) for s in (a, c, ab))
+    ev1, ev3 = ctx.evaluator(f1), ctx.evaluator(f3)
+    for idx in period_samples(ctx.table):
+        m12, m23, m13 = t12.at(idx), t23.at(shift_a(idx)), t13.at(idx)
+        if not (_dim(ev1, idx) and _dim(ev3, shift_ab(idx))):
+            continue  # both sides are empty matrices
+        lhs = m12 @ m23
+        rhs = m13 @ internal_map(ev3, shift_c(idx), shift_ab(idx))
+        if lhs != rhs:
+            return (idx, lhs, rhs)
+    return None
+
+
+def precomposition_check_reference(ky: PLComplex, kx: PLComplex, phi,
+                                   f: int = 0, g: int = 1, p: int = 2,
+                                   cap: int = DEFAULT_CAP) -> Optional[tuple]:
+    """The precomposition check that builds both transformations and both
+    pullbacks at every sample of a period, including the keys where their
+    target is zero."""
+    a = distance_pair(ky, f, g)
+    b = distance_pair(kx, f, g)
+    ctx_y, ctx_x, phi_split = _pullback_contexts(
+        ky, kx, phi, [f, g], [a.a1, a.a2, b.a1, b.a2], p, cap)
+    if not b.precedes(a):
+        raise AssertionError("pulled-back distance is not dominated")
+    t_y = Transformation(ctx_y.evaluator(f), ctx_y.evaluator(g), a)
+    t_x = Transformation(ctx_x.evaluator(f), ctx_x.evaluator(g), b)
+    pull_f = CochainPullback(ctx_y.evaluator(f), ctx_x.evaluator(f), phi_split)
+    pull_g = CochainPullback(ctx_y.evaluator(g), ctx_x.evaluator(g), phi_split)
+    shift_a, shift_b = ctx_y.table.shift(a), ctx_y.table.shift(b)
+    for idx in period_samples(ctx_y.table):
+        mx, mg = t_x.at(idx), pull_g.at(shift_a(idx))
+        mf, my = pull_f.at(idx), t_y.at(idx)
+        if not (_dim(ctx_x.evaluator(f), idx)
+                and _dim(ctx_y.evaluator(g), shift_a(idx))):
+            continue  # both sides are empty matrices
+        lhs = mx @ internal_map(ctx_x.evaluator(g), shift_b(idx), shift_a(idx)) @ mg
+        rhs = mf @ my
+        if lhs != rhs:
+            return (idx, lhs, rhs)
+    return None

@@ -1,16 +1,22 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from riscpl import interleave
 from riscpl.exact_geometry import (
     Coord,
     ShiftVector,
     StripPoint,
     alpha_apply,
+    classify_region,
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import (
+    CochainPullback,
     Transformation,
     build_transformation,
     composition_check,
@@ -23,16 +29,20 @@ from riscpl.interleave import (
     precomposition_check,
     sup_norm,
 )
-from riscpl.plc import PLComplex
+from riscpl.plc import PLComplex, Subcomplex
 from riscpl.risc_builder import FunctorEvaluator, evaluate
+from riscpl.strip_module import dgm
 
 from geometry_reference import block_contains
+from oracle_ext_persistence import extended_persistence
 from reference import (
+    composition_check_reference,
     evaluated,
     from_blocks,
     interleaving_check_reference,
     interp_pair_reference,
     pair_at_reference,
+    precomposition_check_reference,
     shifted_module,
 )
 from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
@@ -311,26 +321,52 @@ def test_interleaving_rejects_too_small_delta():
         interleaving_check(hood_stability_pair(), delta=F(1, 2))
 
 
-def matches_reference(k, monkeypatch) -> dict:
+def built_points(check, *args, **kwargs) -> tuple:
+    """The result of check(*args, **kwargs) and the points, in order, where
+    a transformation or a pullback first built a matrix with rows and
+    columns, each with the creation number of its transformation or
+    pullback.  Only at these points do the gluing checks and express run.
+    Points, not keys: a coordinate off the grid gets its id when first
+    met, so the ids depend on the order of the lookups."""
+    made = itertools.count()
+    points = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in ((Transformation, "_compute"), (CochainPullback, "at")):
+            init, build = cls.__init__, getattr(cls, name)
+
+            def numbered(self, *a, _init=init):
+                _init(self, *a)
+                self.made = next(made)
+
+            def recording(self, key, _build=build):
+                out = _build(self, key)
+                if out.rows and out.cols:
+                    table = (self.ev_f if isinstance(self, Transformation) else self.ev_x).table
+                    points.setdefault((self.made, table.point(key)), None)
+                return out
+
+            mp.setattr(cls, "__init__", numbered)
+            mp.setattr(cls, name, recording)
+        result = check(*args, **kwargs)
+    return result, list(points)
+
+
+def matches_reference(k) -> dict:
     """The report of interleaving_check on k, asserted equal to that of the
-    reference, which tests every identity at every sample where the check
-    skips those between empty matrices.  Both build the transformation
-    matrices, and so run their gluing checks, at the same keys."""
-    computed = []
-    compute = Transformation._compute
+    reference, which builds both transformations and tests every identity
+    at every sample where the check builds a transformation only where its
+    target is nonzero and skips the identities between empty matrices.
+    Both build the nonempty transformation matrices, where the gluing
+    checks run, at the same points in the same order."""
+    return matches(interleaving_check, interleaving_check_reference, k)
 
-    def recording(self, key):
-        computed.append((self.ev_f.func, self.ev_g.func, self.a, key))
-        return compute(self, key)
 
-    monkeypatch.setattr(Transformation, "_compute", recording)
-    report = interleaving_check(k)
-    keys = set(computed)
-    computed.clear()
-    assert report == interleaving_check_reference(k)
-    assert set(computed) == keys
-    monkeypatch.setattr(Transformation, "_compute", compute)
-    return report
+def matches(check, reference, *args):
+    """The result of check(*args), asserted equal to the reference's, with
+    the same nonempty points in the same order, and some such point."""
+    result, points = built_points(check, *args)
+    assert points and (result, points) == built_points(reference, *args)
+    return result
 
 
 def interleave_pairs():
@@ -344,16 +380,16 @@ def interleave_pairs():
 PAIR_WITNESSES = [(63, 37), (63, 39), (46, 31), (63, 37)]
 
 
-def test_hood_interleaving(monkeypatch):
-    report = matches_reference(hood_stability_pair(), monkeypatch)
+def test_hood_interleaving():
+    report = matches_reference(hood_stability_pair())
     assert report["ok"] and report["delta"] == 1
     assert report["witness"] == PAIR_WITNESSES[0]
 
 
-def test_interleaving_random_pairs(monkeypatch):
+def test_interleaving_random_pairs():
     rng = random.Random(17)
     for witness in PAIR_WITNESSES[1:]:
-        report = matches_reference(random_pair(rng), monkeypatch)
+        report = matches_reference(random_pair(rng))
         assert report["ok"] and report["witness"] == witness
 
 
@@ -384,6 +420,68 @@ def test_interleaving_counterexample_matches_reference(monkeypatch, pair, func, 
     assert report == interleaving_check_reference(k)
 
 
+def test_gluing_check_fires_where_the_reference_fires():
+    # At the hood pair's witness both ends of the forward transformation
+    # are nonzero and the shift stays in the band, so the transformation
+    # compares the open-model pairs there.  Emptying the shifted g pair it
+    # compares takes the f pair out of it; both checks must raise.  No
+    # interleave pair reaches the connecting branch.
+    sample = PAIR_WITNESSES[0]
+    compute = Transformation._compute.__code__
+    pair_at = FunctorEvaluator.pair_at
+    empty = Subcomplex(np.array([], dtype=np.intp))
+
+    def broken(self, w):
+        caller = sys._getframe(1)
+        trans = caller.f_locals.get("self")
+        if (caller.f_code is compute and caller.f_locals["key"] == sample
+                and trans.ev_f.func == 0 and self is trans.ev_g):
+            return empty, empty
+        return pair_at(self, w)
+
+    raised = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FunctorEvaluator, "pair_at", broken)
+        for check in (interleaving_check, interleaving_check_reference):
+            with pytest.raises(ValueError, match="pair inclusion fails") as err:
+                check(hood_stability_pair())
+            raised.append(str(err.value))
+    assert raised[0] == raised[1]
+
+
+def interleave_context(k):
+    """The joint context that interleaving_check evaluates k on."""
+
+    class Stop(Exception):
+        pass
+
+    built = []
+
+    def stop(*args, **kwargs):
+        built.append(joint_context(*args, **kwargs))
+        raise Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interleave, "joint_context", stop)
+        with pytest.raises(Stop):
+            interleaving_check(k)
+    return built[0]
+
+
+def test_interleave_modules_are_extended_persistence():
+    # The interleaving works on modules of a finer joint split, over a grid
+    # with the shifted values; their diagrams, classified, are still the
+    # classical extended persistence diagrams of each function.
+    for k in interleave_pairs():
+        ctx = interleave_context(k)
+        for func in (0, 1):
+            got = []
+            for d in dgm(context_module(ctx, func)).points:
+                got.extend([classify_region(d.point)] * d.multiplicity)
+            values = {v: k.value(v, func) for v in k.values}
+            assert sorted(got, key=repr) == extended_persistence(k.simplices, values)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_interleaving_over_odd_primes(p):
     # connecting-map signs are invisible over GF(2)
@@ -409,13 +507,14 @@ def test_composition_hood_triple():
         HOOD_SIMPLICES,
         nfuncs=3,
     )
-    assert composition_check(k) is None
+    assert matches(composition_check, composition_check_reference, k) is None
 
 
 def test_composition_random_triples():
     rng = random.Random(29)
     for _ in range(2):
-        assert composition_check(random_triple(rng)) is None
+        k = random_triple(rng)
+        assert matches(composition_check, composition_check_reference, k) is None
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +642,13 @@ def test_induced_morphisms_compose_contravariantly():
 # compatibility with precomposition
 
 
+def precomposition_matches_reference(ky, kx, phi):
+    return matches(precomposition_check, precomposition_check_reference, ky, kx, phi)
+
+
 def test_precomposition_identity_map():
     k = hood_pair()
-    assert precomposition_check(k, k, {v: v for v in HOOD_F}) is None
+    assert precomposition_matches_reference(k, k, {v: v for v in HOOD_F}) is None
 
 
 def test_precomposition_hood_subcomplex():
@@ -554,7 +657,7 @@ def test_precomposition_hood_subcomplex():
     verts = sorted({v for s in subs for v in s})
     sub = complex_of({v: (HOOD_F[v], HOOD_GPRIME[v]) for v in verts},
                      subs, nfuncs=2)
-    assert precomposition_check(k, sub, {v: v for v in verts}) is None
+    assert precomposition_matches_reference(k, sub, {v: v for v in verts}) is None
 
 
 def test_precomposition_random_subcomplex_inclusions():
@@ -569,5 +672,5 @@ def test_precomposition_random_subcomplex_inclusions():
             continue
         sub = complex_of({v: k.values[v] for v in verts},
                          [set(s) for s in subs], nfuncs=2)
-        assert precomposition_check(k, sub, {v: v for v in verts}) is None
+        assert precomposition_matches_reference(k, sub, {v: v for v in verts}) is None
         done += 1

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -6,8 +8,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from riscpl import risc_builder
+from riscpl.cli import gen_complex, load_complex
 from riscpl.exact_geometry import INF, NEG_INF, RealOpenSet
 from riscpl.field_linalg import Mat, Reduction, rank
+from riscpl.interleave import interleaving_check
 from riscpl.plc import (
     Coboundary,
     CohomBasis,
@@ -136,6 +141,95 @@ def test_split_cap():
     k = circle()
     with pytest.raises(ValueError):
         split_all(k, [F(1, 2), F(3, 2)], cap=4)
+
+
+def split_fold(k, levels, funcs):
+    """split_at_level at every (level, function) in increasing order, and
+    the simplex count after each step."""
+    sizes = []
+    for s in sorted({F(x) for x in levels}):
+        for func in funcs:
+            k = split_at_level(k, s, func)
+            sizes.append(len(k.simplices))
+    return k, sizes
+
+
+def interleave_levels(k):
+    """The levels and functions that interleaving_check splits k at."""
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def stop(k, levels, funcs=None, **kwargs):
+        seen.append((list(levels), list(funcs)))
+        raise Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(risc_builder, "split_all", stop)
+        with pytest.raises(Stop):
+            interleaving_check(k)
+    return seen[0]
+
+
+def random_multi_complex(rng, nfuncs):
+    """Integer values of nfuncs functions and split levels at half
+    integers, so that a split often lands on another function's level."""
+    nverts = rng.randint(4, 7)
+    values = {v: tuple(F(rng.randint(-2, 2)) for _ in range(nfuncs))
+              for v in range(nverts)}
+    maximal = [rng.sample(range(nverts), rng.randint(2, 3))
+               for _ in range(rng.randint(3, 6))]
+    levels = rng.sample([F(i, 2) for i in range(-5, 6)], rng.randint(3, 8))
+    return PLComplex.from_maximal(values, maximal, nfuncs), levels
+
+
+def test_split_all_equals_the_one_level_fold():
+    from test_interleave import hood_stability_pair
+
+    rng = random.Random(23)
+    cases = [(hood_stability_pair(), *interleave_levels(hood_stability_pair()))]
+    for nfuncs in (1, 2, 3, 1, 2, 3, 1, 2, 3):
+        k, levels = random_multi_complex(rng, nfuncs)
+        cases.append((k, levels, list(range(nfuncs))))
+    # how often each case of the level positions is met
+    seen = {"on a level": 0, "between levels": 0, "equal ends": 0,
+            "created on another level": 0}
+    for k, levels, funcs in cases:
+        trace = []
+        ks = split_all(k, levels, funcs, trace=trace)
+        kf, sizes = split_fold(k, levels, funcs)
+        assert ks.values == kf.values
+        assert ks.simplices == kf.simplices
+        assert [x for x, *_ in trace] == list(kf.values)[len(k.values):]
+        on = {F(x) for x in levels}
+        for v in k.values:
+            for func in funcs:
+                seen["on a level" if k.value(v, func) in on else "between levels"] += 1
+        seen["equal ends"] += sum(
+            1 for e in ks.simplices if len(e) == 2 for func in funcs
+            if len({ks.value(v, func) for v in e}) == 1)
+        seen["created on another level"] += sum(
+            1 for x, *_ in trace if sum(ks.value(x, func) in on for func in funcs) > 1)
+        # the cap is tested after each step, as the fold's counts are
+        for step in (len(sizes) // 4, len(sizes) // 2, 3 * len(sizes) // 4):
+            cap = sizes[step] - 1
+            first = next(size for size in sizes if size > cap)
+            with pytest.raises(ValueError, match=re.escape(f"({first} > {cap})")):
+                split_all(k, levels, funcs, cap=cap)
+    assert all(seen.values()), seen
+
+
+def test_split_cap_on_a_random_pair(tmp_path):
+    # the split of the interleaving of `gen --preset random --funcs 2
+    # --seed 6` stops at the step where it first exceeds the default cap
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(gen_complex("random", 6, 2)))
+    k, _ = load_complex(str(path))
+    levels, funcs = interleave_levels(k)
+    with pytest.raises(ValueError, match=re.escape("(20807 > 20000)")):
+        split_all(k, levels, funcs, cap=risc_builder.DEFAULT_CAP)
 
 
 # ---------------------------------------------------------------------------
