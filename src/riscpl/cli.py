@@ -61,20 +61,16 @@ def parse_rational(x) -> Fraction:
     raise ValueError(f"values must be integers or 'p/q' strings, got {x!r}")
 
 
-def rational_str(v) -> str:
-    return str(v)
-
-
 def endpoint_json(v):
     if v is INF:
         return "inf"
     if v is NEG_INF:
         return "-inf"
-    return rational_str(v)
+    return str(v)
 
 
 def coord_json(c: Coord) -> dict:
-    return {"k": c.k, "v": "inf" if c.v is INF else rational_str(c.v)}
+    return {"k": c.k, "v": "inf" if c.v is INF else str(c.v)}
 
 
 def coord_parse(d: dict) -> Coord:
@@ -146,7 +142,7 @@ def complex_json(values: Dict, simplices: List[List], field: int = 2) -> dict:
     for vid in sorted(values):
         val = values[vid]
         val = list(val) if isinstance(val, (tuple, list)) else [val]
-        out = [rational_str(Fraction(x)) for x in val]
+        out = [str(Fraction(x)) for x in val]
         verts.append({"id": vid, "value": out if len(out) > 1 else out[0]})
     return {
         "field": field,
@@ -157,7 +153,7 @@ def complex_json(values: Dict, simplices: List[List], field: int = 2) -> dict:
 
 def diagram_json(r, field: int) -> dict:
     points = []
-    for d in sorted(r.diagram.points, key=lambda d: (d.point.x, d.point.y)):
+    for d in r.diagram.points:
         deg, interval = d.interval
         levelset = None
         if interval is not None:
@@ -180,24 +176,28 @@ def diagram_json(r, field: int) -> dict:
     return {"field": field, "points": points}
 
 
-def diagram_csv(doc: dict) -> str:
+def csv_text(rows) -> str:
     out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def diagram_csv(doc: dict) -> str:
+    rows = [[
         "degree", "region", "pair_lo", "pair_hi",
         "ls_lo", "ls_lo_closed", "ls_hi", "ls_hi_closed",
         "multiplicity", "x_k", "x_v", "y_k", "y_v",
-    ])
+    ]]
     for pt in doc["points"]:
         ls = pt["levelset"] or {}
-        w.writerow([
+        rows.append([
             pt["degree"], pt["region"], pt["pair"][0], pt["pair"][1],
             ls.get("lo", ""), ls.get("lo_closed", ""),
             ls.get("hi", ""), ls.get("hi_closed", ""),
             pt["multiplicity"],
             pt["x"]["k"], pt["x"]["v"], pt["y"]["k"], pt["y"]["v"],
         ])
-    return out.getvalue()
+    return csv_text(rows)
 
 
 def barcode_json(r, field: int) -> dict:
@@ -215,13 +215,8 @@ def barcode_json(r, field: int) -> dict:
 
 
 def barcode_csv(doc: dict) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["degree", "lo", "lo_closed", "hi", "hi_closed", "multiplicity"])
-    for b in doc["bars"]:
-        w.writerow([b["degree"], b["lo"], b["lo_closed"],
-                    b["hi"], b["hi_closed"], b["multiplicity"]])
-    return out.getvalue()
+    cols = ("degree", "lo", "lo_closed", "hi", "hi_closed", "multiplicity")
+    return csv_text([cols] + [[b[c] for c in cols] for b in doc["bars"]])
 
 
 def module_json(m: GridModule, field: int) -> dict:
@@ -310,27 +305,16 @@ def emit_json(doc: dict, out: Optional[str]):
 # commands
 
 
-def cmd_dgm(args) -> int:
+def cmd_evaluate(args) -> int:
+    """dgm and barcode: write the command's document as JSON or CSV."""
     k, field = load_complex(args.input)
     p = field_of(args, field)
     r = evaluate(k, func=args.func, p=p, cap=args.cap)
     if args.dump_module:
         emit_json(module_json(r.module, p), args.dump_module)
-    doc = diagram_json(r, p)
+    doc = args.to_json(r, p)
     if args.format == "csv":
-        emit(diagram_csv(doc), args.out)
-    else:
-        emit_json(doc, args.out)
-    return 0
-
-
-def cmd_barcode(args) -> int:
-    k, field = load_complex(args.input)
-    p = field_of(args, field)
-    r = evaluate(k, func=args.func, p=p, cap=args.cap)
-    doc = barcode_json(r, p)
-    if args.format == "csv":
-        emit(barcode_csv(doc), args.out)
+        emit(args.to_csv(doc), args.out)
     else:
         emit_json(doc, args.out)
     return 0
@@ -377,7 +361,7 @@ def cmd_interleave(args) -> int:
     delta = None if args.delta == "auto" else parse_rational(args.delta)
     result = interleaving_check(k, args.f, args.g, delta,
                                 p=field_of(args, field), cap=args.cap)
-    doc = {"delta": rational_str(result["delta"]), "ok": result["ok"]}
+    doc = {"delta": str(result["delta"]), "ok": result["ok"]}
     if "witness" in result and result["witness"] is not None:
         doc["witness"] = list(result["witness"])
     if "counterexample" in result:
@@ -610,11 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--dump-module", default=None,
                    help="also write the full grid module to this path")
-    p.set_defaults(func_cmd=cmd_dgm)
+    p.set_defaults(func_cmd=cmd_evaluate, to_json=diagram_json, to_csv=diagram_csv)
 
     p = sub.add_parser("barcode", help="compute the levelset barcode")
     add_common(p)
-    p.set_defaults(func_cmd=cmd_barcode)
+    p.set_defaults(func_cmd=cmd_evaluate, to_json=barcode_json, to_csv=barcode_csv,
+                   dump_module=None)
 
     p = sub.add_parser("check", help="run invariant suites")
     add_common(p, with_format=False)

@@ -8,10 +8,10 @@ decided by the tile indices of the point and of its shift, the rule
 reflection): in the same band the map is induced by an inclusion of open
 model pairs, and one band back it is the Mayer-Vietoris connecting
 differential of an interpolating pair of open sets on the rectangle between
-the point and its glide-reflection preimage.  Both kinds are read from and
-cached by the target function's evaluator.  On top of this sit the
-interleaving and composition checkers, and the contravariant morphisms
-induced by simplicial maps over the reals.
+the point and its glide-reflection preimage.  Both kinds come from the
+target function's evaluator, which caches the induced maps.  On top of
+this sit the interleaving and composition checkers, and the contravariant
+morphisms induced by simplicial maps over the reals.
 
 All of this runs on contexts built by `risc_builder.joint_context`, the
 one builder of grids, split complexes and evaluators.  The evaluators of a
@@ -113,9 +113,9 @@ class Transformation:
     pair, between the two bases `point_data` returns.  Where the shift lies
     one tile back, the matrix is the connecting differential of the
     interpolating pair on the rectangle spanned by the band representative
-    and its glide-reflection preimage.  The f evaluator caches both kinds
-    of map (`inclusion`, `connecting_pairs`); this object caches only the
-    matrix of each sample."""
+    and its glide-reflection preimage.  The f evaluator builds both kinds
+    of map (`inclusion`, `connecting`) and caches the induced ones; this
+    object caches the matrix of each sample."""
 
     def __init__(self, ev_f: FunctorEvaluator, ev_g: FunctorEvaluator,
                  a: ShiftVector):
@@ -184,8 +184,7 @@ class Transformation:
                 "interpolating pair differs from the shifted g pair at the "
                 "reflected corner; construction regions do not glue here"
             )
-        return self.ev_f.connecting_pairs(self.ev_g, xi_w, xi_1, xi_2, xi_m,
-                                          n - 1)
+        return self.ev_f.connecting(self.ev_g, xi_w, xi_1, xi_2, xi_m, n - 1)
 
 
 @dataclass
@@ -235,11 +234,12 @@ def build_transformation(ctx: JointContext, f: int = 0, g: int = 1,
 
 
 def period_samples(table: CoordTable):
-    """Samples in one x-translate period of the table's grid.  The evaluated
-    functors are strictly periodic under the square of the glide
-    reflection, which shifts the x translate index by two, so the samples
-    with x translate -1 or 0 meet every periodicity orbit and per-sample
-    identities checked there hold at every sample."""
+    """Samples in one x-translate period of the table's grid, the rows with
+    x translate -1 or 0.  Each of them with a nonzero value lies in tile 0:
+    in tile 1 or above y <= x - 2pi, and with x <= pi/2 then x + y <= -pi.
+    So identities checked here are checked in degree 0 only.  The square of
+    the glide reflection moves tile n to tile n - 2, degree n to degree
+    n - 2, and is no symmetry of the module."""
     return [s for i, x in enumerate(table.grid) if x.k in (-1, 0)
             for s in table.row_samples[i]]
 
@@ -262,10 +262,11 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     """Build the two interleaving transformations for the given parameter
     (default: the sup norm of g - f) and verify both triangle identities
     against the internal superlinear-shift maps at every sample of one
-    period.  An identity whose two sides are empty matrices holds and is
-    skipped.  A transformation is built wherever its target is nonzero:
-    into a zero space it is the empty matrix, returned before its gluing
-    checks, so they all run where they did at every sample."""
+    period (`period_samples`), so in degree 0 only.  An identity whose two
+    sides are empty matrices holds and is skipped.  A transformation is
+    built wherever its target is nonzero: into a zero space it is the empty
+    matrix, returned before its gluing checks, so they all run where they
+    did at every sample."""
     a = distance_pair(k, f, g)
     delta = sup_norm(k, f, g) if delta is None else Fraction(delta)
     if not a.precedes(ShiftVector(-delta, delta)):
@@ -323,10 +324,10 @@ def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
                       p: int = 2, cap: int = DEFAULT_CAP) -> Optional[tuple]:
     """The transformation of the outer pair, corrected by the internal map
     from the summed shift to the outer distance, must equal the composite
-    of the two inner transformations at every sample (trivially so where
-    both sides are empty matrices).  Each transformation is built wherever
-    its target is nonzero, so its gluing checks run at every sample where
-    they can."""
+    of the two inner transformations at every sample of one period, so in
+    degree 0 (trivially so where both sides are empty matrices).  Each
+    transformation is built wherever its target is nonzero, so its gluing
+    checks run at every sample where they can."""
     f1, f2, f3 = funcs
     a = distance_pair(k, f1, f2)
     b = distance_pair(k, f2, f3)
@@ -466,10 +467,10 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
     the stability transformations: the square of the induced morphisms, the
     domain transformation corrected by the internal map from the smaller
     domain distance, and the codomain transformation must commute at every
-    sample (trivially so where both sides are empty matrices).  Each
-    transformation and pullback is built wherever its target is nonzero,
-    so its gluing checks or its express run at every sample where they
-    can."""
+    sample of one period, so in degree 0 (trivially so where both sides are
+    empty matrices).  Each transformation and pullback is built wherever
+    its target is nonzero, so its gluing checks or its express run at
+    every sample where they can."""
     a = distance_pair(ky, f, g)
     b = distance_pair(kx, f, g)
     ctx_y, ctx_x, phi_split = _pullback_contexts(

@@ -85,14 +85,13 @@ class PLComplex:
     nfuncs: int = 1
 
     @staticmethod
-    def from_maximal(values: Dict[Vid, Sequence], maximal: Iterable[Iterable[Vid]],
-                     nfuncs: Optional[int] = None) -> "PLComplex":
+    def from_maximal(values: Dict[Vid, Sequence],
+                     maximal: Iterable[Iterable[Vid]]) -> "PLComplex":
         vals = {}
         for v, x in values.items():
             xs = tuple(Fraction(xi) for xi in (x if isinstance(x, (tuple, list)) else (x,)))
             vals[v] = xs
-        if nfuncs is None:
-            nfuncs = len(next(iter(vals.values()))) if vals else 1
+        nfuncs = len(next(iter(vals.values()))) if vals else 1
         simplices = set()
         for s in maximal:
             s = list(s)

@@ -80,22 +80,14 @@ def build_lines(critical) -> List[Coord]:
     return sorted(out)
 
 
-def shift_closure(amounts) -> List[Fraction]:
-    out = {Fraction(0)}
-    for s in amounts:
-        s = Fraction(s)
-        out.add(s)
-        out.add(-s)
-    return sorted(out)
-
-
 def joint_levels(xs: Sequence[Coord], shifts) -> List[Fraction]:
     """Split levels covering every finite grid value moved by every shift
     amount and its negative, plus midpoints of consecutive values, so that
     all open sets met during shifted evaluation have split endpoints and
     contain a split level whenever their preimage is nonempty."""
-    base = sorted({x.v for x in xs if isinstance(x.v, Fraction)})
-    vals = sorted({v + s for v in base for s in shift_closure(shifts)})
+    base = {x.v for x in xs if isinstance(x.v, Fraction)}
+    amounts = {Fraction(0)} | {sign * Fraction(s) for s in shifts for sign in (1, -1)}
+    vals = sorted({v + s for v in base for s in amounts})
     out = list(vals)
     for a, b in zip(vals, vals[1:]):
         out.append((a + b) / 2)
@@ -115,11 +107,10 @@ class FunctorEvaluator:
     so values in degrees above max_degree = dim are zero without being
     computed.
 
-    There is one cache per kind of map: induced maps by the pair of basis
-    objects, connecting maps by the triad of pairs and the degree.  The
-    stability transformation into this function's module fills the same
-    two caches, with bases of a second evaluator on the same split complex
-    as sources."""
+    Induced maps are cached by the pair of basis objects; connecting maps
+    are built on each call.  The stability transformation into this
+    function's module asks for both kinds of map, with bases of a second
+    evaluator on the same split complex as sources."""
 
     def __init__(self, split: PLComplex, table: CoordTable, func: int = 0,
                  p: int = 2):
@@ -136,7 +127,6 @@ class FunctorEvaluator:
         self._points: Dict[Key, tuple] = {}
         self._bases: Dict[tuple, CohomBasis] = {}
         self._induced: Dict[tuple, Mat] = {}
-        self._connecting: Dict[tuple, Mat] = {}
 
     def ranges(self, w: Key) -> Tuple[Tuple[int, int], Ranges]:
         """The pair of open sets rho attaches to a point, as value-rank
@@ -182,10 +172,6 @@ class FunctorEvaluator:
             self._bases[key] = out
         return out
 
-    def basis_at(self, w: Key, n: int) -> CohomBasis:
-        a, b = self.pair_at(w)
-        return self.basis(a, b, n)
-
     def inclusion(self, src: CohomBasis, dst: CohomBasis) -> Mat:
         """The map induced by an inclusion of pairs, from a cached basis to
         a cached basis of this evaluator; the two objects name the pairs
@@ -197,27 +183,12 @@ class FunctorEvaluator:
             self._induced[key] = out
         return out
 
-    def connecting(self, u: Key, w: Key, n: int) -> Mat:
-        """Mayer-Vietoris connecting map of the rectangle triad spanned by
-        u (the intersection corner) and w (the union corner) inside the
-        fundamental band."""
-        return self.connecting_pairs(
-            self, self.pair_at(w), self.pair_at((u[0], w[1])),
-            self.pair_at((w[0], u[1])), self.pair_at(u), n)
-
-    def connecting_pairs(self, source: "FunctorEvaluator", pw, p1, p2, pu,
-                         n: int) -> Mat:
-        """Connecting map H^n(pu) -> H^{n+1}(pw) of a triad of open-model
-        pairs, the degree n basis taken from the source evaluator and the
-        degree n + 1 basis from this one.  Both work on one split complex,
-        so the pairs and the degree determine the map."""
-        key = (n, pw, p1, p2, pu)
-        out = self._connecting.get(key)
-        if out is None:
-            out = mv_connecting(pw, p1, p2, pu, n, self.p, self.split.index,
-                                source.basis(*pu, n), self.basis(*pw, n + 1))
-            self._connecting[key] = out
-        return out
+    def connecting(self, source: "FunctorEvaluator", pw, p1, p2, pu, n: int) -> Mat:
+        """Mayer-Vietoris connecting map H^n(pu) -> H^{n+1}(pw) of a triad of
+        open-model pairs on this split complex, the degree n basis taken
+        from the source evaluator."""
+        return mv_connecting(pw, p1, p2, pu, n, self.p, self.split.index,
+                             source.basis(*pu, n), self.basis(*pw, n + 1))
 
 
 def point_data(ev: FunctorEvaluator,
@@ -236,7 +207,7 @@ def point_data(ev: FunctorEvaluator,
         if n < 0 or n > ev.max_degree:
             out = (0, n, None)
         else:
-            basis = ev.basis_at(table.power(n)(key), n)
+            basis = ev.basis(*ev.pair_at(table.power(n)(key)), n)
             out = (basis.dim, n, basis)
     ev._points[key] = out
     return out
@@ -245,8 +216,9 @@ def point_data(ev: FunctorEvaluator,
 def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key) -> Mat:
     """Matrix of the structure map from the value at hi to the value at lo
     for any comparable pair lo below hi.  Same tile: restriction-induced.
-    One tile apart with hi below T(lo): connecting map.  Further apart: the
-    map factors through a vanishing value, hence zero."""
+    One tile apart with hi below T(lo): connecting map of the rectangle
+    triad from u = T^n(hi) to w = T^(n+1)(lo).  Further apart: the map
+    factors through a vanishing value, hence zero."""
     table = ev.table
     if not table.precedes(lo, hi):
         raise ValueError("points are not comparable in the given order")
@@ -260,7 +232,8 @@ def internal_map(ev: FunctorEvaluator, lo: Key, hi: Key) -> Mat:
         u = table.power(n_hi)(hi)
         w = table.power(n_lo)(lo)
         if table.precedes(u, w):
-            return ev.connecting(u, w, n_hi)
+            return ev.connecting(ev, ev.pair_at(w), ev.pair_at((u[0], w[1])),
+                                 ev.pair_at((w[0], u[1])), ev.pair_at(u), n_hi)
     return Mat.zeros(d_lo, d_hi, ev.p)
 
 

@@ -214,12 +214,12 @@ def dgm_value(m: GridModule, idx: Index) -> int:
 
 
 def dgm(m: GridModule) -> Diagram:
+    """The diagram points in (x, y) order, as the samples come."""
     out = Diagram()
     for idx in m.vertex_indices():
         mu = dgm_value(m, idx)
         if mu > 0:
             out.points.append(DiagramPoint(m.table.point(idx), mu))
-    out.points.sort(key=lambda d: (d.point.x, d.point.y))
     return out
 
 

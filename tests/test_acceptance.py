@@ -86,8 +86,8 @@ def report(number, name, ok, t0):
     assert ok, line
 
 
-def complex_of(values, maximal, nfuncs=None):
-    return PLComplex.from_maximal(values, maximal, nfuncs)
+def complex_of(values, maximal):
+    return PLComplex.from_maximal(values, maximal)
 
 
 def keyed(diagram):
@@ -249,7 +249,7 @@ def test_criterion_07_composition_and_precomposition(capsys):
         if not verts:
             continue
         sub = complex_of({v: k.values[v] for v in verts},
-                         [set(s) for s in subs], nfuncs=2)
+                         [set(s) for s in subs])
         ok = ok and precomposition_check(k, sub, {v: v for v in verts}) is None
         done += 1
     with capsys.disabled():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -50,15 +51,15 @@ from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 F = Fraction
 
 
-def complex_of(values, maximal, nfuncs=None):
-    return PLComplex.from_maximal(values, maximal, nfuncs)
+def complex_of(values, maximal):
+    return PLComplex.from_maximal(values, maximal)
 
 
 def hood_pair():
     """The cone over the four-cycle carrying both the peaked function and
     its flattened variant."""
     return complex_of(
-        {v: (HOOD_F[v], HOOD_GPRIME[v]) for v in HOOD_F}, HOOD_SIMPLICES, nfuncs=2
+        {v: (HOOD_F[v], HOOD_GPRIME[v]) for v in HOOD_F}, HOOD_SIMPLICES
     )
 
 
@@ -66,7 +67,7 @@ def hood_stability_pair():
     """The peaked function against the flattened one raised by the half-gap,
     which is at sup distance 1."""
     return complex_of(
-        {v: (HOOD_F[v], HOOD_GPRIME[v] + 1) for v in HOOD_F}, HOOD_SIMPLICES, nfuncs=2
+        {v: (HOOD_F[v], HOOD_GPRIME[v] + 1) for v in HOOD_F}, HOOD_SIMPLICES
     )
 
 
@@ -83,7 +84,7 @@ def random_pair(rng):
         rng.sample(range(nverts), rng.randint(2, 3))
         for _ in range(rng.randint(3, 5))
     ]
-    return complex_of(values, maximal, nfuncs=2)
+    return complex_of(values, maximal)
 
 
 def random_triple(rng):
@@ -101,7 +102,7 @@ def random_triple(rng):
         rng.sample(range(nverts), rng.randint(2, 3))
         for _ in range(rng.randint(3, 4))
     ]
-    return complex_of(values, maximal, nfuncs=3)
+    return complex_of(values, maximal)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def random_triple(rng):
 
 def test_distance_of_function_with_itself():
     k = complex_of({v: (HOOD_F[v], HOOD_F[v]) for v in HOOD_F},
-                   HOOD_SIMPLICES, nfuncs=2)
+                   HOOD_SIMPLICES)
     assert distance_pair(k) == ShiftVector(0, 0)
     assert sup_norm(k) == 0
 
@@ -166,7 +167,7 @@ def test_hood_superlinear_shift_factors_through_flattened():
     # The raised flattened function shifted by (-1, 1) agrees with the
     # flattened function shifted by (-2, 0), maps included.
     k = complex_of({v: (HOOD_GPRIME[v] + 1, HOOD_GPRIME[v]) for v in HOOD_GPRIME},
-                   HOOD_SIMPLICES, nfuncs=2)
+                   HOOD_SIMPLICES)
     ctx = joint_context(k, [0, 1], shifts=[1, 2])
     m_raised = context_module(ctx, 0, ShiftVector(F(-1), F(1)))
     m_flat = context_module(ctx, 1, ShiftVector(F(-2), F(0)))
@@ -182,7 +183,7 @@ def test_hood_superlinear_shift_factors_through_flattened():
 
 def test_transformation_for_equal_functions_is_identity():
     k = complex_of({v: (HOOD_F[v], HOOD_F[v]) for v in HOOD_F},
-                   HOOD_SIMPLICES, nfuncs=2)
+                   HOOD_SIMPLICES)
     ctx = joint_context(k, [0, 1])
     md = build_transformation(ctx)
     assert md.shift == ShiftVector(0, 0)
@@ -252,7 +253,7 @@ def test_transformation_rejects_evaluators_over_different_split_complexes():
     subs = [s for s in HOOD_SIMPLICES if 5 not in s]
     verts = sorted({v for s in subs for v in s})
     sub = complex_of({v: (HOOD_F[v], HOOD_GPRIME[v]) for v in verts},
-                     subs, nfuncs=2)
+                     subs)
     ctx = joint_context(k, [0, 1], shifts=[2])
     ctx_sub = joint_context(sub, [0, 1], shifts=[2], table=ctx.table)
     a = distance_pair(k)
@@ -311,7 +312,7 @@ def test_pairs_outside_the_strip_raise():
 
 def test_interleaving_equal_functions_at_zero():
     k = complex_of({v: (HOOD_F[v], HOOD_F[v]) for v in HOOD_F},
-                   HOOD_SIMPLICES, nfuncs=2)
+                   HOOD_SIMPLICES)
     report = interleaving_check(k, delta=0)
     assert report["ok"] and report["delta"] == 0
 
@@ -391,6 +392,31 @@ def test_interleaving_random_pairs():
     for witness in PAIR_WITNESSES[1:]:
         report = matches_reference(random_pair(rng))
         assert report["ok"] and report["witness"] == witness
+
+
+def test_triangle_identities_hold_at_every_sample(monkeypatch):
+    # interleaving_check covers one x-translate period, where every sample
+    # with a nonzero value lies in tile 0, so it checks degree 0 only.  Over
+    # every sample of the grid the identities hold too, some of them in
+    # tile 1 with nonzero ends.
+    import reference
+
+    internal_map = reference.internal_map
+    ends = Counter()
+
+    def recording(ev, lo, hi):
+        out = internal_map(ev, lo, hi)
+        if out.rows and out.cols and hi == ev.table.shift(ShiftVector(-2, 2))(lo):
+            ends[ev.table.tile[lo]] += 1
+        return out
+
+    monkeypatch.setattr(reference, "internal_map", recording)
+    monkeypatch.setattr(reference, "period_samples", lambda table: table.samples)
+    for k, witness in list(zip(interleave_pairs(), PAIR_WITNESSES))[:2]:
+        ends.clear()
+        report = interleaving_check_reference(k)
+        assert report == {"delta": 1, "ok": True, "witness": witness}
+        assert ends[1] > 0
 
 
 @pytest.mark.parametrize("pair, func, sample",
@@ -497,7 +523,7 @@ def test_interleaving_over_odd_primes(p):
 
 def test_composition_equal_functions():
     k = complex_of({v: (HOOD_F[v],) * 3 for v in HOOD_F},
-                   HOOD_SIMPLICES, nfuncs=3)
+                   HOOD_SIMPLICES)
     assert composition_check(k) is None
 
 
@@ -505,7 +531,6 @@ def test_composition_hood_triple():
     k = complex_of(
         {v: (HOOD_F[v], HOOD_GPRIME[v], HOOD_GPRIME[v] + 1) for v in HOOD_F},
         HOOD_SIMPLICES,
-        nfuncs=3,
     )
     assert matches(composition_check, composition_check_reference, k) is None
 
@@ -543,7 +568,7 @@ def test_induced_rejects_bad_maps():
 @pytest.mark.parametrize("bad", [-1, 2, 7])
 def test_entry_points_reject_bad_function_index(bad):
     # an edge with two functions: -1 would otherwise name the second one
-    k = complex_of({1: (0, 0), 2: (1, 2)}, [{1, 2}], nfuncs=2)
+    k = complex_of({1: (0, 0), 2: (1, 2)}, [{1, 2}])
     ident = {1: 1, 2: 2}
     # the empty complex carries one function, before its early return too
     empty = complex_of({}, [])
@@ -656,7 +681,7 @@ def test_precomposition_hood_subcomplex():
     subs = [s for s in HOOD_SIMPLICES if 5 not in s]
     verts = sorted({v for s in subs for v in s})
     sub = complex_of({v: (HOOD_F[v], HOOD_GPRIME[v]) for v in verts},
-                     subs, nfuncs=2)
+                     subs)
     assert precomposition_matches_reference(k, sub, {v: v for v in verts}) is None
 
 
@@ -671,6 +696,6 @@ def test_precomposition_random_subcomplex_inclusions():
         if not verts:
             continue
         sub = complex_of({v: k.values[v] for v in verts},
-                         [set(s) for s in subs], nfuncs=2)
+                         [set(s) for s in subs])
         assert precomposition_matches_reference(k, sub, {v: v for v in verts}) is None
         done += 1

@@ -182,7 +182,7 @@ def random_multi_complex(rng, nfuncs):
     maximal = [rng.sample(range(nverts), rng.randint(2, 3))
                for _ in range(rng.randint(3, 6))]
     levels = rng.sample([F(i, 2) for i in range(-5, 6)], rng.randint(3, 8))
-    return PLComplex.from_maximal(values, maximal, nfuncs), levels
+    return PLComplex.from_maximal(values, maximal), levels
 
 
 def test_split_all_equals_the_one_level_fold():
