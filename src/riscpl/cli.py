@@ -47,6 +47,11 @@ def parse_int(x, what: str) -> int:
     return x
 
 
+# The bound on a value string's decimal exponent, checked before the number
+# is built: the 4,300 digits up to which a JSON integer decodes.
+MAX_EXPONENT = 4300
+
+
 def parse_rational(x) -> Fraction:
     """Exact rational from a JSON value: integers and 'p/q' strings only."""
     if isinstance(x, bool) or isinstance(x, float):
@@ -54,6 +59,13 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        _, e, exp = x.lower().partition("e")
+        try:
+            huge = bool(e) and abs(int(exp)) > MAX_EXPONENT
+        except ValueError:
+            huge = False  # not an exponent, which Fraction rejects below
+        if huge:
+            raise ValueError(f"the exponent of {x!r} exceeds {MAX_EXPONENT}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
@@ -103,11 +115,20 @@ def field_of(args, field: int) -> int:
     return args.field
 
 
-def load_complex(path) -> Tuple[PLComplex, int]:
-    with open(path) as fh:
-        data = json.load(fh)
+def read_object(path, what: str) -> dict:
+    """The JSON object of a file, which must not nest too deeply to decode."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except RecursionError as e:
+        raise ValueError(f"a {what} file is nested too deeply") from e
     if not isinstance(data, dict):
-        raise ValueError("a complex file must hold a JSON object")
+        raise ValueError(f"a {what} file must hold a JSON object")
+    return data
+
+
+def load_complex(path) -> Tuple[PLComplex, int]:
+    data = read_object(path, "complex")
     field = parse_field(data)
     vertices = data.get("vertices", [])
     if not isinstance(vertices, list) or not all(
@@ -151,19 +172,21 @@ def complex_json(values: Dict, simplices: List[List], field: int = 2) -> dict:
     }
 
 
+def interval_json(deg: int, interval) -> dict:
+    """A levelset bar: its degree and its two typed endpoints."""
+    return {
+        "degree": deg,
+        "lo": endpoint_json(interval.lo),
+        "lo_closed": interval.lo_closed,
+        "hi": endpoint_json(interval.hi),
+        "hi_closed": interval.hi_closed,
+    }
+
+
 def diagram_json(r, field: int) -> dict:
     points = []
     for d in r.diagram.points:
         deg, interval = d.interval
-        levelset = None
-        if interval is not None:
-            levelset = {
-                "degree": deg,
-                "lo": endpoint_json(interval.lo),
-                "lo_closed": interval.lo_closed,
-                "hi": endpoint_json(interval.hi),
-                "hi_closed": interval.hi_closed,
-            }
         points.append({
             "x": coord_json(d.point.x),
             "y": coord_json(d.point.y),
@@ -171,7 +194,7 @@ def diagram_json(r, field: int) -> dict:
             "degree": d.degree,
             "region": d.region,
             "pair": [endpoint_json(d.pair[0]), endpoint_json(d.pair[1])],
-            "levelset": levelset,
+            "levelset": None if interval is None else interval_json(deg, interval),
         })
     return {"field": field, "points": points}
 
@@ -201,16 +224,8 @@ def diagram_csv(doc: dict) -> str:
 
 
 def barcode_json(r, field: int) -> dict:
-    bars = []
-    for deg, interval, mult in barcode(r):
-        bars.append({
-            "degree": deg,
-            "lo": endpoint_json(interval.lo),
-            "lo_closed": interval.lo_closed,
-            "hi": endpoint_json(interval.hi),
-            "hi_closed": interval.hi_closed,
-            "multiplicity": mult,
-        })
+    bars = [{**interval_json(deg, interval), "multiplicity": mult}
+            for deg, interval, mult in barcode(r)]
     return {"field": field, "bars": bars}
 
 
@@ -250,10 +265,7 @@ def load_module(path) -> Tuple[GridModule, int]:
     has two dims entries and no dimension is negative, every map key is a
     covering pair given once, and every map is an integer matrix of the
     shape of its ends' dimensions."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a module file must hold a JSON object")
+    data = read_object(path, "module")
     field = parse_field(data)
     try:
         xs = tuple(coord_parse(c) for c in data["xs"])
@@ -422,10 +434,7 @@ SHADING_STEPS = 120
 def load_diagram(path) -> List[Tuple[float, float, int]]:
     """The points of a diagram file as (x, y, multiplicity), with x and y
     as floats for display."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a diagram file must hold a JSON object")
+    data = read_object(path, "diagram")
     try:
         points = data["points"]
         if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):

@@ -504,7 +504,8 @@ class CoordTable:
     row i in the strip, found by two bisections that also store their
     `location` (strip_location); off the rows, `location` is one exact call
     per point.  `tile` (tile_index) is read off an interior point's
-    coordinates, and `_le` is the order behind `precedes` and `in_block`.
+    coordinates, and `_le` is the order behind `precedes` and `in_block`;
+    `block(v)` lists the support of the block at v row by row.
     The key maps `power(n)` (t_power) and `shift(a)` (alpha_apply) act on
     each coordinate on its own, so each is a pair of per-coordinate id maps,
     filled one coordinate function call per id.  Unlike t_power and
@@ -574,6 +575,12 @@ class CoordTable:
             return False
         w = self.power(-1)(v)
         return not self._le[(w[0], s[0])] and not self._le[(s[1], w[1])]
+
+    def block(self, v: Key) -> Tuple[Key, ...]:
+        """The samples s with `in_block(v, s)`, row by row.  They lie below
+        v, so in the rows from v's on."""
+        return tuple(s for i in range(v[0], len(self.grid))
+                     for s in self.row_samples[i] if self.in_block(v, s))
 
     def rank_map(self, levels: Sequence[Fraction], side: Callable) -> Dict[int, int]:
         """The id map that counts the sorted levels t before a coordinate c:

@@ -262,56 +262,48 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     """Build the two interleaving transformations for the given parameter
     (default: the sup norm of g - f) and verify both triangle identities
     against the internal superlinear-shift maps at every sample of one
-    period (`period_samples`), so in degree 0 only.  An identity whose two
-    sides are empty matrices holds and is skipped.  A transformation is
-    built wherever its target is nonzero: into a zero space it is the empty
+    period (`period_samples`), so in degree 0 only.  A leg is a
+    transformation t at a key after the internal map from the key's t-shift
+    to its omega-shift; the identity of t's target at x says that the leg
+    of t at x after the leg of the other transformation at omega(x) is the
+    internal map from x to omega^2(x).  An identity whose two sides are
+    empty matrices holds and is skipped.  A transformation is built
+    wherever its target is nonzero: into a zero space it is the empty
     matrix, returned before its gluing checks, so they all run where they
     did at every sample."""
     a = distance_pair(k, f, g)
     delta = sup_norm(k, f, g) if delta is None else Fraction(delta)
     if not a.precedes(ShiftVector(-delta, delta)):
         raise ValueError("delta is smaller than the sup norm of g - f")
-    a_rev = ShiftVector(-a.a2, -a.a1)
     shifts = [a.a1, a.a2, delta, 2 * delta,
               a.a1 - delta, a.a2 + delta, a.a1 + delta, a.a2 - delta]
     ctx = joint_context(k, [f, g], shifts, p, cap)
     ev_f, ev_g = ctx.evaluator(f), ctx.evaluator(g)
     fwd = Transformation(ev_f, ev_g, a)
-    bwd = Transformation(ev_g, ev_f, a_rev)
-    shift_a = ctx.table.shift(a)
-    shift_rev = ctx.table.shift(a_rev)
+    bwd = Transformation(ev_g, ev_f, ShiftVector(-a.a2, -a.a1))
     omega = ctx.table.shift(ShiftVector(-delta, delta))
     omega2 = ctx.table.shift(ShiftVector(-2 * delta, 2 * delta))
 
-    def phi(key):
-        return fwd.at(key) @ internal_map(ev_g, shift_a(key), omega(key))
+    def leg(t: Transformation, key: Key) -> Mat:
+        return t.at(key) @ internal_map(t.ev_g, t.shift(key), omega(key))
 
-    def psi(key):
-        return bwd.at(key) @ internal_map(ev_f, shift_rev(key), omega(key))
-
-    # (transformation at the sample, transformation at its omega-shift,
-    # evaluator and function of the identity, its two factors)
-    triangles = ((fwd, bwd, ev_f, f, phi, psi), (bwd, fwd, ev_g, g, psi, phi))
     witness = None
     for idx in period_samples(ctx.table):
         mid = omega(idx)
         far = omega2(idx)
-        for t_idx, t_mid, ev, func, first, second in triangles:
-            # a transformation is built wherever its target is nonzero,
-            # which covers every key where its gluing checks run; an
-            # identity between empty matrices holds
-            if _dim(t_idx.ev_f, idx):
-                t_idx.at(idx)
-            if _dim(t_mid.ev_f, mid):
-                t_mid.at(mid)
-            if _dim(ev, idx) and _dim(ev, far):
-                lhs = first(idx) @ second(mid)
-                rhs = internal_map(ev, idx, far)
+        for t, u in ((fwd, bwd), (bwd, fwd)):
+            if _dim(t.ev_f, idx):
+                t.at(idx)
+            if _dim(u.ev_f, mid):
+                u.at(mid)
+            if _dim(t.ev_f, idx) and _dim(t.ev_f, far):
+                lhs = leg(t, idx) @ leg(u, mid)
+                rhs = internal_map(t.ev_f, idx, far)
                 if lhs != rhs:
                     return _report(delta, False, {
-                        "sample": idx, "function": func, "lhs": lhs, "rhs": rhs})
+                        "sample": idx, "function": t.ev_f.func, "lhs": lhs, "rhs": rhs})
         if (witness is None and _dim(ev_f, idx) == _dim(ev_g, mid) == 1
-                and not phi(idx).is_zero()):
+                and not leg(fwd, idx).is_zero()):
             witness = idx
     return _report(delta, True, witness=witness)
 

@@ -12,9 +12,10 @@ The x and y axes of a sample grid share one coordinate list, held by the
 GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
 is a coordinate id, the sample and interior tests read the table's strip
 locations, the sample iteration its one sample list, the translate lookups
-its maps of T^n, and the block supports its `in_block`.  The checkers
-work on grid indices alone, with `GridModule.up` and `GridModule.down` as
-the one covering relation.
+its maps of T^n, and the block supports its `block`, row by row.  The
+checkers work on grid indices alone, with `GridModule.up` and
+`GridModule.down` as the one covering relation and
+`GridModule.unit_squares` as the one walk over unit squares.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,15 +40,6 @@ Index = Tuple[int, int]
 
 # The seed of the checkers' random spot checks, so that a verdict is fixed.
 CHECK_SEED = 0
-
-
-@lru_cache(maxsize=None)
-def _zero(rows: int, cols: int, p: int) -> Mat:
-    """The one shared zero matrix of a shape, read-only so that a write
-    raises instead of changing every zero."""
-    out = Mat.zeros(rows, cols, p)
-    out.data.setflags(write=False)
-    return out
 
 
 def midpoint_coord(a: Coord, b: Coord) -> Coord:
@@ -152,23 +143,22 @@ class GridModule:
 
     def map_at(self, lo: Index, hi: Index) -> Mat:
         """Matrix M(hi) -> M(lo) for hi a covering upward neighbor of lo
-        (or hi == lo); a missing map is the shared read-only zero."""
+        (or hi == lo); a missing map is a zero matrix."""
         if lo == hi:
             return Mat.eye(self.dim_at(lo), self.p)
         m = self.maps.get((lo, hi))
         if m is None:
-            return _zero(self.dim_at(lo), self.dim_at(hi), self.p)
+            return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
         return m
 
     def map_between(self, lo: Index, hi: Index) -> Mat:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
         independence makes any other monotone path agree.  A staircase
-        through a zero space composes to zero, so it is not multiplied and
-        the shared read-only zero of its shape comes back.  The fold starts
-        from the first covering map, so a covering pair gets its stored
-        matrix back; like map_at's, the result is shared and must not be
-        written to."""
+        through a zero space composes to zero, so it is not multiplied.  The
+        fold starts from the first covering map, so a covering pair gets its
+        stored matrix back; like map_at's, the result must not be written
+        to."""
         (il, jl), (ih, jh) = lo, hi
         if il < ih or jl > jh:
             raise ValueError("samples not comparable in the given direction")
@@ -177,11 +167,18 @@ class GridModule:
         path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
             [(i, jl) for i in range(ih + 1, il + 1)]
         if any(self.dim_at(s) == 0 for s in path):
-            return _zero(self.dim_at(lo), self.dim_at(hi), self.p)
+            return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
         acc = self.map_at(path[1], path[0])
         for above, below in zip(path[1:], path[2:]):
             acc = self.map_at(below, above) @ acc
         return acc
+
+    def unit_squares(self) -> Iterable[Tuple[Index, Index]]:
+        """The unit squares (lo, diag), diag = (i - 1, j + 1) opposite lo =
+        (i, j), row by row, with lo a sample: one whose lower corner lies
+        outside the strip starts at a zero space."""
+        n = len(self.table.grid)
+        return (((i, j), (i - 1, j + 1)) for i, j in self.samples() if i and j < n - 1)
 
     def vertex_indices(self) -> Iterable[Index]:
         """The samples at grid vertices (both indices even), row by row."""
@@ -232,11 +229,7 @@ def square_commutes_check(m: GridModule):
     staircase composites between comparable samples agree.  A square whose
     lower or upper corner is a zero space (or not a sample) commutes: both
     composites are the same empty matrix, so it is skipped."""
-    n = len(m.table.grid)
-    for i, j in m.samples():
-        if i == 0 or j == n - 1:
-            continue
-        lo, diag = (i, j), (i - 1, j + 1)
+    for lo, diag in m.unit_squares():
         if not (m.dim_at(lo) and m.dim_at(diag)):
             continue
         via_x, via_y = m.up(lo)
@@ -275,8 +268,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
     # or just below the support when the grid is closed under T
     sections: List[Tuple[Index, set, Mat]] = []
     for vi, mult in order:
-        supp = {s for i in range(vi[0], len(table.grid))
-                for s in table.row_samples[i] if table.in_block(vi, s)}
+        supp = set(table.block(vi))
         rows = [m.map_between(down, vi) for s in supp for down in m.down(s)
                 if m.is_sample(down) and down not in supp]
         constraints = _vstack(rows) if rows else Mat.zeros(0, m.dim_at(vi), m.p)
@@ -365,13 +357,11 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
     drawn rectangle is checked.  Neither choice is empty: il - 1 is always
     one, and since the interior is the band -pi < x + y < pi, so is
     jl + 1."""
-    n = len(m.table.grid)
-    for i, j in m.samples():
-        if i == 0 or j == n - 1:
-            continue
-        bad = _rectangle_exact(m, (i, j), (i - 1, j + 1))
+    for lo, diag in m.unit_squares():
+        bad = _rectangle_exact(m, lo, diag)
         if bad is not None:
             return bad
+    n = len(m.table.grid)
     inner = {s for s in m.samples() if m.is_interior(s)}
     lows = [s for s in m.samples() if s in inner and all(u in inner for u in m.up(s))]
     rng = random.Random(CHECK_SEED)
@@ -409,7 +399,7 @@ def nat_space_dim(v: Index, m: GridModule) -> int:
     """Dimension of the space of natural transformations from the block at
     the sample v into m, computed by solving the naturality equations on the
     sample grid.  By the Yoneda-style lemma this must equal dim m(v)."""
-    supp = [idx for idx in m.samples() if m.table.in_block(v, idx)]
+    supp = m.table.block(v)
     if not supp:
         return 0
     offset = {}

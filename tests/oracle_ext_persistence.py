@@ -14,6 +14,7 @@ two routes share no code beyond the GF(p) matrix type: the elimination here is
 the dense one of reference.py.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -177,3 +178,69 @@ def extended_persistence(maximal, values, p=2, max_degree=None):
                 for _ in range(mult):
                     out.append((n, region, pair))
     return sorted(out, key=repr)
+
+
+def bottleneck(d1, d2):
+    """The exact bottleneck distance of two diagrams of (degree, region,
+    (birth, death)) triples, in the form of the stability theorem of
+    extended persistence (Cohen-Steiner, Edelsbrunner & Harer 2009):
+    d(d1, d2) <= ||f - g|| for the diagrams of f and g.
+
+    Extended persistence in degree n is ordinary persistence over the line
+    of sublevel sets followed, past X itself, by the pairs (X, X^{>=s}) for
+    s descending; changing the function by delta moves every index by delta
+    along that line without crossing from one half to the other.  So a
+    class stays in its degree and region: Ord and Rel classes are matched
+    within their region or to the diagonal, at half their persistence
+    |death - birth|; an Ext class spans both halves and is only matched to
+    an Ext class, so unequal Ext counts are infinitely far apart.  A match
+    costs the sup norm of the difference of the two pairs."""
+    groups = {}
+    for side, dgm in enumerate((d1, d2)):
+        for n, region, pair in dgm:
+            groups.setdefault((n, region), ([], []))[side].append(pair)
+    return max((_group_bottleneck(a, b, region != "Ext")
+                for (_, region), (a, b) in groups.items()), default=Fraction(0))
+
+
+def _group_bottleneck(a, b, diagonal):
+    """The bottleneck distance of two lists of pairs: the least candidate
+    cost at which the points of a, with one diagonal slot per point of b,
+    match the points of b, with one diagonal slot per point of a, where a
+    slot takes its own point at the diagonal charge, or any slot of the
+    other side at no cost."""
+    def charge(pt):
+        return abs(pt[1] - pt[0]) / 2 if diagonal else math.inf
+
+    na, nb = len(a), len(b)
+    cost = [[max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in b]
+            + [charge(p) if j == i else math.inf for j in range(na)]
+            for i, p in enumerate(a)]
+    cost += [[charge(q) if j == i else math.inf for j, q in enumerate(b)] + [0] * na
+             for i in range(nb)]
+    candidates = sorted({c for row in cost for c in row if c != math.inf} | {0})
+    lo, hi = 0, len(candidates)
+    while lo < hi:  # the first candidate with a perfect matching
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo] if lo < len(candidates) else math.inf
+
+
+def _perfect_matching(cost, t):
+    """Whether the rows match the columns along entries of cost at most t,
+    grown one row at a time by augmenting paths."""
+    owner = [None] * len(cost)
+
+    def augment(r, seen):
+        for c, x in enumerate(cost[r]):
+            if x <= t and c not in seen:
+                seen.add(c)
+                if owner[c] is None or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in range(len(cost)))

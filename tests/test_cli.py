@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from riscpl import cli
 from riscpl.cli import load_complex, main
 from riscpl.field_linalg import Mat
 from riscpl.interleave import Transformation
@@ -446,6 +447,28 @@ def hood_stability_pair(capsys, tmp_path):
     for v in doc["vertices"]:
         v["value"] = [v["value"], str(raised[int(v["id"])])]
     return write_json(tmp_path / "pair.json", doc)
+
+
+@pytest.mark.parametrize("argv", [["dgm"], ["check", "--module"], ["plot"]],
+                         ids=["complex", "module", "diagram"])
+def test_rejects_files_nested_too_deeply(capsys, tmp_path, argv):
+    # json decodes past the recursion limit into a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert "nested too deeply" in assert_cli_error(capsys, argv[0], str(path), *argv[1:])
+
+
+def test_rejects_exponents_beyond_the_integer_bound(capsys, tmp_path, monkeypatch):
+    path = write_json(tmp_path / "huge.json", {
+        "vertices": [{"id": 1, "value": "1e5000"}], "simplices": [[1]]})
+    assert "exponent" in assert_cli_error(capsys, "dgm", path)
+    pair = hood_stability_pair(capsys, tmp_path)
+    assert "exponent" in assert_cli_error(capsys, "interleave", pair, "--delta", "1e5000")
+    # the bound is checked before any number is built
+    monkeypatch.setattr(cli, "Fraction", lambda x: pytest.fail(f"built {x}"))
+    for x in ("1e999999999", "-2.5E-1_000_000"):
+        with pytest.raises(ValueError, match="exponent"):
+            cli.parse_rational(x)
 
 
 def test_interleave_hood(capsys, tmp_path):

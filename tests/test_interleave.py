@@ -35,7 +35,7 @@ from riscpl.risc_builder import FunctorEvaluator, evaluate
 from riscpl.strip_module import dgm
 
 from geometry_reference import block_contains
-from oracle_ext_persistence import extended_persistence
+from oracle_ext_persistence import bottleneck, extended_persistence
 from reference import (
     composition_check_reference,
     evaluated,
@@ -497,15 +497,32 @@ def interleave_context(k):
 def test_interleave_modules_are_extended_persistence():
     # The interleaving works on modules of a finer joint split, over a grid
     # with the shifted values; their diagrams, classified, are still the
-    # classical extended persistence diagrams of each function.
+    # classical extended persistence diagrams of each function.  They are
+    # stable (Cohen-Steiner, Edelsbrunner & Harer 2009): their bottleneck
+    # distance is at most the sup norm of g - f, and a point of g's moved
+    # further than that from every point and from the diagonal, or a
+    # dropped Ext point, which has no partner left, breaks the bound.
     for k in interleave_pairs():
         ctx = interleave_context(k)
+        diagrams = []
         for func in (0, 1):
             got = []
             for d in dgm(context_module(ctx, func)).points:
                 got.extend([classify_region(d.point)] * d.multiplicity)
             values = {v: k.value(v, func) for v in k.values}
             assert sorted(got, key=repr) == extended_persistence(k.simplices, values)
+            diagrams.append(got)
+        f_dgm, g_dgm = diagrams
+        delta = sup_norm(k)
+        assert bottleneck(f_dgm, g_dgm) <= delta
+        ends = [x for _, _, pair in f_dgm + g_dgm for x in pair]
+        far = 2 * delta + max(ends) - min(ends) + 1
+        for i, (n, region, (birth, death)) in enumerate(g_dgm):
+            moved = (birth - far, death) if birth <= death else (birth + far, death)
+            mutant = g_dgm[:i] + [(n, region, moved)] + g_dgm[i + 1:]
+            assert bottleneck(f_dgm, mutant) > delta
+        ext = next(i for i, pt in enumerate(g_dgm) if pt[1] == "Ext")
+        assert bottleneck(f_dgm, g_dgm[:ext] + g_dgm[ext + 1:]) > delta
 
 
 @pytest.mark.parametrize("p", [3, 5])
