@@ -47,9 +47,13 @@ def parse_int(x, what: str) -> int:
     return x
 
 
-# The bound on a value string's decimal exponent, checked before the number
-# is built: the 4,300 digits up to which a JSON integer decodes.
-MAX_EXPONENT = 4300
+# The 4,300 digits up to which a JSON integer decodes and an integer is
+# written back: the bound on a value string's decimal exponent, checked
+# before the number is built (Fraction refuses longer digit strings itself,
+# so what it builds has at most about 8,600 digits), and on the digits of
+# the built numerator and denominator.
+MAX_DIGITS = 4300
+DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
 def parse_rational(x) -> Fraction:
@@ -61,15 +65,18 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, str):
         _, e, exp = x.lower().partition("e")
         try:
-            huge = bool(e) and abs(int(exp)) > MAX_EXPONENT
+            huge = bool(e) and abs(int(exp)) > MAX_DIGITS
         except ValueError:
             huge = False  # not an exponent, which Fraction rejects below
         if huge:
-            raise ValueError(f"the exponent of {x!r} exceeds {MAX_EXPONENT}")
+            raise ValueError(f"the exponent of {x!r} exceeds {MAX_DIGITS}")
         try:
-            return Fraction(x)
+            r = Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"not an exact rational: {x!r}") from e
+        if max(abs(r.numerator), r.denominator) >= DIGIT_BOUND:
+            raise ValueError(f"{x!r} has more than {MAX_DIGITS} digits")
+        return r
     raise ValueError(f"values must be integers or 'p/q' strings, got {x!r}")
 
 

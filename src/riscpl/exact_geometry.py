@@ -167,9 +167,6 @@ class ShiftVector:
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
         return ShiftVector(self.a1 + other.a1, self.a2 + other.a2)
 
-    def __neg__(self) -> "ShiftVector":
-        return ShiftVector(-self.a1, -self.a2)
-
     def precedes(self, other: "ShiftVector") -> bool:
         return self.a1 >= other.a1 and self.a2 <= other.a2
 
@@ -315,9 +312,6 @@ class RealOpenSet:
     @staticmethod
     def empty() -> "RealOpenSet":
         return RealOpenSet(())
-
-    def __bool__(self):
-        return bool(self.intervals)
 
 
 @dataclass(frozen=True)

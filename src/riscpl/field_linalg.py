@@ -100,9 +100,6 @@ class Mat:
             raise ValueError("matrix product shape/field mismatch")
         return Mat._reduced(np.mod(self.data @ other.data, self.p), self.p)
 
-    def __add__(self, other: "Mat") -> "Mat":
-        return Mat(self.data + other.data, self.p)
-
     def __neg__(self) -> "Mat":
         return Mat(-self.data, self.p)
 

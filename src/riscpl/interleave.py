@@ -2,16 +2,18 @@
 
 The two-valued distance of a pair of PL functions on one complex determines
 a shift under which the second function's module maps naturally to the
-first's.  The per-sample matrices of this transformation come in two kinds,
-decided by the tile indices of the point and of its shift, the rule
-`risc_builder.internal_map` follows (the shift commutes with the glide
-reflection): in the same band the map is induced by an inclusion of open
-model pairs, and one band back it is the Mayer-Vietoris connecting
-differential of an interpolating pair of open sets on the rectangle between
-the point and its glide-reflection preimage.  Both kinds come from the
-target function's evaluator, which caches the induced maps.  On top of
-this sit the interleaving and composition checkers, and the contravariant
-morphisms induced by simplicial maps over the reals.
+first's, as does every shift above it.  The per-sample matrices of this
+transformation come in two kinds, decided by the tile indices of the point
+and of its shift, the rule `risc_builder.internal_map` follows (the shift
+commutes with the glide reflection): in the same band the map is induced by
+an inclusion of open model pairs, and one band back it is the
+Mayer-Vietoris connecting differential of an interpolating pair of open
+sets on the rectangle between the point and its glide-reflection preimage.
+Both kinds come from the target function's evaluator, which caches the
+induced maps.  On top of this sit the interleaving, composition and
+precomposition checkers, each building its transformations at the shift its
+identity states, and the contravariant morphisms induced by simplicial maps
+over the reals.
 
 All of this runs on contexts built by `risc_builder.joint_context`, the
 one builder of grids, split complexes and evaluators.  The evaluators of a
@@ -259,37 +261,28 @@ def _report(delta, ok, counterexample=None, witness=None) -> dict:
 
 def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
                        p: int = 2, cap: int = DEFAULT_CAP) -> dict:
-    """Build the two interleaving transformations for the given parameter
-    (default: the sup norm of g - f) and verify both triangle identities
-    against the internal superlinear-shift maps at every sample of one
-    period (`period_samples`), so in degree 0 only.  A leg is a
-    transformation t at a key after the internal map from the key's t-shift
-    to its omega-shift; the identity of t's target at x says that the leg
-    of t at x after the leg of the other transformation at omega(x) is the
-    internal map from x to omega^2(x).  An identity whose two sides are
-    empty matrices holds and is skipped.  A transformation is built
-    wherever its target is nonzero: into a zero space it is the empty
-    matrix, returned before its gluing checks, so they all run where they
-    did at every sample."""
-    a = distance_pair(k, f, g)
+    """Build the two interleaving transformations at omega = (-delta, delta)
+    for the given parameter (default: the sup norm of g - f), each from the
+    omega-shifted module of one function to the module of the other, and
+    verify both triangle identities against the internal superlinear-shift
+    maps at every sample of one period (`period_samples`), so in degree 0
+    only: the identity of t's target at x says that t at x after the other
+    transformation at omega(x) is the internal map from x to omega^2(x).
+    An identity whose two sides are empty matrices holds and is skipped.
+    A transformation is built wherever its target is nonzero: into a zero
+    space it is the empty matrix, returned before its gluing checks, so
+    they all run where they did at every sample."""
     delta = sup_norm(k, f, g) if delta is None else Fraction(delta)
-    if not a.precedes(ShiftVector(-delta, delta)):
+    omega = ShiftVector(-delta, delta)
+    if not distance_pair(k, f, g).precedes(omega):
         raise ValueError("delta is smaller than the sup norm of g - f")
-    shifts = [a.a1, a.a2, delta, 2 * delta,
-              a.a1 - delta, a.a2 + delta, a.a1 + delta, a.a2 - delta]
-    ctx = joint_context(k, [f, g], shifts, p, cap)
+    ctx = joint_context(k, [f, g], [delta, 2 * delta], p, cap)
     ev_f, ev_g = ctx.evaluator(f), ctx.evaluator(g)
-    fwd = Transformation(ev_f, ev_g, a)
-    bwd = Transformation(ev_g, ev_f, ShiftVector(-a.a2, -a.a1))
-    omega = ctx.table.shift(ShiftVector(-delta, delta))
+    fwd, bwd = Transformation(ev_f, ev_g, omega), Transformation(ev_g, ev_f, omega)
     omega2 = ctx.table.shift(ShiftVector(-2 * delta, 2 * delta))
-
-    def leg(t: Transformation, key: Key) -> Mat:
-        return t.at(key) @ internal_map(t.ev_g, t.shift(key), omega(key))
-
     witness = None
     for idx in period_samples(ctx.table):
-        mid = omega(idx)
+        mid = fwd.shift(idx)
         far = omega2(idx)
         for t, u in ((fwd, bwd), (bwd, fwd)):
             if _dim(t.ev_f, idx):
@@ -297,13 +290,13 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
             if _dim(u.ev_f, mid):
                 u.at(mid)
             if _dim(t.ev_f, idx) and _dim(t.ev_f, far):
-                lhs = leg(t, idx) @ leg(u, mid)
+                lhs = t.at(idx) @ u.at(mid)
                 rhs = internal_map(t.ev_f, idx, far)
                 if lhs != rhs:
                     return _report(delta, False, {
                         "sample": idx, "function": t.ev_f.func, "lhs": lhs, "rhs": rhs})
         if (witness is None and _dim(ev_f, idx) == _dim(ev_g, mid) == 1
-                and not leg(fwd, idx).is_zero()):
+                and not fwd.at(idx).is_zero()):
             witness = idx
     return _report(delta, True, witness=witness)
 
@@ -314,36 +307,33 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
 
 def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
                       p: int = 2, cap: int = DEFAULT_CAP) -> Optional[tuple]:
-    """The transformation of the outer pair, corrected by the internal map
-    from the summed shift to the outer distance, must equal the composite
-    of the two inner transformations at every sample of one period, so in
-    degree 0 (trivially so where both sides are empty matrices).  Each
-    transformation is built wherever its target is nonzero, so its gluing
-    checks run at every sample where they can."""
+    """The transformation of the outer pair at the summed shift a + b must
+    equal the inner one at a after the inner one at b at every sample of
+    one period, so in degree 0 (trivially so where both sides are empty
+    matrices); the triangle inequality makes a + b dominate the outer
+    distance.  Each transformation is built wherever its target is
+    nonzero, so its gluing checks run at every sample where they can."""
     f1, f2, f3 = funcs
     a = distance_pair(k, f1, f2)
     b = distance_pair(k, f2, f3)
-    c = distance_pair(k, f1, f3)
     ab = a + b
-    if not c.precedes(ab):
+    if not distance_pair(k, f1, f3).precedes(ab):
         raise AssertionError("distance triangle inequality violated")
-    shifts = [a.a1, a.a2, b.a1, b.a2, c.a1, c.a2, ab.a1, ab.a2]
-    ctx = joint_context(k, [f1, f2, f3], shifts, p, cap)
-    t12 = Transformation(ctx.evaluator(f1), ctx.evaluator(f2), a)
-    t23 = Transformation(ctx.evaluator(f2), ctx.evaluator(f3), b)
-    t13 = Transformation(ctx.evaluator(f1), ctx.evaluator(f3), c)
-    shift_a, shift_c, shift_ab = (ctx.table.shift(s) for s in (a, c, ab))
-    ev1, ev3 = ctx.evaluator(f1), ctx.evaluator(f3)
+    ctx = joint_context(k, funcs, [a.a1, a.a2, b.a1, b.a2, ab.a1, ab.a2], p, cap)
+    ev1, ev2, ev3 = (ctx.evaluator(func) for func in funcs)
+    t12 = Transformation(ev1, ev2, a)
+    t23 = Transformation(ev2, ev3, b)
+    t13 = Transformation(ev1, ev3, ab)
     for idx in period_samples(ctx.table):
-        for t, key in ((t12, idx), (t23, shift_a(idx)), (t13, idx)):
+        mid = t12.shift(idx)
+        for t, key in ((t12, idx), (t23, mid), (t13, idx)):
             if _dim(t.ev_f, key):
                 t.at(key)  # its gluing checks run where they can
-        if not (_dim(ev1, idx) and _dim(ev3, shift_ab(idx))):
+        if not (_dim(ev1, idx) and _dim(ev3, t13.shift(idx))):
             continue  # both sides are empty matrices
-        lhs = t12.at(idx) @ t23.at(shift_a(idx))
-        rhs = t13.at(idx) @ internal_map(ev3, shift_c(idx), shift_ab(idx))
-        if lhs != rhs:
-            return (idx, lhs, rhs)
+        lhs = t12.at(idx) @ t23.at(mid)
+        if lhs != t13.at(idx):
+            return (idx, lhs, t13.at(idx))
     return None
 
 
@@ -456,35 +446,33 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
                          f: int = 0, g: int = 1, p: int = 2,
                          cap: int = DEFAULT_CAP) -> Optional[tuple]:
     """Pulling the two functions back along a simplicial map commutes with
-    the stability transformations: the square of the induced morphisms, the
-    domain transformation corrected by the internal map from the smaller
-    domain distance, and the codomain transformation must commute at every
-    sample of one period, so in degree 0 (trivially so where both sides are
-    empty matrices).  Each transformation and pullback is built wherever
-    its target is nonzero, so its gluing checks or its express run at
-    every sample where they can."""
+    the stability transformations: the square of the induced morphisms and
+    the domain and codomain transformations, both at the codomain distance
+    a, which must dominate the domain's, commutes at every sample of one
+    period, so in degree 0 (trivially so where both sides are empty
+    matrices).  Each transformation and pullback is built wherever its
+    target is nonzero, so its gluing checks or express run where they can."""
     a = distance_pair(ky, f, g)
-    b = distance_pair(kx, f, g)
     ctx_y, ctx_x, phi_split = _pullback_contexts(
-        ky, kx, phi, [f, g], [a.a1, a.a2, b.a1, b.a2], p, cap)
-    if not b.precedes(a):
+        ky, kx, phi, [f, g], [a.a1, a.a2], p, cap)
+    if not distance_pair(kx, f, g).precedes(a):
         raise AssertionError("pulled-back distance is not dominated")
-    t_y = Transformation(ctx_y.evaluator(f), ctx_y.evaluator(g), a)
-    t_x = Transformation(ctx_x.evaluator(f), ctx_x.evaluator(g), b)
-    pull_f = CochainPullback(ctx_y.evaluator(f), ctx_x.evaluator(f), phi_split)
-    pull_g = CochainPullback(ctx_y.evaluator(g), ctx_x.evaluator(g), phi_split)
-    shift_a, shift_b = ctx_y.table.shift(a), ctx_y.table.shift(b)
+    ey_f, ey_g = ctx_y.evaluator(f), ctx_y.evaluator(g)
     ex_f, ex_g = ctx_x.evaluator(f), ctx_x.evaluator(g)
+    t_y = Transformation(ey_f, ey_g, a)
+    t_x = Transformation(ex_f, ex_g, a)
+    pull_f = CochainPullback(ey_f, ex_f, phi_split)
+    pull_g = CochainPullback(ey_g, ex_g, phi_split)
     for idx in period_samples(ctx_y.table):
+        mid = t_y.shift(idx)
         # (map, its target evaluator, key)
-        for t, ev, key in ((t_x, ex_f, idx), (pull_g, ex_g, shift_a(idx)),
-                           (pull_f, ex_f, idx), (t_y, ctx_y.evaluator(f), idx)):
+        for t, ev, key in ((t_x, ex_f, idx), (pull_g, ex_g, mid),
+                           (pull_f, ex_f, idx), (t_y, ey_f, idx)):
             if _dim(ev, key):
                 t.at(key)  # its gluing checks or express run where they can
-        if not (_dim(ex_f, idx) and _dim(ctx_y.evaluator(g), shift_a(idx))):
+        if not (_dim(ex_f, idx) and _dim(ey_g, mid)):
             continue  # both sides are empty matrices
-        lhs = (t_x.at(idx) @ internal_map(ex_g, shift_b(idx), shift_a(idx))
-               @ pull_g.at(shift_a(idx)))
+        lhs = t_x.at(idx) @ pull_g.at(mid)
         rhs = pull_f.at(idx) @ t_y.at(idx)
         if lhs != rhs:
             return (idx, lhs, rhs)

@@ -464,9 +464,22 @@ def test_rejects_exponents_beyond_the_integer_bound(capsys, tmp_path, monkeypatc
     assert "exponent" in assert_cli_error(capsys, "dgm", path)
     pair = hood_stability_pair(capsys, tmp_path)
     assert "exponent" in assert_cli_error(capsys, "interleave", pair, "--delta", "1e5000")
-    # the bound is checked before any number is built
+    # a numerator or denominator of more than 4,300 digits could not be
+    # written back; one of 4,300 digits can
+    path = write_json(tmp_path / "long.json", {
+        "vertices": [{"id": 1, "value": "1e4300"}, {"id": 2, "value": "0"}],
+        "simplices": [[1, 2]]})
+    assert "'1e4300'" in assert_cli_error(capsys, "dgm", path)
+    for x in ("12e4299", "1e-4300"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            cli.parse_rational(x)
+    assert len(str(cli.parse_rational("1e4299"))) == 4300
+    assert len(str(cli.parse_rational("1e-4299").denominator)) == 4300
+    # the bound is on the reduced number: 2 * 10^4299 has 4,300 digits
+    assert cli.parse_rational("0.5e-4299").denominator == 2 * 10 ** 4299
+    # the exponent is bounded before any number is built, a zero one too
     monkeypatch.setattr(cli, "Fraction", lambda x: pytest.fail(f"built {x}"))
-    for x in ("1e999999999", "-2.5E-1_000_000"):
+    for x in ("1e999999999", "-2.5E-1_000_000", "0e999999999", "0e-999999999"):
         with pytest.raises(ValueError, match="exponent"):
             cli.parse_rational(x)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from riscpl import interleave
+from riscpl.cli import gen_complex
 from riscpl.exact_geometry import (
     Coord,
     ShiftVector,
@@ -31,7 +32,7 @@ from riscpl.interleave import (
     sup_norm,
 )
 from riscpl.plc import PLComplex, Subcomplex
-from riscpl.risc_builder import FunctorEvaluator, evaluate
+from riscpl.risc_builder import FunctorEvaluator, evaluate, internal_map, point_data
 from riscpl.strip_module import dgm
 
 from geometry_reference import block_contains
@@ -245,6 +246,46 @@ def test_transformation_natural_on_random_pairs(monkeypatch):
     assert corners
 
 
+def seed_one_pair():
+    """The pair of `gen --preset random --funcs 2 --seed 1`, at distance
+    pair (-1, 4)."""
+    doc = gen_complex("random", 1, 2)
+    values = {e["id"]: tuple(map(F, e["value"])) for e in doc["vertices"]}
+    return complex_of(values, doc["simplices"])
+
+
+@pytest.mark.parametrize("pair, s, p", [
+    (hood_stability_pair, ShiftVector(F(-3, 2), F(3, 2)), 2),
+    (seed_one_pair, ShiftVector(-4, 4), 3),
+    (lambda: random_pair(random.Random(3)), ShiftVector(-1, 1), 5),  # a = (0, 1)
+], ids=["hood", "seed-1", "random"])
+def test_transformation_whiskers_through_the_internal_map(pair, s, p):
+    # For a shift s above the distance pair a, the transformation at s is
+    # the one at a after the internal map of g from the a-shift of a sample
+    # to its s-shift, at every sample with a nonzero target, among them
+    # samples where one of the two transformations takes the connecting
+    # branch.  The checks and their references build each transformation
+    # at the shift its identity states; this is what ties that
+    # construction to the one at the distance pair corrected by an
+    # internal map.
+    k = pair()
+    a = distance_pair(k)
+    assert a != s and a.precedes(s)
+    ctx = joint_context(k, [0, 1], [a.a1, a.a2, s.a1, s.a2], p)
+    ev_f, ev_g = ctx.evaluator(0), ctx.evaluator(1)
+    t_a, t_s = Transformation(ev_f, ev_g, a), Transformation(ev_f, ev_g, s)
+    connecting = 0
+    for x in ctx.table.samples:
+        d, n, _ = point_data(ev_f, x)
+        if not d:
+            continue
+        whiskered = t_a.at(x) @ internal_map(ev_g, t_a.shift(x), t_s.shift(x))
+        assert t_s.at(x) == whiskered, x
+        sources = [point_data(ev_g, t.shift(x))[:2] for t in (t_a, t_s)]
+        connecting += any(d_src and n_src == n - 1 for d_src, n_src in sources)
+    assert connecting
+
+
 def test_transformation_rejects_evaluators_over_different_split_complexes():
     # Two contexts on one coordinate table, as a pullback builds them; the
     # connecting branch reads the bases of both evaluators on one simplex
@@ -392,6 +433,20 @@ def test_interleaving_random_pairs():
     for witness in PAIR_WITNESSES[1:]:
         report = matches_reference(random_pair(rng))
         assert report["ok"] and report["witness"] == witness
+
+
+@pytest.mark.parametrize("pair, delta, witness", [
+    (hood_stability_pair, F(3, 2), (64, 37)),
+    (seed_one_pair, F(9, 2), (56, 33)),
+], ids=["hood", "seed-1"])
+def test_interleaving_at_an_explicit_delta_above_the_sup_norm(pair, delta, witness):
+    # Omega at delta is not the distance pair (-1, 1) or (-1, 4) of these
+    # pairs, so the transformations are built at a shift that no distance
+    # pair names.
+    k = pair()
+    assert distance_pair(k) != ShiftVector(-delta, delta)
+    report = matches(interleaving_check, interleaving_check_reference, k, 0, 1, delta)
+    assert report == {"delta": delta, "ok": True, "witness": witness}
 
 
 def test_triangle_identities_hold_at_every_sample(monkeypatch):

@@ -563,8 +563,8 @@ def test_bases_and_maps_match_dense_reference():
                         assert h.reps == r.reps
                         d_nm1 = ix.coboundary(pair[0].minus(pair[1]), n - 1, p)
                         assert kept_coboundaries(h, d_nm1) == r.coboundaries
-                        t = (r.reps @ random_mat(rng, r.dim, 3, p)
-                             + r.coboundaries @ random_mat(rng, r.coboundaries.cols, 3, p))
+                        t = Mat((r.reps @ random_mat(rng, r.dim, 3, p)).data
+                                + (r.coboundaries @ random_mat(rng, r.coboundaries.cols, 3, p)).data, p)
                         assert h.express(t) == r.express(t)
                     assert induced_map(*hs) == reference.induced_map(*rs)
         for _ in range(3):
@@ -621,8 +621,8 @@ def test_reduction_ladder_matches_a_fresh_index_per_call():
                 d_nm1 = ix.coboundary(pairs[i][0].minus(pairs[i][1]), n - 1, p)
                 kept = kept_coboundaries(h, d_nm1)
                 assert kept == kept_coboundaries(r, d_nm1)
-                t = (r.reps @ random_mat(rng, r.dim, 3, p)
-                     + kept @ random_mat(rng, kept.cols, 3, p))
+                t = Mat((r.reps @ random_mat(rng, r.dim, 3, p)).data
+                        + (kept @ random_mat(rng, kept.cols, 3, p)).data, p)
                 assert h.express(t) == r.express(t)
             rels = {(p, rel.tobytes()): rel for rel in (a.minus(b) for a, b in pairs)
                     for p in (2, 3, 5)}
