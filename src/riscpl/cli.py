@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -48,12 +49,15 @@ def parse_int(x, what: str) -> int:
 
 
 # The 4,300 digits up to which a JSON integer decodes and an integer is
-# written back: the bound on a value string's decimal exponent, checked
-# before the number is built (Fraction refuses longer digit strings itself,
-# so what it builds has at most about 8,600 digits), and on the digits of
-# the built numerator and denominator.
+# written back: the bound on a value string's decimal exponent and on its
+# digit runs once the zeros that do not change its value are dropped, both
+# checked before the number is built (so it has at most about 8,600
+# digits), and on the digits of the built numerator and denominator.
 MAX_DIGITS = 4300
 DIGIT_BOUND = 10 ** MAX_DIGITS
+
+# sign, integer part or numerator, denominator, decimals, exponent
+RATIONAL = re.compile(r"\s*([-+]?)(\d*)(?:/(\d+)|(?:\.(\d*))?([eE][-+]?\d+)?)\s*")
 
 
 def parse_rational(x) -> Fraction:
@@ -70,8 +74,17 @@ def parse_rational(x) -> Fraction:
             huge = False  # not an exponent, which Fraction rejects below
         if huge:
             raise ValueError(f"the exponent of {x!r} exceeds {MAX_DIGITS}")
+        short, m = x, RATIONAL.fullmatch(x)
+        if m and (m[2] or m[4]):
+            # drop the zeros that do not change the value
+            sign, num, den, dec, exp = m.groups()
+            num, dec = num.lstrip("0") or "0", (dec or "").rstrip("0")
+            den = den and (den.lstrip("0") or "0")
+            if max(len(num), len(den or dec)) > MAX_DIGITS:
+                raise ValueError(f"{x!r} has more than {MAX_DIGITS} digits")
+            short = sign + num + (f"/{den}" if den else (f".{dec}" if dec else "") + (exp or ""))
         try:
-            r = Fraction(x)
+            r = Fraction(short)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"not an exact rational: {x!r}") from e
         if max(abs(r.numerator), r.denominator) >= DIGIT_BOUND:

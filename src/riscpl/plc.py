@@ -22,16 +22,17 @@ delta^n is 1 there and 0 at every other dependent column, which determines
 it, and a cocycle joins the representatives exactly when it is independent
 of the coboundaries and of the cocycles before it, which does not depend
 on how that is found out.  So every basis, and every structure map in a
-module dump, is the one row reduction gives.
+module dump, is the one row reduction gives.  Degree 0 needs no
+reduction: the dependent columns of delta^0 are the last vertices of the
+connected components of A that do not meet B, and the cocycle found for
+each is the indicator of its component, read off by union-find.
 
-The evaluators ask each relative cell set for one degree after another, so
-the reductions form a ladder: the simplex index keeps, per prime and cell
-set, the top rung, the pivot columns of the highest coboundary delta^n
-(n >= 1) reduced so far, without coordinates.  A call of a higher degree
-climbs on from there instead of reducing delta^0 again, and stores its own
-delta^n as the new top.  Degree 0 stores nothing: the evaluators of an
-interleaving ask that degree alone, where such a rung would only hold
-memory.
+From degree 1 on, the evaluators ask each relative cell set for one degree
+after another, so the reductions form a ladder: the simplex index keeps,
+per prime and cell set, the top rung, the pivot columns of the highest
+coboundary delta^n reduced so far, without coordinates.  A call of a
+higher degree climbs on from there instead of reducing delta^0 again, and
+stores its own delta^n as the new top.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
                     bucket_edge(e2)
             if cap is not None and len(simplices) > cap:
                 raise ValueError(
-                    f"split complex exceeds the simplex cap ({len(simplices)} > {cap})"
-                )
+                    f"split complex exceeds the simplex cap ({len(simplices)} > {cap}) at"
+                    f" level {li + 1} of {len(levels)}; the full split is at least as large")
     return PLComplex(values, simplices, k.nfuncs)
 
 
@@ -461,37 +462,63 @@ class CohomBasis:
         return out
 
 
+def _components(ids: np.ndarray, delta: Coboundary, p: int) -> CohomBasis:
+    """H^0(A, B) by union-find on the rows of delta^0: a row joins its two
+    vertices, one with a face missing, an edge to B, marks its component as
+    meeting B; the others give their indicators, by their last columns."""
+    parent = list(range(delta.cols))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    both = (delta.faces >= 0).all(axis=1)
+    for u, v in delta.faces[both].tolist():
+        parent[root(u)] = root(v)
+    met = {root(j) for j in delta.faces[~both].max(axis=1).tolist() if j >= 0}
+    members: Dict[int, List[int]] = {}
+    for j in range(delta.cols):
+        members.setdefault(root(j), []).append(j)
+    free = sorted((m for r, m in members.items() if r not in met), key=lambda m: m[-1])
+    reps = np.zeros((len(ids), len(free)), dtype=np.int64)
+    span = Reduction(p)
+    for i, m in enumerate(free):
+        reps[m, i] = 1
+        span.pivots[m[-1]] = (dict.fromkeys(m, 1), {i: 1})
+    return CohomBasis(0, p, ids, Mat(reps, p), delta, span)
+
+
 def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
                         index: SimplexIndex) -> CohomBasis:
     """Basis of degree-n cohomology of the pair (A, B) of subcomplexes of
     the complex with the given index, B inside A; cochains live on the ids
-    of A not in B.
+    of A not in B.  Degree 0 is read off the components (_components).
 
-    Reducing delta^n with coordinates, a column that reduces to zero gives
-    a cocycle: the reduced row echelon kernel vector of that free column,
-    whose low row is that column.  Every low of a coboundary is the low of
-    a cocycle, so a cocycle is independent of the coboundaries and of the
-    cocycles before it exactly when its column is not the low of a pivot of
-    delta^{n-1}: those cocycles are the representatives.  A column of
-    delta^m that is the low of a pivot of delta^{m-1} reduces to zero and
-    gives no representative, so it is skipped (clearing, Chen & Kerber
-    2011); the reductions run from delta^0 up for that.  The reduction of
-    delta^{n-1}, with the representatives added as pivots, is kept to
-    express cocycles.
+    Above degree 0, reducing delta^n with coordinates, a column that
+    reduces to zero gives a cocycle: the reduced row echelon kernel vector
+    of that free column, whose low row is that column.  Every low of a
+    coboundary is the low of a cocycle, so a cocycle is independent of the
+    coboundaries and of the cocycles before it exactly when its column is
+    not the low of a pivot of delta^{n-1}: those cocycles are the
+    representatives.  A column of delta^m that is the low of a pivot of
+    delta^{m-1} reduces to zero and gives no representative, so it is
+    skipped (clearing, Chen & Kerber 2011); the reductions run from
+    delta^0 up for that.  The reduction of delta^{n-1}, with the
+    representatives added as pivots, is kept to express cocycles.
 
     The index keeps one reduction ladder top per prime and cell set A
-    minus B.  A call of degree n >= 1 stores its kernel reduction of
-    delta^n there, coordinates dropped, unless a higher degree is stored:
-    it has the columns and the cleared set of the reduction of delta^n that
-    a degree n + 1 call builds, so it has the same pivots.  A call above
-    the stored degree starts from that reduction and reduces only the
-    coboundaries between; it replaces the top with its own, so it may take
-    the old one over as its span.  Any other call starts from delta^0.
-    Degree 0 stores nothing: only a degree 1 call could read it, and the
-    evaluators of the interleaving ask degree 0 alone, so it would only
-    hold memory."""
+    minus B.  A call stores its kernel reduction of delta^n there,
+    coordinates dropped, unless a higher degree is stored: it has the
+    columns and the cleared set of the reduction of delta^n that a degree
+    n + 1 call builds, so it has the same pivots.  A call above the stored
+    degree starts from that reduction and reduces only the coboundaries
+    between; it replaces the top with its own, so it may take the old one
+    over as its span.  Any other call starts from delta^0."""
     rel = a.minus(b)
     ids = index.of_dim(rel, n)
+    if n == 0:
+        return _components(ids, index.coboundary(rel, 0, p), p)
     key = (p, rel.tobytes())
     top = index.tops.get(key)
     span, first = Reduction(p), 0
@@ -508,7 +535,7 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
         z = {j: 1}
         if not kernel.add(col, z) and span.add(dict(z), {len(chosen): 1}):
             chosen.append(z)
-    if n >= 1 and (top is None or top[0] < n):
+    if top is None or top[0] < n:
         for _, coords in kernel.pivots.values():
             coords.clear()
         index.tops[key] = (n, kernel)

@@ -8,7 +8,9 @@ transformation build, here from the exact rho of a point, the sorted
 coboundary of a relative cochain complex, the level grid and refined
 sample grid of one function, the shifted module, the full staircase
 product of a grid module, and dense elimination: reduced row echelon form
-and the rank, kernel, independence test and solve built on it.
+and the rank, kernel, independence test and solve built on it.  Degree-0
+cohomology by column reduction checks the package's reading of it off
+connected components.
 
 The proof devices the tests use as oracles live here too: block sums
 (`from_blocks`), the colexicographic filtration with its structural
@@ -591,6 +593,25 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
     own, chosen = independent_split(d_nm1, cocycles)
     return DenseBasis(n, p, ids, Mat(cocycles.data[:, chosen], p), Mat(d_nm1.data[:, own], p),
                       d_n)
+
+
+def degree0_by_reduction(a: Subcomplex, b: Subcomplex, p: int,
+                         index: SimplexIndex) -> plc.CohomBasis:
+    """H^0(A, B) by the column reduction of delta^0 with coordinates, the
+    loop plc.relative_cohomology runs in higher degrees: every column that
+    reduces to zero gives its reduced row echelon kernel vector, which joins
+    the span with its own coordinate."""
+    rel = a.minus(b)
+    delta = index.coboundary(rel, 0, p)
+    kernel, span, chosen = field_linalg.Reduction(p), field_linalg.Reduction(p), []
+    for j, col in delta.columns().items():
+        z = {j: 1}
+        if not kernel.add(col, z) and span.add(dict(z), {len(chosen): 1}):
+            chosen.append(z)
+    reps = np.zeros((delta.cols, len(chosen)), dtype=np.int64)
+    for i, z in enumerate(chosen):
+        reps[list(z), i] = list(z.values())
+    return plc.CohomBasis(0, p, index.of_dim(rel, 0), Mat(reps, p), delta, span)
 
 
 def induced_map(src: DenseBasis, dst: DenseBasis) -> Mat:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -482,6 +483,20 @@ def test_rejects_exponents_beyond_the_integer_bound(capsys, tmp_path, monkeypatc
     for x in ("1e999999999", "-2.5E-1_000_000", "0e999999999", "0e-999999999"):
         with pytest.raises(ValueError, match="exponent"):
             cli.parse_rational(x)
+
+
+def test_zeros_that_do_not_change_a_value_do_not_count_as_digits(capsys, tmp_path):
+    # leading zeros of an integer part, numerator or denominator and
+    # trailing zeros of decimals are dropped before the digit bound
+    assert cli.parse_rational("1." + "0" * 5000) == 1
+    assert cli.parse_rational("0" * 5000 + "1") == 1
+    assert cli.parse_rational("3/" + "0" * 4400 + "4") == Fraction(3, 4)
+    # the digits that are left still count
+    for x in ("1" + "0" * 5000 + ".0", "0." + "0" * 5000 + "1"):
+        path = write_json(tmp_path / "long.json", {
+            "vertices": [{"id": 1, "value": x}, {"id": 2, "value": "0"}],
+            "simplices": [[1, 2]]})
+        assert "has more than 4300 digits" in assert_cli_error(capsys, "dgm", path)
 
 
 def test_interleave_hood(capsys, tmp_path):

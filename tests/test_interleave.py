@@ -428,6 +428,30 @@ def test_hood_interleaving():
     assert report["witness"] == PAIR_WITNESSES[0]
 
 
+def test_an_interleaving_reduces_no_column_in_plc(monkeypatch):
+    """Every value an interleaving check reads is H^0, which plc reads off
+    connected components: with Reduction.add counted by caller, plc never
+    calls it, and the report and witness stay those of an uncounted run."""
+    from riscpl import plc
+
+    want = interleaving_check(hood_stability_pair())
+    add = plc.Reduction.add
+    callers = Counter()
+
+    def counted(self, col, coords):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return add(self, col, coords)
+
+    monkeypatch.setattr(plc.Reduction, "add", counted)
+    k = hood_stability_pair()
+    assert interleaving_check(k) == want == {"delta": 1, "ok": True, "witness": PAIR_WITNESSES[0]}
+    assert callers["riscpl.plc"] == 0
+    # the count sees plc: a degree-1 basis still reduces delta^0
+    whole, nothing = k.index.subcomplex(k.simplices), k.index.subcomplex(())
+    plc.relative_cohomology(whole, nothing, 1, 2, k.index)
+    assert callers["riscpl.plc"] > 0
+
+
 def test_interleaving_random_pairs():
     rng = random.Random(17)
     for witness in PAIR_WITNESSES[1:]:

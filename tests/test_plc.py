@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from riscpl import risc_builder
-from riscpl.cli import gen_complex, load_complex
+from riscpl.cli import gen_complex, load_complex, main
 from riscpl.exact_geometry import INF, NEG_INF, RealOpenSet
 from riscpl.field_linalg import Mat, Reduction, rank
 from riscpl.interleave import interleaving_check
@@ -230,6 +230,26 @@ def test_split_cap_on_a_random_pair(tmp_path):
     levels, funcs = interleave_levels(k)
     with pytest.raises(ValueError, match=re.escape("(20807 > 20000)")):
         split_all(k, levels, funcs, cap=risc_builder.DEFAULT_CAP)
+
+
+def test_split_cap_message_names_the_level_it_stopped_at(tmp_path, capsys):
+    # the split of that pair passes the cap during its 38th level of 69:
+    # the 37 levels before stay under it, and the full split is larger
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(gen_complex("random", 6, 2)))
+    k, _ = load_complex(str(path))
+    levels, funcs = interleave_levels(k)
+    levels = sorted(set(levels))
+    cap = risc_builder.DEFAULT_CAP
+    message = "at level 38 of 69; the full split is at least as large"
+    with pytest.raises(ValueError, match=re.escape(f"(20807 > 20000) {message}")):
+        split_all(k, levels, funcs, cap=cap)
+    assert len(levels) == 69
+    assert len(split_all(k, levels[:37], funcs, cap=cap).simplices) <= cap
+    assert len(split_all(k, levels, funcs).simplices) > 20807
+    assert main(["interleave", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +659,51 @@ def test_reduction_ladder_matches_a_fresh_index_per_call():
             if n == 0:
                 relative_cohomology(*pairs[i], n, p, ix)
         assert ix.tops == {}
+
+
+def degree0_pairs(rng):
+    """Fixed pairs with their H^0 dimensions, then random relative pairs of
+    split complexes, each as (complex, A, B, dimension or None)."""
+    # components {1, 4, 6}, {2, 5}, {7, 8, 9} and the isolated vertex 3:
+    # their first columns and their last ones come in different orders
+    k = PLComplex.from_maximal({v: (0,) for v in range(1, 10)},
+                               [{1, 4}, {4, 6}, {2, 5}, {3}, {7, 8, 9}])
+    yield k, whole(k), nothing(k), 4
+    # the path 1-2-3 meets B = {3} through the edge {2, 3}; {4, 5} does not
+    k = PLComplex.from_maximal({v: (0,) for v in range(1, 6)}, [{1, 2}, {2, 3}, {4, 5}])
+    yield k, whole(k), k.index.subcomplex({frozenset({3})}), 1
+    # B holds both ends of the edge {1, 2} but not the edge
+    k = PLComplex.from_maximal({v: (0,) for v in range(1, 5)}, [{1, 2}, {2, 3}, {4}])
+    yield k, whole(k), k.index.subcomplex({frozenset({1}), frozenset({2})}), 1
+    # no relative cells at all
+    yield k, whole(k), whole(k), 0
+    yield k, nothing(k), nothing(k), 0
+    for k, grid in random_split_complexes(rng):
+        sets = random_open_sets(rng, grid)
+        for _ in range(6):
+            u1, u0 = rng.sample(sets, 2)
+            func = rng.randrange(k.nfuncs)
+            yield k, model_of(k, u1, func), model_of(k, intersect(u1, u0), func), None
+
+
+def test_degree0_components_match_the_reduction_and_dense_elimination():
+    """H^0 read off the connected components has the ids, representatives,
+    span and coordinates of the column reduction of delta^0 and the
+    representatives and coordinates of dense elimination, over GF(2),
+    GF(3), GF(5) and GF(7)."""
+    rng = random.Random(47)
+    for k, a, b, dim in degree0_pairs(rng):
+        for p in (2, 3, 5, 7):
+            h = relative_cohomology(a, b, 0, p, k.index)
+            o = reference.degree0_by_reduction(a, b, p, k.index)
+            r = reference.relative_cohomology(a, b, 0, p, k.index)
+            assert dim is None or h.dim == dim
+            assert np.array_equal(h.ids, o.ids) and np.array_equal(h.ids, r.ids)
+            assert h.reps == o.reps == r.reps
+            assert h.span.pivots == o.span.pivots
+            t = r.reps @ random_mat(rng, r.dim, 3, p)
+            assert h.express(t) == o.express(t) == r.express(t)
+        assert k.index.tops == {}
 
 
 @pytest.mark.parametrize("p", [2, 3])
