@@ -56,8 +56,8 @@ def parse_int(x, what: str) -> int:
 MAX_DIGITS = 4300
 DIGIT_BOUND = 10 ** MAX_DIGITS
 
-# sign, integer part or numerator, denominator, decimals, exponent
-RATIONAL = re.compile(r"\s*([-+]?)(\d*)(?:/(\d+)|(?:\.(\d*))?([eE][-+]?\d+)?)\s*")
+# sign, integer part or numerator, denominator, decimals, exponent mark, exponent digits
+RATIONAL = re.compile(r"\s*([-+]?)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:([eE][-+]?)0*(\d+))?)\s*")
 
 
 def parse_rational(x) -> Fraction:
@@ -69,7 +69,7 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, str):
         _, e, exp = x.lower().partition("e")
         try:
-            huge = bool(e) and abs(int(exp)) > MAX_DIGITS
+            huge = bool(e) and int(exp.strip().lstrip("+-").lstrip("0") or "0") > MAX_DIGITS
         except ValueError:
             huge = False  # not an exponent, which Fraction rejects below
         if huge:
@@ -77,12 +77,13 @@ def parse_rational(x) -> Fraction:
         short, m = x, RATIONAL.fullmatch(x)
         if m and (m[2] or m[4]):
             # drop the zeros that do not change the value
-            sign, num, den, dec, exp = m.groups()
+            sign, num, den, dec, e, exp = m.groups()
             num, dec = num.lstrip("0") or "0", (dec or "").rstrip("0")
             den = den and (den.lstrip("0") or "0")
             if max(len(num), len(den or dec)) > MAX_DIGITS:
                 raise ValueError(f"{x!r} has more than {MAX_DIGITS} digits")
-            short = sign + num + (f"/{den}" if den else (f".{dec}" if dec else "") + (exp or ""))
+            exp = e + exp if e else ""
+            short = sign + num + (f"/{den}" if den else (f".{dec}" if dec else "") + exp)
         try:
             r = Fraction(short)
         except (ValueError, ZeroDivisionError) as e:

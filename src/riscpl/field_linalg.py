@@ -6,9 +6,10 @@ accepted.
 
 All elimination is one sparse column reduction, the same for every prime
 and every caller: Reduction reduces dict columns left to right against
-earlier pivots, tracking coordinates.  plc computes cohomology above degree
-0 with it, and rank, kernel_basis, independent_split and solve_in_span run
-it on the columns of a Mat for the diagram formula and the checkers.
+earlier pivots, tracking coordinates.  plc reduces delta^n for n >= 1
+with it and expresses cocycles of degree 2 and up by it, and rank,
+kernel_basis, independent_split and solve_in_span run it on the columns of
+a Mat for the diagram formula and the checkers.
 """
 
 from __future__ import annotations

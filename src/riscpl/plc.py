@@ -22,16 +22,16 @@ delta^n is 1 there and 0 at every other dependent column, which determines
 it, and a cocycle joins the representatives exactly when it is independent
 of the coboundaries and of the cocycles before it, which does not depend
 on how that is found out.  So every basis, and every structure map in a
-module dump, is the one row reduction gives.  Degree 0 needs no
-reduction: the dependent columns of delta^0 are the last vertices of the
-connected components of A that do not meet B, and the cocycle found for
-each is the indicator of its component, read off by union-find.
+module dump, is the one row reduction gives.  delta^0 is never reduced:
+one Kruskal pass over its rows gives the components of A, whose
+indicators span H^0, and the lows of delta^0, a spanning forest whose
+paths express degree-1 cocycles.
 
 From degree 1 on, the evaluators ask each relative cell set for one degree
 after another, so the reductions form a ladder: the simplex index keeps,
 per prime and cell set, the top rung, the pivot columns of the highest
 coboundary delta^n reduced so far, without coordinates.  A call of a
-higher degree climbs on from there instead of reducing delta^0 again, and
+higher degree climbs on from there instead of reducing delta^1 again, and
 stores its own delta^n as the new top.
 """
 
@@ -435,15 +435,16 @@ def open_model(k: PLComplex, ranges: Iterable[Tuple[int, int]],
 
 @dataclass
 class CohomBasis:
-    """A basis of H^n(A, B; GF(p)) with cocycle representatives and the data
-    needed to express arbitrary relative cocycles in this basis."""
+    """A basis of H^n(A, B; GF(p)) with cocycle representatives, and what
+    expresses relative cocycles in it: a matrix up to degree 1, a reduction above."""
 
     degree: int
     p: int
     ids: np.ndarray               # sorted ids of the n-simplices of A minus B
     reps: Mat                     # columns: representative cocycles
     delta: Coboundary             # delta^n, for cocycle checks
-    span: Reduction               # [delta^{n-1} | reps], coordinates on reps
+    coords: Optional[Mat] = None  # degree <= 1: cocycle -> coordinates
+    span: Optional[Reduction] = None  # degree >= 2: [delta^{n-1} | reps], coordinates on reps
 
     @property
     def dim(self) -> int:
@@ -454,6 +455,8 @@ class CohomBasis:
         coboundaries).  Raises if a column is not a cocycle class."""
         if not (self.delta @ cochains).is_zero():
             raise ValueError("not a cocycle")
+        if self.span is None:
+            return self.coords @ cochains
         if self.dim == 0:
             return Mat.zeros(0, cochains.cols, self.p)
         out = self.span.solve(cochains, self.dim)
@@ -462,31 +465,75 @@ class CohomBasis:
         return out
 
 
+def _forest(delta: Coboundary) -> Tuple[List[List[int]], List[int], List[int]]:
+    """Kruskal's pass over the rows of delta^0 of (A, B) in decreasing order,
+    on the vertices of A minus B and a last, ground vertex for B that
+    stands in for a missing face: the rows so read, the union-find parents
+    and the rows that join two components.  Those are the lows of any
+    column reduction of delta^0, as row r is a low exactly when the rows
+    from r on have greater rank than those after it (the pairing
+    uniqueness lemma, Cohen-Steiner, Edelsbrunner & Morozov 2006)."""
+    ground = delta.cols
+    parent = list(range(ground + 1))
+    ends = (delta.faces % (ground + 1)).tolist()
+    joins = []
+    for r in range(len(ends) - 1, -1, -1):
+        u, v = ends[r]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joins.append(r)
+    return ends, parent, joins
+
+
 def _components(ids: np.ndarray, delta: Coboundary, p: int) -> CohomBasis:
-    """H^0(A, B) by union-find on the rows of delta^0: a row joins its two
-    vertices, one with a face missing, an edge to B, marks its component as
-    meeting B; the others give their indicators, by their last columns."""
-    parent = list(range(delta.cols))
+    """H^0(A, B): the indicators of the components of the forest pass that
+    miss the ground, the kernel vectors of the dependent columns of delta^0,
+    ordered by their last columns, at which a cocycle's coordinates are read."""
+    roots = np.array(_forest(delta)[1])
+    while not np.array_equal(roots, roots[roots]):
+        roots = roots[roots]
+    cols, last = np.arange(delta.cols), np.zeros_like(roots)
+    np.maximum.at(last, roots[:-1], cols)
+    free = np.flatnonzero((last[roots[:-1]] == cols) & (roots[:-1] != roots[-1]))
+    return CohomBasis(0, p, ids, Mat(roots[:-1, None] == roots[free], p), delta,
+                      Mat(cols == free[:, None], p))
 
-    def root(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
 
-    both = (delta.faces >= 0).all(axis=1)
-    for u, v in delta.faces[both].tolist():
-        parent[root(u)] = root(v)
-    met = {root(j) for j in delta.faces[~both].max(axis=1).tolist() if j >= 0}
-    members: Dict[int, List[int]] = {}
-    for j in range(delta.cols):
-        members.setdefault(root(j), []).append(j)
-    free = sorted((m for r, m in members.items() if r not in met), key=lambda m: m[-1])
-    reps = np.zeros((len(ids), len(free)), dtype=np.int64)
-    span = Reduction(p)
-    for i, m in enumerate(free):
-        reps[m, i] = 1
-        span.pivots[m[-1]] = (dict.fromkeys(m, 1), {i: 1})
-    return CohomBasis(0, p, ids, Mat(reps, p), delta, span)
+def _degree1_coords(forest, free: List[int], p: int) -> Mat:
+    """The matrix taking a degree-1 cocycle c to its coordinates on the
+    representatives of the given free columns.  For a potential phi,
+    c - delta^0 phi vanishes on the forest and is the sum of its values at
+    the free columns times their representatives.  So row i is e_j minus the
+    signed forest path between the faces of j = free[i], which share a tree."""
+    ends, _, joins = forest
+    tree: Dict[int, List[Tuple[int, int, int]]] = {}
+    for r in joins:
+        u, v = ends[r]
+        tree.setdefault(u, []).append((v, r, -1))
+        tree.setdefault(v, []).append((u, r, 1))
+    # up[x] = (w, r, s): phi(x) = phi(w) + s c[r] along the forest row r
+    up: Dict[int, Optional[Tuple[int, int, int]]] = {}
+    out = np.zeros((len(free), len(ends)), dtype=np.int64)
+    for i, j in enumerate(free):
+        stack = [] if ends[j][0] in up else [ends[j][0]]
+        up.setdefault(ends[j][0], None)
+        while stack:
+            w = stack.pop()
+            for x, r, s in tree.get(w, ()):
+                if x not in up:
+                    up[x] = (w, r, s)
+                    stack.append(x)
+        row = {j: 1}
+        for x, sign in zip(ends[j], (-1, 1)):
+            while up[x] is not None:
+                x, r, s = up[x]
+                row[r] = row.get(r, 0) + sign * s
+        out[i, list(row)] = list(row.values())
+    return Mat(out, p)
 
 
 def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
@@ -500,12 +547,12 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
     of that free column, whose low row is that column.  Every low of a
     coboundary is the low of a cocycle, so a cocycle is independent of the
     coboundaries and of the cocycles before it exactly when its column is
-    not the low of a pivot of delta^{n-1}: those cocycles are the
-    representatives.  A column of delta^m that is the low of a pivot of
-    delta^{m-1} reduces to zero and gives no representative, so it is
-    skipped (clearing, Chen & Kerber 2011); the reductions run from
-    delta^0 up for that.  The reduction of delta^{n-1}, with the
-    representatives added as pivots, is kept to express cocycles.
+    not the low of a pivot of delta^{n-1}: those columns are skipped
+    (clearing, Chen & Kerber 2011), and every other free column gives a
+    representative.  The forest pass gives the lows of delta^0 and, in
+    degree 1, the coordinate matrix (_degree1_coords); above it the
+    reduction of delta^{n-1}, with the representatives added as pivots,
+    is kept to express cocycles.
 
     The index keeps one reduction ladder top per prime and cell set A
     minus B.  A call stores its kernel reduction of delta^n there,
@@ -514,35 +561,45 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
     n + 1 call builds, so it has the same pivots.  A call above the stored
     degree starts from that reduction and reduces only the coboundaries
     between; it replaces the top with its own, so it may take the old one
-    over as its span.  Any other call starts from delta^0."""
+    over as its span.  Any other call starts from the forest pass."""
     rel = a.minus(b)
     ids = index.of_dim(rel, n)
     if n == 0:
         return _components(ids, index.coboundary(rel, 0, p), p)
     key = (p, rel.tobytes())
     top = index.tops.get(key)
-    span, first = Reduction(p), 0
+    forest, span, cleared, first = None, None, (), n
     if top is not None and top[0] < n:
-        first, span = top[0] + 1, top[1]
+        first, span, cleared = top[0] + 1, top[1], top[1].pivots
+    elif n > 0:
+        forest = _forest(index.coboundary(rel, 0, p))
+        cleared, first = set(forest[2]), 1
     for m in range(first, n):
-        cleared, span = span.pivots, Reduction(p)
+        span = Reduction(p)
         for col in index.coboundary(rel, m, p).columns(cleared).values():
             span.add(col, {})
+        cleared = span.pivots
     delta = index.coboundary(rel, n, p)
     kernel = Reduction(p)
     chosen = []
-    for j, col in delta.columns(span.pivots).items():
+    for j, col in delta.columns(cleared).items():
         z = {j: 1}
-        if not kernel.add(col, z) and span.add(dict(z), {len(chosen): 1}):
+        if not kernel.add(col, z):
+            if span is not None:
+                span.add(dict(z), {len(chosen): 1})
             chosen.append(z)
-    if top is None or top[0] < n:
+    if n > 0 and (top is None or top[0] < n):
         for _, coords in kernel.pivots.values():
             coords.clear()
         index.tops[key] = (n, kernel)
     reps = np.zeros((len(ids), len(chosen)), dtype=np.int64)
     for i, z in enumerate(chosen):
         reps[list(z), i] = list(z.values())
-    return CohomBasis(n, p, ids, Mat(reps, p), delta, span)
+    if span is not None:
+        return CohomBasis(n, p, ids, Mat(reps, p), delta, span=span)
+    free = [max(z) for z in chosen]
+    coords = _degree1_coords(forest, free, p) if free else Mat.zeros(0, len(ids), p)
+    return CohomBasis(n, p, ids, Mat(reps, p), delta, coords)
 
 
 def induced_map(src: CohomBasis, dst: CohomBasis) -> Mat:

@@ -611,7 +611,7 @@ def degree0_by_reduction(a: Subcomplex, b: Subcomplex, p: int,
     reps = np.zeros((delta.cols, len(chosen)), dtype=np.int64)
     for i, z in enumerate(chosen):
         reps[list(z), i] = list(z.values())
-    return plc.CohomBasis(0, p, index.of_dim(rel, 0), Mat(reps, p), delta, span)
+    return plc.CohomBasis(0, p, index.of_dim(rel, 0), Mat(reps, p), delta, span=span)
 
 
 def induced_map(src: DenseBasis, dst: DenseBasis) -> Mat:

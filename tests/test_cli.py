@@ -499,6 +499,21 @@ def test_zeros_that_do_not_change_a_value_do_not_count_as_digits(capsys, tmp_pat
         assert "has more than 4300 digits" in assert_cli_error(capsys, "dgm", path)
 
 
+def test_leading_zeros_of_an_exponent_do_not_count(capsys, tmp_path):
+    # they are dropped before the exponent bound and before Fraction
+    assert cli.parse_rational("1e" + "0" * 5000 + "5") == 100000
+    assert cli.parse_rational("2.5e" + "0" * 4400 + "1") == 25
+    assert cli.parse_rational("3E-" + "0" * 5000 + "2") == Fraction(3, 100)
+    path = write_json(tmp_path / "zeros.json", {
+        "vertices": [{"id": 1, "value": "1e+" + "0" * 5000 + "1"}, {"id": 2, "value": "0"}],
+        "simplices": [[1, 2]]})
+    code, _ = run_json(capsys, "dgm", path)
+    assert code == 0
+    # the exponent that is left is still bounded
+    with pytest.raises(ValueError, match="exponent"):
+        cli.parse_rational("1e" + "0" * 5000 + "4301")
+
+
 def test_interleave_hood(capsys, tmp_path):
     path = hood_stability_pair(capsys, tmp_path)
     code, report = run_json(capsys, "interleave", path, "--delta", "1")

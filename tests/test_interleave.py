@@ -446,7 +446,7 @@ def test_an_interleaving_reduces_no_column_in_plc(monkeypatch):
     k = hood_stability_pair()
     assert interleaving_check(k) == want == {"delta": 1, "ok": True, "witness": PAIR_WITNESSES[0]}
     assert callers["riscpl.plc"] == 0
-    # the count sees plc: a degree-1 basis still reduces delta^0
+    # the count sees plc: a degree-1 basis still reduces delta^1
     whole, nothing = k.index.subcomplex(k.simplices), k.index.subcomplex(())
     plc.relative_cohomology(whole, nothing, 1, 2, k.index)
     assert callers["riscpl.plc"] > 0

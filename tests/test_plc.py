@@ -18,6 +18,7 @@ from riscpl.plc import (
     CohomBasis,
     PLComplex,
     SimplexIndex,
+    _forest,
     induced_map,
     mv_connecting,
     open_model,
@@ -536,13 +537,17 @@ def test_mv_connecting_index_and_odd_primes():
 
 
 def kept_coboundaries(h: CohomBasis, d_nm1: Coboundary) -> Mat:
-    """The columns of delta^{n-1} that the reduction of a basis keeps as
-    pivots, beside its representatives: those independent of the columns
-    before them.  The basis skips columns that reduce to zero, so its
-    pivots must be those of reducing every column."""
+    """The columns of delta^{n-1} that a column reduction keeps as pivots:
+    those independent of the columns before them.  In degree 1 their lows
+    are the joining rows of the forest pass.  Above it the reduction of the
+    basis, beside its representatives, skips columns that reduce to zero,
+    so its pivots must be those of reducing every column."""
     red = Reduction(h.p)
     own = [j for j, col in d_nm1.columns().items() if red.add(col, {})]
-    assert red.pivots == {low: piv for low, piv in h.span.pivots.items() if not piv[1]}
+    if h.degree >= 2:
+        assert red.pivots == {low: piv for low, piv in h.span.pivots.items() if not piv[1]}
+    elif h.degree == 1:
+        assert sorted(_forest(d_nm1)[2]) == sorted(red.pivots)
     return Mat((d_nm1 @ Mat.eye(d_nm1.cols, h.p)).data[:, own], h.p)
 
 
@@ -637,7 +642,10 @@ def test_reduction_ladder_matches_a_fresh_index_per_call():
             for i, p, n in calls:
                 h, r = relative_cohomology(*pairs[i], n, p, ix), fresh[i, p, n]
                 assert np.array_equal(h.ids, r.ids) and h.reps == r.reps
-                assert h.span.pivots == r.span.pivots
+                if n >= 2:
+                    assert h.span.pivots == r.span.pivots
+                else:
+                    assert h.span is None and r.span is None and h.coords == r.coords
                 d_nm1 = ix.coboundary(pairs[i][0].minus(pairs[i][1]), n - 1, p)
                 kept = kept_coboundaries(h, d_nm1)
                 assert kept == kept_coboundaries(r, d_nm1)
@@ -687,10 +695,10 @@ def degree0_pairs(rng):
 
 
 def test_degree0_components_match_the_reduction_and_dense_elimination():
-    """H^0 read off the connected components has the ids, representatives,
-    span and coordinates of the column reduction of delta^0 and the
-    representatives and coordinates of dense elimination, over GF(2),
-    GF(3), GF(5) and GF(7)."""
+    """H^0 read off the connected components has the ids, representatives
+    and coordinates of the column reduction of delta^0, whose pivots are
+    the last columns of the free components, and the representatives and
+    coordinates of dense elimination, over GF(2), GF(3), GF(5) and GF(7)."""
     rng = random.Random(47)
     for k, a, b, dim in degree0_pairs(rng):
         for p in (2, 3, 5, 7):
@@ -700,10 +708,46 @@ def test_degree0_components_match_the_reduction_and_dense_elimination():
             assert dim is None or h.dim == dim
             assert np.array_equal(h.ids, o.ids) and np.array_equal(h.ids, r.ids)
             assert h.reps == o.reps == r.reps
-            assert h.span.pivots == o.span.pivots
+            last = [int(np.flatnonzero(h.reps.data[:, i])[-1]) for i in range(h.dim)]
+            assert list(o.span.pivots) == last
             t = r.reps @ random_mat(rng, r.dim, 3, p)
             assert h.express(t) == o.express(t) == r.express(t)
         assert k.index.tops == {}
+
+
+def test_forest_rows_are_the_lows_of_delta0_and_give_degree1_coordinates(monkeypatch):
+    """The rows that join two components in the forest pass are the pivot
+    lows of a column reduction of delta^0.  A degree-1 basis, which asks
+    for the columns of delta^1 only, gives the coordinates of dense
+    elimination on representatives plus coboundaries.  On the pairs of
+    the degree-0 test, over GF(2), GF(3), GF(5) and GF(7)."""
+    columns, asked = Coboundary.columns, []
+
+    def counted(self, skip=()):
+        asked.append(self.faces.shape[1] - 2)
+        return columns(self, skip)
+
+    monkeypatch.setattr(Coboundary, "columns", counted)
+    rng = random.Random(53)
+    classes = 0
+    for k, a, b, _ in degree0_pairs(rng):
+        rel = a.minus(b)
+        for p in (2, 3, 5, 7):
+            d0 = k.index.coboundary(rel, 0, p)
+            red = Reduction(p)
+            for col in columns(d0).values():
+                red.add(col, {})
+            assert sorted(_forest(d0)[2]) == sorted(red.pivots)
+            asked.clear()
+            h = relative_cohomology(a, b, 1, p, k.index)
+            assert asked == [1]
+            r = reference.relative_cohomology(a, b, 1, p, k.index)
+            assert h.reps == r.reps and h.span is None
+            t = Mat((r.reps @ random_mat(rng, r.dim, 3, p)).data
+                    + (r.coboundaries @ random_mat(rng, r.coboundaries.cols, 3, p)).data, p)
+            assert h.express(t) == r.express(t)
+            classes += h.dim
+    assert classes > 0
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -716,10 +760,11 @@ def test_express_rejects_a_cochain_that_is_not_a_cocycle(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_express_rejects_a_cocycle_outside_the_basis(p):
-    # an edge and two points: H^0 has dimension three
-    k = PLComplex.from_maximal({v: (0,) for v in range(1, 5)}, [{1, 2}, {3}, {4}])
-    h = relative_cohomology(whole(k), nothing(k), 0, p, k.index)
-    assert h.dim == 3
+    # the boundary of a tetrahedron: H^2 has dimension one, and above
+    # degree 1 a basis expresses cocycles by its reduction
+    k = PLComplex.from_maximal({v: (0,) for v in range(1, 5)}, combinations(range(1, 5), 3))
+    h = relative_cohomology(whole(k), nothing(k), 2, p, k.index)
+    assert h.dim == 1
     with pytest.raises(ValueError, match="cocycle not expressible in basis"):
         without_first_rep(h).express(h.reps.column(0))
 
