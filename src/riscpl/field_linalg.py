@@ -6,16 +6,18 @@ accepted.
 
 All elimination is one sparse column reduction, the same for every prime
 and every caller: Reduction reduces dict columns left to right against
-earlier pivots, tracking coordinates.  plc reduces delta^n for n >= 1
-with it and expresses cocycles of degree 2 and up by it, and rank,
-kernel_basis, independent_split and solve_in_span run it on the columns of
-a Mat for the diagram formula and the checkers.
+earlier pivots, tracking coordinates.  vanishing keeps the combinations
+of the added columns that reduce to zero: plc finds the cocycles of
+delta^n for n >= 1 with it and expresses cocycles of degree 2 and up by
+the reduction, and rank, kernel_basis, independent_split and
+solve_in_span run it on the columns of a Mat for the diagram formula and
+the checkers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,21 +208,28 @@ def column_space_sum_dim(mats: Sequence[Mat]) -> int:
     return rank(Mat.hstack(mats))
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Columns spanning the kernel: for each column that reduces to zero,
-    the combination that vanishes.  It is 1 at that column and elsewhere
-    supported on the pivots, so it is the reduced row echelon kernel vector
-    of that free column."""
-    red = Reduction(m.p)
+def vanishing(red: Reduction, cols: Iterable[Tuple[int, Dict[int, int]]],
+              size: int) -> Tuple[Mat, List[Dict[int, int]]]:
+    """Add the columns (position, column) to red, each with coordinate 1 at
+    its own position, and keep the combination of every column that reduces
+    to zero: 1 at that column and elsewhere supported on the pivots, so the
+    reduced row echelon kernel vector of that free column.  Returns them as
+    the columns of a size-row Mat, and as the dicts themselves."""
     kernel = []
-    for j, col in enumerate(_columns(m)):
-        coords = {j: 1}
-        if not red.add(col, coords):
-            kernel.append(coords)
-    basis = np.zeros((m.cols, len(kernel)), dtype=np.int64)
+    for j, col in cols:
+        z = {j: 1}
+        if not red.add(col, z):
+            kernel.append(z)
+    basis = np.zeros((size, len(kernel)), dtype=np.int64)
     for i, z in enumerate(kernel):
         basis[list(z), i] = list(z.values())
-    return Mat(basis, m.p)
+    return Mat(basis, red.p), kernel
+
+
+def kernel_basis(m: Mat) -> Mat:
+    """Columns spanning the kernel: the reduced row echelon kernel vectors
+    of the free columns."""
+    return vanishing(Reduction(m.p), enumerate(_columns(m)), m.cols)[0]
 
 
 def independent_split(base: Mat, cand: Mat) -> List[int]:

@@ -27,12 +27,11 @@ one Kruskal pass over its rows gives the components of A, whose
 indicators span H^0, and the lows of delta^0, a spanning forest whose
 paths express degree-1 cocycles.
 
-From degree 1 on, the evaluators ask each relative cell set for one degree
-after another, so the reductions form a ladder: the simplex index keeps,
-per prime and cell set, the top rung, the pivot columns of the highest
-coboundary delta^n reduced so far, without coordinates.  A call of a
-higher degree climbs on from there instead of reducing delta^1 again, and
-stores its own delta^n as the new top.
+The evaluators ask each relative cell set for every degree in turn, so
+the first call of a positive degree builds them all in one loop: each
+reduction of delta^n clears the next one and, coordinates dropped,
+expresses the cocycles of degree n + 1.  The simplex index keeps the
+bases, per prime and cell set.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequen
 
 import numpy as np
 
-from .field_linalg import Mat, Reduction
+from .field_linalg import Mat, Reduction, vanishing
 
 Vid = object  # vertex ids: ints from input files, strings for split vertices
 Simplex = FrozenSet
@@ -314,13 +313,13 @@ class SimplexIndex:
     its faces, face i dropping vertex i with sign (-1)^i.  levels[f] lists
     the distinct values of function f in increasing order and ranks[f]
     holds every vertex's rank among them.  cells and id map ids to simplex
-    objects and back.  tops holds the reduction ladder of
-    relative_cohomology."""
+    objects and back.  cohomology holds, per prime and relative cell set,
+    the bases of every positive degree (relative_cohomology)."""
 
     def __init__(self, simplices: Iterable[Simplex],
                  values: Dict[Vid, Tuple[Fraction, ...]]):
-        # (prime, relative id bytes) -> (n, the reduction of delta^n)
-        self.tops: Dict[Tuple[int, bytes], Tuple[int, Reduction]] = {}
+        # (prime, relative id bytes) -> the bases of degrees 1 up to the top
+        self.cohomology: Dict[Tuple[int, bytes], List[CohomBasis]] = {}
         order = sorted({v for s in simplices for v in s}, key=vkey)
         pos = {v: i for i, v in enumerate(order)}
         keyed = sorted(((len(s) - 1, tuple(sorted(pos[v] for v in s)), s) for s in simplices),
@@ -436,15 +435,17 @@ def open_model(k: PLComplex, ranges: Iterable[Tuple[int, int]],
 @dataclass
 class CohomBasis:
     """A basis of H^n(A, B; GF(p)) with cocycle representatives, and what
-    expresses relative cocycles in it: a matrix up to degree 1, a reduction above."""
+    expresses relative cocycles in it: a reduction from degree 2 on, a
+    matrix below, and the 0 x |ids| matrix in any degree without
+    representatives."""
 
     degree: int
     p: int
     ids: np.ndarray               # sorted ids of the n-simplices of A minus B
     reps: Mat                     # columns: representative cocycles
     delta: Coboundary             # delta^n, for cocycle checks
-    coords: Optional[Mat] = None  # degree <= 1: cocycle -> coordinates
-    span: Optional[Reduction] = None  # degree >= 2: [delta^{n-1} | reps], coordinates on reps
+    coords: Optional[Mat] = None  # cocycle -> coordinates, where span is None
+    span: Optional[Reduction] = None  # [delta^{n-1} | reps], coordinates on reps
 
     @property
     def dim(self) -> int:
@@ -457,8 +458,6 @@ class CohomBasis:
             raise ValueError("not a cocycle")
         if self.span is None:
             return self.coords @ cochains
-        if self.dim == 0:
-            return Mat.zeros(0, cochains.cols, self.p)
         out = self.span.solve(cochains, self.dim)
         if out is None:
             raise ValueError("cocycle not expressible in basis")
@@ -536,70 +535,57 @@ def _degree1_coords(forest, free: List[int], p: int) -> Mat:
     return Mat(out, p)
 
 
-def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
-                        index: SimplexIndex) -> CohomBasis:
-    """Basis of degree-n cohomology of the pair (A, B) of subcomplexes of
-    the complex with the given index, B inside A; cochains live on the ids
-    of A not in B.  Degree 0 is read off the components (_components).
-
-    Above degree 0, reducing delta^n with coordinates, a column that
+def _positive_degrees(rel: np.ndarray, p: int, index: SimplexIndex) -> List[CohomBasis]:
+    """The bases of H^1 up to H^top of the cell set rel, top the dimension
+    of the complex.  Reducing delta^m with coordinates, a column that
     reduces to zero gives a cocycle: the reduced row echelon kernel vector
     of that free column, whose low row is that column.  Every low of a
     coboundary is the low of a cocycle, so a cocycle is independent of the
     coboundaries and of the cocycles before it exactly when its column is
-    not the low of a pivot of delta^{n-1}: those columns are skipped
+    not the low of a pivot of delta^{m-1}: those columns are skipped
     (clearing, Chen & Kerber 2011), and every other free column gives a
-    representative.  The forest pass gives the lows of delta^0 and, in
-    degree 1, the coordinate matrix (_degree1_coords); above it the
-    reduction of delta^{n-1}, with the representatives added as pivots,
-    is kept to express cocycles.
+    representative.  The forest pass clears delta^1 and gives the degree-1
+    coordinate matrix (_degree1_coords); from degree 2 on, the reduction
+    of delta^{m-1}, coordinates dropped, with the representatives added as
+    pivots, expresses cocycles."""
+    forest = _forest(index.coboundary(rel, 0, p))
+    cleared, span, out = set(forest[2]), None, []
+    for m in range(1, len(index.verts)):
+        ids, delta, kernel = index.of_dim(rel, m), index.coboundary(rel, m, p), Reduction(p)
+        reps, chosen = vanishing(kernel, delta.columns(cleared).items(), len(ids))
+        if not chosen:
+            out.append(CohomBasis(m, p, ids, reps, delta, Mat.zeros(0, len(ids), p)))
+        elif m == 1:
+            coords = _degree1_coords(forest, [max(z) for z in chosen], p)
+            out.append(CohomBasis(m, p, ids, reps, delta, coords))
+        else:
+            for i, z in enumerate(chosen):
+                span.add(z, {i: 1})
+            out.append(CohomBasis(m, p, ids, reps, delta, span=span))
+        for _, z in kernel.pivots.values():
+            z.clear()
+        span, cleared = kernel, kernel.pivots
+    return out
 
-    The index keeps one reduction ladder top per prime and cell set A
-    minus B.  A call stores its kernel reduction of delta^n there,
-    coordinates dropped, unless a higher degree is stored: it has the
-    columns and the cleared set of the reduction of delta^n that a degree
-    n + 1 call builds, so it has the same pivots.  A call above the stored
-    degree starts from that reduction and reduces only the coboundaries
-    between; it replaces the top with its own, so it may take the old one
-    over as its span.  Any other call starts from the forest pass."""
+
+def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
+                        index: SimplexIndex) -> CohomBasis:
+    """Basis of degree-n cohomology of the pair (A, B) of subcomplexes of
+    the complex with the given index, B inside A; cochains live on the ids
+    of A not in B.  Degree 0 is read off the components (_components).  The
+    first call of a positive degree builds every positive degree up to the
+    dimension of the complex (_positive_degrees), which the index keeps per
+    prime and cell set A minus B; a degree outside them has no cells."""
     rel = a.minus(b)
-    ids = index.of_dim(rel, n)
     if n == 0:
-        return _components(ids, index.coboundary(rel, 0, p), p)
+        return _components(index.of_dim(rel, 0), index.coboundary(rel, 0, p), p)
+    if not 0 < n < len(index.verts):
+        return CohomBasis(n, p, rel[:0], Mat.zeros(0, 0, p), index.coboundary(rel, n, p),
+                          Mat.zeros(0, 0, p))
     key = (p, rel.tobytes())
-    top = index.tops.get(key)
-    forest, span, cleared, first = None, None, (), n
-    if top is not None and top[0] < n:
-        first, span, cleared = top[0] + 1, top[1], top[1].pivots
-    elif n > 0:
-        forest = _forest(index.coboundary(rel, 0, p))
-        cleared, first = set(forest[2]), 1
-    for m in range(first, n):
-        span = Reduction(p)
-        for col in index.coboundary(rel, m, p).columns(cleared).values():
-            span.add(col, {})
-        cleared = span.pivots
-    delta = index.coboundary(rel, n, p)
-    kernel = Reduction(p)
-    chosen = []
-    for j, col in delta.columns(cleared).items():
-        z = {j: 1}
-        if not kernel.add(col, z):
-            if span is not None:
-                span.add(dict(z), {len(chosen): 1})
-            chosen.append(z)
-    if n > 0 and (top is None or top[0] < n):
-        for _, coords in kernel.pivots.values():
-            coords.clear()
-        index.tops[key] = (n, kernel)
-    reps = np.zeros((len(ids), len(chosen)), dtype=np.int64)
-    for i, z in enumerate(chosen):
-        reps[list(z), i] = list(z.values())
-    if span is not None:
-        return CohomBasis(n, p, ids, Mat(reps, p), delta, span=span)
-    free = [max(z) for z in chosen]
-    coords = _degree1_coords(forest, free, p) if free else Mat.zeros(0, len(ids), p)
-    return CohomBasis(n, p, ids, Mat(reps, p), delta, coords)
+    if key not in index.cohomology:
+        index.cohomology[key] = _positive_degrees(rel, p, index)
+    return index.cohomology[key][n - 1]
 
 
 def induced_map(src: CohomBasis, dst: CohomBasis) -> Mat:

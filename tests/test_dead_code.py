@@ -1,15 +1,20 @@
 """Guard against dead helpers in the package.
 
 Every module-level function, class and method in src/riscpl must be
-reached by the package itself or be declared.  A definition counts as used
-when one of these holds:
+reached by the package itself or be declared.  A module-level function or
+class counts as used when one of these holds:
 
-- code in src/ names it outside its own definition, as an identifier, an
-  attribute or an imported name (words in strings and docstrings do not
-  count);
+- its own module names it as an identifier outside its own definition;
+- another module imports it from its module by name;
 - the benchmark tracer's TRACED table lists it, since the tracer wraps
   those functions by name from outside;
 - its module's `__all__` declares it.
+
+An attribute of the same name, such as `table.point(...)` for a function
+`point`, does not count.  A method counts as used when code in src/ names
+it outside its own definition, as an identifier, an attribute or an
+imported name, or when TRACED lists it.  Words in strings and docstrings
+never count.
 
 References from tests/ do not count: an oracle or a fixture builder that
 only tests reach belongs in tests/.  Dunder methods, `main` and the `cmd_*`
@@ -59,6 +64,17 @@ def named(node) -> Counter:
     return out
 
 
+def identifiers(node) -> Counter:
+    """How often the code under node names each identifier."""
+    return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name))
+
+
+def imported(tree) -> set:
+    """(module, name) of every name a module imports from another one."""
+    return {(sub.module.rsplit(".", 1)[-1], alias.name) for sub in ast.walk(tree)
+            if isinstance(sub, ast.ImportFrom) and sub.module for alias in sub.names}
+
+
 def declared(tree) -> set:
     """The names a module lists in its `__all__`."""
     for node in tree.body:
@@ -79,17 +95,24 @@ def dead_definitions(sources: Dict[str, str], traced: Dict[str, List[str]]) -> L
     qualified names the tracer wraps in it."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     total: Counter = Counter()
+    imports: set = set()
     for tree in trees.values():
         total.update(named(tree))
+        imports |= imported(tree)
     wrapped = {f"{mod}.{attr}" for mod, attrs in traced.items() for attr in attrs}
     dead = []
     for mod, tree in sorted(trees.items()):
         public = declared(tree)
+        own = identifiers(tree)
         for qualname, node in definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
             if exempt(name) or qualname in public or f"{mod}.{qualname}" in wrapped:
                 continue
-            if total[name] == named(node)[name]:
+            if "." in qualname:
+                used = total[name] > named(node)[name]
+            else:
+                used = own[name] > identifiers(node)[name] or (mod, name) in imports
+            if not used:
                 dead.append(f"{mod}.py:{node.lineno} {qualname}")
     return dead
 
@@ -128,6 +151,23 @@ def test_guard_keeps_a_function_declared_in_all():
 def test_guard_keeps_a_traced_function():
     assert dead_definitions(SYNTHETIC, {"geometry": ["oracle"]}) == []
     assert dead_definitions(SYNTHETIC, {"other": ["oracle"]}) == ["geometry.py:4 oracle"]
+
+
+def test_guard_flags_a_function_only_an_attribute_shares():
+    # point is a module-level function of geometry; grid calls a method of
+    # the same name and never imports it, so only the method is used
+    shared = {
+        "geometry": "def point(x):\n    return x\n",
+        "grid": ("class Table:\n"
+                 "    def point(self, x):\n"
+                 "        return x\n"
+                 "\n"
+                 "def main():\n"
+                 "    return Table().point(1)\n"),
+    }
+    assert dead_definitions(shared, {}) == ["geometry.py:1 point"]
+    imported_src = dict(shared, grid="from .geometry import point\n" + shared["grid"])
+    assert dead_definitions(imported_src, {}) == []
 
 
 def test_no_assert_statements():
