@@ -11,7 +11,7 @@ of the added columns that reduce to zero: plc finds the cocycles of
 delta^n for n >= 1 with it and expresses cocycles of degree 2 and up by
 the reduction, and rank, kernel_basis, independent_split and
 solve_in_span run it on the columns of a Mat for the diagram formula and
-the checkers.
+the checkers; rank reads rank 1 off a nonzero matrix with a side of 1.
 """
 
 from __future__ import annotations
@@ -195,6 +195,8 @@ def _columns(m: Mat) -> List[Dict[int, int]]:
 def rank(m: Mat) -> int:
     if not m.data.any():
         return 0
+    if 1 in m.data.shape:
+        return 1
     red = Reduction(m.p)
     return sum(red.add(col, {}) for col in _columns(m))
 

@@ -13,13 +13,15 @@ GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
 is a coordinate id, the sample and interior tests read the table's strip
 locations, the sample iteration its one sample list, the translate lookups
 its maps of T^n, and the block supports its `block`, row by row.  The
-checkers work on grid indices alone, with `GridModule.up` and
-`GridModule.down` as the one covering relation and
-`GridModule.unit_squares` as the one walk over unit squares.
+checkers work on grid indices alone: `GridModule.up` and `down` are the
+one covering relation, `unit_squares` the one walk over unit squares, and
+`map_between` the one composite routine, which multiplies each composite
+at most once per check.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -101,6 +103,7 @@ class GridModule:
         self.dims = dict(dims)
         self.maps = dict(maps)
         self.p = p
+        self._composites = None
 
     # -- sample bookkeeping
 
@@ -155,22 +158,39 @@ class GridModule:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
         independence makes any other monotone path agree.  A staircase
-        through a zero space composes to zero, so it is not multiplied.  The
+        through a zero space, which prefix counts of the zero spaces along
+        rows and columns tell in O(1), composes to zero unmultiplied.  The
         fold starts from the first covering map, so a covering pair gets its
-        stored matrix back; like map_at's, the result must not be written
-        to."""
+        stored matrix back; each longer prefix is kept, read-only, until a
+        composing checker returns, and a call folds on from the nearest kept
+        one back along its staircase.  Like map_at's, the result must not be
+        written to."""
         (il, jl), (ih, jh) = lo, hi
         if il < ih or jl > jh:
             raise ValueError("samples not comparable in the given direction")
         if lo == hi:
             return self.map_at(lo, hi)
-        path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
-            [(i, jl) for i in range(ih + 1, il + 1)]
-        if any(self.dim_at(s) == 0 for s in path):
+        if self._composites is None:
+            zero = np.ones((len(self.table.grid),) * 2, dtype=np.int64)
+            for s, d in self.dims.items():
+                zero[s] = not d
+            self._composites = (np.pad(zero.cumsum(1), ((0, 0), (1, 0))),
+                                np.pad(zero.cumsum(0), ((1, 0), (0, 0))), {})
+        rows, cols, kept = self._composites
+        if rows[ih, jh + 1] - rows[ih, jl] + cols[il + 1, jl] - cols[ih + 1, jl]:
             return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
-        acc = self.map_at(path[1], path[0])
-        for above, below in zip(path[1:], path[2:]):
-            acc = self.map_at(below, above) @ acc
+        steps, above = [], lo
+        while above != hi and (above, hi) not in kept:
+            steps.append(above)
+            above = (above[0] - 1, jl) if above[0] > ih else (ih, above[1] + 1)
+        acc = kept.get((above, hi))
+        for below in reversed(steps):
+            if above == hi:
+                acc = self.map_at(below, hi)
+            else:
+                acc = kept[below, hi] = self.map_at(below, above) @ acc
+                acc.data.flags.writeable = False
+            above = below
         return acc
 
     def unit_squares(self) -> Iterable[Tuple[Index, Index]]:
@@ -224,6 +244,19 @@ def dgm(m: GridModule) -> Diagram:
 # checkers
 
 
+def _composing(check):
+    """Run a checker on a fresh composite table, dropped on return, so a
+    module edited between two checks is read afresh."""
+    @functools.wraps(check)
+    def run(m: GridModule, *args, **kwargs):
+        m._composites = None
+        try:
+            return check(m, *args, **kwargs)
+        finally:
+            m._composites = None
+    return run
+
+
 def square_commutes_check(m: GridModule):
     """Every unit square of structure maps must commute; with that, any two
     staircase composites between comparable samples agree.  A square whose
@@ -240,6 +273,7 @@ def square_commutes_check(m: GridModule):
     return None
 
 
+@_composing
 def decomposition_check(m: GridModule, spot_checks: int = 200):
     """Verify the block decomposition by constructing an explicit natural
     isomorphism from the block sum read off the diagram.
@@ -292,9 +326,10 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
 
     rng = random.Random(CHECK_SEED)
     nonzero = [s for s in m.samples() if m.dim_at(s)]
+    xs, ys = np.array(nonzero, dtype=np.int64).reshape(-1, 2).T
     for _ in range(spot_checks if nonzero else 0):
         pi = rng.choice(nonzero)
-        qi = rng.choice([s for s in nonzero if s[0] <= pi[0] and s[1] >= pi[1]])
+        qi = nonzero[rng.choice(np.flatnonzero((xs <= pi[0]) & (ys >= pi[1])))]
         got = rank(m.map_between(pi, qi))
         want = sum(xi.cols for v, supp, xi in sections if pi in supp and qi in supp)
         if got != want:
@@ -345,6 +380,7 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     return None
 
 
+@_composing
 def cohomological_check(m: GridModule, random_rectangles: int = 100):
     """Long-sequence exactness on every unit sample square, plus on random
     larger rectangles.  Exactness at the middle term pastes from unit
@@ -375,6 +411,7 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
     return None
 
 
+@_composing
 def seq_continuity_check(m: GridModule):
     """Every sample on a cell boundary maps isomorphically into the open
     cell below and to the left of it (the finite stand-in for sequential

@@ -5,6 +5,8 @@ import pytest
 
 from riscpl.field_linalg import (
     Mat,
+    Reduction,
+    _columns,
     column_space_sum_dim,
     independent_split,
     kernel_basis,
@@ -19,6 +21,25 @@ def test_rank_examples():
     assert rank(Mat.zeros(3, 4)) == 0
     assert rank(Mat.eye(5)) == 5
     assert rank(Mat([[1, 1], [1, 1]], 2)) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_thin_ranks_match_a_reduction(p):
+    # a matrix with a side of 0 or 1 is ranked without elimination; the
+    # rank is still the pivot count of a column reduction
+    rng = random.Random(p)
+    for rows, cols in [(0, 0), (0, 4), (4, 0), (1, 1), (1, 4), (4, 1)]:
+        zero = np.zeros((rows, cols), dtype=np.int64)
+        mats = [Mat(zero, p)]
+        if rows and cols:
+            one = zero.copy()
+            one[rng.randrange(rows), rng.randrange(cols)] = rng.randrange(1, p)
+            dense = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+            dense[0, -1] = rng.randrange(1, p)
+            mats += [Mat(one, p), Mat(dense, p)]
+        for m in mats:
+            red = Reduction(p)
+            assert rank(m) == sum(red.add(col, {}) for col in _columns(m)), m
 
 
 def test_column_space_sum_examples():

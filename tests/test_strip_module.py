@@ -171,6 +171,77 @@ def test_map_between_matches_staircase_fold():
     assert killed > 0
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_kept_composites_match_staircase_fold(order):
+    # one module answers every comparable pair from its warm table, whatever
+    # prefixes earlier calls kept, and a second pass reads only kept ones
+    xs = sym_grid(lams=(0,), kmin=-1, kmax=1)
+    rng = random.Random(43)
+    m = from_blocks(random_blocks(rng, GridModule(CoordTable(xs), {}, {}), 3), xs)
+    full = [s for s in m.samples() if m.dim_at(s) and m.is_interior(s)]
+    m = zeroed_at(m, rng.choice(full))
+    samples = list(m.samples())
+    pairs = [(lo, hi) for lo in samples for hi in samples if lo[0] >= hi[0] and lo[1] <= hi[1]]
+    if order == "descending":
+        pairs.reverse()
+    elif order == "shuffled":
+        rng.shuffle(pairs)
+    for _ in range(2):
+        for lo, hi in pairs:
+            assert m.map_between(lo, hi) == staircase_fold(m, lo, hi), (lo, hi)
+
+
+def count_products(monkeypatch):
+    """A list that grows by one at every Mat product."""
+    calls = []
+    matmul = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    return calls
+
+
+def test_kept_and_zero_composites_multiply_nothing(monkeypatch):
+    xs = sym_grid()
+    m = from_blocks([(HOOD_V1, 2)], xs)
+    v = m.index_of(HOOD_V1)
+    lo = (v[0] + 2, v[1] - 2)
+    past = (lo[0] + 1, lo[1])
+    want = staircase_fold(m, lo, v), staircase_fold(m, past, v)
+    calls = count_products(monkeypatch)
+    first = m.map_between(lo, v)
+    assert first == want[0] and len(calls) == 3
+    assert m.map_between(lo, v) is first and len(calls) == 3
+    with pytest.raises(ValueError):
+        first.data[0, 0] = 0
+    # one step past a kept composite is one product
+    assert m.map_between(past, v) == want[1] and len(calls) == 4
+    # a staircase through a zero space on either leg, between two nonzero
+    # spaces
+    for s in (v[0], v[1] - 1), (v[0] + 1, lo[1]):
+        cut = zeroed_at(m, s)
+        calls.clear()
+        assert cut.map_between(lo, v) == Mat.zeros(2, 2) and not calls
+
+
+def test_checks_read_a_module_edited_in_place():
+    # a check keeps no composite past its return: zeroing one covering map
+    # after a passing check gives the counterexample of a fresh module with
+    # the same edit, which a composite through that map kept from the first
+    # check would hide (it would report a unit square instead)
+    xs = sym_grid()
+    blocks = [(HOOD_V1, 1), (HOOD_V2, 1)]
+    m = from_blocks(blocks, xs)
+    assert cohomological_check(m, random_rectangles=40) is None
+    # the map into the lowest sample of the column below the vertex
+    v = m.index_of(HOOD_V1)
+    low = min(j for j in range(v[1]) if m.dim_at((v[0], j)))
+    key = ((v[0], low), (v[0], low + 1))
+    fresh = from_blocks(blocks, xs)
+    m.maps[key] = fresh.maps[key] = Mat.zeros(1, 1)
+    want = cohomological_check(fresh, random_rectangles=40)
+    assert want[2] == "not exact at the intersection term"
+    assert cohomological_check(m, random_rectangles=40) == want
+
+
 def test_decomposition_check_blocks_ok_and_mutation():
     xs = sym_grid()
     rng = random.Random(5)
