@@ -15,13 +15,13 @@ locations, the sample iteration its one sample list, the translate lookups
 its maps of T^n, and the block supports its `block`, row by row.  The
 checkers work on grid indices alone: `GridModule.up` and `down` are the
 one covering relation, `unit_squares` the one walk over unit squares, and
-`map_between` the one composite routine, which multiplies each composite
-at most once per check.
+`map_between` the one composite routine between two samples.  The block
+checkers walk each block's support once along its staircases to the
+block's vertex (`_block`) and read every composite off that walk.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,7 +103,6 @@ class GridModule:
         self.dims = dict(dims)
         self.maps = dict(maps)
         self.p = p
-        self._composites = None
 
     # -- sample bookkeeping
 
@@ -158,39 +157,22 @@ class GridModule:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
         independence makes any other monotone path agree.  A staircase
-        through a zero space, which prefix counts of the zero spaces along
-        rows and columns tell in O(1), composes to zero unmultiplied.  The
+        through a zero space composes to zero, so it is not multiplied.  The
         fold starts from the first covering map, so a covering pair gets its
-        stored matrix back; each longer prefix is kept, read-only, until a
-        composing checker returns, and a call folds on from the nearest kept
-        one back along its staircase.  Like map_at's, the result must not be
-        written to."""
+        stored matrix back; like map_at's, the result must not be written
+        to.  Nothing is kept between calls."""
         (il, jl), (ih, jh) = lo, hi
         if il < ih or jl > jh:
             raise ValueError("samples not comparable in the given direction")
         if lo == hi:
             return self.map_at(lo, hi)
-        if self._composites is None:
-            zero = np.ones((len(self.table.grid),) * 2, dtype=np.int64)
-            for s, d in self.dims.items():
-                zero[s] = not d
-            self._composites = (np.pad(zero.cumsum(1), ((0, 0), (1, 0))),
-                                np.pad(zero.cumsum(0), ((1, 0), (0, 0))), {})
-        rows, cols, kept = self._composites
-        if rows[ih, jh + 1] - rows[ih, jl] + cols[il + 1, jl] - cols[ih + 1, jl]:
+        path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
+            [(i, jl) for i in range(ih + 1, il + 1)]
+        if not all(map(self.dim_at, path)):
             return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
-        steps, above = [], lo
-        while above != hi and (above, hi) not in kept:
-            steps.append(above)
-            above = (above[0] - 1, jl) if above[0] > ih else (ih, above[1] + 1)
-        acc = kept.get((above, hi))
-        for below in reversed(steps):
-            if above == hi:
-                acc = self.map_at(below, hi)
-            else:
-                acc = kept[below, hi] = self.map_at(below, above) @ acc
-                acc.data.flags.writeable = False
-            above = below
+        acc = self.map_at(path[1], path[0])
+        for above, below in zip(path[1:], path[2:]):
+            acc = self.map_at(below, above) @ acc
         return acc
 
     def unit_squares(self) -> Iterable[Tuple[Index, Index]]:
@@ -244,19 +226,6 @@ def dgm(m: GridModule) -> Diagram:
 # checkers
 
 
-def _composing(check):
-    """Run a checker on a fresh composite table, dropped on return, so a
-    module edited between two checks is read afresh."""
-    @functools.wraps(check)
-    def run(m: GridModule, *args, **kwargs):
-        m._composites = None
-        try:
-            return check(m, *args, **kwargs)
-        finally:
-            m._composites = None
-    return run
-
-
 def square_commutes_check(m: GridModule):
     """Every unit square of structure maps must commute; with that, any two
     staircase composites between comparable samples agree.  A square whose
@@ -273,7 +242,6 @@ def square_commutes_check(m: GridModule):
     return None
 
 
-@_composing
 def decomposition_check(m: GridModule, spot_checks: int = 200):
     """Verify the block decomposition by constructing an explicit natural
     isomorphism from the block sum read off the diagram.
@@ -292,31 +260,28 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
         return ("square", *bad)
     # diagram points are grid vertices
     blocks = [(m.index_of(d.point), d.multiplicity) for d in dgm(m).points]
-    table = m.table
     # process upper blocks first: a block can only feed sections into the
     # vertex spaces of blocks whose vertex its support contains
     order = sorted(blocks, key=lambda b: b[0][0] - b[0][1])
 
-    # each section (v, supp, xi) moves along the staircase of map_between,
-    # through the corner (v.x, s.y), which lies in the strip for every s in
-    # or just below the support when the grid is closed under T
-    sections: List[Tuple[Index, set, Mat]] = []
+    # the sections at v are the kernel of the walk's equations: with every
+    # square commuting, their rows off the tree vanish and the others are
+    # the composites onto the samples just below the support; a section
+    # (v, walk, xi) moves to a sample s of the support by walk[s]
+    sections: List[Tuple[Index, Dict[Index, Mat], Mat]] = []
     for vi, mult in order:
-        supp = set(table.block(vi))
-        rows = [m.map_between(down, vi) for s in supp for down in m.down(s)
-                if m.is_sample(down) and down not in supp]
-        constraints = _vstack(rows) if rows else Mat.zeros(0, m.dim_at(vi), m.p)
-        ker = kernel_basis(constraints)
-        prior = [m.map_between(vi, v) @ xi for v, sv, xi in sections if vi in sv]
+        walk, equations = _block(vi, m)
+        ker = kernel_basis(equations)
+        prior = [w[vi] @ xi for v, w, xi in sections if vi in w]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
         free = independent_split(base, ker)
         if len(free) < mult:
-            return ("too few sections", table.point(vi), len(free), mult)
+            return ("too few sections", m.table.point(vi), len(free), mult)
         xi = Mat.hstack([ker.column(c) for c in free[:mult]])
-        sections.append((vi, supp, xi))
+        sections.append((vi, walk, xi))
 
     for s in m.samples():
-        cols = [m.map_between(s, v) @ xi for v, supp, xi in sections if s in supp]
+        cols = [w[s] @ xi for v, w, xi in sections if s in w]
         d = m.dim_at(s)
         total = sum(c.cols for c in cols)
         if total != d:
@@ -331,14 +296,10 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
         pi = rng.choice(nonzero)
         qi = nonzero[rng.choice(np.flatnonzero((xs <= pi[0]) & (ys >= pi[1])))]
         got = rank(m.map_between(pi, qi))
-        want = sum(xi.cols for v, supp, xi in sections if pi in supp and qi in supp)
+        want = sum(xi.cols for v, w, xi in sections if pi in w and qi in w)
         if got != want:
             return (pi, qi, got, want)
     return None
-
-
-def _vstack(mats: Sequence[Mat]) -> Mat:
-    return Mat(np.vstack([a.data for a in mats]), mats[0].p)
 
 
 def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
@@ -357,7 +318,8 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     corners = (lo, hi, v1, v2)
     if not all(map(m.is_interior, corners)) or not any(map(m.dim_at, corners)):
         return None
-    first = _vstack([m.map_between(v1, hi), m.map_between(v2, hi)])
+    first = Mat(np.vstack([m.map_between(v1, hi).data, m.map_between(v2, hi).data]),
+                m.p)
     second = Mat.hstack([m.map_between(lo, v1), -m.map_between(lo, v2)])
     if not (second @ first).is_zero():
         return (lo, hi, "composite nonzero")
@@ -380,7 +342,6 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     return None
 
 
-@_composing
 def cohomological_check(m: GridModule, random_rectangles: int = 100):
     """Long-sequence exactness on every unit sample square, plus on random
     larger rectangles.  Exactness at the middle term pastes from unit
@@ -411,7 +372,6 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
     return None
 
 
-@_composing
 def seq_continuity_check(m: GridModule):
     """Every sample on a cell boundary maps isomorphically into the open
     cell below and to the left of it (the finite stand-in for sequential
@@ -432,44 +392,44 @@ def seq_continuity_check(m: GridModule):
 # natural transformations from a block
 
 
+def _block(v: Index, m: GridModule) -> Tuple[Dict[Index, Mat], Mat]:
+    """The support of the block at v walked along its staircases to v, and
+    the equations on eta(v) of a natural transformation eta out of it.
+
+    A nonempty support (`table.block(v)`) holds v, and each other sample
+    s = (i, j) of it has its next staircase step there: (i - 1, j) while
+    i > v.i, then (i, j + 1), as in `map_between`.  So the support is a
+    tree rooted at v, walked from v's row on, each row from the right, and
+    naturality along the tree gives eta(s) = walk[s] eta(v) with
+    walk[s] = M(s <- step) walk[step] = map_between(s, v).  The equations
+    are the rest of naturality: M(s <- (i, j + 1)) walk[(i, j + 1)] -
+    walk[s] for each other covering pair in the support (i > v.i), and
+    M(down <- s) walk[s] for each sample below s outside it."""
+    order = sorted(m.table.block(v), key=lambda s: (s[0], -s[1]))
+    d = m.dim_at(v)
+    walk = {v: Mat.eye(d, m.p)} if order else {}
+    for i, j in order[1:]:
+        step = (i - 1, j) if i > v[0] else (i, j + 1)
+        walk[i, j] = m.map_at((i, j), step) @ walk[step]
+    rows = [np.zeros((0, d), dtype=np.int64)]
+    for (i, j), eta in walk.items():
+        side = (i, j + 1)
+        if i > v[0] and side in walk:
+            rows.append((m.map_at((i, j), side) @ walk[side]).data - eta.data)
+        for down in m.down((i, j)):
+            if down not in walk and m.is_sample(down):
+                rows.append((m.map_at(down, (i, j)) @ eta).data)
+    return walk, Mat(np.vstack(rows), m.p)
+
+
 def nat_space_dim(v: Index, m: GridModule) -> int:
     """Dimension of the space of natural transformations from the block at
-    the sample v into m, computed by solving the naturality equations on the
-    sample grid.  By the Yoneda-style lemma this must equal dim m(v)."""
-    supp = m.table.block(v)
-    if not supp:
-        return 0
-    offset = {}
-    total = 0
-    for idx in supp:
-        offset[idx] = total
-        total += m.dim_at(idx)
-    rows = []
-    for idx in supp:
-        for up in m.up(idx):
-            if not m.is_sample(up):
-                continue
-            mat = m.map_at(idx, up)
-            if up in offset:
-                # eta at idx = structure map applied to eta at up
-                for r in range(m.dim_at(idx)):
-                    row = np.zeros(total, dtype=np.int64)
-                    row[offset[idx] + r] = 1
-                    row[offset[up] : offset[up] + m.dim_at(up)] -= mat.data[r]
-                    rows.append(row % m.p)
-        for down in m.down(idx):
-            if down in offset or not m.is_sample(down):
-                continue
-            # the block dies moving down; the image of eta must die with it
-            mat = m.map_at(down, idx)
-            for r in range(m.dim_at(down)):
-                row = np.zeros(total, dtype=np.int64)
-                row[offset[idx] : offset[idx] + m.dim_at(idx)] = mat.data[r]
-                rows.append(row % m.p)
-    if not rows:
-        return total
-    system = Mat(np.array(rows, dtype=np.int64), m.p)
-    return total - rank(system)
+    the sample v into m.  Such a transformation is fixed by its value in
+    m(v) (`_block`), so the count is dim m(v) less the rank of the walk's
+    equations, and 0 for an empty support.  By the Yoneda-style lemma this
+    must equal dim m(v)."""
+    walk, equations = _block(v, m)
+    return m.dim_at(v) - rank(equations) if walk else 0
 
 
 def yoneda_check(m: GridModule):

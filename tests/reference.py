@@ -15,6 +15,9 @@ connected components.
 The proof devices the tests use as oracles live here too: block sums
 (`from_blocks`), the colexicographic filtration with its structural
 identities, and the fiberwise count of the levelset barcode.  So do the
+count of natural transformations out of a block with their value at every
+sample of its support as unknowns, the decomposition check that cuts its
+sections out by composites and moves them by `map_between`, and the
 interleaving check that tests both triangle identities at every sample of
 a period, empty or not, and the composition and precomposition checks that
 build every transformation and pullback at every sample of a period.  They
@@ -28,6 +31,7 @@ time nor change it.
 """
 
 import bisect
+import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +84,15 @@ from riscpl.risc_builder import (
     joint_context,
     joint_levels,
 )
-from riscpl.strip_module import Diagram, GridModule, Index, refine_lines
+from riscpl.strip_module import (
+    CHECK_SEED,
+    Diagram,
+    GridModule,
+    Index,
+    dgm,
+    refine_lines,
+    square_commutes_check,
+)
 
 from geometry_reference import intersect
 
@@ -399,6 +411,82 @@ def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
             if local != dims[j][i] - dims[j][i - 1]:
                 raise AssertionError("step-isomorphism identity fails")
     return dims
+
+
+def nat_space_dim_reference(v: Index, m: GridModule) -> int:
+    """Dimension of the space of natural transformations from the block at
+    v into m, with the transformation at every sample of the support as
+    unknowns: eta(s) = M(s <- up) eta(up) for each covering pair inside the
+    support, and M(down <- s) eta(s) = 0 for each sample below it outside."""
+    supp = m.table.block(v)
+    if not supp:
+        return 0
+    offset, total = {}, 0
+    for idx in supp:
+        offset[idx] = total
+        total += m.dim_at(idx)
+    rows = []
+    for idx in supp:
+        for up in m.up(idx):
+            if up in offset:
+                mat = m.map_at(idx, up)
+                for r in range(m.dim_at(idx)):
+                    row = np.zeros(total, dtype=np.int64)
+                    row[offset[idx] + r] = 1
+                    row[offset[up]: offset[up] + m.dim_at(up)] -= mat.data[r]
+                    rows.append(row)
+        for down in m.down(idx):
+            if down not in offset and m.is_sample(down):
+                mat = m.map_at(down, idx)
+                for r in range(m.dim_at(down)):
+                    row = np.zeros(total, dtype=np.int64)
+                    row[offset[idx]: offset[idx] + m.dim_at(idx)] = mat.data[r]
+                    rows.append(row)
+    if not rows:
+        return total
+    return total - field_linalg.rank(Mat(np.array(rows), m.p))
+
+
+def decomposition_check_reference(m: GridModule, spot_checks: int = 200):
+    """The decomposition check with its sections cut out by the composites
+    map_between(down, v) onto the samples just below each block's support
+    and moved along the support by map_between; the same verdicts and
+    counterexamples in the same order as the package's check."""
+    bad = square_commutes_check(m)
+    if bad is not None:
+        return ("square", *bad)
+    blocks = [(m.index_of(d.point), d.multiplicity) for d in dgm(m).points]
+    sections = []
+    for vi, mult in sorted(blocks, key=lambda b: b[0][0] - b[0][1]):
+        supp = set(m.table.block(vi))
+        rows = [m.map_between(down, vi).data for s in supp for down in m.down(s)
+                if m.is_sample(down) and down not in supp]
+        ker = field_linalg.kernel_basis(
+            Mat(np.vstack(rows) if rows else np.zeros((0, m.dim_at(vi))), m.p))
+        prior = [m.map_between(vi, v) @ xi for v, sv, xi in sections if vi in sv]
+        base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
+        free = field_linalg.independent_split(base, ker)
+        if len(free) < mult:
+            return ("too few sections", m.table.point(vi), len(free), mult)
+        sections.append((vi, supp, Mat.hstack([ker.column(c) for c in free[:mult]])))
+    for s in m.samples():
+        cols = [m.map_between(s, v) @ xi for v, supp, xi in sections if s in supp]
+        d = m.dim_at(s)
+        total = sum(c.cols for c in cols)
+        if total != d:
+            return ("dimension mismatch", s, total, d)
+        if cols and field_linalg.rank(Mat.hstack(cols)) < d:
+            return ("not invertible", s)
+    rng = random.Random(CHECK_SEED)
+    nonzero = [s for s in m.samples() if m.dim_at(s)]
+    for _ in range(spot_checks if nonzero else 0):
+        pi = rng.choice(nonzero)
+        qi = rng.choice([q for q in nonzero if q[0] <= pi[0] and q[1] >= pi[1]])
+        got = field_linalg.rank(m.map_between(pi, qi))
+        want = sum(xi.cols for v, supp, xi in sections if pi in supp and qi in supp)
+        if got != want:
+            return (pi, qi, got, want)
+    return None
 
 
 def interval_contains(bar: TypedInterval, t) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -28,7 +29,14 @@ from riscpl.strip_module import (
 )
 
 from geometry_reference import SampleGridReference, block_contains, point, precedes
-from reference import colex_filtration, from_blocks, multiset, staircase_fold
+from reference import (
+    colex_filtration,
+    decomposition_check_reference,
+    from_blocks,
+    multiset,
+    nat_space_dim_reference,
+    staircase_fold,
+)
 
 F = Fraction
 
@@ -173,8 +181,8 @@ def test_map_between_matches_staircase_fold():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_kept_composites_match_staircase_fold(order):
-    # one module answers every comparable pair from its warm table, whatever
-    # prefixes earlier calls kept, and a second pass reads only kept ones
+    # one module answers every comparable pair with the staircase fold,
+    # whatever pairs earlier calls asked for, in any order and twice over
     xs = sym_grid(lams=(0,), kmin=-1, kmax=1)
     rng = random.Random(43)
     m = from_blocks(random_blocks(rng, GridModule(CoordTable(xs), {}, {}), 3), xs)
@@ -204,22 +212,32 @@ def test_kept_and_zero_composites_multiply_nothing(monkeypatch):
     m = from_blocks([(HOOD_V1, 2)], xs)
     v = m.index_of(HOOD_V1)
     lo = (v[0] + 2, v[1] - 2)
-    past = (lo[0] + 1, lo[1])
-    want = staircase_fold(m, lo, v), staircase_fold(m, past, v)
+    want = staircase_fold(m, lo, v)
     calls = count_products(monkeypatch)
-    first = m.map_between(lo, v)
-    assert first == want[0] and len(calls) == 3
-    assert m.map_between(lo, v) is first and len(calls) == 3
-    with pytest.raises(ValueError):
-        first.data[0, 0] = 0
-    # one step past a kept composite is one product
-    assert m.map_between(past, v) == want[1] and len(calls) == 4
+    # four covering maps fold in three products
+    assert m.map_between(lo, v) == want and len(calls) == 3
     # a staircase through a zero space on either leg, between two nonzero
     # spaces
     for s in (v[0], v[1] - 1), (v[0] + 1, lo[1]):
         cut = zeroed_at(m, s)
         calls.clear()
         assert cut.map_between(lo, v) == Mat.zeros(2, 2) and not calls
+
+
+def test_composites_read_a_module_edited_in_place():
+    # nothing outlives a call: a covering map zeroed after a first composite
+    # through it gives the composite of a fresh module with the same edit
+    xs = sym_grid()
+    m = from_blocks([(HOOD_V1, 1)], xs)
+    v = m.index_of(HOOD_V1)
+    lo = (v[0] + 2, v[1] - 2)
+    assert m.map_between(lo, v) == Mat.eye(1)
+    key = ((lo[0] - 1, lo[1]), (lo[0] - 2, lo[1]))
+    fresh = from_blocks([(HOOD_V1, 1)], xs)
+    m.maps[key] = fresh.maps[key] = Mat.zeros(1, 1)
+    want = fresh.map_between(lo, v)
+    assert want == Mat.zeros(1, 1)
+    assert m.map_between(lo, v) == want
 
 
 def test_checks_read_a_module_edited_in_place():
@@ -551,6 +569,155 @@ def test_nat_space_dim():
         m = from_blocks(blocks, xs)
         v = rng.choice(blocks)[0]
         assert nat_space_dim(m.index_of(v), m) == m.dim_at(m.index_of(v))
+
+
+def dump_module(case, p):
+    """The module of the hood, of RP^2 with height = vertex id or of S^3
+    (the boundary of the 4-simplex) over GF(p), as `dgm --dump-module`
+    writes it."""
+    from itertools import combinations
+
+    from riscpl.plc import PLComplex
+
+    from reference import evaluated
+    from test_golden import RP2
+    from test_oracles import HOOD_F, HOOD_SIMPLICES
+
+    values, maximal = {
+        "hood": (HOOD_F, HOOD_SIMPLICES),
+        "rp2": ({v: v for v in range(1, 7)}, RP2),
+        "s3": (dict(zip(range(1, 6), (1, 1, 2, 2, 3))), combinations(range(1, 6), 4)),
+    }[case]
+    k = PLComplex.from_maximal({v: (F(x),) for v, x in values.items()}, maximal)
+    return evaluated(k, p=p).module
+
+
+def random_mat(rng, rows, cols, p):
+    return Mat([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p) \
+        if rows and cols else Mat.zeros(rows, cols, p)
+
+
+def mutants(m, rng):
+    """m and four broken copies: three map entries changed, six boundary
+    samples given spaces with random maps, one nonzero map zeroed, and one
+    nonzero space made a hole."""
+    def copy(edit):
+        out = GridModule(m.table, m.dims, m.maps, m.p)
+        edit(out)
+        return out
+
+    def entries(out):
+        for key in rng.sample(sorted(k for k, a in m.maps.items() if a.rows and a.cols), 3):
+            a = m.maps[key].data.copy()
+            a[rng.randrange(a.shape[0]), rng.randrange(a.shape[1])] += rng.randrange(1, m.p)
+            out.maps[key] = Mat(a, m.p)
+
+    def boundary(out):
+        n = len(m.table.grid)
+        edge = [s for s in m.samples() if not m.is_interior(s) and s[0] and s[1] < n - 1]
+        picked = rng.sample(edge, 6)
+        for s in picked:
+            out.dims[s] = rng.randint(1, 2)
+        for s in picked:
+            for up in m.up(s):
+                if m.is_sample(up):
+                    out.maps[s, up] = random_mat(rng, out.dim_at(s), out.dim_at(up), m.p)
+            for down in m.down(s):
+                if m.is_sample(down):
+                    out.maps[down, s] = random_mat(rng, out.dim_at(down), out.dim_at(s), m.p)
+
+    def zeroed(out):
+        key = rng.choice(sorted(k for k, a in m.maps.items() if not a.is_zero()))
+        out.maps[key] = Mat.zeros(*m.maps[key].data.shape, m.p)
+
+    yield m
+    yield from map(copy, (entries, boundary, zeroed))
+    yield zeroed_at(m, rng.choice([s for s in m.samples() if m.dim_at(s)]))
+
+
+@pytest.mark.parametrize("case,p", [("hood", 3), ("hood", 5), ("rp2", 2), ("rp2", 3), ("s3", 2)])
+def test_nat_space_dim_matches_reference(case, p, monkeypatch):
+    # the walk's count equals the one with the transformation at every
+    # sample of the support as unknowns, at every diagram vertex and at
+    # random samples, boundary ones among them, of the module and of broken
+    # copies, where the count need not be dim m(v)
+    rng = random.Random(f"{case}{p}")
+    m = dump_module(case, p)
+    # a support depends on the table alone, which the broken copies share
+    monkeypatch.setattr(m.table, "block", functools.lru_cache(None)(m.table.block))
+    drawn = rng.sample([s for s in m.samples() if m.dim_at(s)], 12) \
+        + rng.sample([s for s in m.samples() if not m.is_interior(s)], 13)
+    cases = wrong = edge = 0
+    for m in mutants(m, rng):
+        for v in [m.index_of(d.point) for d in dgm(m).points] + drawn:
+            got = nat_space_dim(v, m)
+            assert got == nat_space_dim_reference(v, m), (v, got)
+            cases += 1
+            wrong += got != m.dim_at(v)
+            edge += not m.is_interior(v)
+    assert cases >= 5 * 25 and wrong and edge
+
+
+def rebased_at(m, s, rng):
+    """m with the basis of M(s) changed by a random product of elementary
+    matrices: an isomorphic module."""
+    d, p = m.dim_at(s), m.p
+    g, inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+    for _ in range(4):
+        e, e_inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+        a, b = rng.randrange(d), rng.randrange(d)
+        if a == b:
+            unit = rng.randrange(1, p)
+            e[a, a], e_inv[a, a] = unit, pow(unit, p - 2, p)
+        else:
+            c = rng.randrange(p)
+            e[a, b], e_inv[a, b] = c, -c
+        g, inv = e @ g % p, inv @ e_inv % p
+    maps = dict(m.maps)
+    for up in m.up(s):
+        if (s, up) in maps:
+            maps[s, up] = Mat(g, p) @ maps[s, up]
+    for down in m.down(s):
+        if (down, s) in maps:
+            maps[down, s] = maps[down, s] @ Mat(inv, p)
+    return GridModule(m.table, m.dims, maps, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decomposition_check_matches_reference(p):
+    # sections from the walk give the verdict and counterexample of sections
+    # cut out by composites and moved by map_between, on block sums, on
+    # isomorphic copies and on the three broken modules of
+    # test_decomposition_check_first_counterexamples placed at random
+    xs = sym_grid()
+    shell = GridModule(CoordTable(xs), {}, {}, p)
+    rng = random.Random(p)
+    kinds = set()
+    for _ in range(4):
+        blocks = random_blocks(rng, shell, 3)
+        m = from_blocks(blocks, xs, p)
+        v = m.index_of(rng.choice(blocks)[0])
+        rebased = m
+        for s in rng.sample([s for s in m.samples() if m.dim_at(s)], 8):
+            rebased = rebased_at(rebased, s, rng)
+        phantom = from_blocks(blocks, xs, p)
+        s = rng.choice([s for s in m.samples() if s[0] % 2 and s[1] % 2
+                        and m.is_interior(s) and m.dim_at(s) == 0])
+        phantom.dims[s] = 1
+        zero_maps_at(phantom, s)
+        collapsed = from_blocks(blocks + [(m.table.point(v), 2)], xs, p)
+        for down in m.down(v):
+            collapsed.maps[down, v] = Mat(np.ones((collapsed.dim_at(down), collapsed.dim_at(v))), p)
+        rim = from_blocks(blocks, xs, p)
+        r = next((v[0], j) for j in range(v[1], -1, -1) if rim.dim_at((v[0], j)) == 0)
+        rim.dims[r] = 1
+        zero_maps_at(rim, r)
+        rim.maps[r, rim.up(r)[1]] = Mat(np.ones((1, rim.dim_at(rim.up(r)[1]))), p)
+        for case in m, rebased, phantom, collapsed, rim:
+            got = decomposition_check(case)
+            assert got == decomposition_check_reference(case)
+            kinds.add(got if got is None else got[0])
+    assert {None, "dimension mismatch", "not invertible", "too few sections"} <= kinds
 
 
 # ---------------------------------------------------------------------------
