@@ -498,8 +498,9 @@ class CoordTable:
     row i in the strip, found by two bisections that also store their
     `location` (strip_location); off the rows, `location` is one exact call
     per point.  `tile` (tile_index) is read off an interior point's
-    coordinates, and `_le` is the order behind `precedes` and `in_block`;
-    `block(v)` lists the support of the block at v row by row.
+    coordinates, and `_le` is the order behind `precedes`; `block(v)`
+    lists the support of the block at v row by row, reading T^-1(v) once
+    and bisecting the grid for the rows and columns it can reach.
     The key maps `power(n)` (t_power) and `shift(a)` (alpha_apply) act on
     each coordinate on its own, so each is a pair of per-coordinate id maps,
     filled one coordinate function call per id.  Unlike t_power and
@@ -562,19 +563,16 @@ class CoordTable:
         lo.x >= hi.x and lo.y <= hi.y."""
         return self._le[(hi[0], lo[0])] and self._le[(lo[1], hi[1])]
 
-    def in_block(self, v: Key, s: Key) -> bool:
-        """Support of the indecomposable block at v: s must be interior,
-        below v and strictly above T^-1(v) in both coordinates."""
-        if self.location[s] != "interior" or not self.precedes(s, v):
-            return False
-        w = self.power(-1)(v)
-        return not self._le[(w[0], s[0])] and not self._le[(s[1], w[1])]
-
     def block(self, v: Key) -> Tuple[Key, ...]:
-        """The samples s with `in_block(v, s)`, row by row.  They lie below
-        v, so in the rows from v's on."""
-        return tuple(s for i in range(v[0], len(self.grid))
-                     for s in self.row_samples[i] if self.in_block(v, s))
+        """The support of the indecomposable block at a grid index v, row
+        by row: the interior samples below v and strictly above T^-1(v) in
+        both coordinates, so in the rows from v's to the one before T^-1(v)'s
+        and in the columns past T^-1(v)'s up to v's."""
+        grid, w = self.grid, self.power(-1)(v)
+        lo = bisect_right(grid, self.coords[w[1]])
+        return tuple(s for i in range(v[0], bisect_left(grid, self.coords[w[0]]))
+                     for s in self.row_samples[i]
+                     if lo <= s[1] <= v[1] and self.location[s] == "interior")
 
     def rank_map(self, levels: Sequence[Fraction], side: Callable) -> Dict[int, int]:
         """The id map that counts the sorted levels t before a coordinate c:

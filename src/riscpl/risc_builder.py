@@ -241,7 +241,10 @@ def assemble_module(ev: FunctorEvaluator, transform=None) -> GridModule:
     """Evaluate the functor on every sample of the evaluator's grid,
     optionally after a pointwise order-preserving transform of the sample
     keys, and assemble the grid module of values and covering-pair
-    structure maps on the evaluator's coordinate table."""
+    structure maps on the evaluator's coordinate table.  A map is built
+    only between two nonzero spaces, as a module dump stores it; the
+    module's `map_at` reads any other one as the zero matrix.  Two nonzero
+    neighbors must lie in the same tile or in consecutive ones."""
     m = GridModule(ev.table, {}, {}, ev.p)
     dims = m.dims
     tiles: Dict[Key, int] = {}
@@ -254,11 +257,11 @@ def assemble_module(ev: FunctorEvaluator, transform=None) -> GridModule:
         if n is not None:
             tiles[idx] = n
 
-    for idx, d in dims.items():
+    for idx in [s for s, d in dims.items() if d]:
         for up in m.up(idx):
-            if up not in dims:
+            if not dims.get(up):
                 continue
-            if d and dims[up] and tiles[idx] - tiles[up] not in (0, 1):
+            if tiles[idx] - tiles[up] not in (0, 1):
                 raise AssertionError(
                     f"adjacent samples {idx}, {up} differ by "
                     f"{tiles[idx] - tiles[up]} tiles"

@@ -2,7 +2,7 @@
 
 A GridModule stores a vector-space dimension for every sample of a finite
 grid in the strip (grid vertices, edge midpoints and cell midpoints of a
-rectangular line arrangement) and one matrix per covering pair of samples.
+rectangular line arrangement) and a matrix per covering pair of nonzero spaces.
 All functors of interest are constant on the open cells of the arrangement,
 so this finite data determines them.  On top of this sit the diagram
 formula and the checkers for the cohomological, continuity, decomposition
@@ -14,8 +14,10 @@ is a coordinate id, the sample and interior tests read the table's strip
 locations, the sample iteration its one sample list, the translate lookups
 its maps of T^n, and the block supports its `block`, row by row.  The
 checkers work on grid indices alone: `GridModule.up` and `down` are the
-one covering relation, `unit_squares` the one walk over unit squares, and
-`map_between` the one composite routine between two samples.  The block
+one covering relation and `map_between` the one composite routine between
+two samples.  Each checker call reads one array view of the dimensions
+and the strip locations (`_view`) and visits only the unit squares and
+samples where a nonzero space lets it fail, row by row.  The block
 checkers walk each block's support once along its staircases to the
 block's vertex (`_block`) and read every composite off that walk.
 """
@@ -95,7 +97,8 @@ class GridModule:
     keyed by covering pairs (idx, neighbor) with neighbor in up(idx) and
     stores the matrix of the structure map M(neighbor) -> M(idx), i.e. maps
     point down the order as the functor is contravariant.  Samples outside
-    the strip are absent and act as zero spaces."""
+    the strip are absent and act as zero spaces.  An evaluated module, as a
+    dump, stores maps between nonzero spaces only; a missing one is zero."""
 
     def __init__(self, table: CoordTable, dims: Dict[Index, int],
                  maps: Dict[Tuple[Index, Index], Mat], p: int = 2):
@@ -175,13 +178,6 @@ class GridModule:
             acc = self.map_at(below, above) @ acc
         return acc
 
-    def unit_squares(self) -> Iterable[Tuple[Index, Index]]:
-        """The unit squares (lo, diag), diag = (i - 1, j + 1) opposite lo =
-        (i, j), row by row, with lo a sample: one whose lower corner lies
-        outside the strip starts at a zero space."""
-        n = len(self.table.grid)
-        return (((i, j), (i - 1, j + 1)) for i, j in self.samples() if i and j < n - 1)
-
     def vertex_indices(self) -> Iterable[Index]:
         """The samples at grid vertices (both indices even), row by row."""
         return (idx for idx in self.samples() if not (idx[0] % 2 or idx[1] % 2))
@@ -226,14 +222,31 @@ def dgm(m: GridModule) -> Diagram:
 # checkers
 
 
+def _view(m: GridModule) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dimension at every grid index and the flags of the samples and
+    of the interior ones, as n x n arrays, row-major as the samples come;
+    each checker call builds its own, so nothing outlives a check."""
+    n = len(m.table.grid)
+    dims = np.zeros((n, n), dtype=np.int64)
+    keys = np.array(list(m.dims), dtype=np.int64).reshape(-1, 2)
+    dims[tuple(keys.T)] = np.fromiter(m.dims.values(), np.int64, len(keys))
+    sample, inner = np.zeros((2, n, n), dtype=bool)
+    for row in filter(None, map(m.table.row_samples.__getitem__, range(n))):
+        run = np.s_[row[0][0], row[0][1]:row[-1][1] + 1]
+        sample[run] = inner[run] = True
+        for s in row[0], row[-1]:
+            inner[s] = m.table.location[s] == "interior"
+    return dims, sample, inner
+
+
 def square_commutes_check(m: GridModule):
     """Every unit square of structure maps must commute; with that, any two
-    staircase composites between comparable samples agree.  A square whose
-    lower or upper corner is a zero space (or not a sample) commutes: both
-    composites are the same empty matrix, so it is skipped."""
-    for lo, diag in m.unit_squares():
-        if not (m.dim_at(lo) and m.dim_at(diag)):
-            continue
+    staircase composites between comparable samples agree.  A square (lo,
+    diag = (i - 1, j + 1)) at a sample lo = (i, j) is visited, row by row,
+    if both are nonzero spaces: else both composites are empty."""
+    dims = _view(m)[0]
+    for i, j in np.argwhere((dims[1:, :-1] != 0) & (dims[:-1, 1:] != 0)).tolist():
+        lo, diag = (i + 1, j), (i, j + 1)
         via_x, via_y = m.up(lo)
         left = m.map_at(lo, via_x) @ m.map_at(via_x, diag)
         right = m.map_at(lo, via_y) @ m.map_at(via_y, diag)
@@ -264,14 +277,14 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
     # vertex spaces of blocks whose vertex its support contains
     order = sorted(blocks, key=lambda b: b[0][0] - b[0][1])
 
-    # the sections at v are the kernel of the walk's equations: with every
-    # square commuting, their rows off the tree vanish and the others are
-    # the composites onto the samples just below the support; a section
+    # the sections at v are the kernel of the walk's nonzero equations: with
+    # every square commuting, the rows off the tree vanish and the others
+    # are the composites onto the samples just below the support; a section
     # (v, walk, xi) moves to a sample s of the support by walk[s]
     sections: List[Tuple[Index, Dict[Index, Mat], Mat]] = []
     for vi, mult in order:
         walk, equations = _block(vi, m)
-        ker = kernel_basis(equations)
+        ker = kernel_basis(Mat(equations.data[equations.data.any(axis=1)], m.p))
         prior = [w[vi] @ xi for v, w, xi in sections if vi in w]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
         free = independent_split(base, ker)
@@ -280,7 +293,9 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
         xi = Mat.hstack([ker.column(c) for c in free[:mult]])
         sections.append((vi, walk, xi))
 
-    for s in m.samples():
+    # a sample with a zero space in no walk is trivially invertible
+    nonzero = [tuple(s) for s in np.argwhere(_view(m)[0]).tolist()]
+    for s in sorted(set(nonzero).union(*(w for v, w, xi in sections))):
         cols = [w[s] @ xi for v, w, xi in sections if s in w]
         d = m.dim_at(s)
         total = sum(c.cols for c in cols)
@@ -290,7 +305,6 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
             return ("not invertible", s)
 
     rng = random.Random(CHECK_SEED)
-    nonzero = [s for s in m.samples() if m.dim_at(s)]
     xs, ys = np.array(nonzero, dtype=np.int64).reshape(-1, 2).T
     for _ in range(spot_checks if nonzero else 0):
         pi = rng.choice(nonzero)
@@ -353,19 +367,23 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
     the y indices above lo with (il, jh) and (ih, jh) interior, so every
     drawn rectangle is checked.  Neither choice is empty: il - 1 is always
     one, and since the interior is the band -pi < x + y < pi, so is
-    jl + 1."""
-    for lo, diag in m.unit_squares():
-        bad = _rectangle_exact(m, lo, diag)
+    jl + 1.  The unit squares are visited row by row where
+    `_rectangle_exact` checks them: interior corners, one nonzero."""
+    dims, _, inner = _view(m)
+    nz = dims != 0
+    corners = inner[1:, :-1] & inner[:-1, 1:] & inner[1:, 1:] & inner[:-1, :-1]
+    some = nz[1:, :-1] | nz[:-1, 1:] | nz[1:, 1:] | nz[:-1, :-1]
+    for i, j in np.argwhere(corners & some).tolist():
+        bad = _rectangle_exact(m, (i + 1, j), (i, j + 1))
         if bad is not None:
             return bad
-    n = len(m.table.grid)
-    inner = {s for s in m.samples() if m.is_interior(s)}
-    lows = [s for s in m.samples() if s in inner and all(u in inner for u in m.up(s))]
+    low = inner[1:, :-1] & inner[:-1, :-1] & inner[1:, 1:]
+    lows = [(i + 1, j) for i, j in np.argwhere(low).tolist()]
     rng = random.Random(CHECK_SEED)
     for _ in range(random_rectangles if lows else 0):
         il, jl = rng.choice(lows)
-        ih = rng.choice([i for i in range(il) if (i, jl) in inner])
-        jh = rng.choice([j for j in range(jl + 1, n) if (il, j) in inner and (ih, j) in inner])
+        ih = rng.choice(np.flatnonzero(inner[:il, jl]).tolist())
+        jh = jl + 1 + rng.choice(np.flatnonzero(inner[il, jl + 1:] & inner[ih, jl + 1:]).tolist())
         bad = _rectangle_exact(m, (il, jl), (ih, jh))
         if bad is not None:
             return bad
@@ -376,12 +394,17 @@ def seq_continuity_check(m: GridModule):
     """Every sample on a cell boundary maps isomorphically into the open
     cell below and to the left of it (the finite stand-in for sequential
     continuity), and in particular all maps inside one cell are
-    isomorphisms."""
-    for idx in m.samples():
-        i, j = idx
-        w = (i + (1 if i % 2 == 0 else 0), j - (1 if j % 2 == 0 else 0))
-        if w == idx or not m.is_interior(w):
-            continue
+    isomorphisms.  A sample is visited, row by row, if its cell sample w
+    is interior and one of the two spaces nonzero."""
+    dims, sample, inner = _view(m)
+    n = len(dims)
+    even = np.arange(n) % 2 == 0
+    at_w = np.ix_(np.arange(n) + even + 1, np.arange(n) - even + 1)
+    nz = dims != 0
+    visit = sample & (even[:, None] | even) & np.pad(inner, 1)[at_w] \
+        & (nz | np.pad(nz, 1)[at_w])
+    for i, j in np.argwhere(visit).tolist():
+        idx, w = (i, j), (i + 1 - i % 2, j - 1 + j % 2)
         mat = m.map_between(w, idx)
         if m.dim_at(w) != m.dim_at(idx) or rank(mat) != m.dim_at(idx):
             return (idx, w, m.dim_at(idx), m.dim_at(w), rank(mat))
@@ -417,7 +440,7 @@ def _block(v: Index, m: GridModule) -> Tuple[Dict[Index, Mat], Mat]:
         if i > v[0] and side in walk:
             rows.append((m.map_at((i, j), side) @ walk[side]).data - eta.data)
         for down in m.down((i, j)):
-            if down not in walk and m.is_sample(down):
+            if down not in walk and m.dim_at(down):
                 rows.append((m.map_at(down, (i, j)) @ eta).data)
     return walk, Mat(np.vstack(rows), m.p)
 

@@ -17,7 +17,10 @@ The proof devices the tests use as oracles live here too: block sums
 identities, and the fiberwise count of the levelset barcode.  So do the
 count of natural transformations out of a block with their value at every
 sample of its support as unknowns, the decomposition check that cuts its
-sections out by composites and moves them by `map_between`, and the
+sections out by composites and moves them by `map_between`, the block
+support as the `in_block` test at every sample from the vertex's row on,
+and the square, exactness and continuity checks as walks over every unit
+square and every sample, zero spaces included.  So is the
 interleaving check that tests both triangle identities at every sample of
 a period, empty or not, and the composition and precomposition checks that
 build every transformation and pullback at every sample of a period.  They
@@ -89,9 +92,9 @@ from riscpl.strip_module import (
     Diagram,
     GridModule,
     Index,
+    _rectangle_exact,
     dgm,
     refine_lines,
-    square_commutes_check,
 )
 
 from geometry_reference import intersect
@@ -331,7 +334,7 @@ def from_blocks(blocks: Sequence[Tuple[StripPoint, int]], xs: Sequence[Coord],
         vertices += [key] * mult
     local = {}
     for idx in m.samples():
-        local[idx] = [b for b, v in enumerate(vertices) if m.table.in_block(v, idx)]
+        local[idx] = [b for b, v in enumerate(vertices) if in_block(m.table, v, idx)]
         m.dims[idx] = len(local[idx])
     for idx in m.dims:
         for up in m.up(idx):
@@ -413,6 +416,78 @@ def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
     return dims
 
 
+def in_block(table: CoordTable, v, s) -> bool:
+    """Support of the indecomposable block at v: s must be interior,
+    below v and strictly above T^-1(v) in both coordinates."""
+    if table.location[s] != "interior" or not table.precedes(s, v):
+        return False
+    w = table.power(-1)(v)
+    c = table.coords
+    return not c[w[0]] <= c[s[0]] and not c[s[1]] <= c[w[1]]
+
+
+def block_reference(table: CoordTable, v: Index) -> Tuple[Index, ...]:
+    """The support of the block at v by the `in_block` test at every sample
+    from v's row to the last row."""
+    return tuple(s for i in range(v[0], len(table.grid))
+                 for s in table.row_samples[i] if in_block(table, v, s))
+
+
+def unit_squares(m: GridModule):
+    """Every unit square (lo, diag), diag = (i - 1, j + 1) opposite a
+    sample lo = (i, j), row by row."""
+    n = len(m.table.grid)
+    return (((i, j), (i - 1, j + 1)) for i, j in m.samples() if i and j < n - 1)
+
+
+def square_commutes_check_reference(m: GridModule):
+    """The square check at every unit square: one whose lo or diag is a
+    zero space commutes and is passed over."""
+    for lo, diag in unit_squares(m):
+        if not (m.dim_at(lo) and m.dim_at(diag)):
+            continue
+        via_x, via_y = m.up(lo)
+        left = m.map_at(lo, via_x) @ m.map_at(via_x, diag)
+        right = m.map_at(lo, via_y) @ m.map_at(via_y, diag)
+        if left != right:
+            return (lo, diag)
+    return None
+
+
+def cohomological_check_reference(m: GridModule, random_rectangles: int = 100):
+    """The exactness check with `_rectangle_exact` called on every unit
+    square, and its draws picked from lists of tuples."""
+    for lo, diag in unit_squares(m):
+        bad = _rectangle_exact(m, lo, diag)
+        if bad is not None:
+            return bad
+    n = len(m.table.grid)
+    inner = {s for s in m.samples() if m.is_interior(s)}
+    lows = [s for s in m.samples() if s in inner and all(u in inner for u in m.up(s))]
+    rng = random.Random(CHECK_SEED)
+    for _ in range(random_rectangles if lows else 0):
+        il, jl = rng.choice(lows)
+        ih = rng.choice([i for i in range(il) if (i, jl) in inner])
+        jh = rng.choice([j for j in range(jl + 1, n) if (il, j) in inner and (ih, j) in inner])
+        bad = _rectangle_exact(m, (il, jl), (ih, jh))
+        if bad is not None:
+            return bad
+    return None
+
+
+def seq_continuity_check_reference(m: GridModule):
+    """The continuity check at every sample, zero spaces included."""
+    for idx in m.samples():
+        i, j = idx
+        w = (i + (1 if i % 2 == 0 else 0), j - (1 if j % 2 == 0 else 0))
+        if w == idx or not m.is_interior(w):
+            continue
+        mat = m.map_between(w, idx)
+        if m.dim_at(w) != m.dim_at(idx) or field_linalg.rank(mat) != m.dim_at(idx):
+            return (idx, w, m.dim_at(idx), m.dim_at(w), field_linalg.rank(mat))
+    return None
+
+
 def nat_space_dim_reference(v: Index, m: GridModule) -> int:
     """Dimension of the space of natural transformations from the block at
     v into m, with the transformation at every sample of the support as
@@ -451,8 +526,9 @@ def decomposition_check_reference(m: GridModule, spot_checks: int = 200):
     """The decomposition check with its sections cut out by the composites
     map_between(down, v) onto the samples just below each block's support
     and moved along the support by map_between; the same verdicts and
-    counterexamples in the same order as the package's check."""
-    bad = square_commutes_check(m)
+    counterexamples in the same order as the package's check.  Its
+    invertibility test visits every sample."""
+    bad = square_commutes_check_reference(m)
     if bad is not None:
         return ("square", *bad)
     blocks = [(m.index_of(d.point), d.multiplicity) for d in dgm(m).points]

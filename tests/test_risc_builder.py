@@ -1,11 +1,15 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from riscpl import risc_builder
 from riscpl.exact_geometry import Coord, INF, StripPoint, in_diag_downset
 from riscpl.plc import PLComplex
 from riscpl.risc_builder import (
+    assemble_module,
     barcode,
     evaluate,
     joint_context,
@@ -274,3 +278,43 @@ def test_random_complexes_checks_and_oracle():
         assert sorted(got, key=repr) == extended_persistence(maximal, values)
         for t in level_grid(k).regular:
             assert fiber_dimension_check(k, r, t) is None
+
+
+@pytest.mark.parametrize("case,p", [("hood", 2), ("hood", 3), ("hood", 5),
+                                    ("rp2", 2), ("rp2", 3), ("s3", 2)])
+def test_evaluated_maps_are_those_of_the_dump(case, p, tmp_path):
+    # a map is built only between two nonzero spaces, so the evaluated
+    # module holds, key for key, the maps its own dump stores
+    from riscpl.cli import load_module, module_json
+
+    from test_strip_module import dump_module
+
+    m = dump_module(case, p)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_json(m, p)))
+    loaded, _ = load_module(str(path))
+    assert sorted(m.maps) == sorted(loaded.maps)
+    for key, mat in m.maps.items():
+        assert mat == loaded.maps[key], key
+    assert all(m.dim_at(lo) and m.dim_at(hi) for lo, hi in m.maps)
+
+
+def test_tiles_two_apart_fail_assembly(monkeypatch):
+    # two nonzero covering neighbors forced two tiles apart stop the
+    # assembly; the same gap with a zero space at one end builds no map and
+    # passes
+    ev = joint_context(hood(), [0]).evaluator(0)
+    samples = ev.table.samples
+    lo = next(s for s in samples if ev.table.location[s] == "interior"
+              and ev.table.location[s[0] - 1, s[1]] == "interior")
+    up = (lo[0] - 1, lo[1])
+    for d_up, raises in (1, True), (0, False):
+        data = dict.fromkeys(samples, (0, 0, None))
+        data[lo], data[up] = (1, 2, None), (d_up, 0, None)
+        monkeypatch.setattr(risc_builder, "point_data", lambda ev, key: data[key])
+        if raises:
+            message = f"adjacent samples {lo}, {up} differ by 2 tiles"
+            with pytest.raises(AssertionError, match=re.escape(message)):
+                assemble_module(ev)
+        else:
+            assert assemble_module(ev).maps == {}

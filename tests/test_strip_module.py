@@ -26,15 +26,21 @@ from riscpl.strip_module import (
     nat_space_dim,
     refine_lines,
     seq_continuity_check,
+    square_commutes_check,
 )
 
 from geometry_reference import SampleGridReference, block_contains, point, precedes
 from reference import (
+    block_reference,
+    cohomological_check_reference,
     colex_filtration,
     decomposition_check_reference,
     from_blocks,
+    in_block,
     multiset,
     nat_space_dim_reference,
+    seq_continuity_check_reference,
+    square_commutes_check_reference,
     staircase_fold,
 )
 
@@ -658,6 +664,111 @@ def test_nat_space_dim_matches_reference(case, p, monkeypatch):
     assert cases >= 5 * 25 and wrong and edge
 
 
+def bumped_at(m, s):
+    """A copy of m with a 1-dimensional space at the sample s, whose one
+    nonzero map is the all-ones map to (i - 1, j)."""
+    up = (s[0] - 1, s[1])
+    out = GridModule(m.table, m.dims, {k: a for k, a in m.maps.items() if s not in k}, m.p)
+    out.dims[s] = 1
+    out.maps[s, up] = Mat(np.ones((1, m.dim_at(up))), m.p)
+    return out
+
+
+def ci_breaks(m):
+    """Three broken copies of m, made as the command-line tests make them
+    from a dump: the middle nonzero space made a hole, the covering map two
+    thirds along the stored nonzero-sided ones zeroed, and the first
+    interior zero space below a space at (i - 1, j) bumped."""
+    nonzero = [s for s in m.samples() if m.dim_at(s)]
+    yield zeroed_at(m, nonzero[len(nonzero) // 2])
+    zeroed = GridModule(m.table, m.dims, m.maps, m.p)
+    keys = sorted(k for k, a in m.maps.items() if a.rows and a.cols)
+    key = keys[len(keys) * 2 // 3]
+    zeroed.maps[key] = Mat.zeros(*m.maps[key].data.shape, m.p)
+    yield zeroed
+    yield bumped_at(m, next(s for s in m.samples() if m.is_interior(s)
+                            and not m.dim_at(s) and m.dim_at((s[0] - 1, s[1]))))
+
+
+def union_term_module():
+    """A block at a vertex v bumped at the sample right of T^-1(v): the
+    unit square at T^-1(v) is the first to fail, at its union term, since
+    T maps its lower corner to v."""
+    v = point(-1, INF, 0, -2)
+    m = from_blocks([(v, 1)], sym_grid())
+    w = m.t_index(m.index_of(v), -1)
+    return bumped_at(m, (w[0], w[1] + 1))
+
+
+def quiet_breaks():
+    """Two breaks of the block at HOOD_V1 that leave every square
+    commuting: a 1-dimensional space with zero maps at the first open-cell
+    sample no block covers whose unit square above and to the left has
+    interior corners, and a hole at the lowest left corner of the support,
+    whose two neighbors below lie outside it."""
+    xs = sym_grid()
+    m = from_blocks([(HOOD_V1, 1)], xs)
+    phantom = from_blocks([(HOOD_V1, 1)], xs)
+    s = next(s for s in m.samples() if s[0] % 2 and s[1] % 2 and m.dim_at(s) == 0
+             and m.is_interior(s) and m.is_interior((s[0] - 1, s[1] - 1)))
+    phantom.dims[s] = 1
+    zero_maps_at(phantom, s)
+    corner = max(m.table.block(m.index_of(HOOD_V1)), key=lambda s: (s[0], -s[1]))
+    return [phantom, zeroed_at(m, corner)]
+
+
+def report_kind(report):
+    """None for a pass, else the report's reason, or the kind of its first
+    entry when it names no reason."""
+    if report is None:
+        return None
+    why = [r for r in report if isinstance(r, str)]
+    return why[0] if why else "pairs"
+
+
+def test_checkers_match_walk_everything_references():
+    # the checkers walk the nonzero part of the module; the references, as
+    # the checkers were before, every unit square and every sample: the same
+    # verdicts and first counterexamples, of the modules, of their broken
+    # copies, of a block bumped to fail at a union term and of two breaks
+    # that only a zero space in a walk or a lone nonzero corner shows; the
+    # decomposition check's other reports are compared on block sums in
+    # test_decomposition_check_matches_reference
+    checks = {
+        "square": (square_commutes_check, square_commutes_check_reference),
+        "exactness": (cohomological_check, cohomological_check_reference),
+        "continuity": (seq_continuity_check, seq_continuity_check_reference),
+        "decomposition": (decomposition_check, decomposition_check_reference),
+    }
+    modules = [union_term_module(), *quiet_breaks()]
+    for case, p in ("hood", 3), ("hood", 5), ("rp2", 2), ("rp2", 3), ("s3", 2):
+        m = dump_module(case, p)
+        modules += [*mutants(m, random.Random(f"{case}{p}")), *ci_breaks(m)]
+    kinds = {name: set() for name in checks}
+    for m in modules:
+        for name, (check, reference) in checks.items():
+            got = check(m)
+            assert got == reference(m), name
+            kinds[name].add(report_kind(got))
+    assert kinds == {
+        "square": {None, "pairs"},
+        "exactness": {None, "composite nonzero", "not exact at the union term",
+                      "not exact at the middle term", "not exact at the intersection term"},
+        "continuity": {None, "pairs"},
+        "decomposition": {None, "square", "dimension mismatch", "too few sections"},
+    }
+
+
+def test_block_matches_the_in_block_scan():
+    # at every sample v of three tables, edge rows with T^-1(v) off the grid
+    # among them
+    for xs in (sym_grid(lams=(0,), kmin=-1, kmax=1), sym_grid(lams=(0, 1), kmin=-1, kmax=1),
+               sym_grid(lams=(F(1, 2), 2), kmin=-1, kmax=1)):
+        table = CoordTable(xs)
+        for v in table.samples:
+            assert table.block(v) == block_reference(table, v), v
+
+
 def rebased_at(m, s, rng):
     """m with the basis of M(s) changed by a random product of elementary
     matrices: an isomorphic module."""
@@ -772,7 +883,7 @@ def test_grid_geometry_matches_reference(case, tmp_path):
         support = []  # row by row, as the table lists it
         for s, pt in points.items():
             inside = block_contains(points[v], pt)
-            assert m.table.in_block(v, s) == inside, (v, s)
+            assert in_block(m.table, v, s) == inside, (v, s)
             if inside:
                 support.append(s)
         assert m.table.block(v) == tuple(support), v
