@@ -18,8 +18,10 @@ import os
 import random
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .exact_geometry import Coord, CoordTable, INF, NEG_INF
 from .field_linalg import Mat, check_prime
@@ -33,6 +35,10 @@ from .strip_module import (
     seq_continuity_check,
     yoneda_check,
 )
+
+# numpy comes after the package modules: imported before exact_geometry, it
+# raised the peak resident memory of every command by about 0.1 MB
+import numpy as np
 
 PI = math.pi
 
@@ -270,50 +276,124 @@ def module_json(m: GridModule, field: int) -> dict:
     }
 
 
-def sample_parse(m: GridModule, idx) -> Tuple[int, int]:
-    """A grid index pair that names a sample of the module's grid."""
-    if not isinstance(idx, list) or len(idx) != 2:
-        raise ValueError(f"a grid index must be a pair of integers, got {idx!r}")
-    idx = tuple(parse_int(i, "a grid index") for i in idx)
-    if not m.is_sample(idx):
-        raise ValueError(f"{list(idx)} is not a sample of the grid")
-    return idx
+# A coordinate, a dims entry and a map entry of a module dump as
+# json.dumps(..., indent=2) lays them out, with a map's rows joined by ROW and
+# a row's entries by ENTRY.
+COORD = '    {\n      "k": %s,\n      "v": %s\n    }'
+DIMS_ENTRY = "    [\n      %s,\n      %s,\n      %s\n    ]"
+MAP_ENTRY = ("    [\n      [\n        %s,\n        %s\n      ],\n      [\n        %s,\n"
+             "        %s\n      ],\n      [\n        [\n          %s\n        ]\n      ]\n    ]")
+ROW, ENTRY = "\n        ],\n        [\n          ", ",\n          "
+
+
+def module_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2) + "\\n" for a module_json document."""
+    xs, ys = ([COORD % (c["k"], json.dumps(c["v"])) for c in doc[key]] for key in ("xs", "ys"))
+    dims = [DIMS_ENTRY % tuple(e) for e in doc["dims"]]
+    maps = [MAP_ENTRY % (*a, *b, ROW.join([ENTRY.join(map(str, row)) for row in arr]))
+            for a, b, arr in doc["maps"]]
+    xs, ys, dims, maps = (",\n".join(body).join(("[\n", "\n  ]")) if body else "[]"
+                          for body in (xs, ys, dims, maps))
+    return (f'{{\n  "field": {doc["field"]},\n  "xs": {xs},\n  "ys": {ys},\n  "dims": {dims},'
+            f'\n  "maps": {maps}\n}}\n')
+
+
+def _refuse(bad: np.ndarray, message: Callable[[int], str]):
+    """Raise message(k) for the first k at which bad holds."""
+    if bad.any():
+        raise ValueError(message(int(np.argmax(bad))))
+
+
+def _lists(items: list, length: int, what: str):
+    """Refuse items unless each is a list of the given length."""
+    if set(map(type, items)) - {list} or set(map(len, items)) - {length}:
+        bad = next(x for x in items if type(x) is not list or len(x) != length)
+        raise ValueError(f"{what}, got {bad!r}")
+
+
+def _ints(values: list, what: str, p: int = 0) -> np.ndarray:
+    """JSON integers as an int64 array, refused as by parse_int.  One beyond
+    int64 is read modulo p, or else clipped: it names no sample or shape."""
+    if set(map(type, values)) - {int}:
+        parse_int(next(x for x in values if type(x) is not int), what)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        wide = np.array(values, dtype=object)
+        return (wide % p if p else wide.clip(-1, 2 ** 62)).astype(np.int64)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Which keys repeat an earlier one."""
+    return ~np.isin(np.arange(len(keys)), np.unique(keys, return_index=True)[1])
 
 
 def load_module(path) -> Tuple[GridModule, int]:
-    """A module dump, checked against the format: "ys" repeats the strictly
-    increasing "xs", every dims entry and map end is a sample, no sample
-    has two dims entries and no dimension is negative, every map key is a
-    covering pair given once, and every map is an integer matrix of the
-    shape of its ends' dimensions."""
+    """A module dump, checked against the format: "xs", "ys", "dims" and
+    "maps" are lists; "ys" repeats the strictly increasing "xs", every dims
+    entry and map end is a sample, no sample has two dims entries and no
+    dimension is negative, every map key is a covering pair given once, and
+    every map is an integer matrix of the shape of its ends' dimensions,
+    read modulo the field.  The checks run on arrays and fill no table row."""
     data = read_object(path, "module")
     field = parse_field(data)
     try:
-        xs = tuple(coord_parse(c) for c in data["xs"])
-        if tuple(coord_parse(c) for c in data["ys"]) != xs:
+        for key in ("xs", "ys", "dims", "maps"):
+            if type(data[key]) is not list:
+                raise ValueError(f"the module's {key} must be a list, got {data[key]!r}")
+        xs = tuple(map(coord_parse, data["xs"]))
+        if repr(data["ys"]) != repr(data["xs"]) and tuple(map(coord_parse, data["ys"])) != xs:
             raise ValueError("the module's ys must equal its xs")
-        m = GridModule(CoordTable(xs), {}, {}, field)
-        for i, j, d in data["dims"]:
-            idx = sample_parse(m, [i, j])
-            if idx in m.dims:
-                raise ValueError(f"the dims entry {[i, j, d]} repeats the sample {[i, j]}")
-            if parse_int(d, "a dimension") < 0:
-                raise ValueError(f"the dims entry {[i, j, d]} has a negative dimension")
-            m.dims[idx] = d
-        for a, b, arr in data["maps"]:
-            lo, hi = sample_parse(m, a), sample_parse(m, b)
-            if hi not in m.up(lo):
-                raise ValueError(f"the map key {[a, b]} is not a covering pair")
-            if (lo, hi) in m.maps:
-                raise ValueError(f"the map key {[a, b]} is repeated")
-            arr = [[parse_int(x, "a map entry") for x in row] for row in arr]
-            mat = m.maps[(lo, hi)] = Mat(arr, field)
-            if (mat.rows, mat.cols) != (m.dim_at(lo), m.dim_at(hi)):
-                raise ValueError(f"the map at {[a, b]} has shape {(mat.rows, mat.cols)}, "
-                                 f"not that of its ends' dimensions")
+        table, n = CoordTable(xs), len(xs)
+        run = {n: (0, 0)}  # row i's samples: the columns [lo, hi) that CoordTable._row finds
+
+        def samples(idx) -> np.ndarray:
+            """The samples that pairs of integers name, as i * (n + 1) + j."""
+            _lists(idx, 2, "a grid index must be a pair of integers")
+            i, j = _ints(list(chain.from_iterable(idx)), "a grid index").reshape(-1, 2).T
+            met, of = np.unique(np.where((i >= 0) & (i < n), i, n), return_inverse=True)
+            for r in set(met.tolist()) - run.keys():
+                run[r] = bisect_left(xs, xs[r].pi_minus(-1)), bisect_right(xs, xs[r].pi_minus(1))
+            runs = np.array([run[r] for r in met.tolist()], dtype=np.int64).reshape(-1, 2)
+            start, stop = runs[of].T
+            _refuse((j < start) | (j >= stop), lambda k: f"{idx[k]} is not a sample of the grid")
+            return i * (n + 1) + j
+
+        dims, maps = data["dims"], data["maps"]
+        _lists(dims, 3, "a dims entry must be a list of three integers")
+        at, dim = samples([e[:2] for e in dims]), _ints([e[2] for e in dims], "a dimension")
+        _refuse(_repeats(at),
+                lambda k: f"the dims entry {dims[k]} repeats the sample {dims[k][:2]}")
+        _refuse(dim < 0, lambda k: f"the dims entry {dims[k]} has a negative dimension")
+        # the dimension at packed samples q, 0 where dims has no entry
+        order = np.argsort(at)
+        known, known_dim = np.append(at[order], -1), np.append(dim[order], 0)
+
+        def dim_at(q: np.ndarray) -> np.ndarray:
+            place = np.searchsorted(known[:-1], q)
+            return np.where(known[place] == q, known_dim[place], 0)
+
+        _lists(maps, 3, "a map must be a list of two grid indices and a matrix")
+        a, b, arrs = zip(*maps) if maps else ((), (), ())
+        lo, hi = samples(a + b).reshape(2, -1)
+        up = hi == lo + 1  # hi is (i, j + 1), or else it must be (i - 1, j)
+        _refuse(~up & (hi != lo - n - 1),
+                lambda k: f"the map key {[a[k], b[k]]} is not a covering pair")
+        _refuse(_repeats(lo * 2 + up), lambda k: f"the map key {[a[k], b[k]]} is repeated")
+        rows = list(chain.from_iterable(arrs))
+        nrows, ncols = np.fromiter(map(len, arrs), np.int64, len(arrs)), dim_at(hi)
+        lens = np.fromiter(map(len, rows), np.int64, len(rows))
+        bad = (nrows != dim_at(lo)) | (nrows == 0)
+        bad[np.repeat(np.arange(len(arrs)), nrows)[lens != np.repeat(ncols, nrows)]] = True
+        _refuse(bad, lambda k: f"the map at {[a[k], b[k]]} has shape {np.shape(arrs[k])}, "
+                               f"not that of its ends' dimensions")
+        entries = _ints(list(chain.from_iterable(rows)), "a map entry", field) % field
+        mats = [Mat._reduced(entries[e - r * c:e].reshape(r, c), field) for e, r, c in
+                zip(np.cumsum(nrows * ncols).tolist(), nrows.tolist(), ncols.tolist())]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed module file: {type(e).__name__}: {e}") from e
-    return m, field
+    maps = dict(zip([(tuple(x), tuple(y)) for x, y in zip(a, b)], mats))
+    return GridModule(table, {(i, j): d for i, j, d in dims}, maps, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +410,9 @@ def emit(text: str, out: Optional[str]):
     os.replace(tmp, out)
 
 
-def emit_json(doc: dict, out: Optional[str]):
-    emit(json.dumps(doc, indent=2) + "\n", out)
+def emit_json(doc: dict, out: Optional[str], text: Optional[Callable[[dict], str]] = None):
+    """Write json.dumps(doc, indent=2) + "\\n", or text(doc) that equals it."""
+    emit(json.dumps(doc, indent=2) + "\n" if text is None else text(doc), out)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +425,7 @@ def cmd_evaluate(args) -> int:
     p = field_of(args, field)
     r = evaluate(k, func=args.func, p=p, cap=args.cap)
     if args.dump_module:
-        emit_json(module_json(r.module, p), args.dump_module)
+        emit_json(module_json(r.module, p), args.dump_module, module_text)
     doc = args.to_json(r, p)
     if args.format == "csv":
         emit(args.to_csv(doc), args.out)

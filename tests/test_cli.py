@@ -379,10 +379,19 @@ def test_check_mutated_module_dump_fails(capsys, tmp_path):
 # strictly increasing; every k and index is a JSON integer; every dims entry
 # and map end is a sample; no sample has two dims entries and no dimension is
 # negative; every map key is a covering pair given once; every map is an
-# integer matrix of the shape of its ends' dimensions.  Where the error must
-# name the broken entry, the entry is returned.
+# integer matrix of the shape of its ends' dimensions; "xs", "ys", "dims"
+# and "maps" are lists.  Where the error must name the broken entry or
+# field, or give a fixed message, that text is returned.
 def break_dump(doc, case):
     first_map = doc["maps"][0]
+    if case.startswith("not-a-list"):
+        # an object or a string would iterate as empty
+        *_, key, kind = case.split("-")
+        value = {"object": {}, "string": ""}[kind]
+        if key == "xs":
+            doc["ys"], doc["dims"], doc["maps"] = value, [], []
+        doc[key] = value
+        return key
     if case == "ys-shortened":
         doc["ys"] = doc["ys"][:-4]
     elif case in ("xs-reversed", "xs-duplicate"):
@@ -393,7 +402,11 @@ def break_dump(doc, case):
             c["k"] = 1.5
     elif case.startswith("dims-index"):
         doc["dims"][0][0] = {"float": 1.5, "bool": True, "negative": -1,
-                             "beyond": 1000}[case.split("-")[-1]]
+                             "beyond": 1000, "huge": 2 ** 70}[case.split("-")[-1]]
+        if case == "dims-index-huge":
+            return f"{doc['dims'][0][:2]} is not a sample of the grid"
+    elif case in ("dims-entry-short", "dims-entry-long"):
+        doc["dims"][0] = doc["dims"][0][:2] if case.endswith("short") else doc["dims"][0] + [1]
     elif case == "dims-negative":
         doc["dims"][0][2] = -1
         return doc["dims"][0]
@@ -410,6 +423,13 @@ def break_dump(doc, case):
         first_map[2].append(first_map[2][0])
     elif case == "map-entry-float":
         first_map[2][0][0] += 0.5
+    elif case in ("map-entry-bool", "map-entry-string"):
+        first_map[2][0][0] = True if case.endswith("bool") else "1"
+    elif case == "map-row-ragged":
+        arr = next(arr for _, _, arr in doc["maps"] if len(arr) > 1)
+        arr[0].append(0)
+    elif case == "map-two-items":
+        del first_map[2]
     elif case == "map-repeated":
         a, b, arr = first_map
         doc["maps"].append([a, b, [[1 - x for x in row] for row in arr]])
@@ -431,12 +451,93 @@ def circle_dump(tmp_path_factory):
     "ys-shortened", "xs-reversed", "xs-duplicate", "k-float", "dims-index-float",
     "dims-index-bool", "dims-index-negative", "dims-index-beyond", "dims-negative",
     "dims-repeated", "map-end-outside", "map-key-short", "map-not-covering",
-    "map-repeated", "map-shape", "map-entry-float"])
+    "map-repeated", "map-shape", "map-entry-float", "dims-index-huge", "dims-entry-short",
+    "dims-entry-long", "map-entry-bool", "map-entry-string", "map-row-ragged",
+    "map-two-items", "not-a-list-xs-object", "not-a-list-xs-string",
+    "not-a-list-dims-object", "not-a-list-dims-string", "not-a-list-maps-object",
+    "not-a-list-maps-string"])
 def test_check_rejects_broken_module_dump(capsys, tmp_path, circle_dump, case):
     doc = json.loads(circle_dump)
     named = break_dump(doc, case)
     err = assert_module_error(capsys, write_json(tmp_path / "broken.json", doc))
     assert named is None or str(named) in err
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_module_raises_only_value_error(tmp_path, circle_dump, data):
+    # the circle dump with arbitrary JSON put in at a few places, at any depth
+    doc = json.loads(circle_dump)
+    for _ in range(data.draw(st.integers(1, 3))):
+        node, key = doc, data.draw(st.sampled_from(["field", "xs", "ys", "dims", "maps"]))
+        while isinstance(node[key], (list, dict)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))))
+        node[key] = data.draw(_json)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        m, field = cli.load_module(str(path))
+    except ValueError:
+        return
+    assert set(m.dims) <= set(m.samples()) and field == m.p
+
+
+def test_module_dump_entries_are_read_modulo_the_field(capsys, tmp_path, circle_dump):
+    # -1 and 2^70 + 1 are 1 over GF(2), and 2^70 is 0: the maps read back
+    # unchanged, however far beyond int64 an entry lies
+    doc = json.loads(circle_dump)
+    for n, (_, _, arr) in enumerate(doc["maps"]):
+        for row in arr:
+            row[:] = [x + (2 ** 70 if n % 2 else -2) for x in row]
+    intact, _ = cli.load_module(write_json(tmp_path / "intact.json", json.loads(circle_dump)))
+    path = write_json(tmp_path / "wide.json", doc)
+    wide, _ = cli.load_module(path)
+    assert sorted(wide.maps) == sorted(intact.maps)
+    assert all(wide.maps[key] == mat for key, mat in intact.maps.items())
+    code, report = run_json(capsys, "check", path, "--module")
+    assert code == 0 and report["ok"]
+
+
+def test_module_dump_ys_equal_to_xs_in_value(capsys, tmp_path, circle_dump):
+    # "ys" may write its rationals otherwise than "xs" does
+    doc = json.loads(circle_dump)
+    doc["ys"] = [dict(c, v=f"{c['v']}/1" if c["v"].lstrip("-").isdigit() else c["v"])
+                 for c in doc["xs"]]
+    assert doc["ys"] != doc["xs"]
+    code, report = run_json(capsys, "check", write_json(tmp_path / "ys.json", doc), "--module")
+    assert code == 0 and report["ok"]
+
+
+S3 = {"vertices": [{"id": v, "value": str(x)} for v, x in zip(range(1, 6), (1, 1, 2, 2, 3))],
+      "simplices": [[v for v in range(1, 6) if v != u] for u in range(1, 6)]}
+
+
+@pytest.mark.parametrize("case,field", [
+    ("hood", 2), ("hood", 3), ("hood", 5), ("circle", 2), ("cone", 2), ("random-0", 2),
+    ("random-1", 3), ("random-2", 2), ("s3", 2), ("no-vertices", 2)])
+def test_module_dump_is_indented_json(capsys, tmp_path, case, field):
+    # the dump, written from per-entry templates, is byte for byte what
+    # json.dumps(..., indent=2) writes
+    from riscpl.risc_builder import evaluate
+
+    path = str(tmp_path / "complex.json")
+    if case == "s3":
+        write_json(tmp_path / "complex.json", S3)
+    elif case == "no-vertices":
+        write_json(tmp_path / "complex.json", {"field": 2, "vertices": [], "simplices": []})
+    else:
+        preset, _, seed = case.partition("-")
+        assert main(["gen", "--preset", preset, "--seed", seed or "0", "--out", path]) == 0
+    dump = tmp_path / "module.json"
+    assert main(["dgm", path, "--field", str(field), "--dump-module", str(dump),
+                 "--out", str(tmp_path / "dgm.json")]) == 0
+    k, _ = load_complex(path)
+    doc = cli.module_json(evaluate(k, p=field).module, field)
+    assert dump.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert (doc["dims"] == doc["maps"] == []) == (case == "no-vertices")
 
 
 def hood_stability_pair(capsys, tmp_path):

@@ -12,9 +12,10 @@ class counts as used when one of these holds:
 
 An attribute of the same name, such as `table.point(...)` for a function
 `point`, does not count.  A method counts as used when code in src/ names
-it outside its own definition, as an identifier, an attribute or an
-imported name, or when TRACED lists it.  Words in strings and docstrings
-never count.
+it outside its own definition as an attribute or an imported name, or when
+TRACED lists it; a bare identifier of the same name, such as a call of a
+function `rank` for a method `rank`, does not count.  Words in strings and
+docstrings never count.
 
 References from tests/ do not count: an oracle or a fixture builder that
 only tests reach belongs in tests/.  Dunder methods, `main` and the `cmd_*`
@@ -50,14 +51,12 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def named(node) -> Counter:
-    """How often the code under node names each identifier, attribute and
-    imported name."""
+def attributes(node) -> Counter:
+    """How often the code under node names each attribute and imported
+    name."""
     out: Counter = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
             out.update(sub.name.split("."))
@@ -97,7 +96,7 @@ def dead_definitions(sources: Dict[str, str], traced: Dict[str, List[str]]) -> L
     total: Counter = Counter()
     imports: set = set()
     for tree in trees.values():
-        total.update(named(tree))
+        total.update(attributes(tree))
         imports |= imported(tree)
     wrapped = {f"{mod}.{attr}" for mod, attrs in traced.items() for attr in attrs}
     dead = []
@@ -109,7 +108,7 @@ def dead_definitions(sources: Dict[str, str], traced: Dict[str, List[str]]) -> L
             if exempt(name) or qualname in public or f"{mod}.{qualname}" in wrapped:
                 continue
             if "." in qualname:
-                used = total[name] > named(node)[name]
+                used = total[name] > attributes(node)[name]
             else:
                 used = own[name] > identifiers(node)[name] or (mod, name) in imports
             if not used:
@@ -168,6 +167,25 @@ def test_guard_flags_a_function_only_an_attribute_shares():
     assert dead_definitions(shared, {}) == ["geometry.py:1 point"]
     imported_src = dict(shared, grid="from .geometry import point\n" + shared["grid"])
     assert dead_definitions(imported_src, {}) == []
+
+
+def test_guard_flags_a_method_only_a_function_shares():
+    # rank is a module-level function that main calls; Table.rank is never
+    # named as an attribute, so the call does not keep it
+    shared = {
+        "grid": ("def rank(m):\n"
+                 "    return m\n"
+                 "\n"
+                 "class Table:\n"
+                 "    def rank(self):\n"
+                 "        return 0\n"
+                 "\n"
+                 "def main():\n"
+                 "    return rank(Table())\n"),
+    }
+    assert dead_definitions(shared, {}) == ["grid.py:5 Table.rank"]
+    called = dict(shared, grid=shared["grid"].replace("rank(Table())", "rank(Table().rank())"))
+    assert dead_definitions(called, {}) == []
 
 
 def test_no_assert_statements():
