@@ -18,7 +18,6 @@ import os
 import random
 import re
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
@@ -61,6 +60,10 @@ def parse_int(x, what: str) -> int:
 # digits), and on the digits of the built numerator and denominator.
 MAX_DIGITS = 4300
 DIGIT_BOUND = 10 ** MAX_DIGITS
+
+# The largest dimension of a sample in a module dump: the checkers build
+# d x d matrices, and the int64 identity at this bound takes 128 MB.
+MAX_DIM = 2 ** 12
 
 # sign, integer part or numerator, denominator, decimals, exponent mark, exponent digits
 RATIONAL = re.compile(r"\s*([-+]?)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:([eE][-+]?)0*(\d+))?)\s*")
@@ -331,10 +334,10 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
 def load_module(path) -> Tuple[GridModule, int]:
     """A module dump, checked against the format: "xs", "ys", "dims" and
     "maps" are lists; "ys" repeats the strictly increasing "xs", every dims
-    entry and map end is a sample, no sample has two dims entries and no
-    dimension is negative, every map key is a covering pair given once, and
-    every map is an integer matrix of the shape of its ends' dimensions,
-    read modulo the field.  The checks run on arrays and fill no table row."""
+    entry and map end is a sample, no sample has two dims entries, every
+    dimension is in [0, MAX_DIM], every map key is a covering pair given
+    once, and every map is an integer matrix of the shape of its ends'
+    dimensions, read modulo the field.  The checks fill no table row."""
     data = read_object(path, "module")
     field = parse_field(data)
     try:
@@ -345,16 +348,14 @@ def load_module(path) -> Tuple[GridModule, int]:
         if repr(data["ys"]) != repr(data["xs"]) and tuple(map(coord_parse, data["ys"])) != xs:
             raise ValueError("the module's ys must equal its xs")
         table, n = CoordTable(xs), len(xs)
-        run = {n: (0, 0)}  # row i's samples: the columns [lo, hi) that CoordTable._row finds
 
         def samples(idx) -> np.ndarray:
             """The samples that pairs of integers name, as i * (n + 1) + j."""
             _lists(idx, 2, "a grid index must be a pair of integers")
             i, j = _ints(list(chain.from_iterable(idx)), "a grid index").reshape(-1, 2).T
             met, of = np.unique(np.where((i >= 0) & (i < n), i, n), return_inverse=True)
-            for r in set(met.tolist()) - run.keys():
-                run[r] = bisect_left(xs, xs[r].pi_minus(-1)), bisect_right(xs, xs[r].pi_minus(1))
-            runs = np.array([run[r] for r in met.tolist()], dtype=np.int64).reshape(-1, 2)
+            runs = np.array([table.runs[r] if r < n else (0, 0) for r in met.tolist()],
+                            dtype=np.int64).reshape(-1, 2)
             start, stop = runs[of].T
             _refuse((j < start) | (j >= stop), lambda k: f"{idx[k]} is not a sample of the grid")
             return i * (n + 1) + j
@@ -365,6 +366,7 @@ def load_module(path) -> Tuple[GridModule, int]:
         _refuse(_repeats(at),
                 lambda k: f"the dims entry {dims[k]} repeats the sample {dims[k][:2]}")
         _refuse(dim < 0, lambda k: f"the dims entry {dims[k]} has a negative dimension")
+        _refuse(dim > MAX_DIM, lambda k: f"the dims entry {dims[k]} has a dimension over {MAX_DIM}")
         # the dimension at packed samples q, 0 where dims has no entry
         order = np.argsort(at)
         known, known_dim = np.append(at[order], -1), np.append(dim[order], 0)

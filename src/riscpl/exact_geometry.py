@@ -15,13 +15,13 @@ coordinates and one comparison of their offsets decide exactly.
 A sample grid meets only a small, fixed set of coordinates: T and the shift
 action act on each strip coordinate separately.  `CoordTable` interns the
 coordinates of one grid to integer ids (the grid lines first, so a grid index
-is its id) and fills its maps on first use: the samples of a grid row and
-their strip locations by two bisections, the location of any other point by
-one exact call, the tile index of a point (ix, iy), the per-coordinate id
-maps of T^n and of every shift, and the rank maps that count the sorted
-values of a function whose arctangent lies below a coordinate.  Repeated
-geometry on the grid, the support of a block, the band of a shifted sample
-and the open sets of rho included, is then a lookup on ints.
+is its id) and fills its maps on first use: the run of a grid row by two
+bisections, the location of a point by one exact call, the tile index of a
+point (ix, iy), the per-coordinate id maps of T^n and of every shift, and
+the rank maps that count the sorted values of a function whose arctangent
+lies below a coordinate.  Repeated geometry on the grid, the support of a
+block, the band of a shifted sample and the open sets of rho included, is
+then a lookup on ints.
 """
 
 from __future__ import annotations
@@ -175,48 +175,28 @@ class ShiftVector:
 # Membership in the strip
 
 
-def _cmp_v_neg(xv, yv) -> int:
-    """Compare arctan(xv) with -arctan(yv); returns -1, 0 or 1."""
-    if yv is INF:
-        # -arctan(yv) = -pi/2 and arctan(xv) > -pi/2 always.
-        return 1
-    if xv is INF:
-        return 1
-    if xv < -yv:
-        return -1
-    if xv == -yv:
-        return 0
-    return 1
-
-
 def strip_location(p: StripPoint) -> str:
-    """Exact membership test: 'interior', 'boundary', or 'outside'."""
-    s = p.x.k + p.y.k
-    both_inf = p.x.v is INF and p.y.v is INF
-    if s >= 2:
-        return "outside"
-    if s <= -2:
-        # x + y = -2*pi + arctan(x.v) + arctan(y.v); this reaches -pi only in
-        # the corner case where both offsets are pi/2.
-        if s == -2 and both_inf:
-            return "boundary"
-        return "outside"
+    """Exact membership test: 'interior', 'boundary', or 'outside'.
+
+    The strip is -pi <= x + y <= pi.  Let s = x.k + y.k, plus 1 when both
+    offsets are pi/2: then x + y = s*pi exactly.  Otherwise x + y = s*pi + t
+    with t in (-pi, pi) of the sign of x.v + y.v, or positive when one
+    offset is pi/2.  So s = 0 is interior and |s| > 1 outside; for |s| = 1
+    the point is on the boundary when t = 0, else inside when t and s have
+    opposite signs."""
+    xv, yv = p.x.v, p.y.v
+    both_inf = xv is INF and yv is INF
+    s = p.x.k + p.y.k + both_inf
     if s == 0:
-        return "boundary" if both_inf else "interior"
-    if s == 1:
-        c = _cmp_v_neg(p.x.v, p.y.v)
-        if c < 0:
-            return "interior"
-        if c == 0:
-            return "boundary"
-        return "outside"
-    # s == -1
-    c = _cmp_v_neg(p.x.v, p.y.v)
-    if c > 0:
         return "interior"
-    if c == 0:
+    if s != 1 and s != -1:
+        return "outside"
+    if both_inf:
         return "boundary"
-    return "outside"
+    t = 1 if xv is INF or yv is INF else xv + yv
+    if t == 0:
+        return "boundary"
+    return "interior" if (t < 0) == (s > 0) else "outside"
 
 
 def in_strip(p: StripPoint) -> bool:
@@ -430,38 +410,20 @@ def classify_region(u: StripPoint):
 
 def beta_levelset(u: StripPoint) -> Tuple[int, Optional[TypedInterval]]:
     """The levelset bar of a diagram point: its tile index together with the
-    difference of the two rho components at the fundamental-domain
-    representative."""
+    part of the first rho component at the fundamental-domain representative
+    q that lies in [q.y, q.x] (the second component is the complement of
+    that interval).  In the arctan scale the first component is the open
+    interval from max(-pi - q.y, -pi/2) to min(pi - q.x, pi/2); an end that
+    [q.y, q.x] cuts off is closed.  The ends -pi/2 and pi/2 read NEG_INF
+    and INF, any other end its offset."""
     n = tile_index(u)
-    rho1, rho0 = rho(t_power(u, n))
-    if not rho1.intervals:
+    q = t_power(u, n)
+    lo, hi = max(q.y.pi_minus(-1), NEG_HALF_PI), min(q.x.pi_minus(1), HALF_PI)
+    lo_closed, hi_closed = q.y > lo, q.x < hi
+    lo, hi = max(lo, q.y), min(hi, q.x)
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return n, None
-    (a, b), = rho1.intervals
-    # rho0 is a union of at most two rays (or the whole line); the bar is the
-    # part of rho1 outside them.
-    c = NEG_INF
-    d = INF
-    for lo, hi in rho0.intervals:
-        if lo is NEG_INF and hi is INF:
-            return n, None
-        if lo is NEG_INF:
-            c = hi
-        elif hi is INF:
-            d = lo
-        else:
-            raise AssertionError(f"unexpected rho0 shape at {u}: {rho0}")
-    if c is NEG_INF or c <= a:
-        lo, lo_closed = a, False
-    else:
-        lo, lo_closed = c, True
-    if d is INF or d >= b:
-        hi, hi_closed = b, False
-    else:
-        hi, hi_closed = d, True
-    if lo is not NEG_INF and hi is not INF:
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return n, None
-    return n, TypedInterval(lo, hi, lo_closed, hi_closed)
+    return n, TypedInterval(NEG_INF if lo == NEG_HALF_PI else lo.v, hi.v, lo_closed, hi_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +456,14 @@ class CoordTable:
     The grid coordinates come first, so the grid index of a coordinate is
     its id; a coordinate reached off the grid (by T or a shift) gets the next
     free id when first met.  A point is the pair of its coordinate ids.  The
-    maps are filled on first use.  `row_samples[i]` holds the grid points of
-    row i in the strip, found by two bisections that also store their
-    `location` (strip_location); off the rows, `location` is one exact call
-    per point.  `tile` (tile_index) is read off an interior point's
-    coordinates, and `_le` is the order behind `precedes`; `block(v)`
-    lists the support of the block at v row by row, reading T^-1(v) once
-    and bisecting the grid for the rows and columns it can reach.
+    maps are filled on first use.  `runs[i]` holds the columns [lo, hi) of
+    the grid points of row i in the strip, found by two bisections, and
+    `row_samples[i]` those points, storing `location` (strip_location) for
+    all but the two ends; any other `location` is one exact call per point.
+    `tile` (tile_index) is read off an interior point's coordinates, and
+    `_le` is the order behind `precedes`; `block(v)` lists the support of
+    the block at v row by row, reading T^-1(v) once and bisecting the grid
+    for the rows and columns it can reach.
     The key maps `power(n)` (t_power) and `shift(a)` (alpha_apply) act on
     each coordinate on its own, so each is a pair of per-coordinate id maps,
     filled one coordinate function call per id.  Unlike t_power and
@@ -519,6 +482,7 @@ class CoordTable:
         self.location = _Lazy(lambda key: strip_location(self.point(key)))
         self.tile = _Lazy(self._tile)
         self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
+        self.runs = _Lazy(self._run)
         self.row_samples = _Lazy(self._row)
         self._coord_maps: Dict[tuple, _Lazy] = {}
         self._powers = _Lazy(self._power_map)
@@ -533,18 +497,17 @@ class CoordTable:
     def point(self, key: Key) -> StripPoint:
         return StripPoint(self.coords[key[0]], self.coords[key[1]])
 
-    def _row(self, i: int) -> Tuple[Key, ...]:
+    def _run(self, i: int) -> Tuple[int, int]:
         """For x = grid[i] the strip holds the y with -pi - x <= y <= pi - x:
-        one run of the grid, of which only the ends can lie on the boundary."""
+        the columns [lo, hi) of one run of the grid."""
         grid, x = self.grid, self.grid[i]
-        low, up = x.pi_minus(-1), x.pi_minus(1)
-        lo, hi = bisect_left(grid, low), bisect_right(grid, up)
-        row = tuple((i, j) for j in range(lo, hi))
-        self.location.update(dict.fromkeys(row, "interior"))
-        if row and grid[lo] == low:
-            self.location[row[0]] = "boundary"
-        if row and grid[hi - 1] == up:
-            self.location[row[-1]] = "boundary"
+        return bisect_left(grid, x.pi_minus(-1)), bisect_right(grid, x.pi_minus(1))
+
+    def _row(self, i: int) -> Tuple[Key, ...]:
+        """The samples of row i: only the two ends of its run can lie on the
+        boundary, so the rest are interior and the ends are located when read."""
+        row = tuple((i, j) for j in range(*self.runs[i]))
+        self.location.update(dict.fromkeys(row[1:-1], "interior"))
         return row
 
     def _tile(self, key: Key) -> int:

@@ -284,19 +284,19 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     for idx in period_samples(ctx.table):
         mid = fwd.shift(idx)
         far = omega2(idx)
-        for t, u in ((fwd, bwd), (bwd, fwd)):
-            if _dim(t.ev_f, idx):
+        f_idx, g_idx, f_mid, g_mid = (_dim(ev, key) for key in (idx, mid) for ev in (ev_f, ev_g))
+        for t, u, d, d_mid in ((fwd, bwd, f_idx, g_mid), (bwd, fwd, g_idx, f_mid)):
+            if d:
                 t.at(idx)
-            if _dim(u.ev_f, mid):
+            if d_mid:
                 u.at(mid)
-            if _dim(t.ev_f, idx) and _dim(t.ev_f, far):
+            if d and _dim(t.ev_f, far):
                 lhs = t.at(idx) @ u.at(mid)
                 rhs = internal_map(t.ev_f, idx, far)
                 if lhs != rhs:
                     return _report(delta, False, {
                         "sample": idx, "function": t.ev_f.func, "lhs": lhs, "rhs": rhs})
-        if (witness is None and _dim(ev_f, idx) == _dim(ev_g, mid) == 1
-                and not fwd.at(idx).is_zero()):
+        if witness is None and f_idx == g_mid == 1 and not fwd.at(idx).is_zero():
             witness = idx
     return _report(delta, True, witness=witness)
 

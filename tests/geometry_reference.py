@@ -1,7 +1,9 @@
 """Test-only references for the exact strip geometry.
 
 Point-wise constructors and the strip order on StripPoints, the
-intersection of two open subsets of the line, the
+intersection of two open subsets of the line, strip membership case by case
+in x.k + y.k and the levelset bar as the difference of the two rho
+components (the package decides both in closed form), the
 fundamental domain as the diagonal downset minus its T-preimage,
 brute-force searches for the closed-form tile index and region degree (each
 tries every power of T in a fixed window and insists that exactly one
@@ -11,18 +13,23 @@ definitions.  Tests compare the exact code against them.
 """
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 from riscpl.exact_geometry import (
     HALF_PI,
+    INF,
     NEG_HALF_PI,
+    NEG_INF,
     Coord,
     RealOpenSet,
     ShiftVector,
     StripPoint,
+    TypedInterval,
     in_diag_downset,
+    rho,
     strip_location,
     t_power,
+    tile_index,
 )
 
 WINDOW = 16
@@ -50,6 +57,85 @@ def intersect(u: RealOpenSet, v: RealOpenSet) -> RealOpenSet:
             if lo < hi:
                 out.append((lo, hi))
     return RealOpenSet.make(out)
+
+
+def _cmp_v_neg(xv, yv) -> int:
+    """Compare arctan(xv) with -arctan(yv); returns -1, 0 or 1."""
+    if yv is INF:
+        # -arctan(yv) = -pi/2 and arctan(xv) > -pi/2 always.
+        return 1
+    if xv is INF:
+        return 1
+    if xv < -yv:
+        return -1
+    if xv == -yv:
+        return 0
+    return 1
+
+
+def strip_location_by_cases(p: StripPoint) -> str:
+    """strip_location, one case per value of s = x.k + y.k."""
+    s = p.x.k + p.y.k
+    both_inf = p.x.v is INF and p.y.v is INF
+    if s >= 2:
+        return "outside"
+    if s <= -2:
+        # x + y = -2*pi + arctan(x.v) + arctan(y.v); this reaches -pi only in
+        # the corner case where both offsets are pi/2.
+        if s == -2 and both_inf:
+            return "boundary"
+        return "outside"
+    if s == 0:
+        return "boundary" if both_inf else "interior"
+    if s == 1:
+        c = _cmp_v_neg(p.x.v, p.y.v)
+        if c < 0:
+            return "interior"
+        if c == 0:
+            return "boundary"
+        return "outside"
+    # s == -1
+    c = _cmp_v_neg(p.x.v, p.y.v)
+    if c > 0:
+        return "interior"
+    if c == 0:
+        return "boundary"
+    return "outside"
+
+
+def beta_levelset_from_rho(u: StripPoint) -> Tuple[int, Optional[TypedInterval]]:
+    """beta_levelset as the difference of the two rho components at the
+    fundamental-domain representative."""
+    n = tile_index(u)
+    rho1, rho0 = rho(t_power(u, n))
+    if not rho1.intervals:
+        return n, None
+    (a, b), = rho1.intervals
+    # rho0 is a union of at most two rays (or the whole line); the bar is the
+    # part of rho1 outside them.
+    c = NEG_INF
+    d = INF
+    for lo, hi in rho0.intervals:
+        if lo is NEG_INF and hi is INF:
+            return n, None
+        if lo is NEG_INF:
+            c = hi
+        elif hi is INF:
+            d = lo
+        else:
+            raise AssertionError(f"unexpected rho0 shape at {u}: {rho0}")
+    if c is NEG_INF or c <= a:
+        lo, lo_closed = a, False
+    else:
+        lo, lo_closed = c, True
+    if d is INF or d >= b:
+        hi, hi_closed = b, False
+    else:
+        hi, hi_closed = d, True
+    if lo is not NEG_INF and hi is not INF:
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            return n, None
+    return n, TypedInterval(lo, hi, lo_closed, hi_closed)
 
 
 def to_float(p: StripPoint) -> Tuple[float, float]:

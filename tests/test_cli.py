@@ -410,6 +410,14 @@ def break_dump(doc, case):
     elif case == "dims-negative":
         doc["dims"][0][2] = -1
         return doc["dims"][0]
+    elif case.startswith("dims-huge"):
+        # beyond int64, beyond memory, and one above the bound; the maps at
+        # the sample go, so that no shape check refuses the dump first
+        i, j, _ = doc["dims"][0]
+        kind = case.split("-")[-1]
+        doc["dims"][0][2] = {"70": 2 ** 70, "40": 2 ** 40, "bound": cli.MAX_DIM + 1}[kind]
+        doc["maps"] = [m for m in doc["maps"] if [i, j] not in m[:2]]
+        return doc["dims"][0]
     elif case == "dims-repeated":
         doc["dims"].append(doc["dims"][0])
         return doc["dims"][0]
@@ -450,12 +458,12 @@ def circle_dump(tmp_path_factory):
 @pytest.mark.parametrize("case", [
     "ys-shortened", "xs-reversed", "xs-duplicate", "k-float", "dims-index-float",
     "dims-index-bool", "dims-index-negative", "dims-index-beyond", "dims-negative",
-    "dims-repeated", "map-end-outside", "map-key-short", "map-not-covering",
-    "map-repeated", "map-shape", "map-entry-float", "dims-index-huge", "dims-entry-short",
-    "dims-entry-long", "map-entry-bool", "map-entry-string", "map-row-ragged",
-    "map-two-items", "not-a-list-xs-object", "not-a-list-xs-string",
-    "not-a-list-dims-object", "not-a-list-dims-string", "not-a-list-maps-object",
-    "not-a-list-maps-string"])
+    "dims-repeated", "dims-huge-70", "dims-huge-40", "dims-huge-bound",
+    "map-end-outside", "map-key-short", "map-not-covering", "map-repeated", "map-shape",
+    "map-entry-float", "dims-index-huge", "dims-entry-short", "dims-entry-long",
+    "map-entry-bool", "map-entry-string", "map-row-ragged", "map-two-items",
+    "not-a-list-xs-object", "not-a-list-xs-string", "not-a-list-dims-object",
+    "not-a-list-dims-string", "not-a-list-maps-object", "not-a-list-maps-string"])
 def test_check_rejects_broken_module_dump(capsys, tmp_path, circle_dump, case):
     doc = json.loads(circle_dump)
     named = break_dump(doc, case)

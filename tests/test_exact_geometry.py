@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geometry_reference import (
+    beta_levelset_from_rho,
     block_contains,
     float_alpha,
     float_in_strip,
@@ -16,6 +17,7 @@ from geometry_reference import (
     point,
     precedes,
     region_degree_search,
+    strip_location_by_cases,
     tile_index_search,
     to_float,
 )
@@ -241,6 +243,24 @@ def test_beta_examples():
     n, bar = beta_levelset(point(0, 2, 0, 0))
     assert n == 0
     assert (bar.lo, bar.hi, bar.lo_closed, bar.hi_closed) == (F(0), F(2), True, True)
+
+
+def test_closed_forms_match_case_by_case_forms():
+    # every pair of these coordinates: both offsets pi/2, exactly one, and
+    # x.v = -y.v, on every branch of s = x.k + y.k near the strip
+    coords = [Coord(k, v) for k in range(-3, 4)
+              for v in (INF, 0, F(1, 2), F(-1, 2), 1, -1, 2, -2, 3, -3)]
+    interior = 0
+    for x in coords:
+        for y in coords:
+            p = StripPoint(x, y)
+            loc = strip_location(p)
+            assert loc == strip_location_by_cases(p), p
+            if loc == "interior":
+                interior += 1
+                n, bar = beta_levelset(p)
+                assert (n, bar) == beta_levelset_from_rho(p), p
+    assert interior > 500
 
 
 # ---------------------------------------------------------------------------
