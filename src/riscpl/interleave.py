@@ -236,14 +236,18 @@ def build_transformation(ctx: JointContext, f: int = 0, g: int = 1,
 
 
 def period_samples(table: CoordTable):
-    """Samples in one x-translate period of the table's grid, the rows with
-    x translate -1 or 0.  Each of them with a nonzero value lies in tile 0:
-    in tile 1 or above y <= x - 2pi, and with x <= pi/2 then x + y <= -pi.
-    So identities checked here are checked in degree 0 only.  The square of
-    the glide reflection moves tile n to tile n - 2, degree n to degree
-    n - 2, and is no symmetry of the module."""
+    """Samples (i, j) of one x-translate period of the table's grid, the
+    rows with x translate -1 or 0, on or below the diagonal: j <= i.  Each
+    of them with a nonzero value lies in tile 0: in tile 1 or above
+    y <= x - 2pi, and with x <= pi/2 then x + y <= -pi.  So identities
+    checked here are checked in degree 0 only.  The square of the glide
+    reflection moves tile n to tile n - 2, degree n to degree n - 2, and is
+    no symmetry of the module.  Above the diagonal y > x, so the tile is
+    negative and the value zero, and a shift by (a1, a2) with a1 <= a2 keeps
+    y > x: it moves x by a1 and y by a2 in even charts, by -a2 and -a1 in
+    odd ones, and keeps the chart, so the checks find nothing there."""
     return [s for i, x in enumerate(table.grid) if x.k in (-1, 0)
-            for s in table.row_samples[i]]
+            for s in table.row_samples[i] if s[1] <= i]
 
 
 def _dim(ev: FunctorEvaluator, key: Key) -> int:
@@ -265,13 +269,12 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
     for the given parameter (default: the sup norm of g - f), each from the
     omega-shifted module of one function to the module of the other, and
     verify both triangle identities against the internal superlinear-shift
-    maps at every sample of one period (`period_samples`), so in degree 0
-    only: the identity of t's target at x says that t at x after the other
-    transformation at omega(x) is the internal map from x to omega^2(x).
-    An identity whose two sides are empty matrices holds and is skipped.
-    A transformation is built wherever its target is nonzero: into a zero
-    space it is the empty matrix, returned before its gluing checks, so
-    they all run where they did at every sample."""
+    maps at every sample of one period on or below the diagonal
+    (`period_samples`), so in degree 0 only: the identity of t's target at x
+    says that t at x after the other transformation at omega(x) is the
+    internal map from x to omega^2(x).  An identity whose two sides are
+    empty matrices holds and is skipped.  A transformation is built wherever
+    its target is nonzero, the only samples where its gluing checks run."""
     delta = sup_norm(k, f, g) if delta is None else Fraction(delta)
     omega = ShiftVector(-delta, delta)
     if not distance_pair(k, f, g).precedes(omega):
@@ -308,11 +311,12 @@ def interleaving_check(k: PLComplex, f: int = 0, g: int = 1, delta=None,
 def composition_check(k: PLComplex, funcs: Sequence[int] = (0, 1, 2),
                       p: int = 2, cap: int = DEFAULT_CAP) -> Optional[tuple]:
     """The transformation of the outer pair at the summed shift a + b must
-    equal the inner one at a after the inner one at b at every sample of
-    one period, so in degree 0 (trivially so where both sides are empty
-    matrices); the triangle inequality makes a + b dominate the outer
-    distance.  Each transformation is built wherever its target is
-    nonzero, so its gluing checks run at every sample where they can."""
+    equal the inner one at a after the inner one at b at every sample of one
+    period on or below the diagonal (`period_samples`), so in degree 0
+    (trivially so where both sides are empty matrices); the triangle
+    inequality makes a + b dominate the outer distance.  Each transformation
+    is built wherever its target is nonzero, so its gluing checks run at
+    every sample where they can."""
     f1, f2, f3 = funcs
     a = distance_pair(k, f1, f2)
     b = distance_pair(k, f2, f3)
@@ -449,9 +453,10 @@ def precomposition_check(ky: PLComplex, kx: PLComplex, phi: Dict,
     the stability transformations: the square of the induced morphisms and
     the domain and codomain transformations, both at the codomain distance
     a, which must dominate the domain's, commutes at every sample of one
-    period, so in degree 0 (trivially so where both sides are empty
-    matrices).  Each transformation and pullback is built wherever its
-    target is nonzero, so its gluing checks or express run where they can."""
+    period on or below the diagonal (`period_samples`), so in degree 0
+    (trivially so where both sides are empty matrices).  Each transformation
+    and pullback is built wherever its target is nonzero, so its gluing
+    checks or express run where they can."""
     a = distance_pair(ky, f, g)
     ctx_y, ctx_x, phi_split = _pullback_contexts(
         ky, kx, phi, [f, g], [a.a1, a.a2], p, cap)

@@ -23,9 +23,9 @@ it, and a cocycle joins the representatives exactly when it is independent
 of the coboundaries and of the cocycles before it, which does not depend
 on how that is found out.  So every basis, and every structure map in a
 module dump, is the one row reduction gives.  delta^0 is never reduced:
-one Kruskal pass over its rows gives the components of A, whose
-indicators span H^0, and the lows of delta^0, a spanning forest whose
-paths express degree-1 cocycles.
+H^0(A, B) is read off one union-find labelling of A, kept per A, and in
+positive degrees a Kruskal pass over the rows of delta^0 gives its lows,
+a spanning forest whose paths express degree-1 cocycles.
 
 The evaluators ask each relative cell set for every degree in turn, so
 the first call of a positive degree builds them all in one loop: each
@@ -42,7 +42,7 @@ import bisect
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -313,13 +313,14 @@ class SimplexIndex:
     its faces, face i dropping vertex i with sign (-1)^i.  levels[f] lists
     the distinct values of function f in increasing order and ranks[f]
     holds every vertex's rank among them.  cells and id map ids to simplex
-    objects and back.  cohomology holds, per prime and relative cell set,
-    the bases of every positive degree (relative_cohomology)."""
+    objects and back.  cohomology keeps the bases of every positive degree
+    per prime and relative cell set, components a labelling per ambient A."""
 
     def __init__(self, simplices: Iterable[Simplex],
                  values: Dict[Vid, Tuple[Fraction, ...]]):
         # (prime, relative id bytes) -> the bases of degrees 1 up to the top
         self.cohomology: Dict[Tuple[int, bytes], List[CohomBasis]] = {}
+        self.components: Dict[Subcomplex, np.ndarray] = {}
         order = sorted({v for s in simplices for v in s}, key=vkey)
         pos = {v: i for i, v in enumerate(order)}
         keyed = sorted(((len(s) - 1, tuple(sorted(pos[v] for v in s)), s) for s in simplices),
@@ -443,13 +444,17 @@ class CohomBasis:
     p: int
     ids: np.ndarray               # sorted ids of the n-simplices of A minus B
     reps: Mat                     # columns: representative cocycles
-    delta: Coboundary             # delta^n, for cocycle checks
+    coboundary: Callable[[], Coboundary]  # builds delta^n on first read of delta
     coords: Optional[Mat] = None  # cocycle -> coordinates, where span is None
     span: Optional[Reduction] = None  # [delta^{n-1} | reps], coordinates on reps
 
     @property
     def dim(self) -> int:
         return self.reps.cols
+
+    @cached_property
+    def delta(self) -> Coboundary:
+        return self.coboundary()
 
     def express(self, cochains: Mat) -> Mat:
         """Coordinates of the given cocycle columns in this basis (modulo
@@ -488,18 +493,37 @@ def _forest(delta: Coboundary) -> Tuple[List[List[int]], List[int], List[int]]:
     return ends, parent, joins
 
 
-def _components(ids: np.ndarray, delta: Coboundary, p: int) -> CohomBasis:
-    """H^0(A, B): the indicators of the components of the forest pass that
-    miss the ground, the kernel vectors of the dependent columns of delta^0,
-    ordered by their last columns, at which a cocycle's coordinates are read."""
-    roots = np.array(_forest(delta)[1])
-    while not np.array_equal(roots, roots[roots]):
-        roots = roots[roots]
-    cols, last = np.arange(delta.cols), np.zeros_like(roots)
-    np.maximum.at(last, roots[:-1], cols)
-    free = np.flatnonzero((last[roots[:-1]] == cols) & (roots[:-1] != roots[-1]))
-    return CohomBasis(0, p, ids, Mat(roots[:-1, None] == roots[free], p), delta,
-                      Mat(cols == free[:, None], p))
+def _label(a: Subcomplex, index: SimplexIndex) -> np.ndarray:
+    """One union-find pass over the edges of A (Tarjan 1975): at the id of
+    each vertex of A, the least vertex id of its component in A."""
+    parent, edges = list(range(len(index.verts and index.verts[0]))), index.of_dim(a.ids, 1)
+    for u, v in index.faces[1][edges - index.start[1]].tolist() if len(edges) else ():
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[max(u, v)] = min(u, v)
+    for u in index.of_dim(a.ids, 0).tolist():  # parent[u] <= u has its root
+        parent[u] = parent[parent[u]]
+    return np.array(parent, dtype=np.intp)
+
+
+def _components(a: Subcomplex, b: Subcomplex, p: int, index: SimplexIndex) -> CohomBasis:
+    """H^0(A, B): the indicators of the components of A with no vertex of B,
+    the kernel vectors of the dependent columns of delta^0, ordered by their
+    last columns, at which a cocycle's coordinates are read."""
+    if (roots := index.components.get(a)) is None:
+        roots = index.components[a] = _label(a, index)
+    grounded = np.zeros(len(roots), dtype=bool)
+    grounded[index.of_dim(b.ids, 0)] = True  # the vertices of B
+    ids = index.of_dim(a.ids, 0)
+    ids = ids[~grounded[ids]]
+    grounded[roots[grounded]] = True  # and the roots of the components meeting B
+    comp, cols, last = roots[ids], np.arange(len(ids)), np.full(len(roots), -1)
+    np.maximum.at(last, comp, cols)
+    free = np.flatnonzero((last[comp] == cols) & ~grounded[comp])
+    return CohomBasis(0, p, ids, Mat(comp[:, None] == comp[free], p),
+                      lambda: index.coboundary(a.minus(b), 0, p), Mat(cols == free[:, None], p))
 
 
 def _degree1_coords(forest, free: List[int], p: int) -> Mat:
@@ -553,15 +577,16 @@ def _positive_degrees(rel: np.ndarray, p: int, index: SimplexIndex) -> List[Coho
     for m in range(1, len(index.verts)):
         ids, delta, kernel = index.of_dim(rel, m), index.coboundary(rel, m, p), Reduction(p)
         reps, chosen = vanishing(kernel, delta.columns(cleared).items(), len(ids))
+        built = lambda delta=delta: delta
         if not chosen:
-            out.append(CohomBasis(m, p, ids, reps, delta, Mat.zeros(0, len(ids), p)))
+            out.append(CohomBasis(m, p, ids, reps, built, Mat.zeros(0, len(ids), p)))
         elif m == 1:
             coords = _degree1_coords(forest, [max(z) for z in chosen], p)
-            out.append(CohomBasis(m, p, ids, reps, delta, coords))
+            out.append(CohomBasis(m, p, ids, reps, built, coords))
         else:
             for i, z in enumerate(chosen):
                 span.add(z, {i: 1})
-            out.append(CohomBasis(m, p, ids, reps, delta, span=span))
+            out.append(CohomBasis(m, p, ids, reps, built, span=span))
         for _, z in kernel.pivots.values():
             z.clear()
         span, cleared = kernel, kernel.pivots
@@ -572,16 +597,16 @@ def relative_cohomology(a: Subcomplex, b: Subcomplex, n: int, p: int,
                         index: SimplexIndex) -> CohomBasis:
     """Basis of degree-n cohomology of the pair (A, B) of subcomplexes of
     the complex with the given index, B inside A; cochains live on the ids
-    of A not in B.  Degree 0 is read off the components (_components).  The
-    first call of a positive degree builds every positive degree up to the
-    dimension of the complex (_positive_degrees), which the index keeps per
-    prime and cell set A minus B; a degree outside them has no cells."""
-    rel = a.minus(b)
+    of A not in B.  Degree 0 is read off the components of A (_components).
+    The first call of a positive degree builds every positive degree up to
+    the dimension of the complex (_positive_degrees), which the index keeps
+    per prime and cell set A minus B; a degree outside them has no cells."""
     if n == 0:
-        return _components(index.of_dim(rel, 0), index.coboundary(rel, 0, p), p)
+        return _components(a, b, p, index)
+    rel = a.minus(b)
     if not 0 < n < len(index.verts):
-        return CohomBasis(n, p, rel[:0], Mat.zeros(0, 0, p), index.coboundary(rel, n, p),
-                          Mat.zeros(0, 0, p))
+        return CohomBasis(n, p, rel[:0], Mat.zeros(0, 0, p),
+                          lambda: index.coboundary(rel, n, p), Mat.zeros(0, 0, p))
     key = (p, rel.tobytes())
     if key not in index.cohomology:
         index.cohomology[key] = _positive_degrees(rel, p, index)

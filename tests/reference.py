@@ -23,7 +23,9 @@ and the square, exactness and continuity checks as walks over every unit
 square and every sample, zero spaces included.  So is the
 interleaving check that tests both triangle identities at every sample of
 a period, empty or not, and the composition and precomposition checks that
-build every transformation and pullback at every sample of a period.  They
+build every transformation and pullback at every sample of a period.  Their
+period is the full one (`period_samples` here), above the diagonal too,
+where the package walks the samples on or below it only.  They
 build each transformation at the shift the package's check does, so the
 two agree on where a nonempty matrix is built; that a transformation at a
 larger shift is the one at the distance pair after an internal map is
@@ -61,7 +63,6 @@ from riscpl.interleave import (
     _dim,
     _pullback_contexts,
     distance_pair,
-    period_samples,
     sup_norm,
 )
 from riscpl.plc import (
@@ -775,7 +776,8 @@ def degree0_by_reduction(a: Subcomplex, b: Subcomplex, p: int,
     reps = np.zeros((delta.cols, len(chosen)), dtype=np.int64)
     for i, z in enumerate(chosen):
         reps[list(z), i] = list(z.values())
-    return plc.CohomBasis(0, p, index.of_dim(rel, 0), Mat(reps, p), delta, span=span)
+    return plc.CohomBasis(0, p, index.of_dim(rel, 0), Mat(reps, p), lambda: delta,
+                          span=span)
 
 
 def induced_map(src: DenseBasis, dst: DenseBasis) -> Mat:
@@ -800,6 +802,14 @@ def mv_connecting(pair_w, pair_1, pair_2, pair_u, n: int, p: int,
     in1 = (locate(rows1, dst.ids) >= 0)[:, None]
     gamma = np.where(in1, take_rows(rows1, dc1, dst.ids), take_rows(rows2, dc2, dst.ids))
     return dst.express(Mat(gamma, p))
+
+
+def period_samples(table: CoordTable) -> List[Index]:
+    """Every sample of one x-translate period, the rows with x translate -1
+    or 0, above the diagonal too: the full walk that the package's checks,
+    which skip the samples above the diagonal, are compared with."""
+    return [s for i, x in enumerate(table.grid) if x.k in (-1, 0)
+            for s in table.row_samples[i]]
 
 
 def interleaving_check_reference(k: PLComplex, f: int = 0, g: int = 1, delta=None,

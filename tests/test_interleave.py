@@ -503,6 +503,55 @@ def test_triangle_identities_hold_at_every_sample(monkeypatch):
         assert ends[1] > 0
 
 
+def test_no_value_above_the_diagonal_reaches_a_checker():
+    # The checks walk the samples (i, j) with j <= i.  Above the diagonal
+    # y > x, and a shift by (a1, a2) with a1 <= a2 keeps y > x, where the
+    # value is zero on both evaluators: the omega shifts, the distance pair
+    # and random shifts, on the tables of the interleave pairs and of more
+    # random pairs.
+    rng = random.Random(61)
+    for k in interleave_pairs() + [random_pair(rng) for _ in range(3)]:
+        ctx = interleave_context(k)
+        table, delta = ctx.table, sup_norm(k)
+        shifts = [ShiftVector(-delta, delta), ShiftVector(-2 * delta, 2 * delta), distance_pair(k)]
+        shifts += [ShiftVector(*sorted(F(rng.randint(-6, 6), 2) for _ in range(2)))
+                   for _ in range(4)]
+        above = [s for s in table.samples if s[1] > s[0]]
+        assert above
+        for a in shifts:
+            assert a.a1 <= a.a2
+            shift = table.shift(a)
+            for key in map(shift, above):
+                assert table.coords[key[1]] > table.coords[key[0]]
+                assert point_data(ctx.evaluator(0), key)[0] == 0
+                assert point_data(ctx.evaluator(1), key)[0] == 0
+
+
+def test_an_interleaving_labels_each_ambient_model_once(monkeypatch):
+    """Degree 0 reads H^0 off one union-find labelling of the ambient model,
+    which the simplex index keeps: one check of the hood stability pair
+    labels each distinct ambient model of its degree-0 bases once."""
+    from riscpl import plc
+
+    components, label = plc._components, plc._label
+    ambient, labelled = [], Counter()
+
+    def recorded(a, b, p, index):
+        ambient.append((index, a))
+        return components(a, b, p, index)
+
+    def counted(a, index):
+        labelled[(index, a)] += 1
+        return label(a, index)
+
+    monkeypatch.setattr(plc, "_components", recorded)
+    monkeypatch.setattr(plc, "_label", counted)
+    report = interleaving_check(hood_stability_pair())
+    assert report == {"delta": 1, "ok": True, "witness": PAIR_WITNESSES[0]}
+    assert len(ambient) > len(set(ambient))
+    assert set(labelled) == set(ambient) and set(labelled.values()) == {1}
+
+
 @pytest.mark.parametrize("pair, func, sample",
                          [(0, 0, (63, 37)), (0, 1, (64, 35)), (1, 0, (60, 37))],
                          ids=["hood-f", "hood-g", "random-f"])
@@ -800,3 +849,15 @@ def test_precomposition_random_subcomplex_inclusions():
                          [set(s) for s in subs])
         assert precomposition_matches_reference(k, sub, {v: v for v in verts}) is None
         done += 1
+
+
+def test_the_walk_keeps_the_diagonal():
+    # A shift by (a, a) maps the diagonal to itself.  A point with value 0
+    # has a nonzero value on the diagonal, so at delta 0, with the three
+    # functions equal and under the identity map, all three checks build
+    # nonempty matrices there, as the full-period references do.
+    k = complex_of({1: (0, 0, 0)}, [{1}])
+    report = matches(interleaving_check, interleaving_check_reference, k, 0, 1, 0)
+    assert report == {"delta": 0, "ok": True, "witness": (14, 11)}
+    assert matches(composition_check, composition_check_reference, k) is None
+    assert precomposition_matches_reference(k, k, {1: 1}) is None

@@ -691,6 +691,13 @@ def degree0_pairs(rng):
     # no relative cells at all
     yield k, whole(k), whole(k), 0
     yield k, nothing(k), nothing(k), 0
+    # vertices and no edges: each vertex is a component; A empty, B empty
+    # and B = A
+    k = PLComplex.from_maximal({v: (0,) for v in range(1, 5)}, [{v} for v in range(1, 5)])
+    yield k, whole(k), nothing(k), 4
+    yield k, whole(k), k.index.subcomplex({frozenset({2}), frozenset({4})}), 2
+    yield k, whole(k), whole(k), 0
+    yield k, nothing(k), nothing(k), 0
     for k, grid in random_split_complexes(rng):
         sets = random_open_sets(rng, grid)
         for _ in range(6):
@@ -800,8 +807,12 @@ def test_s3_diagram_has_one_point_in_degrees_0_and_3():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_express_rejects_a_cochain_that_is_not_a_cocycle(p):
+    # a degree-0 basis builds delta^0 on the first cocycle check
     c = circle()
     h = relative_cohomology(whole(c), nothing(c), 0, p, c.index)
+    assert "delta" not in vars(h)
+    assert h.express(Mat([[1], [1], [1], [1]], p)) == Mat([[1]], p)
+    assert "delta" in vars(h)
     with pytest.raises(ValueError, match="not a cocycle"):
         h.express(Mat([[1], [0], [0], [0]], p))
 
