@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exact_geometry import Coord, CoordTable, INF, NEG_INF
+from .exact_geometry import Coord, CoordTable, INF
 from .field_linalg import Mat, check_prime
 from .interleave import interleaving_check
 from .plc import PLComplex
@@ -104,15 +104,11 @@ def parse_rational(x) -> Fraction:
 
 
 def endpoint_json(v):
-    if v is INF:
-        return "inf"
-    if v is NEG_INF:
-        return "-inf"
     return str(v)
 
 
 def coord_json(c: Coord) -> dict:
-    return {"k": c.k, "v": "inf" if c.v is INF else str(c.v)}
+    return {"k": c.k, "v": str(c.v)}
 
 
 def coord_parse(d: dict) -> Coord:

@@ -4,8 +4,9 @@ Points of the strip live between the two slope -1 lines through (-pi, 0) and
 (pi, 0).  Every coordinate is stored as an integer multiple of pi plus the
 arctangent of an exact rational (or +infinity, encoding an offset of pi/2), so
 all comparisons, the glide reflection T, the shift action alpha, and the
-region bookkeeping are decided with rational arithmetic only; floats appear
-only in `to_float`, for display.
+region bookkeeping are decided with rational arithmetic only.  The two
+infinities are the only floats in the model, and they compare exactly with
+every Fraction.
 
 Tiles are read off the coordinates.  In the strip interior the fundamental
 domain is -2*pi < y - x <= 0 and T adds 2*pi to y - x, so the tile index of
@@ -34,67 +35,33 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
-class _Infinity:
-    """The infinity sentinels INF and NEG_INF, comparable with Fraction.
-
-    There are exactly two instances, compared by identity: INF lies above
-    and NEG_INF below every other value.  NEG_INF is never stored inside a
-    Coord (the canonical encoding replaces it by INF on the previous
-    branch); it only appears transiently and as an interval endpoint."""
-
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __lt__(self, other):
-        return self.sign < 0 and other is not self
-
-    def __le__(self, other):
-        return self.sign < 0 or other is self
-
-    def __gt__(self, other):
-        return self.sign > 0 and other is not self
-
-    def __ge__(self, other):
-        return self.sign > 0 or other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    __hash__ = object.__hash__
-
-    def __neg__(self):
-        return NEG_INF if self is INF else INF
-
-    def __repr__(self):
-        return "inf" if self is INF else "-inf"
-
-
-INF = _Infinity(1)
-NEG_INF = _Infinity(-1)
+INF = math.inf
+NEG_INF = -math.inf
 
 # Interval endpoints may be -inf; a Coord's offset never is.
-ExtRational = Union[Fraction, _Infinity]
+ExtRational = Union[Fraction, float]
 
 
 @dataclass(frozen=True, order=False)
 class Coord:
     """The real number k*pi + arctan(v), with arctan(v) in (-pi/2, pi/2].
 
-    v = +inf encodes an offset of exactly pi/2.  The representation (k, -inf)
-    is forbidden; construction canonicalizes it to (k - 1, +inf).
+    v = +inf encodes an offset of exactly pi/2, and a Coord stores the INF
+    object itself for it, so `c.v is INF` tests it.  The representation
+    (k, -inf) is forbidden; construction canonicalizes it to (k - 1, INF).
     """
 
     k: int
     v: ExtRational
 
     def __post_init__(self):
-        if self.v is NEG_INF:
+        if isinstance(self.v, Fraction):
+            return
+        if self.v == NEG_INF:
             object.__setattr__(self, "k", self.k - 1)
             object.__setattr__(self, "v", INF)
-        elif not (self.v is INF or isinstance(self.v, Fraction)):
-            object.__setattr__(self, "v", Fraction(self.v))
+        else:
+            object.__setattr__(self, "v", INF if self.v == INF else Fraction(self.v))
 
     def __lt__(self, other):
         if self.k != other.k:
@@ -111,8 +78,6 @@ class Coord:
         return other <= self
 
     def __neg__(self):
-        if self.v is INF:
-            return Coord(-self.k - 1, INF)
         return Coord(-self.k, -self.v)
 
     def shift_pi(self, m: int) -> "Coord":
@@ -125,13 +90,10 @@ class Coord:
     def to_float(self) -> float:
         """k*pi + arctan(v) as a float, for display.  An offset too large
         for a float is drawn at +-pi/2, where its arctangent rounds to."""
-        if self.v is INF:
-            a = math.pi / 2
-        else:
-            try:
-                a = math.atan(self.v)
-            except OverflowError:
-                a = math.pi / 2 if self.v > 0 else -math.pi / 2
+        try:
+            a = math.atan(self.v)
+        except OverflowError:
+            a = math.pi / 2 if self.v > 0 else -math.pi / 2
         return self.k * math.pi + a
 
     def __repr__(self):
@@ -258,22 +220,14 @@ def omega_apply(delta: Fraction, p: StripPoint) -> StripPoint:
 class RealOpenSet:
     """A finite union of disjoint open intervals, sorted by left endpoint.
 
-    Endpoints are exact rationals or the two infinity sentinels."""
+    Endpoints are exact rationals or the two infinities."""
 
     intervals: Tuple[Tuple[ExtRational, ExtRational], ...]
 
     @staticmethod
     def make(intervals: Iterable[Tuple[ExtRational, ExtRational]]) -> "RealOpenSet":
         """Normalize: drop empty intervals, sort, merge overlapping ones."""
-        norm = []
-        for lo, hi in intervals:
-            if lo is not NEG_INF:
-                lo = Fraction(lo) if not isinstance(lo, Fraction) else lo
-            if hi is not INF:
-                hi = Fraction(hi) if not isinstance(hi, Fraction) else hi
-            if lo < hi:
-                norm.append((lo, hi))
-        norm.sort(key=lambda iv: ((0 if iv[0] is NEG_INF else 1), iv[0] if iv[0] is not NEG_INF else 0))
+        norm = sorted((lo, hi) for lo, hi in intervals if lo < hi)
         merged = []
         for lo, hi in norm:
             if merged and lo <= merged[-1][1]:

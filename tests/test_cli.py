@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscpl import cli
-from riscpl.cli import load_complex, main
+from riscpl.cli import endpoint_json, interval_json, load_complex, main
+from riscpl.exact_geometry import (
+    INF,
+    Coord,
+    StripPoint,
+    beta_levelset,
+    classify_region,
+    in_diag_downset,
+    strip_location,
+)
 from riscpl.field_linalg import Mat
 from riscpl.interleave import Transformation
 
@@ -712,6 +723,64 @@ def test_plot_draws_offsets_too_large_for_a_float(capsys, tmp_path):
     code, svg = run(capsys, "plot", str(dpath))
     assert code == 0
     assert svg.count("dgm-point") == len(points)
+
+
+# Bare Infinity, -Infinity and NaN tokens decode to floats.  An infinite
+# float is a legal Coord offset, so every input path must refuse them.
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=repr)
+def test_rejects_non_finite_tokens(capsys, tmp_path, circle_dump, x):
+    path = write_json(tmp_path / "complex.json", {
+        "vertices": [{"id": 1, "value": x}, {"id": 2, "value": "0"}],
+        "simplices": [[1, 2]]})
+    assert_input_error(capsys, path)
+    for case in ("v", "k", "dims", "map"):
+        doc = json.loads(circle_dump)
+        if case in ("v", "k"):
+            doc["xs"][1][case] = x
+            doc["ys"] = doc["xs"]
+        elif case == "dims":
+            doc["dims"][0][2] = x
+        else:
+            doc["maps"][0][2][0][0] = x
+        assert_module_error(capsys, write_json(tmp_path / f"{case}.json", doc))
+    for case in ("v", "k"):
+        point = {"x": {"k": 0, "v": "1"}, "y": {"k": 0, "v": "0"}, "multiplicity": 1}
+        point["x"][case] = x
+        assert_cli_error(capsys, "plot", write_json(tmp_path / "dgm.json", {"points": [point]}))
+
+
+@pytest.mark.parametrize("delta", ["inf", "-inf", "nan", "Infinity", "NaN"])
+def test_interleave_rejects_non_finite_delta(capsys, tmp_path, delta):
+    pair = hood_stability_pair(capsys, tmp_path)
+    assert_cli_error(capsys, "interleave", pair, f"--delta={delta}")
+
+
+def test_outputs_at_infinite_ends():
+    # the interior diagram points on a small coordinate grid whose classical
+    # pair or levelset bar has an infinite end, as written by the CLI, with
+    # the digest pinned when the test was added
+    offsets = (INF, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+               Fraction(-2), Fraction(3))
+    coords = [Coord(k, v) for k in range(-3, 4) for v in offsets]
+    lines = []
+    for x in coords:
+        for y in coords:
+            u = StripPoint(x, y)
+            if strip_location(u) != "interior" or not in_diag_downset(u):
+                continue
+            _, _, pair = classify_region(u)
+            deg, bar = beta_levelset(u)
+            ends = list(pair) + ([bar.lo, bar.hi] if bar else [])
+            if all(e not in (INF, -INF) for e in ends):
+                continue
+            lines.append(" ".join([repr(u), endpoint_json(pair[0]), endpoint_json(pair[1]),
+                                   repr(bar), repr(interval_json(deg, bar)) if bar else "None"]))
+    assert len(lines) == 81
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "661f244596ee47aa3ca0603cccced7711401135001f56cb60e7372702a546819")
 
 
 @pytest.mark.parametrize("funcs", ["0", "-1"])

@@ -81,12 +81,21 @@ def test_infinity_sentinels():
     for s in (INF, NEG_INF):
         assert s == s and s <= s and s >= s and not (s < s or s > s)
     assert INF != NEG_INF and not INF == NEG_INF
-    assert -INF is NEG_INF and -NEG_INF is INF
+    assert -INF == NEG_INF and -NEG_INF == INF
     assert len({INF, NEG_INF, -NEG_INF}) == 2
     assert (repr(INF), repr(NEG_INF)) == ("inf", "-inf")
     for k in (-2, 0, 3):
         assert Coord(k, NEG_INF) == Coord(k - 1, INF)
         assert Coord(k, NEG_INF).v is INF
+
+
+def test_coord_stores_the_inf_object():
+    for k in (-2, 0, 3):
+        for x in (INF, float("inf")):
+            assert Coord(k, x).v is INF
+        assert Coord(k, NEG_INF) == Coord(k, -math.inf) == Coord(k - 1, INF)
+        assert -Coord(k, INF) == Coord(-k - 1, INF)
+        assert Coord(k, INF).to_float() == k * math.pi + math.pi / 2
 
 
 def test_to_float_of_an_offset_too_large_for_a_float():
