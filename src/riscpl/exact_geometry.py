@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -425,7 +425,9 @@ class CoordTable:
     `rank_map(levels, side)` is a per-coordinate id map for a caller that
     holds the sorted levels, one bisection per id.  A point lies in the
     fundamental domain exactly when its tile is 0.  `samples` joins the
-    rows in order, so the grid points in the strip are listed once."""
+    rows in order, so the grid points in the strip are listed once.  The
+    fills close over the table's containers, never over the table, so no
+    cycle keeps a table alive after its last user drops it."""
 
     def __init__(self, grid: Sequence[Coord]):
         self.grid = tuple(grid)
@@ -433,42 +435,16 @@ class CoordTable:
         if any(not a < b for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid coordinates must be strictly increasing")
         self.ids: Dict[Coord, int] = {c: i for i, c in enumerate(self.coords)}
-        self.location = _Lazy(lambda key: strip_location(self.point(key)))
-        self.tile = _Lazy(self._tile)
-        self._le = _Lazy(lambda ab: self.coords[ab[0]] <= self.coords[ab[1]])
-        self.runs = _Lazy(self._run)
-        self.row_samples = _Lazy(self._row)
-        self._coord_maps: Dict[tuple, _Lazy] = {}
-        self._powers = _Lazy(self._power_map)
-
-    def intern(self, c: Coord) -> int:
-        i = self.ids.get(c)
-        if i is None:
-            i = self.ids[c] = len(self.coords)
-            self.coords.append(c)
-        return i
-
-    def point(self, key: Key) -> StripPoint:
-        return StripPoint(self.coords[key[0]], self.coords[key[1]])
-
-    def _run(self, i: int) -> Tuple[int, int]:
-        """For x = grid[i] the strip holds the y with -pi - x <= y <= pi - x:
-        the columns [lo, hi) of one run of the grid."""
-        grid, x = self.grid, self.grid[i]
-        return bisect_left(grid, x.pi_minus(-1)), bisect_right(grid, x.pi_minus(1))
-
-    def _row(self, i: int) -> Tuple[Key, ...]:
-        """The samples of row i: only the two ends of its run can lie on the
-        boundary, so the rest are interior and the ends are located when read."""
-        row = tuple((i, j) for j in range(*self.runs[i]))
-        self.location.update(dict.fromkeys(row[1:-1], "interior"))
-        return row
-
-    def _tile(self, key: Key) -> int:
-        """tile_index of an interior key, read off its coordinates."""
-        if self.location[key] != "interior":
-            raise ValueError(f"tile index undefined for non-interior point {self.point(key)}")
-        return _tile_of(self.coords[key[0]], self.coords[key[1]])
+        coords = self.coords
+        self.point = partial(_point, coords)
+        self.location = _Lazy(lambda key: strip_location(_point(coords, key)))
+        self.tile = _Lazy(partial(_tile, coords, self.location))
+        self._le = _Lazy(lambda ab: coords[ab[0]] <= coords[ab[1]])
+        self.runs = _Lazy(partial(_run, self.grid))
+        self.row_samples = _Lazy(partial(_row, self.runs, self.location))
+        self.intern = partial(_intern, coords, self.ids)
+        self._coord_map = partial(_coord_map, {}, coords, self.intern)
+        self._powers = _Lazy(partial(_power_map, self._coord_map))
 
     @cached_property
     def samples(self) -> Tuple[Key, ...]:
@@ -494,8 +470,10 @@ class CoordTable:
     def rank_map(self, levels: Sequence[Fraction], side: Callable) -> Dict[int, int]:
         """The id map that counts the sorted levels t before a coordinate c:
         arctan t < c for side bisect_left, arctan t <= c for bisect_right."""
+        coords = self.coords
+
         def fill(i: int) -> int:
-            c = self.coords[i]
+            c = coords[i]
             if c <= NEG_HALF_PI:
                 return 0
             if c >= HALF_PI:
@@ -507,17 +485,6 @@ class CoordTable:
         """The key map of T^n, built once per n."""
         return self._powers[n]
 
-    def _power_map(self, n: int) -> Callable[[Key], Key]:
-        """The coordinate maps of t_power, which swaps the coordinates for
-        odd n."""
-        if n % 2 == 0:
-            xmap = self._coord_map(Coord.shift_pi, -n)
-            ymap = self._coord_map(Coord.shift_pi, n)
-            return lambda key: (xmap[key[0]], ymap[key[1]])
-        xmap = self._coord_map(Coord.pi_minus, -n)
-        ymap = self._coord_map(Coord.pi_minus, n)
-        return lambda key: (xmap[key[1]], ymap[key[0]])
-
     def shift(self, a: ShiftVector) -> Callable[[Key], Key]:
         """The key map of the shift action of a: alpha_apply acts on x by
         the pair (a1, a2) and on y by (a2, a1)."""
@@ -525,10 +492,55 @@ class CoordTable:
         ymap = self._coord_map(_alpha_coord, a.a2, a.a1)
         return lambda key: (xmap[key[0]], ymap[key[1]])
 
-    def _coord_map(self, f: Callable[..., Coord], *args) -> Dict[int, int]:
-        """The id map of the coordinate function c -> f(c, *args)."""
-        out = self._coord_maps.get((f, args))
-        if out is None:
-            out = self._coord_maps[(f, args)] = _Lazy(
-                lambda i: self.intern(f(self.coords[i], *args)))
-        return out
+
+def _intern(coords: List[Coord], ids: Dict[Coord, int], c: Coord) -> int:
+    i = ids.get(c)
+    if i is None:
+        i = ids[c] = len(coords)
+        coords.append(c)
+    return i
+
+
+def _point(coords: List[Coord], key: Key) -> StripPoint:
+    return StripPoint(coords[key[0]], coords[key[1]])
+
+
+def _run(grid: Tuple[Coord, ...], i: int) -> Tuple[int, int]:
+    """For x = grid[i] the strip holds the y with -pi - x <= y <= pi - x:
+    the columns [lo, hi) of one run of the grid."""
+    x = grid[i]
+    return bisect_left(grid, x.pi_minus(-1)), bisect_right(grid, x.pi_minus(1))
+
+
+def _row(runs: Dict[int, Tuple[int, int]], location: Dict[Key, str], i: int) -> Tuple[Key, ...]:
+    """The samples of row i: only the two ends of its run can lie on the
+    boundary, so the rest are interior and the ends are located when read."""
+    row = tuple((i, j) for j in range(*runs[i]))
+    location.update(dict.fromkeys(row[1:-1], "interior"))
+    return row
+
+
+def _tile(coords: List[Coord], location: Dict[Key, str], key: Key) -> int:
+    """tile_index of an interior key, read off its coordinates."""
+    if location[key] != "interior":
+        raise ValueError(f"tile index undefined for non-interior point {_point(coords, key)}")
+    return _tile_of(coords[key[0]], coords[key[1]])
+
+
+def _coord_map(maps: Dict[tuple, _Lazy], coords: List[Coord], intern: Callable[[Coord], int],
+               f: Callable[..., Coord], *args) -> Dict[int, int]:
+    """The id map of the coordinate function c -> f(c, *args), kept in maps."""
+    out = maps.get((f, args))
+    if out is None:
+        out = maps[(f, args)] = _Lazy(lambda i: intern(f(coords[i], *args)))
+    return out
+
+
+def _power_map(coord_map: Callable[..., Dict[int, int]], n: int) -> Callable[[Key], Key]:
+    """The key map of T^n from the coordinate maps of t_power, which swaps
+    the coordinates for odd n."""
+    if n % 2 == 0:
+        xmap, ymap = coord_map(Coord.shift_pi, -n), coord_map(Coord.shift_pi, n)
+        return lambda key: (xmap[key[0]], ymap[key[1]])
+    xmap, ymap = coord_map(Coord.pi_minus, -n), coord_map(Coord.pi_minus, n)
+    return lambda key: (xmap[key[1]], ymap[key[0]])

@@ -78,10 +78,10 @@ Index = Tuple[int, int]
 
 
 def distance_pair(k: PLComplex, f: int = 0, g: int = 1) -> ShiftVector:
-    """The pair (inf(g - f), sup(g - f)); a PL difference attains both
-    extremes at vertices."""
+    """The pair (inf(g - f), sup(g - f)) on the complex; a PL difference
+    attains both extremes at vertices of its simplices."""
     check_funcs(k, f, g)
-    diffs = [k.value(v, g) - k.value(v, f) for v in k.values]
+    diffs = [k.value(v, g) - k.value(v, f) for v in {v for s in k.simplices for v in s}]
     if not diffs:
         return ShiftVector(0, 0)
     return ShiftVector(min(diffs), max(diffs))
@@ -117,7 +117,8 @@ class Transformation:
     interpolating pair on the rectangle spanned by the band representative
     and its glide-reflection preimage.  The f evaluator builds both kinds
     of map (`inclusion`, `connecting`) and caches the induced ones; this
-    object caches the matrix of each sample."""
+    object caches the matrix of each sample and whether the f pair lies in
+    the g pair, per pair of pairs."""
 
     def __init__(self, ev_f: FunctorEvaluator, ev_g: FunctorEvaluator,
                  a: ShiftVector):
@@ -134,6 +135,7 @@ class Transformation:
         self.table = ev_f.table
         self.shift = self.table.shift(a)
         self._by_point: Dict[Key, Mat] = {}
+        self._included: Dict[tuple, bool] = {}
 
     def at(self, key: Key) -> Mat:
         out = self._by_point.get(key)
@@ -160,7 +162,11 @@ class Transformation:
         if n_src == n:
             pair_f = self.ev_f.pair_at(u)
             pair_g = self.ev_g.pair_at(self.shift(u))
-            if not (pair_f[0] <= pair_g[0] and pair_f[1] <= pair_g[1]):
+            pairs = pair_f + pair_g
+            ok = self._included.get(pairs)
+            if ok is None:
+                ok = self._included[pairs] = pair_f[0] <= pair_g[0] and pair_f[1] <= pair_g[1]
+            if not ok:
                 raise ValueError(
                     "open-model pair inclusion fails; the shift does not "
                     "dominate the difference of the functions"

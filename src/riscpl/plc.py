@@ -155,13 +155,16 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
     """Split at every level in increasing order (for every listed function),
     so that afterwards each simplex spans at most two adjacent levels.
 
-    Equivalent to repeated split_at_level calls, but crossing edges are
-    bucketed by level up front and cofaces found through a vertex-star
-    index, so no full rescan per level is needed.  Each vertex's value is
-    located among the levels once per function by two bisections, and an
-    edge is bucketed by comparing those integer positions.  Every new edge
-    ends at a created vertex, which lies between the ends of the split
-    edge, so it crosses no level that the loop has passed.  If a trace
+    Equivalent to repeated split_at_level calls, but each edge is bucketed
+    once, at its next crossing in (level, function) order, the one it is
+    split at, as no other split removes it; cofaces are found through a
+    vertex-star index, so no full rescan per level is needed.  Each
+    vertex's value is located among the levels once per function by two
+    bisections, and an edge is bucketed by comparing those integer
+    positions.  A created vertex lies on the level being split and, for
+    every other function, is bisected between the positions of the ends of
+    its edge.  Every new edge ends at a created vertex, so it crosses no
+    level that the loop has passed.  If a trace
     list is given, each created vertex is appended as (id, endpoint_a,
     endpoint_b, level) in creation order.  Raises ValueError when a created
     vertex's id is already taken: by a user id of the form lo~hi@level, or
@@ -179,8 +182,10 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
         for v in sim:
             star.setdefault(v, set()).add(sim)
 
-    def level_pos(val: Fraction) -> Tuple[int, int]:
-        return bisect.bisect_left(levels, val), bisect.bisect_right(levels, val)
+    def level_pos(val: Fraction, pa=(0, 0), pb=(len(levels), len(levels))) -> Tuple[int, int]:
+        # the positions of a value that lies between two values at pa and pb
+        return (bisect.bisect_left(levels, val, min(pa[0], pb[0]), max(pa[0], pb[0])),
+                bisect.bisect_right(levels, val, min(pa[1], pb[1]), max(pa[1], pb[1])))
 
     # per vertex and listed function, the levels below its value are
     # levels[:lo] and those at or below it levels[:hi]
@@ -188,12 +193,17 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
     buckets: Dict[Tuple[int, int], set] = {}
 
     def bucket_edge(e: Simplex):
-        # the levels strictly between the two values: from hi of the lower
-        # end up to lo of the higher one, none when the values are equal
+        # the levels strictly between the two values run from hi of the
+        # lower end up to lo of the higher one, none when the values are
+        # equal; the first of them, over the functions in order
         a, b = e
+        first = None
         for fi, ((lo_a, hi_a), (lo_b, hi_b)) in enumerate(zip(pos[a], pos[b])):
-            for i in range(min(hi_a, hi_b), max(lo_a, lo_b)):
-                buckets.setdefault((i, fi), set()).add(e)
+            i = min(hi_a, hi_b)
+            if i < max(lo_a, lo_b) and (first is None or i < first[0]):
+                first = (i, fi)
+        if first is not None:
+            buckets.setdefault(first, set()).add(e)
 
     for e in simplices:
         if len(e) == 2:
@@ -202,8 +212,6 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
     for li, s in enumerate(levels):
         for fi, func in enumerate(funcs):
             for edge in sorted(buckets.pop((li, fi), ()), key=skey):
-                if edge not in simplices:
-                    continue
                 a, b = sorted(edge, key=vkey)
                 fa, fb = values[a][func], values[b][func]
                 t = (s - fa) / (fb - fa)
@@ -212,12 +220,11 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
                     raise ValueError(f"split vertex id {x!r} is already a vertex id")
                 if trace is not None:
                     trace.append((x, a, b, s))
-                values[x] = tuple(
-                    va + t * (vb - va) for va, vb in zip(values[a], values[b])
-                )
+                values[x] = tuple(s if g == func else va + t * (vb - va)
+                                  for g, (va, vb) in enumerate(zip(values[a], values[b])))
                 # x lies on level li of the function split here
-                pos[x] = [(li, li + 1) if gi == fi else level_pos(values[x][g])
-                          for gi, g in enumerate(funcs)]
+                pos[x] = [(li, li + 1) if gi == fi else level_pos(values[x][g], pa, pb)
+                          for gi, (g, pa, pb) in enumerate(zip(funcs, pos[a], pos[b]))]
                 new_edges = []
                 for sim in star[a] & star[b]:
                     for v in sim:

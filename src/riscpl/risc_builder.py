@@ -102,7 +102,8 @@ class FunctorEvaluator:
     ranges of value ranks, read off two per-coordinate-id maps filled on
     first use: below[c] counts the values t with arctan t < c, upto[c]
     those with arctan t <= c.  One model is built per vertex set, keyed by
-    its canonical ranges.  Relative cochains, and with them
+    its canonical ranges, and one pair per point key of four such ranks
+    (`ranks`), which decide it.  Relative cochains, and with them
     relative cohomology, vanish above the dimension of the split complex,
     so values in degrees above max_degree = dim are zero without being
     computed.
@@ -120,6 +121,7 @@ class FunctorEvaluator:
         self.p = p
         self.max_degree = split.dim()
         self._models: Dict[Ranges, Subcomplex] = {}
+        self._pairs: Dict[Tuple[int, int, int, int], Tuple[Subcomplex, Subcomplex]] = {}
         ix = split.index
         self.levels: List[Fraction] = ix.levels[func] if ix.levels else []
         self.below = table.rank_map(self.levels, bisect.bisect_left)
@@ -128,16 +130,21 @@ class FunctorEvaluator:
         self._bases: Dict[tuple, CohomBasis] = {}
         self._induced: Dict[tuple, Mat] = {}
 
-    def ranges(self, w: Key) -> Tuple[Tuple[int, int], Ranges]:
-        """The pair of open sets rho attaches to a point, as value-rank
-        ranges: the levels t with T(w).x < arctan t < T(w).y, and those off
-        w.y <= arctan t <= w.x."""
+    def ranks(self, w: Key) -> Tuple[int, int, int, int]:
+        """The value ranks that bound the open sets rho attaches to a point:
+        upto[T(w).x], below[T(w).y], below[w.y] and upto[w.x]."""
         table = self.table
         if table.location[w] == "outside":
             raise ValueError(f"point {table.point(w)} lies outside the strip")
         tx, ty = table.power(1)(w)
-        return ((self.upto[tx], self.below[ty]),
-                ((0, self.below[w[1]]), (self.upto[w[0]], len(self.levels))))
+        return self.upto[tx], self.below[ty], self.below[w[1]], self.upto[w[0]]
+
+    def ranges(self, w: Key) -> Tuple[Tuple[int, int], Ranges]:
+        """The pair of open sets rho attaches to a point, as value-rank
+        ranges: the levels t with T(w).x < arctan t < T(w).y, and those off
+        w.y <= arctan t <= w.x."""
+        lo, hi, below, upto = self.ranks(w)
+        return (lo, hi), ((0, below), (upto, len(self.levels)))
 
     def model(self, ranges: Ranges) -> Subcomplex:
         """The open model of a union of value-rank ranges, cached by their
@@ -159,10 +166,16 @@ class FunctorEvaluator:
 
     def pair_at(self, w: Key) -> Tuple[Subcomplex, Subcomplex]:
         """Open models of the pair attached to a point of the fundamental
-        band: rho1 and its intersection with rho0."""
-        (lo, hi), rho0 = self.ranges(w)
-        return (self.model(((lo, hi),)),
-                self.model(tuple((max(a, lo), min(b, hi)) for a, b in rho0)))
+        band: rho1 = [lo, hi) and its intersection with rho0, which is
+        [lo, min(below, hi)) with [max(upto, lo), hi) as 0 <= lo and
+        hi <= L.  The four ranks are the key of the pair."""
+        key = lo, hi, below, upto = self.ranks(w)
+        out = self._pairs.get(key)
+        if out is None:
+            out = self._pairs[key] = (
+                self.model(((lo, hi),)),
+                self.model(((lo, min(below, hi)), (max(upto, lo), hi))))
+        return out
 
     def basis(self, a: Subcomplex, b: Subcomplex, n: int) -> CohomBasis:
         key = (n, a, b)

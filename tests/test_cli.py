@@ -674,6 +674,50 @@ def test_interleave_equal_functions(capsys, tmp_path):
     assert report["ok"] and report["delta"] == "0"
 
 
+def test_interleave_reads_only_vertices_of_the_complex(capsys, tmp_path):
+    # vertex 3 lies in no simplex, as dgm drops it from the space; its
+    # values differ by 50, but f = g on the complex
+    path = write_json(tmp_path / "unused.json", {
+        "vertices": [{"id": 1, "value": ["0", "0"]},
+                     {"id": 2, "value": ["1", "1"]},
+                     {"id": 3, "value": ["0", "50"]}],
+        "simplices": [[1, 2]],
+    })
+    for delta in ("auto", "0"):
+        code, report = run_json(capsys, "interleave", path, "--delta", delta)
+        assert code == 0
+        assert report["ok"] and report["delta"] == "0"
+
+
+def test_no_coordinate_table_outlives_its_call(capsys, tmp_path):
+    # a table's maps fill on its containers, not on the table, so it is
+    # freed when its call returns, before any cycle collection runs
+    import gc
+
+    from riscpl.exact_geometry import CoordTable
+
+    hood, pair = str(tmp_path / "hood.json"), str(tmp_path / "pair.json")
+    dump = str(tmp_path / "dump.json")
+    assert main(["gen", "--preset", "hood", "--out", hood]) == 0
+    assert main(["gen", "--preset", "random", "--funcs", "2", "--seed", "1", "--out", pair]) == 0
+    assert main(["dgm", hood, "--dump-module", dump]) == 0
+    capsys.readouterr()
+    def tables():
+        return [o for o in gc.get_objects() if isinstance(o, CoordTable)]
+
+    for argv in (["dgm", hood], ["check", dump, "--module"], ["interleave", pair]):
+        gc.collect()
+        before = tables()  # held by other callers, and kept alive here
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            made = [t for t in tables() if all(t is not b for b in before)]
+        finally:
+            gc.enable()
+        assert made == [], argv
+        capsys.readouterr()
+
+
 def test_plot_counts_glyphs(capsys, tmp_path):
     code, hood = run(capsys, "gen", "--preset", "hood")
     path = write_json(tmp_path / "hood.json", json.loads(hood))

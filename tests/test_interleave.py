@@ -330,6 +330,35 @@ def test_rank_pairs_match_rho_reference(monkeypatch, p):
             assert pair == pair_at_reference(ev, w), (ev.func, w)
 
 
+def test_rank_keyed_pairs_equal_the_pairs_of_the_ranges():
+    # At every grid point of the hood pair's context and of the contexts
+    # interleaving_check builds for interleave_pairs(), for both functions,
+    # the pair kept under four value ranks is the pair built from the
+    # ranges: rho1 and, range by range, its intersection with rho0.  Points
+    # with an empty rho1 are among them; outside the strip both raise.
+    def from_ranges(ev, w):
+        (lo, hi), rho0 = ev.ranges(w)
+        return ev.model(((lo, hi),)), ev.model(tuple((max(a, lo), min(b, hi)) for a, b in rho0))
+
+    seen = Counter()
+    contexts = [joint_context(hood_pair(), [0, 1], shifts=[2])]
+    contexts += [interleave_context(k) for k in interleave_pairs()]
+    for ctx in contexts:
+        n = len(ctx.table.grid)
+        for w, ev in itertools.product(itertools.product(range(n), repeat=2),
+                                       ctx.evaluators.values()):
+            if ctx.table.location[w] == "outside":
+                seen["outside"] += 1
+                for pair in (ev.pair_at, lambda w: from_ranges(ev, w)):
+                    with pytest.raises(ValueError, match="outside the strip"):
+                        pair(w)
+                continue
+            pair = ev.pair_at(w)
+            assert pair == from_ranges(ev, w), (ev.func, w)
+            seen["empty rho1" if not len(pair[0]) else "nonempty rho1"] += 1
+    assert len(seen) == 3, seen
+
+
 def test_pairs_outside_the_strip_raise():
     k = hood_stability_pair()
     ctx = joint_context(k, [0, 1], shifts=[1])

@@ -222,6 +222,22 @@ def test_split_all_equals_the_one_level_fold():
     assert all(seen.values()), seen
 
 
+def test_split_all_sorts_each_split_edge_once(monkeypatch):
+    # an edge is bucketed at its next crossing only, the one it is split
+    # at, so splitting the hood pair as the interleave check does sorts
+    # each of its 270 split edges once (934 sort keys when an edge was
+    # bucketed at every level it crossed)
+    from riscpl import plc
+    from test_interleave import hood_stability_pair
+
+    keys = []
+    skey = plc.skey
+    monkeypatch.setattr(plc, "skey", lambda e: keys.append(e) or skey(e))
+    trace = []
+    split_all(hood_stability_pair(), *interleave_levels(hood_stability_pair()), trace=trace)
+    assert len(keys) == len(set(keys)) == len(trace) == 270
+
+
 def test_split_cap_on_a_random_pair(tmp_path):
     # the split of the interleaving of `gen --preset random --funcs 2
     # --seed 6` stops at the step where it first exceeds the default cap

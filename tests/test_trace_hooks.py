@@ -50,8 +50,9 @@ def test_plc_hooks_on_dgm_hood(tracer, tmp_path):
     assert m["plc.relative_cohomology.max_cells"] == 631
     # cache hits and misses with the degree bound at the split complex's
     # dimension: points of the tile one above it are zero without a lookup;
-    # one open model per vertex set, keyed by its value-rank ranges
-    assert m["risc_builder.model_hit_ratio"] == 1678 / 1704
+    # one open model per vertex set, keyed by its value-rank ranges, looked
+    # up only for a pair not yet kept under its four value ranks
+    assert m["risc_builder.model_hit_ratio"] == 84 / 110
     assert m["risc_builder.basis_hit_ratio"] == 699 / 840
     assert m["risc_builder.connecting_hit_ratio"] == 0
 
@@ -79,8 +80,9 @@ def test_interleave_hooks_on_hood_pair(tracer, tmp_path):
         "split_all": 1, "open_model": 32, "relative_cohomology": 54,
         "induced_map": 20, "mv_connecting": 0}
     # the model and basis lookups of a transformation are made only where
-    # its target is nonzero; the cohomology counts above do not move
-    assert m["risc_builder.FunctorEvaluator.model.calls"] == 1672
+    # its target is nonzero, and the models only for a pair not yet kept
+    # under its four value ranks; the cohomology counts above do not move
+    assert m["risc_builder.FunctorEvaluator.model.calls"] == 112
     # the transformation's inclusion branch maps between the two bases that
     # point_data returns and looks neither up again
     assert m["risc_builder.FunctorEvaluator.basis.calls"] == 624
