@@ -433,13 +433,14 @@ def cmd_evaluate(args) -> int:
 
 
 # The check suites in report order, each a checker that returns None or its
-# first counterexample.  An entry looks its checker up by name when called,
-# so a wrapper later put in place of that name on this module sees the call.
+# first counterexample; decomposition hands yoneda the block walks of one
+# call.  An entry looks its checker up by name when called, so a wrapper
+# later put in place of that name on this module sees the call.
 SUITES = {
-    "exactness": lambda m: cohomological_check(m),
-    "continuity": lambda m: seq_continuity_check(m),
-    "decomposition": lambda m: decomposition_check(m),
-    "yoneda": lambda m: yoneda_check(m),
+    "exactness": lambda m, walks: cohomological_check(m),
+    "continuity": lambda m, walks: seq_continuity_check(m),
+    "decomposition": lambda m, walks: decomposition_check(m, walks=walks),
+    "yoneda": lambda m, walks: yoneda_check(m, walks),
 }
 
 
@@ -455,9 +456,9 @@ def cmd_check(args) -> int:
         cap = DEFAULT_CAP if args.cap is None else args.cap
         k, field = load_complex(args.input)
         module = evaluate(k, func=func, p=field_of(args, field), cap=cap).module
-    report = {"suites": {}}
+    report, walks = {"suites": {}}, {}
     for suite in (SUITES if args.suite == "all" else (args.suite,)):
-        bad = SUITES[suite](module)
+        bad = SUITES[suite](module, walks)
         result = report["suites"][suite] = {"ok": bad is None}
         if bad is not None:
             result["counterexample"] = repr(bad)

@@ -307,7 +307,7 @@ def joint_context(k: PLComplex, funcs: Sequence[int] = (0, 1), shifts=(),
     funcs = sorted(set(funcs))
     check_funcs(k, *funcs)
     if table is None:
-        critical = {k.value(v, func) for v in k.values for func in funcs}
+        critical = {k.value(v, func) for s in k.simplices for v in s for func in funcs}
         table = CoordTable(refine_lines(build_lines(critical)))
     split = split_all(k, joint_levels(table.grid, shifts), funcs=funcs,
                       cap=cap, trace=trace)

@@ -17,9 +17,13 @@ checkers work on grid indices alone: `GridModule.up` and `down` are the
 one covering relation and `map_between` the one composite routine between
 two samples.  Each checker call reads one array view of the dimensions
 and the strip locations (`_view`) and visits only the unit squares and
-samples where a nonzero space lets it fail, row by row.  The block
-checkers walk each block's support once along its staircases to the
-block's vertex (`_block`) and read every composite off that walk.
+samples where a nonzero space lets it fail, row by row.  The exactness
+checker reads a unit square's sides off its covering maps and folds each
+longer composite once per call.  The block checkers walk each block's
+support once along its staircases to the block's vertex (`_block`) and
+read every composite off that walk; one `check` call hands the
+decomposition checker's walks to the Yoneda checker.  Nothing is kept on
+the module.
 """
 
 from __future__ import annotations
@@ -160,7 +164,8 @@ class GridModule:
         """Matrix M(hi) -> M(lo) for any comparable pair lo preceding hi,
         composed along the staircase through the corner (hi.x, lo.y).  Path
         independence makes any other monotone path agree.  A staircase
-        through a zero space composes to zero, so it is not multiplied.  The
+        through a zero space composes to zero, so it is not multiplied: the
+        dimensions are read at the corner first, then along the path.  The
         fold starts from the first covering map, so a covering pair gets its
         stored matrix back; like map_at's, the result must not be written
         to.  Nothing is kept between calls."""
@@ -169,9 +174,10 @@ class GridModule:
             raise ValueError("samples not comparable in the given direction")
         if lo == hi:
             return self.map_at(lo, hi)
-        path = [(ih, j) for j in range(jh, jl - 1, -1)] + \
-            [(i, jl) for i in range(ih + 1, il + 1)]
-        if not all(map(self.dim_at, path)):
+        dim = self.dims.get
+        path = dim((ih, jl)) and ([(ih, j) for j in range(jh, jl - 1, -1)]
+                                  + [(i, jl) for i in range(ih + 1, il + 1)])
+        if not (path and all(map(dim, path))):
             return Mat.zeros(self.dim_at(lo), self.dim_at(hi), self.p)
         acc = self.map_at(path[1], path[0])
         for above, below in zip(path[1:], path[2:]):
@@ -255,7 +261,8 @@ def square_commutes_check(m: GridModule):
     return None
 
 
-def decomposition_check(m: GridModule, spot_checks: int = 200):
+def decomposition_check(m: GridModule, spot_checks: int = 200,
+                        walks: Optional[dict] = None):
     """Verify the block decomposition by constructing an explicit natural
     isomorphism from the block sum read off the diagram.
 
@@ -267,7 +274,9 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
     sum, so every pairwise rank equals the count of blocks containing both
     samples.  The rank interface is additionally spot-checked against that
     count on random comparable pairs of samples, both with nonzero spaces:
-    a pair with a zero space has the zero map and no block at both."""
+    a pair with a zero space has the zero map and no block at both.  Each
+    vertex's `_block` walk goes into walks, if given, for `yoneda_check`."""
+    walks = {} if walks is None else walks
     bad = square_commutes_check(m)
     if bad is not None:
         return ("square", *bad)
@@ -283,7 +292,7 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
     # (v, walk, xi) moves to a sample s of the support by walk[s]
     sections: List[Tuple[Index, Dict[Index, Mat], Mat]] = []
     for vi, mult in order:
-        walk, equations = _block(vi, m)
+        walk, equations = walks[vi] = _block(vi, m)
         ker = kernel_basis(Mat(equations.data[equations.data.any(axis=1)], m.p))
         prior = [w[vi] @ xi for v, w, xi in sections if vi in w]
         base = Mat.hstack(prior) if prior else Mat.zeros(m.dim_at(vi), 0, m.p)
@@ -316,7 +325,8 @@ def decomposition_check(m: GridModule, spot_checks: int = 200):
     return None
 
 
-def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
+def _rectangle_exact(m: GridModule, lo: Index, hi: Index,
+                     folds: Optional[dict] = None) -> Optional[tuple]:
     """Exactness of the long sequence
     M(T(u)) -> M(w) -> M(v1) (+) M(v2) -> M(u) -> M(T^{-1}(w))
     on the sample rectangle u = lo, w = hi, at the three inner terms (the
@@ -325,33 +335,43 @@ def _rectangle_exact(m: GridModule, lo: Index, hi: Index) -> Optional[tuple]:
     dimension minus the rank of the incoming one.  A rectangle with a corner
     that is not interior is not checked.  Nor is one whose four corners are
     zero spaces: every matrix in it and in its outer terms has a zero side,
-    so every composite is empty and every rank is 0 = 0 - 0."""
+    so every composite is empty and every rank is 0 = 0 - 0.  The sides of
+    a unit square are its covering maps; any other composite comes with its
+    rank from folds, a dict shared by the rectangles of one check: the
+    intersection-term composite of a square is the union-term one of its
+    T^-1-translate."""
     (il, jl), (ih, jh) = lo, hi
     v1 = (il, jh)  # shares x with u
     v2 = (ih, jl)  # shares x with w
     corners = (lo, hi, v1, v2)
     if not all(map(m.is_interior, corners)) or not any(map(m.dim_at, corners)):
         return None
-    first = Mat(np.vstack([m.map_between(v1, hi).data, m.map_between(v2, hi).data]),
-                m.p)
-    second = Mat.hstack([m.map_between(lo, v1), -m.map_between(lo, v2)])
+    folds = {} if folds is None else folds
+
+    def ranked(a: Index, b: Index) -> Tuple[Mat, int]:
+        if (a, b) not in folds:
+            mat = m.map_between(a, b)
+            folds[a, b] = mat, rank(mat)
+        return folds[a, b]
+
+    side = m.map_at if il - ih == 1 == jh - jl else lambda a, b: ranked(a, b)[0]
+    first = Mat._reduced(np.vstack([side(v1, hi).data, side(v2, hi).data]), m.p)
+    second = Mat._reduced(np.hstack([side(lo, v1).data, -side(lo, v2).data % m.p]), m.p)
     if not (second @ first).is_zero():
         return (lo, hi, "composite nonzero")
     rank_first = rank(first)
     tu = m.t_index(lo)
     if tu is not None and hi[0] >= tu[0] and hi[1] <= tu[1]:
-        into_w = m.map_between(hi, tu)
-        if (not (first @ into_w).is_zero()
-                or rank_first != m.dim_at(hi) - rank(into_w)):
+        into_w, rank_into = ranked(hi, tu)
+        if not (first @ into_w).is_zero() or rank_first != m.dim_at(hi) - rank_into:
             return (lo, hi, "not exact at the union term")
     rank_second = rank(second)
     if rank_first != second.cols - rank_second:
         return (lo, hi, "not exact at the middle term")
     tw = m.t_index(hi, power=-1)
     if tw is not None and tw[0] >= lo[0] and tw[1] <= lo[1]:
-        out_u = m.map_between(tw, lo)
-        if (not (out_u @ second).is_zero()
-                or rank_second != m.dim_at(lo) - rank(out_u)):
+        out_u, rank_out = ranked(tw, lo)
+        if not (out_u @ second).is_zero() or rank_second != m.dim_at(lo) - rank_out:
             return (lo, hi, "not exact at the intersection term")
     return None
 
@@ -368,13 +388,16 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
     drawn rectangle is checked.  Neither choice is empty: il - 1 is always
     one, and since the interior is the band -pi < x + y < pi, so is
     jl + 1.  The unit squares are visited row by row where
-    `_rectangle_exact` checks them: interior corners, one nonzero."""
+    `_rectangle_exact` checks them: interior corners, one nonzero.  All
+    rectangles share one dict of folded composites, so each is folded and
+    ranked once."""
     dims, _, inner = _view(m)
     nz = dims != 0
     corners = inner[1:, :-1] & inner[:-1, 1:] & inner[1:, 1:] & inner[:-1, :-1]
     some = nz[1:, :-1] | nz[:-1, 1:] | nz[1:, 1:] | nz[:-1, :-1]
+    folds = {}
     for i, j in np.argwhere(corners & some).tolist():
-        bad = _rectangle_exact(m, (i + 1, j), (i, j + 1))
+        bad = _rectangle_exact(m, (i + 1, j), (i, j + 1), folds)
         if bad is not None:
             return bad
     low = inner[1:, :-1] & inner[:-1, :-1] & inner[1:, 1:]
@@ -384,7 +407,7 @@ def cohomological_check(m: GridModule, random_rectangles: int = 100):
         il, jl = rng.choice(lows)
         ih = rng.choice(np.flatnonzero(inner[:il, jl]).tolist())
         jh = jl + 1 + rng.choice(np.flatnonzero(inner[il, jl + 1:] & inner[ih, jl + 1:]).tolist())
-        bad = _rectangle_exact(m, (il, jl), (ih, jh))
+        bad = _rectangle_exact(m, (il, jl), (ih, jh), folds)
         if bad is not None:
             return bad
     return None
@@ -445,22 +468,23 @@ def _block(v: Index, m: GridModule) -> Tuple[Dict[Index, Mat], Mat]:
     return walk, Mat(np.vstack(rows), m.p)
 
 
-def nat_space_dim(v: Index, m: GridModule) -> int:
+def nat_space_dim(v: Index, m: GridModule, walks: Optional[dict] = None) -> int:
     """Dimension of the space of natural transformations from the block at
     the sample v into m.  Such a transformation is fixed by its value in
     m(v) (`_block`), so the count is dim m(v) less the rank of the walk's
     equations, and 0 for an empty support.  By the Yoneda-style lemma this
-    must equal dim m(v)."""
-    walk, equations = _block(v, m)
+    must equal dim m(v).  A walk already in walks is not walked again."""
+    walk, equations = walks[v] if walks and v in walks else _block(v, m)
     return m.dim_at(v) - rank(equations) if walk else 0
 
 
-def yoneda_check(m: GridModule):
+def yoneda_check(m: GridModule, walks: Optional[dict] = None):
     """The Yoneda-type count at every diagram vertex v: the natural
     transformations from the block at v into m form a space of dimension
-    dim m(v)."""
+    dim m(v).  walks may hold block walks of `decomposition_check(m)`; the
+    other blocks are walked here."""
     for d in dgm(m).points:
         idx = m.index_of(d.point)
-        if nat_space_dim(idx, m) != m.dim_at(idx):
+        if nat_space_dim(idx, m, walks) != m.dim_at(idx):
             return ("yoneda mismatch at", idx)
     return None

@@ -331,8 +331,13 @@ def test_check_suites_pass(capsys, tmp_path):
     }
 
 
-def test_each_suite_reports_its_entry_of_all(capsys, tmp_path):
-    # a GF(3) hood dump, intact and with one nonzero structure map negated
+def test_each_suite_reports_its_entry_of_all(capsys, tmp_path, monkeypatch):
+    # a GF(3) hood dump: intact; with one nonzero structure map negated; and
+    # with a space at the rim below the vertex walked first, mapping onto
+    # the sample above it, so that decomposition fails after one block walk
+    # and yoneda reads a partly filled walk dict
+    from riscpl import strip_module
+
     code, hood = run(capsys, "gen", "--preset", "hood")
     path = write_json(tmp_path / "hood.json", json.loads(hood))
     intact = tmp_path / "hood3.json"
@@ -341,19 +346,44 @@ def test_each_suite_reports_its_entry_of_all(capsys, tmp_path):
     doc = json.loads(intact.read_text())
     nonzero = [e for e in doc["maps"] if any(any(row) for row in e[2])]
     entry = nonzero[len(nonzero) // 2]
+    saved = entry[2]
     entry[2] = [[-x % 3 for x in row] for row in entry[2]]
     negated = write_json(tmp_path / "negated.json", doc)
+    entry[2] = saved
+    m, _ = cli.load_module(str(intact))
+    vertices = [m.index_of(d.point) for d in strip_module.dgm(m).points]
+    v = min(vertices, key=lambda v: v[0] - v[1])
+    rim = next((v[0], j) for j in range(v[1], -1, -1) if not m.dim_at((v[0], j)))
+    above = (rim[0], rim[1] + 1)
+    doc["dims"].append([*rim, 1])
+    doc["maps"].append([list(rim), list(above), [[1] * m.dim_at(above)]])
+    rimmed = write_json(tmp_path / "rimmed.json", doc)
+    walked = []
+    block = strip_module._block
+    monkeypatch.setattr(strip_module, "_block", lambda v, m: walked.append(v) or block(v, m))
     verdicts = []
-    for dump in (str(intact), negated):
+    for dump in (str(intact), negated, rimmed):
+        walked.clear()
         code, full = run_json(capsys, "check", dump, "--module", "--suite", "all")
         assert list(full["suites"]) == ["exactness", "continuity", "decomposition", "yoneda"]
         assert code == (0 if full["ok"] else 1)
         verdicts.append(full["ok"])
+        # decomposition and yoneda walk each block at most once between
+        # them, every block on the intact dump; on the rimmed one both fail
+        # at the one block walked
+        assert len(walked) == len(set(walked))
+        if dump == str(intact):
+            assert sorted(walked) == sorted(vertices)
+        if dump == rimmed:
+            assert walked == [v]
+            assert full["suites"]["decomposition"]["counterexample"].startswith(
+                "('too few sections'")
+            assert full["suites"]["yoneda"]["counterexample"] == repr(("yoneda mismatch at", v))
         for name, result in full["suites"].items():
             code, one = run_json(capsys, "check", dump, "--module", "--suite", name)
             assert one == {"suites": {name: result}, "ok": result["ok"]}
             assert code == (0 if result["ok"] else 1)
-    assert verdicts == [True, False]
+    assert verdicts == [True, False, False]
 
 
 def test_check_empty_passes_vacuously(capsys, tmp_path):
@@ -687,6 +717,29 @@ def test_interleave_reads_only_vertices_of_the_complex(capsys, tmp_path):
         code, report = run_json(capsys, "interleave", path, "--delta", delta)
         assert code == 0
         assert report["ok"] and report["delta"] == "0"
+
+
+def test_grid_lines_come_only_from_vertices_of_the_complex(capsys, tmp_path):
+    # vertex 6 at (7, 7) lies in no simplex, so it adds no grid line: the
+    # hood stability pair keeps its witness, and the hood dump its
+    # coordinates, with and without it
+    pair = json.loads(open(hood_stability_pair(capsys, tmp_path)).read())
+    code, hood = run(capsys, "gen", "--preset", "hood")
+    hood = json.loads(hood)
+    xs = []
+    for lone in (False, True):
+        if lone:
+            pair["vertices"].append({"id": 6, "value": ["7", "7"]})
+            hood["vertices"].append({"id": 6, "value": "7"})
+        path = write_json(tmp_path / f"pair-{lone}.json", pair)
+        code, report = run_json(capsys, "interleave", path)
+        assert code == 0
+        assert report == {"delta": "1", "ok": True, "witness": [63, 37]}
+        path = write_json(tmp_path / f"hood-{lone}.json", hood)
+        dump = tmp_path / f"hood-{lone}.dump.json"
+        assert run(capsys, "dgm", path, "--dump-module", str(dump))[0] == 0
+        xs.append(json.loads(dump.read_text())["xs"])
+    assert xs[0] == xs[1]
 
 
 def test_no_coordinate_table_outlives_its_call(capsys, tmp_path):

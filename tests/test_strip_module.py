@@ -342,7 +342,7 @@ def test_checker_draws_land(monkeypatch):
     rects = []
     exact = sm._rectangle_exact
     monkeypatch.setattr(sm, "_rectangle_exact",
-                        lambda m, lo, hi: rects.append((lo, hi)) or exact(m, lo, hi))
+                        lambda m, lo, hi, *rest: rects.append((lo, hi)) or exact(m, lo, hi, *rest))
     assert cohomological_check(m, random_rectangles=0) is None
     unit = len(rects)
     rects.clear()
@@ -363,6 +363,19 @@ def test_checker_draws_land(monkeypatch):
     assert len(spots) == 200
     assert all(m.dim_at(lo) and m.dim_at(hi) and lo[0] >= hi[0] and lo[1] <= hi[1]
                for lo, hi in spots)
+
+
+def test_exactness_folds_each_staircase_once(monkeypatch):
+    # the intersection-term composite of a unit square is the union-term
+    # composite of its T^-1-translate, and drawn rectangles share sides: one
+    # check asks for each composite once, and reads the sides of a unit
+    # square off its covering maps
+    m = dump_module("rp2", 2)
+    pairs = []
+    between = m.map_between
+    monkeypatch.setattr(m, "map_between", lambda lo, hi: pairs.append((lo, hi)) or between(lo, hi))
+    assert cohomological_check(m) is None
+    assert pairs and len(set(pairs)) == len(pairs)
 
 
 def test_cohomological_check_catches_an_outer_term_of_a_larger_rectangle():
