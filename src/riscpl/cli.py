@@ -103,10 +103,6 @@ def parse_rational(x) -> Fraction:
     raise ValueError(f"values must be integers or 'p/q' strings, got {x!r}")
 
 
-def endpoint_json(v):
-    return str(v)
-
-
 def coord_json(c: Coord) -> dict:
     return {"k": c.k, "v": str(c.v)}
 
@@ -202,9 +198,9 @@ def interval_json(deg: int, interval) -> dict:
     """A levelset bar: its degree and its two typed endpoints."""
     return {
         "degree": deg,
-        "lo": endpoint_json(interval.lo),
+        "lo": str(interval.lo),
         "lo_closed": interval.lo_closed,
-        "hi": endpoint_json(interval.hi),
+        "hi": str(interval.hi),
         "hi_closed": interval.hi_closed,
     }
 
@@ -219,7 +215,7 @@ def diagram_json(r, field: int) -> dict:
             "multiplicity": d.multiplicity,
             "degree": d.degree,
             "region": d.region,
-            "pair": [endpoint_json(d.pair[0]), endpoint_json(d.pair[1])],
+            "pair": [str(d.pair[0]), str(d.pair[1])],
             "levelset": None if interval is None else interval_json(deg, interval),
         })
     return {"field": field, "points": points}
@@ -556,6 +552,8 @@ def plot_svg(pts: List[Tuple[float, float, int]]) -> str:
     margin = 36
     span = hi - lo
     scale = (SVG_SIZE - 2 * margin) / span
+    if 2 * PI * scale < 1:
+        raise ValueError("a diagram too wide to plot: its diagonals lie closer than a pixel")
 
     def sx(x):
         return margin + (x - lo) * scale
@@ -594,8 +592,10 @@ def plot_svg(pts: List[Tuple[float, float, int]]) -> str:
             f'x2="{sx(x1):.2f}" y2="{sy(c - x1):.2f}" '
             f'stroke="black" stroke-width="1.5"/>'
         )
-    # the embedded diagonal and its glide-reflection translates: y = x + 2m*pi
-    for m in range(-3, 4):
+    # the embedded diagonal and its glide-reflection translates y = x + 2m*pi
+    # whose part in the strip meets the drawing's x-range [lo, hi]:
+    # -1/2 - hi/pi < m < 1/2 - lo/pi
+    for m in range(math.floor(-0.5 - hi / PI), math.ceil(0.5 - lo / PI) + 1):
         c = 2 * m * PI
         x0 = max(lo, (-PI - c) / 2)
         x1 = min(hi, (PI - c) / 2)

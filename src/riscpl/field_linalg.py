@@ -201,15 +201,6 @@ def rank(m: Mat) -> int:
     return sum(red.add(col, {}) for col in _columns(m))
 
 
-def column_space_sum_dim(mats: Sequence[Mat]) -> int:
-    """Dimension of the sum of the column spaces (all matrices must share the
-    row count and field)."""
-    mats = list(mats)
-    if not mats:
-        return 0
-    return rank(Mat.hstack(mats))
-
-
 def vanishing(red: Reduction, cols: Iterable[Tuple[int, Dict[int, int]]],
               size: int) -> Tuple[Mat, List[Dict[int, int]]]:
     """Add the columns (position, column) to red, each with coordinate 1 at

@@ -54,6 +54,7 @@ from .risc_builder import (
     internal_map,
     joint_context,
     point_data,
+    sample_table,
 )
 from .strip_module import GridModule
 
@@ -422,17 +423,18 @@ class CochainPullback:
 
 def _pullback_contexts(ky: PLComplex, kx: PLComplex, phi: Dict,
                        funcs: Sequence[int], shifts, p: int, cap: int):
-    """The codomain's context, the domain's context on the codomain's
-    coordinate table, and the vertex map extended along the domain's
+    """The codomain's and the domain's contexts on one coordinate table, of
+    the codomain's values and the larger dimension (a simplicial map may
+    collapse its domain), and the vertex map extended along the domain's
     splitting, checked to be simplicial and value-preserving before and
     after the splitting."""
     check_funcs(kx, *funcs)
     check_funcs(ky, *funcs)
     _validate_simplicial(phi, kx, ky, funcs)
-    ctx_y = joint_context(ky, funcs, shifts, p, cap)
+    table = sample_table(ky, funcs, max(kx.dim(), ky.dim()))
+    ctx_y = joint_context(ky, funcs, shifts, p, cap, table=table)
     trace_x: list = []
-    ctx_x = joint_context(kx, funcs, shifts, p, cap, trace=trace_x,
-                          table=ctx_y.table)
+    ctx_x = joint_context(kx, funcs, shifts, p, cap, trace=trace_x, table=table)
     phi_split = extend_to_split(phi, trace_x)
     _validate_simplicial(phi_split, ctx_x.split, ctx_y.split, funcs)
     return ctx_y, ctx_x, phi_split

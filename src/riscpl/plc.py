@@ -476,14 +476,14 @@ class CohomBasis:
         return out
 
 
-def _forest(delta: Coboundary) -> Tuple[List[List[int]], List[int], List[int]]:
+def _forest(delta: Coboundary) -> Tuple[List[List[int]], List[int]]:
     """Kruskal's pass over the rows of delta^0 of (A, B) in decreasing order,
     on the vertices of A minus B and a last, ground vertex for B that
-    stands in for a missing face: the rows so read, the union-find parents
-    and the rows that join two components.  Those are the lows of any
-    column reduction of delta^0, as row r is a low exactly when the rows
-    from r on have greater rank than those after it (the pairing
-    uniqueness lemma, Cohen-Steiner, Edelsbrunner & Morozov 2006)."""
+    stands in for a missing face: the rows so read and the rows that join
+    two components.  Those are the lows of any column reduction of delta^0,
+    as row r is a low exactly when the rows from r on have greater rank
+    than those after it (the pairing uniqueness lemma, Cohen-Steiner,
+    Edelsbrunner & Morozov 2006)."""
     ground = delta.cols
     parent = list(range(ground + 1))
     ends = (delta.faces % (ground + 1)).tolist()
@@ -497,7 +497,7 @@ def _forest(delta: Coboundary) -> Tuple[List[List[int]], List[int], List[int]]:
         if u != v:
             parent[u] = v
             joins.append(r)
-    return ends, parent, joins
+    return ends, joins
 
 
 def _label(a: Subcomplex, index: SimplexIndex) -> np.ndarray:
@@ -539,7 +539,7 @@ def _degree1_coords(forest, free: List[int], p: int) -> Mat:
     c - delta^0 phi vanishes on the forest and is the sum of its values at
     the free columns times their representatives.  So row i is e_j minus the
     signed forest path between the faces of j = free[i], which share a tree."""
-    ends, _, joins = forest
+    ends, joins = forest
     tree: Dict[int, List[Tuple[int, int, int]]] = {}
     for r in joins:
         u, v = ends[r]
@@ -580,7 +580,7 @@ def _positive_degrees(rel: np.ndarray, p: int, index: SimplexIndex) -> List[Coho
     of delta^{m-1}, coordinates dropped, with the representatives added as
     pivots, expresses cocycles."""
     forest = _forest(index.coboundary(rel, 0, p))
-    cleared, span, out = set(forest[2]), None, []
+    cleared, span, out = set(forest[1]), None, []
     for m in range(1, len(index.verts)):
         ids, delta, kernel = index.of_dim(rel, m), index.coboundary(rel, m, p), Reduction(p)
         reps, chosen = vanishing(kernel, delta.columns(cleared).items(), len(ids))

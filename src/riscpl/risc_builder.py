@@ -11,9 +11,10 @@ levelset barcode.
 One builder, `joint_context`, makes the sample grid, the split complex and
 one evaluator per function for every entry point: `evaluate` asks for one
 function and no shift, `interleave` for several functions and the shift
-amounts of its transformations.  The grid lines lie on the fixed window of
-translates T^-3..T^3.  An evaluator owns its degree bound, the dimension
-of its split complex.
+amounts of its transformations.  The grid lines lie on the translates
+T^-w..T^w, w = max(3, top), top the largest dimension among the complexes
+that share the grid (`sample_table`).  An evaluator owns its degree bound,
+the dimension of its split complex.
 
 An evaluator works over the integer coordinate table of its sample grid
 (`exact_geometry.CoordTable`): points are pairs of coordinate ids, the
@@ -51,7 +52,6 @@ from .plc import (
 )
 from .strip_module import Diagram, GridModule, dgm, refine_lines
 
-TRANSLATES = range(-3, 4)  # the grid lines lie on the translates T^-3..T^3
 DEFAULT_CAP = 20000
 
 # an open set of levels as ranges [lo, hi) of a function's value ranks
@@ -66,18 +66,27 @@ class RiscResult:
     func: int = 0
 
 
-def build_lines(critical) -> List[Coord]:
-    """The grid lines: every critical value and its negative on every
-    translate in the window, together with the half-pi lines.  The family is
-    closed under negation and under shifts, hence the sample grid is closed
-    under T."""
-    out = {Coord(TRANSLATES[0] - 1, INF)}
-    for k in TRANSLATES:
-        out.add(Coord(k, INF))
-        for lam in critical:
-            out.add(Coord(k, Fraction(lam)))
-            out.add(Coord(k, Fraction(-lam)))
-    return sorted(out)
+def sample_table(k: PLComplex, funcs: Sequence[int], top: int) -> CoordTable:
+    """The sample grid of the functions funcs on k, for complexes of
+    dimension at most top.  Its lines are every critical value (at a vertex
+    of a simplex) and its negative on the translates T^-w..T^w, w = max(3,
+    top), and the half-pi lines, so they cover [-(w + 1/2)pi, (w + 1/2)pi].
+    The family is closed under negation and under shifts, hence the sample
+    grid is closed under T.  Cochains vanish above top, so only the tiles
+    0..top hold nonzero values.  A diagram point of degree n is T^-n(q) with
+    q.x > -pi/2 and q.y >= -pi/2 (`classify_region`), so its coordinates
+    lie in [-(n + 1/2)pi, (n + 1/2)pi], or one pi further out for an Ord
+    class, whose degree is below top as an (n+1)-simplex kills it.  So w =
+    top reaches every diagram point and its upward neighbors.  The floor of
+    3 only keeps every grid of a complex of dimension at most 3, with its
+    dumps and sample indices, as it was when the window was fixed."""
+    w = max(3, top)
+    critical = {k.value(v, func) for s in k.simplices for v in s for func in funcs}
+    lines = {Coord(-w - 1, INF)}
+    for n in range(-w, w + 1):
+        lines.add(Coord(n, INF))
+        lines.update(Coord(n, sign * Fraction(lam)) for lam in critical for sign in (1, -1))
+    return CoordTable(refine_lines(lines))
 
 
 def joint_levels(xs: Sequence[Coord], shifts) -> List[Fraction]:
@@ -307,8 +316,7 @@ def joint_context(k: PLComplex, funcs: Sequence[int] = (0, 1), shifts=(),
     funcs = sorted(set(funcs))
     check_funcs(k, *funcs)
     if table is None:
-        critical = {k.value(v, func) for s in k.simplices for v in s for func in funcs}
-        table = CoordTable(refine_lines(build_lines(critical)))
+        table = sample_table(k, funcs, k.dim())
     split = split_all(k, joint_levels(table.grid, shifts), funcs=funcs,
                       cap=cap, trace=trace)
     evs = {func: FunctorEvaluator(split, table, func, p) for func in funcs}

@@ -38,7 +38,6 @@ import numpy as np
 from .exact_geometry import Coord, CoordTable, INF, StripPoint
 from .field_linalg import (
     Mat,
-    column_space_sum_dim,
     independent_split,
     kernel_basis,
     rank,
@@ -211,7 +210,7 @@ def dgm_value(m: GridModule, idx: Index) -> int:
         if not m.in_range(up):
             raise ValueError(f"grid too small: sample {idx} lacks neighbor {up}")
         imgs.append(m.map_at(idx, up))
-    return d - column_space_sum_dim(imgs)
+    return d - rank(Mat.hstack(imgs))
 
 
 def dgm(m: GridModule) -> Diagram:

@@ -82,11 +82,11 @@ from riscpl.risc_builder import (
     FunctorEvaluator,
     RiscResult,
     assemble_module,
-    build_lines,
     evaluate,
     internal_map,
     joint_context,
     joint_levels,
+    sample_table,
 )
 from riscpl.strip_module import (
     CHECK_SEED,
@@ -95,7 +95,6 @@ from riscpl.strip_module import (
     Index,
     _rectangle_exact,
     dgm,
-    refine_lines,
 )
 
 from geometry_reference import intersect
@@ -279,7 +278,7 @@ def build_grid(k: PLComplex, func: int = 0) -> Tuple[Coord, ...]:
     (empty complex gives an empty grid)."""
     if not k.values:
         return ()
-    return refine_lines(build_lines(level_grid(k, func).critical))
+    return sample_table(k, [func], k.dim()).grid
 
 
 def shifted_module(r: RiscResult, a: ShiftVector,
@@ -368,7 +367,9 @@ def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
     vanishes, each row starts where the previous one ended, and the
     quotient growth matches the local diagram formula at every inner grid
     point (the step-isomorphism identity)."""
-    sum_dim = field_linalg.column_space_sum_dim
+    def sum_dim(mats):
+        return field_linalg.rank(Mat.hstack(mats)) if mats else 0
+
     if not m.is_interior(u):
         raise ValueError("filtration base point must be interior")
     tu = m.t_index(u)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscpl import cli
-from riscpl.cli import endpoint_json, interval_json, load_complex, main
+from riscpl.cli import interval_json, load_complex, main
 from riscpl.exact_geometry import (
     INF,
     Coord,
@@ -20,6 +21,8 @@ from riscpl.exact_geometry import (
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import Transformation
+
+from test_oracles import HIGH_DIMENSIONAL
 
 
 def run(capsys, *argv):
@@ -789,6 +792,34 @@ def test_plot_counts_glyphs(capsys, tmp_path):
     assert svg.count("dgm-point") == 0 and "<svg" in svg
 
 
+def test_plot_draws_every_diagonal_translate_that_meets_it(capsys, tmp_path):
+    # the S^4 diagram reaches tile 4 and widens the drawing past the
+    # translates that the default view meets
+    maximal, values = HIGH_DIMENSIONAL["S4"]
+    path = write_json(tmp_path / "s4.json", {
+        "vertices": [{"id": v, "value": str(x)} for v, x in values.items()],
+        "simplices": [sorted(s) for s in maximal],
+    })
+    code, dgm_doc = run(capsys, "dgm", path)
+    dpath = tmp_path / "dgm.json"
+    dpath.write_text(dgm_doc)
+    code, svg = run(capsys, "plot", str(dpath))
+    assert code == 0
+    # the drawing spans [lo, hi] on both axes: the default view and every
+    # point with a margin of 1/2
+    ends = [c for x, y, _ in cli.load_diagram(dpath) for c in (x, y)]
+    lo = min([-3 * math.pi / 2 - 0.4] + [c - 0.5 for c in ends])
+    hi = max([3 * math.pi / 2 + 0.4] + [c + 0.5 for c in ends])
+    # y = x + 2m*pi meets the strip -pi <= x + y <= pi for x in
+    # [(-pi - 2m*pi)/2, (pi - 2m*pi)/2], which must meet [lo, hi]
+    meets = [m for m in range(-20, 21)
+             if max(lo, -math.pi / 2 - m * math.pi) < min(hi, math.pi / 2 - m * math.pi)]
+    assert len(meets) > 7
+    diagonals = re.findall(r'<line x1="([-\d.]+)" y1="([-\d.]+)"[^>]*stroke-dasharray', svg)
+    # one line each: x1 + y1 differs between translates
+    assert len({float(x) + float(y) for x, y in diagonals}) == len(diagonals) == len(meets)
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"field": 2},
@@ -800,6 +831,9 @@ def test_plot_counts_glyphs(capsys, tmp_path):
                  "multiplicity": "2"}]},
     # k*pi does not fit in a float
     {"points": [{"x": {"k": 10 ** 400, "v": "0"}, "y": {"k": 0, "v": "0"},
+                 "multiplicity": 1}]},
+    # the diagonal translates of the drawing lie closer than a pixel
+    {"points": [{"x": {"k": 10 ** 4, "v": "0"}, "y": {"k": -10 ** 4, "v": "0"},
                  "multiplicity": 1}]},
 ])
 def test_plot_rejects_malformed_diagram(capsys, tmp_path, doc):
@@ -873,7 +907,7 @@ def test_outputs_at_infinite_ends():
             ends = list(pair) + ([bar.lo, bar.hi] if bar else [])
             if all(e not in (INF, -INF) for e in ends):
                 continue
-            lines.append(" ".join([repr(u), endpoint_json(pair[0]), endpoint_json(pair[1]),
+            lines.append(" ".join([repr(u), str(pair[0]), str(pair[1]),
                                    repr(bar), repr(interval_json(deg, bar)) if bar else "None"]))
     assert len(lines) == 81
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (

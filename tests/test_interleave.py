@@ -43,11 +43,12 @@ from reference import (
     from_blocks,
     interleaving_check_reference,
     interp_pair_reference,
+    multiset,
     pair_at_reference,
     precomposition_check_reference,
     shifted_module,
 )
-from test_oracles import HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
+from test_oracles import HIGH_DIMENSIONAL, HOOD_F, HOOD_GPRIME, HOOD_SIMPLICES
 
 F = Fraction
 
@@ -733,6 +734,19 @@ def test_induced_identity_map():
         d = md.target.dim_at(idx)
         assert md.source.dim_at(idx) == d
         assert md.per_sample[idx] == Mat.eye(d, 2)
+
+
+def test_pullback_collapsing_a_domain_of_higher_dimension():
+    # S^4 onto the edge 10-11: the shared grid must reach tile 4, where the
+    # domain's degree-4 class lies, although the codomain is an edge
+    maximal, values = HIGH_DIMENSIONAL["S4"]
+    sphere = complex_of({v: (x,) for v, x in values.items()}, maximal)
+    edge = complex_of({10: (0,), 11: (1,)}, [{10, 11}])
+    md = induced_morphism(edge, sphere, {v: 10 + x for v, x in values.items()})
+    want = evaluate(sphere).diagram
+    assert max(d.degree for d in want.points) == 4
+    assert multiset(dgm(md.target)) == multiset(want)
+    assert naturality_check(md) is None
 
 
 def test_induced_rejects_bad_maps():

@@ -18,6 +18,25 @@ CIRCLE_SIMPLICES = [{1, 2}, {2, 3}, {3, 4}, {4, 1}]
 CIRCLE_HEIGHTS = {1: 0, 2: 1, 3: 2, 4: 1}
 
 
+def sphere(n):
+    """The boundary of the (n+1)-simplex on the vertices 1..n+2, an n-sphere."""
+    verts = set(range(1, n + 3))
+    return [verts - {v} for v in sorted(verts)]
+
+
+# Inputs whose top classes lie in degrees 4 and 5, with at most three
+# heights: S^4 and S^5 at height 1 on their last vertex and 0 elsewhere (an
+# Ext class in the top degree), the cone over that S^4 with its apex at 2
+# (an Ord class (1, 2) in degree 4), and the cone over S^3 with its apex
+# lowest (a Rel class (1, 0) in degree 4).
+HIGH_DIMENSIONAL = {
+    "S4": (sphere(4), {v: int(v == 6) for v in range(1, 7)}),
+    "S5": (sphere(5), {v: int(v == 7) for v in range(1, 8)}),
+    "cone-S4": ([s | {7} for s in sphere(4)], {v: int(v == 6) for v in range(1, 7)} | {7: 2}),
+    "cone-S3": ([s | {6} for s in sphere(3)], {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 0}),
+}
+
+
 def test_betti_basics():
     assert betti_numbers(CIRCLE_SIMPLICES) == [1, 1]
     assert betti_numbers(HOOD_SIMPLICES) == [1, 0, 0]

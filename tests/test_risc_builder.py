@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from riscpl import risc_builder
+from riscpl import cli, risc_builder
 from riscpl.exact_geometry import Coord, INF, StripPoint, in_diag_downset
 from riscpl.plc import PLComplex
 from riscpl.risc_builder import (
@@ -33,6 +33,7 @@ from reference import (
 from test_oracles import (
     CIRCLE_HEIGHTS,
     CIRCLE_SIMPLICES,
+    HIGH_DIMENSIONAL,
     HOOD_F,
     HOOD_GPRIME,
     HOOD_SIMPLICES,
@@ -128,6 +129,38 @@ def test_examples_match_extended_persistence_oracle():
         for d in r.diagram.points:
             got.extend([(d.degree, d.region, d.pair)] * d.multiplicity)
         assert sorted(got, key=repr) == extended_persistence(maximal, values)
+
+
+def levelset_bars(pairs):
+    """The levelset bars of extended persistence pairs (Carlsson, de Silva &
+    Morozov 2009), as (degree, lo, hi, lo_closed, hi_closed): Ord (b, d) is
+    [b, d) in degree n, Rel (b, d) is (d, b] in degree n - 1, and Ext (b, d)
+    is [b, d] in degree n when b <= d, else (d, b) in degree n - 1."""
+    out = []
+    for n, region, (b, d) in pairs:
+        if region == "Ord":
+            out.append((n, b, d, True, False))
+        elif region == "Rel":
+            out.append((n - 1, d, b, False, True))
+        else:
+            out.append((n, b, d, True, True) if b <= d else (n - 1, d, b, False, False))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", sorted(HIGH_DIMENSIONAL))
+def test_classes_of_degree_four_and_five_match_extended_persistence(name, p):
+    # the grid reaches the tile of the top class, and the checkers of
+    # `check --suite all` pass on the module
+    maximal, values = HIGH_DIMENSIONAL[name]
+    r = evaluated(complex_of(values, maximal), p=p)
+    want = extended_persistence(maximal, values, p)
+    assert max(n for n, _, _ in want) >= 4
+    got = [(d.degree, d.region, d.pair) for d in r.diagram.points for _ in range(d.multiplicity)]
+    assert sorted(got, key=repr) == want
+    assert sorted(bar_key(b)[:5] for b in barcode(r) for _ in range(b[2])) == levelset_bars(want)
+    walks = {}
+    assert all(check(r.module, walks) is None for check in cli.SUITES.values())
 
 
 # ---------------------------------------------------------------------------
