@@ -19,6 +19,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -31,6 +32,7 @@ from .strip_module import (
     GridModule,
     cohomological_check,
     decomposition_check,
+    dgm,
     seq_continuity_check,
     yoneda_check,
 )
@@ -429,14 +431,16 @@ def cmd_evaluate(args) -> int:
 
 
 # The check suites in report order, each a checker that returns None or its
-# first counterexample; decomposition hands yoneda the block walks of one
-# call.  An entry looks its checker up by name when called, so a wrapper
-# later put in place of that name on this module sees the call.
+# first counterexample; one call computes the diagram once, for the block
+# suites, and decomposition hands yoneda its block walks.  An entry looks its
+# checker up by name when called, so a wrapper later put in place of that
+# name on this module sees the call.
 SUITES = {
-    "exactness": lambda m, walks: cohomological_check(m),
-    "continuity": lambda m, walks: seq_continuity_check(m),
-    "decomposition": lambda m, walks: decomposition_check(m, walks=walks),
-    "yoneda": lambda m, walks: yoneda_check(m, walks),
+    "exactness": lambda m, walks, diagram: cohomological_check(m),
+    "continuity": lambda m, walks, diagram: seq_continuity_check(m),
+    "decomposition": lambda m, walks, diagram: decomposition_check(
+        m, walks=walks, diagram=diagram()),
+    "yoneda": lambda m, walks, diagram: yoneda_check(m, walks, diagram()),
 }
 
 
@@ -452,9 +456,9 @@ def cmd_check(args) -> int:
         cap = DEFAULT_CAP if args.cap is None else args.cap
         k, field = load_complex(args.input)
         module = evaluate(k, func=func, p=field_of(args, field), cap=cap).module
-    report, walks = {"suites": {}}, {}
+    report, walks, diagram = {"suites": {}}, {}, cache(lambda: dgm(module))
     for suite in (SUITES if args.suite == "all" else (args.suite,)):
-        bad = SUITES[suite](module, walks)
+        bad = SUITES[suite](module, walks, diagram)
         result = report["suites"][suite] = {"ok": bad is None}
         if bad is not None:
             result["counterexample"] = repr(bad)

@@ -11,7 +11,8 @@ of the added columns that reduce to zero: plc finds the cocycles of
 delta^n for n >= 1 with it and expresses cocycles of degree 2 and up by
 the reduction, and rank, kernel_basis, independent_split and
 solve_in_span run it on the columns of a Mat for the diagram formula and
-the checkers; rank reads rank 1 off a nonzero matrix with a side of 1.
+the checkers; rank reads rank 1 off a nonzero matrix with a side of 1,
+and ranks calls it once per distinct matrix of a stack.
 """
 
 from __future__ import annotations
@@ -199,6 +200,14 @@ def rank(m: Mat) -> int:
         return 1
     red = Reduction(m.p)
     return sum(red.add(col, {}) for col in _columns(m))
+
+
+def ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """The rank of each matrix of a stack of residues mod p, one `rank` per
+    distinct matrix."""
+    keys = [mat.tobytes() for mat in stack]
+    known = {key: rank(Mat._reduced(mat, p)) for key, mat in dict(zip(keys, stack)).items()}
+    return np.array([known[key] for key in keys], dtype=np.int64)
 
 
 def vanishing(red: Reduction, cols: Iterable[Tuple[int, Dict[int, int]]],

@@ -10,20 +10,24 @@ and Yoneda properties.
 
 The x and y axes of a sample grid share one coordinate list, held by the
 GridModule's coordinate table (`exact_geometry.CoordTable`): a grid index
-is a coordinate id, the sample and interior tests read the table's strip
-locations, the sample iteration its one sample list, the translate lookups
-its maps of T^n, and the block supports its `block`, row by row.  The
+is a coordinate id, the sample and interior flags read the table's strip
+locations, the sample iteration its one sample list, the translates its
+maps of T^n, and the block supports its `block`, row by row.  The
 checkers work on grid indices alone: `GridModule.up` and `down` are the
 one covering relation and `map_between` the one composite routine between
 two samples.  Each checker call reads one array view of the dimensions
 and the strip locations (`_view`) and visits only the unit squares and
 samples where a nonzero space lets it fail, row by row.  The exactness
-checker reads a unit square's sides off its covering maps and folds each
-longer composite once per call.  The block checkers walk each block's
-support once along its staircases to the block's vertex (`_block`) and
-read every composite off that walk; one `check` call hands the
-decomposition checker's walks to the Yoneda checker.  Nothing is kept on
-the module.
+checker tests its unit squares and random rectangles as one batch
+(`_inexact`): sides of unit squares read off the covering maps, each
+longer composite folded once per call and an outer one only through a
+nonzero corner, the rectangle maps stacked per exact shape, each stack's
+composites one product and each distinct matrix ranked once; it reports
+the first inexact rectangle in visit order.  The block checkers walk
+each block's support once along its staircases to the block's vertex
+(`_block`) and read every composite off that walk; one `check` call
+computes the diagram once and hands the decomposition checker's walks to
+the Yoneda checker.  Nothing is kept on the module.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +46,7 @@ from .field_linalg import (
     independent_split,
     kernel_basis,
     rank,
+    ranks,
 )
 
 Index = Tuple[int, int]
@@ -136,12 +142,6 @@ class GridModule:
         n = len(self.table.grid)
         return 0 <= idx[0] < n and 0 <= idx[1] < n
 
-    def is_sample(self, idx: Index) -> bool:
-        return self.in_range(idx) and self.table.location[idx] != "outside"
-
-    def is_interior(self, idx: Index) -> bool:
-        return self.in_range(idx) and self.table.location[idx] == "interior"
-
     def samples(self) -> Tuple[Index, ...]:
         """The grid points in the strip, row by row: the table's list."""
         return self.table.samples
@@ -186,13 +186,6 @@ class GridModule:
     def vertex_indices(self) -> Iterable[Index]:
         """The samples at grid vertices (both indices even), row by row."""
         return (idx for idx in self.samples() if not (idx[0] % 2 or idx[1] % 2))
-
-    def t_index(self, idx: Index, power: int = 1) -> Optional[Index]:
-        """Index of the translate T^power of a sample, if on the grid."""
-        if not self.is_sample(idx):
-            return None
-        q = self.table.power(power)(idx)
-        return q if self.in_range(q) else None
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +254,7 @@ def square_commutes_check(m: GridModule):
 
 
 def decomposition_check(m: GridModule, spot_checks: int = 200,
-                        walks: Optional[dict] = None):
+                        walks: Optional[dict] = None, diagram: Optional[Diagram] = None):
     """Verify the block decomposition by constructing an explicit natural
     isomorphism from the block sum read off the diagram.
 
@@ -274,13 +267,15 @@ def decomposition_check(m: GridModule, spot_checks: int = 200,
     samples.  The rank interface is additionally spot-checked against that
     count on random comparable pairs of samples, both with nonzero spaces:
     a pair with a zero space has the zero map and no block at both.  Each
-    vertex's `_block` walk goes into walks, if given, for `yoneda_check`."""
+    vertex's `_block` walk goes into walks, if given, for `yoneda_check`;
+    diagram, if given, is dgm(m)."""
     walks = {} if walks is None else walks
     bad = square_commutes_check(m)
     if bad is not None:
         return ("square", *bad)
     # diagram points are grid vertices
-    blocks = [(m.index_of(d.point), d.multiplicity) for d in dgm(m).points]
+    diagram = dgm(m) if diagram is None else diagram
+    blocks = [(m.index_of(d.point), d.multiplicity) for d in diagram.points]
     # process upper blocks first: a block can only feed sections into the
     # vertex spaces of blocks whose vertex its support contains
     order = sorted(blocks, key=lambda b: b[0][0] - b[0][1])
@@ -324,92 +319,111 @@ def decomposition_check(m: GridModule, spot_checks: int = 200,
     return None
 
 
-def _rectangle_exact(m: GridModule, lo: Index, hi: Index,
-                     folds: Optional[dict] = None) -> Optional[tuple]:
-    """Exactness of the long sequence
-    M(T(u)) -> M(w) -> M(v1) (+) M(v2) -> M(u) -> M(T^{-1}(w))
-    on the sample rectangle u = lo, w = hi, at the three inner terms (the
-    outer ones only where the translates lie on the grid).  At each term the
-    two maps compose to zero and the rank of the outgoing map is the
-    dimension minus the rank of the incoming one.  A rectangle with a corner
-    that is not interior is not checked.  Nor is one whose four corners are
-    zero spaces: every matrix in it and in its outer terms has a zero side,
-    so every composite is empty and every rank is 0 = 0 - 0.  The sides of
-    a unit square are its covering maps; any other composite comes with its
-    rank from folds, a dict shared by the rectangles of one check: the
-    intersection-term composite of a square is the union-term one of its
-    T^-1-translate."""
-    (il, jl), (ih, jh) = lo, hi
-    v1 = (il, jh)  # shares x with u
-    v2 = (ih, jl)  # shares x with w
-    corners = (lo, hi, v1, v2)
-    if not all(map(m.is_interior, corners)) or not any(map(m.dim_at, corners)):
+# why a rectangle is not exact, in the order its terms are tested
+REASONS = ("composite nonzero", "not exact at the union term",
+           "not exact at the middle term", "not exact at the intersection term")
+
+
+def _inexact(m: GridModule, dims: np.ndarray, rects: List[Tuple[Index, Index]]):
+    """The first rectangle (lo, hi) of rects, if any, whose long sequence
+    M(T(u)) -> M(w) -> M(v1) (+) M(v2) -> M(u) -> M(T^{-1}(w)),
+    u = lo, w = hi, v1 = (lo.x, hi.y), v2 = (hi.x, lo.y), is not exact at
+    one of its three inner terms (the outer ones only where the translates
+    lie on the grid, above hi and below lo), as (lo, hi, the first of its
+    REASONS).  At each term the two maps compose to zero and the rank of
+    the outgoing map is the dimension minus the rank of the incoming one.
+    The corners are interior.  A rectangle whose four corners are zero
+    spaces is not tested: every matrix in it and in its outer terms has a
+    zero side.  The sides of a unit square are its covering maps; any other
+    composite is folded (`map_between`) once per call, an outer one only
+    if the corner of its staircase is a nonzero space (else it is zero).
+    The maps w -> v1 (+) v2 and v1 (+) v2 -> u are stacked per exact shape
+    (dim u, dim w, dim v1, dim v2), never padded; one product per stack
+    tests its composites, and `ranks` ranks each distinct matrix once."""
+    p, n, count = m.p, len(dims), len(rects)
+    if not count:
         return None
-    folds = {} if folds is None else folds
+    (il, jl), (ih, jh) = np.array(rects, dtype=np.int64).reshape(-1, 2, 2).transpose(1, 2, 0)
+    shape = np.stack([dims[il, jl], dims[ih, jh], dims[il, jh], dims[ih, jl]], axis=1)
+    live = shape.any(axis=1)
+    fold = cache(lambda a, b: m.map_between(a, b).data)
+    ranked = cache(lambda a, b: rank(Mat._reduced(fold(a, b), p)))
 
-    def ranked(a: Index, b: Index) -> Tuple[Mat, int]:
-        if (a, b) not in folds:
-            mat = m.map_between(a, b)
-            folds[a, b] = mat, rank(mat)
-        return folds[a, b]
+    def sides_of(lo: Index, hi: Index) -> List[np.ndarray]:
+        v1, v2 = (lo[0], hi[1]), (hi[0], lo[1])
+        pairs = (v1, hi), (v2, hi), (lo, v1), (lo, v2)
+        if lo[0] - hi[0] == 1 == hi[1] - lo[1]:
+            return [m.maps[ab].data if ab in m.maps else
+                    np.zeros((m.dim_at(ab[0]), m.dim_at(ab[1])), np.int64) for ab in pairs]
+        return [fold(a, b) for a, b in pairs]
 
-    side = m.map_at if il - ih == 1 == jh - jl else lambda a, b: ranked(a, b)[0]
-    first = Mat._reduced(np.vstack([side(v1, hi).data, side(v2, hi).data]), m.p)
-    second = Mat._reduced(np.hstack([side(lo, v1).data, -side(lo, v2).data % m.p]), m.p)
-    if not (second @ first).is_zero():
-        return (lo, hi, "composite nonzero")
-    rank_first = rank(first)
-    tu = m.t_index(lo)
-    if tu is not None and hi[0] >= tu[0] and hi[1] <= tu[1]:
-        into_w, rank_into = ranked(hi, tu)
-        if not (first @ into_w).is_zero() or rank_first != m.dim_at(hi) - rank_into:
-            return (lo, hi, "not exact at the union term")
-    rank_second = rank(second)
-    if rank_first != second.cols - rank_second:
-        return (lo, hi, "not exact at the middle term")
-    tw = m.t_index(hi, power=-1)
-    if tw is not None and tw[0] >= lo[0] and tw[1] <= lo[1]:
-        out_u, rank_out = ranked(tw, lo)
-        if not (out_u @ second).is_zero() or rank_second != m.dim_at(lo) - rank_out:
-            return (lo, hi, "not exact at the intersection term")
-    return None
+    bad = np.zeros((count, 4), dtype=bool)
+    rank_first, rank_second = np.zeros((2, count), dtype=np.int64)
+    sides = [sides_of(*rect) if keep else None for rect, keep in zip(rects, live.tolist())]
+    keys, group = np.unique(shape, axis=0, return_inverse=True)
+    for g in np.flatnonzero(keys.any(axis=1)).tolist():
+        members = np.flatnonzero(group.reshape(-1) == g)
+        a, b, c, d = (np.array(s, dtype=np.int64) for s in zip(*(sides[r] for r in members)))
+        first, second = np.concatenate((a, b), axis=1), np.concatenate((c, -d % p), axis=2)
+        bad[members, 0] = (second @ first % p).any(axis=(1, 2))
+        rank_first[members], rank_second[members] = ranks(first, p), ranks(second, p)
+
+    # T^1 and T^-1 swap the coordinates: T(i, j) = (x[j], y[i]) with (x[k], y[k]) = T(k, k)
+    (tx, ty), (sx, sy) = (np.array([m.table.power(e)((k, k)) for k in range(n)]).T for e in (1, -1))
+    tu, tw = np.stack([tx[jl], ty[il]]), np.stack([sx[jh], sy[ih]])
+    union = live & (tu < n).all(axis=0) & (ih >= tu[0]) & (jh <= tu[1])
+    inter = live & (tw < n).all(axis=0) & (tw[0] >= il) & (tw[1] <= jl)
+    outer_rank = np.zeros((2, count), dtype=np.int64)
+    for r in np.flatnonzero(union & (dims[np.minimum(tu[0], n - 1), jh] != 0)).tolist():
+        pair = rects[r][1], tuple(tu[:, r].tolist())
+        bad[r, 1] = (np.vstack(sides[r][:2]) @ fold(*pair) % p).any()
+        outer_rank[0, r] = ranked(*pair)
+    for r in np.flatnonzero(inter & (dims[il, np.minimum(tw[1], n - 1)] != 0)).tolist():
+        pair = tuple(tw[:, r].tolist()), rects[r][0]
+        # the sign of the v2 block of v1 (+) v2 -> u does not change whether this vanishes
+        bad[r, 3] = (fold(*pair) @ np.hstack(sides[r][2:]) % p).any()
+        outer_rank[1, r] = ranked(*pair)
+    du, dw, d1, d2 = shape.T
+    bad[:, 1] |= union & (rank_first != dw - outer_rank[0])
+    bad[:, 2] = rank_first != d1 + d2 - rank_second
+    bad[:, 3] |= inter & (rank_second != du - outer_rank[1])
+    hit = np.flatnonzero(bad.any(axis=1))
+    return (*rects[hit[0]], REASONS[bad[hit[0]].argmax()]) if len(hit) else None
 
 
 def cohomological_check(m: GridModule, random_rectangles: int = 100):
-    """Long-sequence exactness on every unit sample square, plus on random
-    larger rectangles.  Exactness at the middle term pastes from unit
-    squares to larger rectangles, but not at the outer terms: near the
-    edge of the grid a larger rectangle can have T(lo) or T^-1(hi) on the
-    grid where no unit square there has its translate.  Each draw picks lo
-    among the interior samples whose upward neighbors are interior, then
-    ih among the x indices left of lo with (ih, jl) interior, then jh among
-    the y indices above lo with (il, jh) and (ih, jh) interior, so every
-    drawn rectangle is checked.  Neither choice is empty: il - 1 is always
-    one, and since the interior is the band -pi < x + y < pi, so is
-    jl + 1.  The unit squares are visited row by row where
-    `_rectangle_exact` checks them: interior corners, one nonzero.  All
-    rectangles share one dict of folded composites, so each is folded and
-    ranked once."""
+    """Long-sequence exactness (`_inexact`) on every unit sample square,
+    plus on random larger rectangles.  Exactness at the middle term pastes
+    from unit squares to larger rectangles, but not at the outer terms:
+    near the edge of the grid a larger rectangle can have T(lo) or T^-1(hi)
+    on the grid where no unit square there has its translate.  The unit
+    squares come row by row, those with four interior corners and a
+    nonzero one.  Each draw picks lo among the interior samples whose
+    upward neighbors are interior, then ih among the x indices left of lo
+    with (ih, jl) interior, then jh among the y indices above lo with
+    (il, jh) and (ih, jh) interior, so every drawn rectangle has interior
+    corners.  The interior is the band -pi < x + y < pi, so the interior
+    samples of a column are one run, from its `top` row, and so are those
+    of a row, up to its `end` column; row ih's run holds the part of row
+    il's above lo.  Neither choice is empty: il - 1 is always one, and so
+    is jl + 1.  No draw depends on a verdict, so the squares and the draws
+    are tested as one batch, and the report names the first inexact
+    rectangle in that order."""
     dims, _, inner = _view(m)
     nz = dims != 0
     corners = inner[1:, :-1] & inner[:-1, 1:] & inner[1:, 1:] & inner[:-1, :-1]
     some = nz[1:, :-1] | nz[:-1, 1:] | nz[1:, 1:] | nz[:-1, :-1]
-    folds = {}
-    for i, j in np.argwhere(corners & some).tolist():
-        bad = _rectangle_exact(m, (i + 1, j), (i, j + 1), folds)
-        if bad is not None:
-            return bad
+    rects = [((i + 1, j), (i, j + 1)) for i, j in np.argwhere(corners & some).tolist()]
     low = inner[1:, :-1] & inner[:-1, :-1] & inner[1:, 1:]
     lows = [(i + 1, j) for i, j in np.argwhere(low).tolist()]
+    top = (~inner).cumprod(axis=0).sum(axis=0).tolist()
+    end = (len(inner) - (~inner[:, ::-1]).cumprod(axis=1).sum(axis=1)).tolist()
     rng = random.Random(CHECK_SEED)
     for _ in range(random_rectangles if lows else 0):
         il, jl = rng.choice(lows)
-        ih = rng.choice(np.flatnonzero(inner[:il, jl]).tolist())
-        jh = jl + 1 + rng.choice(np.flatnonzero(inner[il, jl + 1:] & inner[ih, jl + 1:]).tolist())
-        bad = _rectangle_exact(m, (il, jl), (ih, jh), folds)
-        if bad is not None:
-            return bad
-    return None
+        ih = rng.choice(range(top[jl], il))
+        rects.append(((il, jl), (ih, rng.choice(range(jl + 1, end[il])))))
+    return _inexact(m, dims, rects)
 
 
 def seq_continuity_check(m: GridModule):
@@ -477,12 +491,13 @@ def nat_space_dim(v: Index, m: GridModule, walks: Optional[dict] = None) -> int:
     return m.dim_at(v) - rank(equations) if walk else 0
 
 
-def yoneda_check(m: GridModule, walks: Optional[dict] = None):
+def yoneda_check(m: GridModule, walks: Optional[dict] = None,
+                 diagram: Optional[Diagram] = None):
     """The Yoneda-type count at every diagram vertex v: the natural
     transformations from the block at v into m form a space of dimension
     dim m(v).  walks may hold block walks of `decomposition_check(m)`; the
-    other blocks are walked here."""
-    for d in dgm(m).points:
+    other blocks are walked here.  diagram, if given, is dgm(m)."""
+    for d in (dgm(m) if diagram is None else diagram).points:
         idx = m.index_of(d.point)
         if nat_space_dim(idx, m, walks) != m.dim_at(idx):
             return ("yoneda mismatch at", idx)

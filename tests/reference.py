@@ -93,7 +93,6 @@ from riscpl.strip_module import (
     Diagram,
     GridModule,
     Index,
-    _rectangle_exact,
     dgm,
 )
 
@@ -370,9 +369,9 @@ def colex_filtration(m: GridModule, u: Index) -> List[List[int]]:
     def sum_dim(mats):
         return field_linalg.rank(Mat.hstack(mats)) if mats else 0
 
-    if not m.is_interior(u):
+    if not is_interior(m, u):
         raise ValueError("filtration base point must be interior")
-    tu = m.t_index(u)
+    tu = t_index(m, u)
     if tu is None:
         raise ValueError("T(u) outside the sample grid")
     iu, ju = u
@@ -435,6 +434,22 @@ def block_reference(table: CoordTable, v: Index) -> Tuple[Index, ...]:
                  for s in table.row_samples[i] if in_block(table, v, s))
 
 
+def is_sample(m: GridModule, idx: Index) -> bool:
+    return m.in_range(idx) and m.table.location[idx] != "outside"
+
+
+def is_interior(m: GridModule, idx: Index) -> bool:
+    return m.in_range(idx) and m.table.location[idx] == "interior"
+
+
+def t_index(m: GridModule, idx: Index, power: int = 1) -> Optional[Index]:
+    """Index of the translate T^power of a sample, if on the grid."""
+    if not is_sample(m, idx):
+        return None
+    q = m.table.power(power)(idx)
+    return q if m.in_range(q) else None
+
+
 def unit_squares(m: GridModule):
     """Every unit square (lo, diag), diag = (i - 1, j + 1) opposite a
     sample lo = (i, j), row by row."""
@@ -456,22 +471,79 @@ def square_commutes_check_reference(m: GridModule):
     return None
 
 
-def cohomological_check_reference(m: GridModule, random_rectangles: int = 100):
-    """The exactness check with `_rectangle_exact` called on every unit
-    square, and its draws picked from lists of tuples."""
-    for lo, diag in unit_squares(m):
-        bad = _rectangle_exact(m, lo, diag)
-        if bad is not None:
-            return bad
+def _rectangle_exact(m: GridModule, lo: Index, hi: Index,
+                     folds: Optional[dict] = None) -> Optional[tuple]:
+    """Exactness of the long sequence
+    M(T(u)) -> M(w) -> M(v1) (+) M(v2) -> M(u) -> M(T^{-1}(w))
+    on the sample rectangle u = lo, w = hi, at the three inner terms (the
+    outer ones only where the translates lie on the grid).  At each term the
+    two maps compose to zero and the rank of the outgoing map is the
+    dimension minus the rank of the incoming one.  A rectangle with a corner
+    that is not interior is not checked.  Nor is one whose four corners are
+    zero spaces: every matrix in it and in its outer terms has a zero side,
+    so every composite is empty and every rank is 0 = 0 - 0.  The sides of
+    a unit square are its covering maps; any other composite comes with its
+    rank from folds, a dict shared by the rectangles of one check if given:
+    the intersection-term composite of a square is the union-term one of
+    its T^-1-translate.  `cohomological_check` tests the rectangles of one
+    call as one batch; this tests one at a time."""
+    (il, jl), (ih, jh) = lo, hi
+    v1 = (il, jh)  # shares x with u
+    v2 = (ih, jl)  # shares x with w
+    corners = (lo, hi, v1, v2)
+    if not all(is_interior(m, c) for c in corners) or not any(map(m.dim_at, corners)):
+        return None
+    folds = {} if folds is None else folds
+
+    def ranked(a: Index, b: Index) -> Tuple[Mat, int]:
+        if (a, b) not in folds:
+            mat = m.map_between(a, b)
+            folds[a, b] = mat, field_linalg.rank(mat)
+        return folds[a, b]
+
+    side = m.map_at if il - ih == 1 == jh - jl else lambda a, b: ranked(a, b)[0]
+    first = Mat._reduced(np.vstack([side(v1, hi).data, side(v2, hi).data]), m.p)
+    second = Mat._reduced(np.hstack([side(lo, v1).data, -side(lo, v2).data % m.p]), m.p)
+    if not (second @ first).is_zero():
+        return (lo, hi, "composite nonzero")
+    rank_first = field_linalg.rank(first)
+    tu = t_index(m, lo)
+    if tu is not None and hi[0] >= tu[0] and hi[1] <= tu[1]:
+        into_w, rank_into = ranked(hi, tu)
+        if not (first @ into_w).is_zero() or rank_first != m.dim_at(hi) - rank_into:
+            return (lo, hi, "not exact at the union term")
+    rank_second = field_linalg.rank(second)
+    if rank_first != second.cols - rank_second:
+        return (lo, hi, "not exact at the middle term")
+    tw = t_index(m, hi, power=-1)
+    if tw is not None and tw[0] >= lo[0] and tw[1] <= lo[1]:
+        out_u, rank_out = ranked(tw, lo)
+        if not (out_u @ second).is_zero() or rank_second != m.dim_at(lo) - rank_out:
+            return (lo, hi, "not exact at the intersection term")
+    return None
+
+
+def exactness_draws(m: GridModule, random_rectangles: int = 100):
+    """The random rectangles of the exactness check, picked from lists of
+    tuples."""
     n = len(m.table.grid)
-    inner = {s for s in m.samples() if m.is_interior(s)}
+    inner = {s for s in m.samples() if is_interior(m, s)}
     lows = [s for s in m.samples() if s in inner and all(u in inner for u in m.up(s))]
     rng = random.Random(CHECK_SEED)
+    out = []
     for _ in range(random_rectangles if lows else 0):
         il, jl = rng.choice(lows)
         ih = rng.choice([i for i in range(il) if (i, jl) in inner])
         jh = rng.choice([j for j in range(jl + 1, n) if (il, j) in inner and (ih, j) in inner])
-        bad = _rectangle_exact(m, (il, jl), (ih, jh))
+        out.append(((il, jl), (ih, jh)))
+    return out
+
+
+def cohomological_check_reference(m: GridModule, random_rectangles: int = 100):
+    """The exactness check with `_rectangle_exact` called on every unit
+    square and on every draw of `exactness_draws`."""
+    for lo, hi in [*unit_squares(m), *exactness_draws(m, random_rectangles)]:
+        bad = _rectangle_exact(m, lo, hi)
         if bad is not None:
             return bad
     return None
@@ -482,7 +554,7 @@ def seq_continuity_check_reference(m: GridModule):
     for idx in m.samples():
         i, j = idx
         w = (i + (1 if i % 2 == 0 else 0), j - (1 if j % 2 == 0 else 0))
-        if w == idx or not m.is_interior(w):
+        if w == idx or not is_interior(m, w):
             continue
         mat = m.map_between(w, idx)
         if m.dim_at(w) != m.dim_at(idx) or field_linalg.rank(mat) != m.dim_at(idx):
@@ -513,7 +585,7 @@ def nat_space_dim_reference(v: Index, m: GridModule) -> int:
                     row[offset[up]: offset[up] + m.dim_at(up)] -= mat.data[r]
                     rows.append(row)
         for down in m.down(idx):
-            if down not in offset and m.is_sample(down):
+            if down not in offset and is_sample(m, down):
                 mat = m.map_at(down, idx)
                 for r in range(m.dim_at(down)):
                     row = np.zeros(total, dtype=np.int64)
@@ -538,7 +610,7 @@ def decomposition_check_reference(m: GridModule, spot_checks: int = 200):
     for vi, mult in sorted(blocks, key=lambda b: b[0][0] - b[0][1]):
         supp = set(m.table.block(vi))
         rows = [m.map_between(down, vi).data for s in supp for down in m.down(s)
-                if m.is_sample(down) and down not in supp]
+                if is_sample(m, down) and down not in supp]
         ker = field_linalg.kernel_basis(
             Mat(np.vstack(rows) if rows else np.zeros((0, m.dim_at(vi))), m.p))
         prior = [m.map_between(vi, v) @ xi for v, sv, xi in sections if vi in sv]

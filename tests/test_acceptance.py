@@ -60,7 +60,8 @@ from geometry_reference import (
 )
 from oracle_betti import betti_numbers, euler_characteristic
 from oracle_ext_persistence import extended_persistence
-from reference import fiber_dimension_check, from_blocks, level_grid, multiset, ranks_of
+from reference import (fiber_dimension_check, from_blocks, is_sample, level_grid, multiset,
+                       ranks_of)
 from test_exact_geometry import random_coord, random_shift, random_strip_point
 from test_golden import RP2
 from test_interleave import hood_pair, hood_stability_pair, random_pair, random_triple
@@ -201,7 +202,7 @@ def test_criterion_05_continuity_and_cell_constancy(capsys):
     constancy_pairs = 0
     # every covering pair of samples: a map between a zero and a nonzero
     # space is not stored, and such a pair inside one cell is a failure
-    covering = [(lo, hi) for lo in m2.samples() for hi in m2.up(lo) if m2.is_sample(hi)]
+    covering = [(lo, hi) for lo in m2.samples() for hi in m2.up(lo) if is_sample(m2, hi)]
     for lo, hi in covering:
         mat = m2.map_at(lo, hi)
         if lo[0] != hi[0] and not within_cell(lo[0], hi[0]):

@@ -389,6 +389,33 @@ def test_each_suite_reports_its_entry_of_all(capsys, tmp_path, monkeypatch):
     assert verdicts == [True, False, False]
 
 
+def test_check_computes_the_diagram_once(capsys, tmp_path, monkeypatch):
+    # the decomposition and Yoneda suites of one check read one diagram,
+    # on an intact dump and on one whose decomposition check fails at a
+    # square; each checker called with a module alone computes its own
+    from riscpl import strip_module
+
+    code, hood = run(capsys, "gen", "--preset", "hood")
+    path = write_json(tmp_path / "hood.json", json.loads(hood))
+    intact = tmp_path / "hood3.json"
+    assert run(capsys, "dgm", path, "--field", "3", "--dump-module", str(intact))[0] == 0
+    doc = json.loads(intact.read_text())
+    doc["maps"][0][2][0][0] = (doc["maps"][0][2][0][0] + 1) % 3
+    broken = write_json(tmp_path / "broken3.json", doc)
+    calls = []
+    diagram = strip_module.dgm
+    for home in (strip_module, cli):
+        monkeypatch.setattr(home, "dgm", lambda m: calls.append(m) or diagram(m), raising=False)
+    for dump, ok in ((str(intact), True), (broken, False)):
+        calls.clear()
+        code, report = run_json(capsys, "check", dump, "--module", "--suite", "all")
+        assert report["ok"] is ok and len(calls) == 1
+    m, _ = cli.load_module(str(intact))
+    calls.clear()
+    assert strip_module.decomposition_check(m) is None and strip_module.yoneda_check(m) is None
+    assert len(calls) == 2
+
+
 def test_check_empty_passes_vacuously(capsys, tmp_path):
     path = write_json(tmp_path / "empty.json",
                       {"field": 2, "vertices": [], "simplices": []})

@@ -10,6 +10,7 @@ from riscpl.field_linalg import (
     independent_split,
     kernel_basis,
     rank,
+    ranks,
     solve_in_span,
 )
 
@@ -108,7 +109,8 @@ def random_mat(rng, rows, cols, p):
 def test_helpers_match_dense_reference():
     # Exact matrix equality with dense elimination, not only the same span
     # or rank, including 0-row and 0-column shapes, all-zero matrices and
-    # shapes wider than 8 columns.
+    # shapes wider than 8 columns; ranks of a stack, empty or holding
+    # repeated and all-zero matrices, are those of rank one at a time.
     rng = random.Random(3)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 9), (5, 12), (9, 17)]
     shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
@@ -120,6 +122,10 @@ def test_helpers_match_dense_reference():
             for a in (m, z):
                 assert rank(a) == reference.rank(a)
                 assert kernel_basis(a) == reference.kernel_basis(a)
+            stack = [m, z, random_mat(rng, rows, cols, p), m, z, random_mat(rng, rows, cols, p)]
+            for size in range(len(stack) + 1):
+                got = ranks(np.array([a.data for a in stack[:size]]).reshape(size, rows, cols), p)
+                assert got.tolist() == [rank(a) for a in stack[:size]]
             assert kernel_basis(z) == Mat.eye(cols, p)
             cut = rng.randint(0, cols)
             base, cand = Mat(m.data[:, :cut], p), Mat(m.data[:, cut:], p)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import re
@@ -18,6 +19,7 @@ from riscpl.risc_builder import (
 from riscpl.strip_module import (
     cohomological_check,
     decomposition_check,
+    dgm,
     seq_continuity_check,
 )
 
@@ -159,8 +161,8 @@ def test_classes_of_degree_four_and_five_match_extended_persistence(name, p):
     got = [(d.degree, d.region, d.pair) for d in r.diagram.points for _ in range(d.multiplicity)]
     assert sorted(got, key=repr) == want
     assert sorted(bar_key(b)[:5] for b in barcode(r) for _ in range(b[2])) == levelset_bars(want)
-    walks = {}
-    assert all(check(r.module, walks) is None for check in cli.SUITES.values())
+    walks, diagram = {}, functools.cache(lambda: dgm(r.module))
+    assert all(check(r.module, walks, diagram) is None for check in cli.SUITES.values())
 
 
 # ---------------------------------------------------------------------------

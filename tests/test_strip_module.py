@@ -17,7 +17,8 @@ from riscpl.exact_geometry import (
 from riscpl.field_linalg import Mat, rank
 from riscpl.strip_module import (
     GridModule,
-    _rectangle_exact,
+    _inexact,
+    _view,
     cohomological_check,
     decomposition_check,
     dgm,
@@ -31,17 +32,22 @@ from riscpl.strip_module import (
 
 from geometry_reference import SampleGridReference, block_contains, point, precedes
 from reference import (
+    _rectangle_exact,
     block_reference,
     cohomological_check_reference,
     colex_filtration,
     decomposition_check_reference,
+    exactness_draws,
     from_blocks,
     in_block,
+    is_interior,
+    is_sample,
     multiset,
     nat_space_dim_reference,
     seq_continuity_check_reference,
     square_commutes_check_reference,
     staircase_fold,
+    t_index,
 )
 
 F = Fraction
@@ -169,7 +175,7 @@ def test_map_between_matches_staircase_fold():
     rng = random.Random(37)
     modules = [from_blocks(random_blocks(rng, shell, 3), xs) for _ in range(3)]
     m0 = modules[0]
-    full = [s for s in m0.samples() if m0.dim_at(s) and m0.is_interior(s)]
+    full = [s for s in m0.samples() if m0.dim_at(s) and is_interior(m0, s)]
     modules.append(zeroed_at(m0, rng.choice(full)))
     killed = 0
     for m in modules:
@@ -192,7 +198,7 @@ def test_kept_composites_match_staircase_fold(order):
     xs = sym_grid(lams=(0,), kmin=-1, kmax=1)
     rng = random.Random(43)
     m = from_blocks(random_blocks(rng, GridModule(CoordTable(xs), {}, {}), 3), xs)
-    full = [s for s in m.samples() if m.dim_at(s) and m.is_interior(s)]
+    full = [s for s in m.samples() if m.dim_at(s) and is_interior(m, s)]
     m = zeroed_at(m, rng.choice(full))
     samples = list(m.samples())
     pairs = [(lo, hi) for lo in samples for hi in samples if lo[0] >= hi[0] and lo[1] <= hi[1]]
@@ -284,10 +290,10 @@ def test_decomposition_check_blocks_ok_and_mutation():
 def zero_maps_at(m, s):
     """Zero structure maps between the sample s and its covering neighbors."""
     for up in m.up(s):
-        if m.is_sample(up):
+        if is_sample(m, up):
             m.maps[(s, up)] = Mat.zeros(m.dim_at(s), m.dim_at(up), m.p)
     for down in m.down(s):
-        if m.is_sample(down):
+        if is_sample(m, down):
             m.maps[(down, s)] = Mat.zeros(m.dim_at(down), m.dim_at(s), m.p)
 
 
@@ -297,7 +303,7 @@ def test_decomposition_check_first_counterexamples(p):
     # a phantom space in an open cell that no block covers
     m = from_blocks([(HOOD_V1, 1), (HOOD_V2, 1)], xs, p)
     s = next(s for s in m.samples() if s[0] % 2 and s[1] % 2
-             and m.is_interior(s) and m.dim_at(s) == 0)
+             and is_interior(m, s) and m.dim_at(s) == 0)
     m.dims[s] = 1
     zero_maps_at(m, s)
     assert decomposition_check(m) == ("dimension mismatch", (1, 49), 0, 1)
@@ -311,7 +317,7 @@ def test_decomposition_check_first_counterexamples(p):
     # section vanishes there
     m = from_blocks([(HOOD_V1, 1)], xs, p)
     rim = next((v[0], j) for j in range(v[1], -1, -1) if m.dim_at((v[0], j)) == 0)
-    assert m.is_sample(rim)
+    assert is_sample(m, rim)
     m.dims[rim] = 1
     zero_maps_at(m, rim)
     m.maps[(rim, m.up(rim)[1])] = Mat.eye(1, p)
@@ -340,16 +346,16 @@ def test_checker_draws_land(monkeypatch):
     xs = sym_grid()
     m = from_blocks(random_blocks(random.Random(9), GridModule(CoordTable(xs), {}, {}), 2), xs)
     rects = []
-    exact = sm._rectangle_exact
-    monkeypatch.setattr(sm, "_rectangle_exact",
-                        lambda m, lo, hi, *rest: rects.append((lo, hi)) or exact(m, lo, hi, *rest))
+    batch = sm._inexact
+    monkeypatch.setattr(sm, "_inexact",
+                        lambda m, dims, tested: rects.extend(tested) or batch(m, dims, tested))
     assert cohomological_check(m, random_rectangles=0) is None
     unit = len(rects)
     rects.clear()
     assert cohomological_check(m, random_rectangles=100) is None
     landed = [(lo, hi) for lo, hi in rects[unit:]
               if lo[0] - hi[0] + hi[1] - lo[1] > 2
-              and all(map(m.is_interior, (lo, hi, (lo[0], hi[1]), (hi[0], lo[1]))))]
+              and all(is_interior(m, c) for c in (lo, hi, (lo[0], hi[1]), (hi[0], lo[1])))]
     assert len(landed) >= 95
 
     pairs = []
@@ -394,6 +400,78 @@ def test_cohomological_check_catches_an_outer_term_of_a_larger_rectangle():
     assert (lo[0] - hi[0], hi[1] - lo[1]) != (1, 1)
 
 
+def test_exactness_batch_matches_the_rectangle_reference_over_gf5(monkeypatch):
+    # single-entry breaks of the hood GF(5) dump (an entry plus 1 or 4, or
+    # a space with zero maps) whose first inexact rectangle fails each of
+    # the four tests, among the check's unit squares and among its draws
+    # alone: a draw is reached only when every square is exact, and then
+    # its composite is zero and its middle term exact, both pasted from the
+    # squares.  The batch reports what the one-rectangle reference reports
+    # first, on either list and on the whole check, and the check draws
+    # what the reference draws from its lists.  In the break failing first
+    # at an intersection term, a later square has a nonzero composite, so a
+    # report picked by reason before position differs.
+    import riscpl.strip_module as sm
+
+    m = dump_module("hood", 5)
+    batches = []
+    batch = sm._inexact
+    monkeypatch.setattr(sm, "_inexact",
+                        lambda m, dims, rects: batches.append(rects) or batch(m, dims, rects))
+
+    def entry_plus(key, add):
+        out = GridModule(m.table, m.dims, m.maps, m.p)
+        a = m.maps[key].data.copy()
+        a[0, 0] += add
+        out.maps[key] = Mat(a, m.p)
+        return out
+
+    def space_at(s):
+        out = GridModule(m.table, m.dims, m.maps, m.p)
+        out.dims[s] = 1
+        return out
+
+    reasons = ["composite nonzero", "not exact at the union term",
+               "not exact at the middle term", "not exact at the intersection term"]
+    cases = [
+        ("squares", entry_plus(((46, 27), (46, 28)), 1), reasons[0]),
+        ("squares", space_at((64, 10)), reasons[1]),
+        ("squares", entry_plus(((46, 28), (46, 29)), 4), reasons[2]),
+        ("squares", entry_plus(((46, 27), (46, 28)), 4), reasons[3]),
+        ("draws", entry_plus(((47, 31), (47, 32)), 1), reasons[0]),
+        ("draws", entry_plus(((46, 30), (46, 31)), 4), reasons[1]),
+        ("draws", entry_plus(((47, 33), (47, 34)), 4), reasons[2]),
+        ("draws", entry_plus(((50, 27), (50, 28)), 4), reasons[3]),
+    ]
+    later_first = []
+    for where, broken, why in cases:
+        batches.clear()
+        got = cohomological_check(broken)
+        assert got == cohomological_check_reference(broken)
+        (rects,) = batches
+        assert rects[-100:] == exactness_draws(broken)
+        tested = rects[:-100] if where == "squares" else rects[-100:]
+        folds = {}
+        fails = [bad for bad in (_rectangle_exact(broken, lo, hi, folds) for lo, hi in tested)
+                 if bad is not None]
+        assert batch(broken, _view(broken)[0], tested) == fails[0]
+        assert fails[0][2] == why
+        if where == "squares":
+            assert got == fails[0]
+        later_first.append(any(reasons.index(bad[2]) < reasons.index(why) for bad in fails[1:]))
+    assert later_first[3]
+    # a whole check whose first inexact rectangle is a draw, as in
+    # test_cohomological_check_catches_an_outer_term_of_a_larger_rectangle
+    edge = from_blocks([(point(2, -2, -1, 0), 1)], sym_grid(), 5)
+    last = max(s[0] for s in edge.samples() if edge.dim_at(s))
+    for s in edge.table.row_samples[last]:
+        edge = zeroed_at(edge, s)
+    lo, hi, why = cohomological_check(edge)
+    assert batches[-1][-100:] == exactness_draws(edge)
+    assert (lo, hi, why) == cohomological_check_reference(edge)
+    assert why == reasons[3] and (lo[0] - hi[0], hi[1] - lo[1]) != (1, 1)
+
+
 def square_with_translates(m):
     """The first unit sample square (lo, hi) with interior corners whose
     translates T(lo) and T^-1(hi) lie on the grid, above hi and below lo;
@@ -401,8 +479,8 @@ def square_with_translates(m):
     for lo in m.samples():
         hi = (lo[0] - 1, lo[1] + 1)
         corners = (lo, hi, (lo[0], hi[1]), (hi[0], lo[1]))
-        tu, tw = m.t_index(lo), m.t_index(hi, power=-1)
-        if (all(map(m.is_interior, corners)) and tu is not None and tw is not None
+        tu, tw = t_index(m, lo), t_index(m, hi, power=-1)
+        if (all(is_interior(m, c) for c in corners) and tu is not None and tw is not None
                 and hi[0] >= tu[0] and hi[1] <= tu[1]
                 and tw[0] >= lo[0] and tw[1] <= lo[1]):
             return lo, hi, tu, tw
@@ -412,7 +490,7 @@ def square_with_translates(m):
 def constant_between(m, lo, hi):
     """Dimension 1 and identity maps on the samples from lo up to hi."""
     dims = {(i, j): 1 for i in range(hi[0], lo[0] + 1) for j in range(lo[1], hi[1] + 1)
-            if m.is_sample((i, j))}
+            if is_sample(m, (i, j))}
     maps = {(s, up): Mat.eye(1) for s in dims for up in m.up(s) if up in dims}
     return dims, maps
 
@@ -433,6 +511,7 @@ def test_rectangle_exact_checks_outer_composites():
     m = GridModule(shell.table, dims, maps)
     assert rank(m.map_between(hi, tu)) == 1
     assert _rectangle_exact(m, lo, hi) == (lo, hi, "not exact at the union term")
+    assert _inexact(m, _view(m)[0], [(lo, hi)]) == _rectangle_exact(m, lo, hi)
     # M(v1) (+) M(v2) = F -> M(u) = F^2 hits e1; M(u) -> M(T^-1(w)) is [1 0]
     dims, maps = constant_between(shell, tw, lo)
     dims[lo], dims[v2] = 2, 1
@@ -443,6 +522,7 @@ def test_rectangle_exact_checks_outer_composites():
     m = GridModule(shell.table, dims, maps)
     assert rank(m.map_between(tw, lo)) == 1
     assert _rectangle_exact(m, lo, hi) == (lo, hi, "not exact at the intersection term")
+    assert _inexact(m, _view(m)[0], [(lo, hi)]) == _rectangle_exact(m, lo, hi)
 
 
 def support_module(pred, xs, p=2):
@@ -563,7 +643,7 @@ def test_colex_filtration_random_blocks():
         m = from_blocks(blocks, xs)
         for v, _mult in blocks:
             idx = m.index_of(v)
-            if m.t_index(idx) is None:
+            if t_index(m, idx) is None:
                 continue
             rows = colex_filtration(m, idx)
             assert rows[-1][-1] == m.dim_at(idx)
@@ -633,16 +713,16 @@ def mutants(m, rng):
 
     def boundary(out):
         n = len(m.table.grid)
-        edge = [s for s in m.samples() if not m.is_interior(s) and s[0] and s[1] < n - 1]
+        edge = [s for s in m.samples() if not is_interior(m, s) and s[0] and s[1] < n - 1]
         picked = rng.sample(edge, 6)
         for s in picked:
             out.dims[s] = rng.randint(1, 2)
         for s in picked:
             for up in m.up(s):
-                if m.is_sample(up):
+                if is_sample(m, up):
                     out.maps[s, up] = random_mat(rng, out.dim_at(s), out.dim_at(up), m.p)
             for down in m.down(s):
-                if m.is_sample(down):
+                if is_sample(m, down):
                     out.maps[down, s] = random_mat(rng, out.dim_at(down), out.dim_at(s), m.p)
 
     def zeroed(out):
@@ -665,7 +745,7 @@ def test_nat_space_dim_matches_reference(case, p, monkeypatch):
     # a support depends on the table alone, which the broken copies share
     monkeypatch.setattr(m.table, "block", functools.lru_cache(None)(m.table.block))
     drawn = rng.sample([s for s in m.samples() if m.dim_at(s)], 12) \
-        + rng.sample([s for s in m.samples() if not m.is_interior(s)], 13)
+        + rng.sample([s for s in m.samples() if not is_interior(m, s)], 13)
     cases = wrong = edge = 0
     for m in mutants(m, rng):
         for v in [m.index_of(d.point) for d in dgm(m).points] + drawn:
@@ -673,7 +753,7 @@ def test_nat_space_dim_matches_reference(case, p, monkeypatch):
             assert got == nat_space_dim_reference(v, m), (v, got)
             cases += 1
             wrong += got != m.dim_at(v)
-            edge += not m.is_interior(v)
+            edge += not is_interior(m, v)
     assert cases >= 5 * 25 and wrong and edge
 
 
@@ -699,7 +779,7 @@ def ci_breaks(m):
     key = keys[len(keys) * 2 // 3]
     zeroed.maps[key] = Mat.zeros(*m.maps[key].data.shape, m.p)
     yield zeroed
-    yield bumped_at(m, next(s for s in m.samples() if m.is_interior(s)
+    yield bumped_at(m, next(s for s in m.samples() if is_interior(m, s)
                             and not m.dim_at(s) and m.dim_at((s[0] - 1, s[1]))))
 
 
@@ -709,7 +789,7 @@ def union_term_module():
     T maps its lower corner to v."""
     v = point(-1, INF, 0, -2)
     m = from_blocks([(v, 1)], sym_grid())
-    w = m.t_index(m.index_of(v), -1)
+    w = t_index(m, m.index_of(v), -1)
     return bumped_at(m, (w[0], w[1] + 1))
 
 
@@ -723,7 +803,7 @@ def quiet_breaks():
     m = from_blocks([(HOOD_V1, 1)], xs)
     phantom = from_blocks([(HOOD_V1, 1)], xs)
     s = next(s for s in m.samples() if s[0] % 2 and s[1] % 2 and m.dim_at(s) == 0
-             and m.is_interior(s) and m.is_interior((s[0] - 1, s[1] - 1)))
+             and is_interior(m, s) and is_interior(m, (s[0] - 1, s[1] - 1)))
     phantom.dims[s] = 1
     zero_maps_at(phantom, s)
     corner = max(m.table.block(m.index_of(HOOD_V1)), key=lambda s: (s[0], -s[1]))
@@ -826,7 +906,7 @@ def test_decomposition_check_matches_reference(p):
             rebased = rebased_at(rebased, s, rng)
         phantom = from_blocks(blocks, xs, p)
         s = rng.choice([s for s in m.samples() if s[0] % 2 and s[1] % 2
-                        and m.is_interior(s) and m.dim_at(s) == 0])
+                        and is_interior(m, s) and m.dim_at(s) == 0])
         phantom.dims[s] = 1
         zero_maps_at(phantom, s)
         collapsed = from_blocks(blocks + [(m.table.point(v), 2)], xs, p)
@@ -877,10 +957,10 @@ def test_grid_geometry_matches_reference(case, tmp_path):
     for i in range(-1, n + 1):
         for j in range(-1, n + 1):
             idx = (i, j)
-            assert m.is_sample(idx) == ref.is_sample(idx), idx
-            assert m.is_interior(idx) == ref.is_interior(idx), idx
+            assert is_sample(m, idx) == ref.is_sample(idx), idx
+            assert is_interior(m, idx) == ref.is_interior(idx), idx
             for power in (1, -1, 2, -2):
-                assert m.t_index(idx, power) == ref.t_index(idx, power), (idx, power)
+                assert t_index(m, idx, power) == ref.t_index(idx, power), (idx, power)
             if 0 <= i < n and 0 <= j < n:
                 assert m.index_of(m.table.point(idx)) == idx
     for idx in ref.samples():
