@@ -151,7 +151,7 @@ def read_object(path, what: str) -> dict:
     return data
 
 
-def load_complex(path) -> Tuple[PLComplex, int]:
+def load_complex(path, cap: Optional[int] = None) -> Tuple[PLComplex, int]:
     data = read_object(path, "complex")
     field = parse_field(data)
     vertices = data.get("vertices", [])
@@ -171,15 +171,11 @@ def load_complex(path) -> Tuple[PLComplex, int]:
         if not val:
             raise ValueError(f"vertex {vid!r} has an empty value list")
         values[vid] = tuple(parse_rational(x) for x in val)
-    arities = {len(v) for v in values.values()}
-    if len(arities) > 1:
-        raise ValueError("all vertices must carry the same number of values")
     simplices = data.get("simplices", [])
     if not isinstance(simplices, list) or not all(
             isinstance(s, list) and all(map(_is_vertex_id, s)) for s in simplices):
         raise ValueError("simplices must be a list of vertex id lists")
-    k = PLComplex.from_maximal(values, simplices)
-    return k, field
+    return PLComplex.from_maximal(values, simplices, cap), field
 
 
 def complex_json(values: Dict, simplices: List[List], field: int = 2) -> dict:
@@ -417,7 +413,7 @@ def emit_json(doc: dict, out: Optional[str], text: Optional[Callable[[dict], str
 
 def cmd_evaluate(args) -> int:
     """dgm and barcode: write the command's document as JSON or CSV."""
-    k, field = load_complex(args.input)
+    k, field = load_complex(args.input, args.cap)
     p = field_of(args, field)
     r = evaluate(k, func=args.func, p=p, cap=args.cap)
     if args.dump_module:
@@ -454,7 +450,7 @@ def cmd_check(args) -> int:
     else:
         func = 0 if args.func is None else args.func
         cap = DEFAULT_CAP if args.cap is None else args.cap
-        k, field = load_complex(args.input)
+        k, field = load_complex(args.input, cap)
         module = evaluate(k, func=func, p=field_of(args, field), cap=cap).module
     report, walks, diagram = {"suites": {}}, {}, cache(lambda: dgm(module))
     for suite in (SUITES if args.suite == "all" else (args.suite,)):
@@ -468,7 +464,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_interleave(args) -> int:
-    k, field = load_complex(args.input)
+    k, field = load_complex(args.input, args.cap)
     if k.nfuncs < 2:
         raise ValueError("interleave needs two value sets per vertex")
     delta = None if args.delta == "auto" else parse_rational(args.delta)
@@ -497,11 +493,9 @@ REGION_COLORS = {"Ord": "#bcd8f0", "Rel": "#f0c8b4", "Ext": "#c4e0c0"}
 
 
 def _t_float(x: float, y: float, n: int) -> Tuple[float, float]:
-    for _ in range(abs(n)):
-        if n > 0:
-            x, y = -PI - y, PI - x
-        else:
-            x, y = PI - y, -PI - x
+    """T^n of a point, for n >= 0."""
+    for _ in range(n):
+        x, y = -PI - y, PI - x
     return x, y
 
 

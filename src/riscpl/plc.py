@@ -65,16 +65,6 @@ def skey(s: Simplex):
     return tuple(sorted((vkey(v) for v in s)))
 
 
-def close_under_faces(simplices: Iterable[Simplex]) -> Set[Simplex]:
-    out: Set[Simplex] = set()
-    for s in simplices:
-        vs = sorted(s, key=vkey)
-        for r in range(1, len(vs) + 1):
-            for face in combinations(vs, r):
-                out.add(frozenset(face))
-    return out
-
-
 @dataclass
 class PLComplex:
     """A finite simplicial complex with one or more exact PL functions,
@@ -85,24 +75,39 @@ class PLComplex:
     nfuncs: int = 1
 
     @staticmethod
-    def from_maximal(values: Dict[Vid, Sequence],
-                     maximal: Iterable[Iterable[Vid]]) -> "PLComplex":
-        vals = {}
-        for v, x in values.items():
-            xs = tuple(Fraction(xi) for xi in (x if isinstance(x, (tuple, list)) else (x,)))
-            vals[v] = xs
+    def from_maximal(values: Dict[Vid, Sequence], maximal: Iterable[Iterable[Vid]],
+                     cap: Optional[int] = None) -> "PLComplex":
+        """The complex of the maximal simplices and all their faces.  Every
+        vertex carries as many values as the first one; each maximal simplex,
+        checked in input order before its faces are added, is nonempty with
+        distinct, listed vertices.  Raises ValueError at the first fault, or
+        at the first face past the cap: the split complex is at least as
+        large."""
+        vals = {v: tuple(Fraction(xi) for xi in (x if isinstance(x, (tuple, list)) else (x,)))
+                for v, x in values.items()}
         nfuncs = len(next(iter(vals.values()))) if vals else 1
-        simplices = set()
+        for v, xs in vals.items():
+            if len(xs) != nfuncs:
+                raise ValueError(f"vertex {v} has {len(xs)} values, expected {nfuncs}")
+        simplices: Set[Simplex] = set()
         for s in maximal:
             s = list(s)
-            if len(set(s)) != len(s):
-                raise ValueError(f"simplex with repeated vertex: {s}")
             if not s:
                 raise ValueError("empty simplex")
-            simplices.add(frozenset(s))
-        k = PLComplex(vals, close_under_faces(simplices), nfuncs)
-        validate(k)
-        return k
+            if len(set(s)) != len(s):
+                raise ValueError(f"simplex with repeated vertex: {s}")
+            for v in s:
+                if v not in vals:
+                    raise ValueError(f"dangling vertex id {v}")
+            vs = sorted(s, key=vkey)
+            for r in range(1, len(vs) + 1):
+                for face in combinations(vs, r):
+                    simplices.add(frozenset(face))
+                    if cap is not None and len(simplices) > cap:
+                        raise ValueError(
+                            f"complex exceeds the simplex cap ({len(simplices)} > {cap}) while"
+                            " closing under faces; the split complex is at least as large")
+        return PLComplex(vals, simplices, nfuncs)
 
     def value(self, v: Vid, func: int = 0) -> Fraction:
         return self.values[v][func]
@@ -114,23 +119,6 @@ class PLComplex:
     def index(self) -> "SimplexIndex":
         """The simplex index of this complex, built once on first use."""
         return SimplexIndex(self.simplices, self.values)
-
-
-def validate(k: PLComplex) -> None:
-    """Closure under faces, no dangling vertex ids, consistent value arity."""
-    for v, xs in k.values.items():
-        if len(xs) != k.nfuncs:
-            raise ValueError(f"vertex {v} has {len(xs)} values, expected {k.nfuncs}")
-    for s in k.simplices:
-        if not s:
-            raise ValueError("empty simplex")
-        for v in s:
-            if v not in k.values:
-                raise ValueError(f"dangling vertex id {v}")
-        if len(s) > 1:
-            for v in s:
-                if s - {v} not in k.simplices:
-                    raise ValueError(f"complex not closed under faces at {sorted(map(str, s))}")
 
 
 def check_funcs(k: PLComplex, *funcs: int) -> None:
@@ -235,8 +223,6 @@ def split_all(k: PLComplex, levels: Iterable, funcs: Optional[Sequence[int]] = N
                               frozenset({x, b}) | rest,
                               frozenset({x}) | rest)
                     for piece in pieces:
-                        if piece in simplices:
-                            continue
                         simplices.add(piece)
                         for v in piece:
                             star.setdefault(v, set()).add(piece)

@@ -31,6 +31,10 @@ two agree on where a nonempty matrix is built; that a transformation at a
 larger shift is the one at the distance pair after an internal map is
 tested on its own.
 
+The complex of a list of maximal simplices is built here as the package
+once built it: the closure of the whole list under faces, then `validate`,
+which checks the value arity, the closure and that every vertex is listed.
+
 `evaluated` shares one evaluation per input among the tests that neither
 time nor change it.
 """
@@ -40,7 +44,8 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -97,6 +102,52 @@ from riscpl.strip_module import (
 )
 
 from geometry_reference import intersect
+
+
+def close_under_faces(simplices: Iterable[Simplex]) -> Set[Simplex]:
+    out: Set[Simplex] = set()
+    for s in simplices:
+        vs = sorted(s, key=vkey)
+        for r in range(1, len(vs) + 1):
+            for face in combinations(vs, r):
+                out.add(frozenset(face))
+    return out
+
+
+def validate(k: PLComplex) -> None:
+    """Closure under faces, no dangling vertex ids, consistent value arity."""
+    for v, xs in k.values.items():
+        if len(xs) != k.nfuncs:
+            raise ValueError(f"vertex {v} has {len(xs)} values, expected {k.nfuncs}")
+    for s in k.simplices:
+        if not s:
+            raise ValueError("empty simplex")
+        for v in s:
+            if v not in k.values:
+                raise ValueError(f"dangling vertex id {v}")
+        if len(s) > 1:
+            for v in s:
+                if s - {v} not in k.simplices:
+                    raise ValueError(f"complex not closed under faces at {sorted(map(str, s))}")
+
+
+def from_maximal_reference(values: Dict, maximal: Iterable[Iterable]) -> PLComplex:
+    """The complex of the maximal simplices: the closure of the whole list,
+    then `validate`."""
+    vals = {v: tuple(Fraction(xi) for xi in (x if isinstance(x, (tuple, list)) else (x,)))
+            for v, x in values.items()}
+    nfuncs = len(next(iter(vals.values()))) if vals else 1
+    simplices = set()
+    for s in maximal:
+        s = list(s)
+        if len(set(s)) != len(s):
+            raise ValueError(f"simplex with repeated vertex: {s}")
+        if not s:
+            raise ValueError("empty simplex")
+        simplices.add(frozenset(s))
+    k = PLComplex(vals, close_under_faces(simplices), nfuncs)
+    validate(k)
+    return k
 
 
 @dataclass(frozen=True)

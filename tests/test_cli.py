@@ -1,8 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +26,7 @@ from riscpl.exact_geometry import (
 )
 from riscpl.field_linalg import Mat
 from riscpl.interleave import Transformation
+from riscpl.risc_builder import DEFAULT_CAP
 
 from test_oracles import HIGH_DIMENSIONAL
 
@@ -285,6 +291,47 @@ FLAG_INPUTS = {
 def test_rejects_bad_function_index_and_field_flag(capsys, tmp_path, doc, argv):
     path = write_json(tmp_path / "input.json", FLAG_INPUTS[doc])
     assert_cli_error(capsys, argv[0], path, *argv[1:])
+
+
+def simplex_file(tmp_path, nverts, nvalues=1):
+    return write_json(tmp_path / "simplex.json", {
+        "vertices": [{"id": v, "value": [str(v)] * nvalues} for v in range(nverts)],
+        "simplices": [list(range(nverts))],
+    })
+
+
+def test_default_cap_bounds_the_face_closure(capsys, tmp_path):
+    # 2^18 - 1 faces: refused at the first face past the cap, not after
+    # building all of them
+    path = simplex_file(tmp_path, 18)
+    start = time.perf_counter()
+    err = assert_cli_error(capsys, "dgm", path)
+    assert time.perf_counter() - start < 0.5
+    assert f"({DEFAULT_CAP + 1} > {DEFAULT_CAP}) while closing under faces" in err
+
+
+@pytest.mark.parametrize("argv", [["dgm"], ["barcode"], ["check"], ["interleave"]],
+                         ids=lambda x: x[0])
+def test_every_command_on_a_complex_passes_its_cap_to_the_loader(capsys, tmp_path, argv):
+    path = simplex_file(tmp_path, 7, 2)
+    err = assert_cli_error(capsys, argv[0], path, "--cap", "100")
+    assert "(101 > 100) while closing under faces" in err
+
+
+def test_unknown_ids_give_one_error_line_under_every_hash_seed(tmp_path):
+    path = write_json(tmp_path / "ghosts.json", {
+        "vertices": [{"id": 1, "value": "0"}, {"id": 2, "value": "1"}],
+        "simplices": [[1, 2], [1, "g", 2, "h", "i"], ["j", "k", 1], ["l"]],
+    })
+    src = str(Path(cli.__file__).resolve().parents[1])
+    errs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "riscpl.cli", "dgm", path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        errs.add(proc.stderr)
+    assert errs == {"error: dangling vertex id g\n"}
 
 
 # Arbitrary JSON, and documents shaped like complex files with arbitrary

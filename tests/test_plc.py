@@ -24,7 +24,6 @@ from riscpl.plc import (
     open_model,
     relative_cohomology,
     split_all,
-    validate,
 )
 
 from geometry_reference import intersect
@@ -65,8 +64,7 @@ def random_complex(rng):
 
 
 def test_validate_examples():
-    k = PLComplex.from_maximal({1: (0,)}, [{1}])
-    validate(k)
+    assert PLComplex.from_maximal({1: (0,)}, [{1}]).simplices == {frozenset({1})}
     k = PLComplex.from_maximal({1: (0,), 2: (1,)}, [{1, 2}])
     assert frozenset({1}) in k.simplices and frozenset({2}) in k.simplices
     with pytest.raises(ValueError):
@@ -75,6 +73,95 @@ def test_validate_examples():
         PLComplex.from_maximal({1: (0,)}, [{1, 2}])  # dangling id
     with pytest.raises(ValueError):
         PLComplex.from_maximal({1: (0,)}, [[]])
+
+
+ID_POOLS = (list(range(8)), [f"v{i}" for i in range(8)], [0, "a", 1, "1", 2, "b", 3, "c"])
+GHOSTS = (99, "ghost", "99", "v9")
+
+
+def random_maximal(rng):
+    """A value map and a list of maximal simplices over int, string or mixed
+    ids, some simplices listed twice or inside another one."""
+    verts = rng.choice(ID_POOLS)[:rng.randint(1, 8)]
+    nfuncs = rng.randint(1, 2)
+    values = {v: tuple(F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(nfuncs))
+              for v in verts}
+    if nfuncs == 1 and rng.random() < 0.5:
+        values = {v: str(xs[0]) for v, xs in values.items()}
+    maximal = []
+    for _ in range(rng.randint(0, 6)):
+        maximal.append(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+        if rng.random() < 0.3:
+            maximal.append(maximal[-1][::-1])
+        if rng.random() < 0.3 and len(maximal[-1]) > 1:
+            maximal.append(rng.sample(maximal[-1], len(maximal[-1]) - 1))
+    return values, maximal
+
+
+def test_one_pass_builder_matches_closure_then_validate():
+    rng = random.Random(40)
+    cases = [random_maximal(rng) for _ in range(400)]
+    for preset in ("hood", "flattened-hood", "circle", "cone", "random"):
+        for funcs in (1, 2):
+            doc = gen_complex(preset, funcs, funcs)
+            cases.append(({e["id"]: e["value"] for e in doc["vertices"]}, doc["simplices"]))
+    for values, maximal in cases:
+        k = PLComplex.from_maximal(values, maximal)
+        ref = reference.from_maximal_reference(values, maximal)
+        assert (k.values, k.simplices, k.nfuncs) == (ref.values, ref.simplices, ref.nfuncs)
+        assert list(k.values) == list(ref.values)
+        capped = PLComplex.from_maximal(values, maximal, cap=len(ref.simplices))
+        assert capped.simplices == ref.simplices
+
+
+def test_one_pass_builder_names_the_first_fault_in_input_order():
+    rng = random.Random(41)
+    for _ in range(400):
+        values, maximal = random_maximal(rng)
+        faulty, first = [], None
+        if len(values) > 1 and rng.random() < 0.2:
+            v = rng.choice(list(values)[1:])
+            xs = values[v] if isinstance(values[v], tuple) else (values[v],)
+            values[v] = xs + (F(0),)
+            first = f"vertex {v} has {len(xs) + 1} values, expected {len(xs)}"
+        for s in maximal:
+            kind = rng.randrange(5)
+            if kind == 0:
+                bad, fault = [], "empty simplex"
+            elif kind == 1:
+                bad = s + [rng.choice(s)] + rng.sample(GHOSTS, rng.randint(0, 2))
+                rng.shuffle(bad)
+                fault = f"simplex with repeated vertex: {bad}"
+            elif kind == 2:
+                bad = s + rng.sample(GHOSTS, rng.randint(1, 3))
+                rng.shuffle(bad)
+                fault = f"dangling vertex id {next(v for v in bad if v not in values)}"
+            if kind < 3:
+                faulty.append(bad)
+                first = first or fault
+            faulty.append(s)
+        if first is None:
+            continue
+        with pytest.raises(ValueError) as e:
+            PLComplex.from_maximal(values, faulty)
+        assert str(e.value) == first
+        with pytest.raises(ValueError):
+            reference.from_maximal_reference(values, faulty)
+
+
+def test_cap_bounds_the_face_closure():
+    values = {v: (F(v),) for v in range(30)}
+    # the 30-vertex simplex has 2^30 - 1 faces; the build stops at the first
+    # one past the cap
+    with pytest.raises(ValueError, match=re.escape("(101 > 100) while closing under faces")):
+        PLComplex.from_maximal(values, [range(30)], cap=100)
+    # a face shared by two maximal simplices counts once
+    maximal = [range(7), range(1, 8)]
+    size = len(reference.from_maximal_reference(values, maximal).simplices)
+    assert size == 2 * 127 - 63
+    assert len(PLComplex.from_maximal(values, maximal, cap=size).simplices) == size
+    with pytest.raises(ValueError, match=re.escape(f"({size} > {size - 1})")):
+        PLComplex.from_maximal(values, maximal, cap=size - 1)
 
 
 # ---------------------------------------------------------------------------
